@@ -1,10 +1,14 @@
 """Collective potential of a molecule in range-separated canonical form.
 
 Every atom contributes a shifted window of the doubled-grid reference kernel.
-The smooth long-range columns of all atoms are concatenated into one
-canonical tensor and rank-compressed once; the short-range columns are kept
-as a single compact reference template plus a list of (center, charge)
-pairs, evaluated locally through a uniform-cell spatial index.
+The smooth long-range part is the sum of those windows' long-range columns.
+It is rank-compressed without stacking the N*R_L shifted columns: binning
+the atoms by node in each mode gives the mode SVDs an n x (occupied nodes *
+R_L) matrix, and the Tucker core comes from the sparse charge grid and the
+projected shift tables, so the cost no longer grows with N*R_L*n.  The
+short-range columns are kept as a single compact reference template plus a
+list of (center, charge) pairs, evaluated locally through a uniform-cell
+spatial index.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import (CanonicalTensor3, dense, eval_entry, reduce_rank,
-                      zero_canonical)
+from .formats import (CanonicalTensor3, c2t_shift_sum, dense, eval_entry,
+                      shift_sum, t2c, zero_canonical)
 
 _TIE = 1e-9
 
@@ -140,13 +144,12 @@ def shift_and_window(kernel, center, part="both"):
             else slice(kernel.split_index, kernel.rank)
     else:
         raise ConfigError("part must be 'long', 'short' or 'both'")
-    A = []
-    for l in range(3):
-        W = kernel.wide_tensor.factors[l]
-        beg = n - center[l]
-        assert 0 <= beg and beg + n <= 2 * n
-        A.append(W[beg:beg + n, cols])
-    return CanonicalTensor3(kernel.wide_tensor.weights[cols], tuple(A))
+    return shift_sum(_columns(kernel.wide_tensor, cols), [center], [1.0])
+
+
+def _columns(t, cols):
+    # canonical tensor of the terms ``cols`` of t
+    return CanonicalTensor3(t.weights[cols], tuple(A[:, cols] for A in t.factors))
 
 
 def _template_radius(gamma):
@@ -215,10 +218,12 @@ class RSTensor:
 def assemble_collective(m, kernel, eps_reduce):
     """Assemble a molecule's collective potential in range-separated form.
 
-    The long-range part concatenates, over atoms, the charge-weighted
-    long-range window columns (rank N * R_l) and compresses them once at
-    ``eps_reduce``.  The short-range part is stored as the shared template
-    plus the snapped (center, charge) list.
+    The long-range part is the sum over atoms of the charge-weighted
+    long-range window columns (rank N * R_l).  With ``eps_reduce`` it is
+    compressed by the binned RHOSVD of ``c2t_shift_sum`` followed by
+    ``t2c``; when that does not lower the rank below N * R_l the explicit
+    per-atom tensor is returned instead.  The short-range part is stored as
+    the shared template plus the snapped (center, charge) list.
 
     Parameters
     ----------
@@ -251,18 +256,13 @@ def assemble_collective(m, kernel, eps_reduce):
         long = zero_canonical((n, n, n))
     else:
         long_pre = N * R_l
-        w = np.empty(long_pre)
-        A = [np.empty((n, long_pre)) for _ in range(3)]
-        c_long = kernel.wide_tensor.weights[:R_l]
-        for a, (cidx, _) in enumerate(snaps):
-            sl = slice(a * R_l, (a + 1) * R_l)
-            w[sl] = z[a] * c_long
-            for l in range(3):
-                beg = n - cidx[l]
-                A[l][:, sl] = kernel.wide_tensor.factors[l][beg:beg + n, :R_l]
-        long = CanonicalTensor3(w, tuple(A))
+        ref = _columns(kernel.wide_tensor, slice(0, R_l))
+        centers = [cidx for cidx, _ in snaps]
+        long = None
         if eps_reduce is not None:
-            long = reduce_rank(long, eps_reduce)
+            long = t2c(c2t_shift_sum(ref, centers, z, eps_reduce), eps_reduce)
+        if long is None or long.rank >= long_pre:
+            long = shift_sum(ref, centers, z)
 
     r_t = _template_radius(gamma)
     R_s = kernel.rank - R_l

@@ -510,14 +510,22 @@ def _cmd_assemble(args):
 
 
 def _load_bundle(d):
-    with open(os.path.join(d, "shortlist.json")) as fh:
-        side = json.load(fh)
-    grid = Grid3(side["n"], side["b"])
+    path = os.path.join(d, "shortlist.json")
+    try:
+        with open(path) as fh:
+            side = json.load(fh)
+        grid = Grid3(side["n"], side["b"])
+        if len(side["centers"]) != len(side["weights"]):
+            raise ValueError("centers and weights differ in length")
+        short_list = [(tuple(int(v) for v in c), float(w))
+                      for c, w in zip(side["centers"], side["weights"])]
+        gamma, rank_pre = int(side["gamma"]), int(side["rank_pre"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
     rs = RSTensor(grid,
                   load_canonical(os.path.join(d, "long.ct3")),
                   load_canonical(os.path.join(d, "short_template.ct3")),
-                  [(tuple(c), w) for c, w in zip(side["centers"], side["weights"])],
-                  side["gamma"], long_rank_pre=side["rank_pre"])
+                  short_list, gamma, long_rank_pre=rank_pre)
     return rs, side
 
 
@@ -556,16 +564,14 @@ def _cmd_validate(args):
     m = _molecule_from_args(args)
     f = load_field(args.field)
     grid = f.grid
-    snapped, _ = snapped_molecule(m, grid)
+    snapped, snaps = snapped_molecule(m, grid)
     if args.oracle_kernel == "gaussian_sum":
         cfg2 = replace(cfg, n=grid.n, b=grid.b)
         q = _resolve_quadrature(cfg2, grid)
         oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum", quad=q)
     else:
         oracle = direct_sum_oracle(snapped, grid, kernel="exact_newton")
-    snaps = [tuple(int(round((p + grid.b) / grid.h)) for p in a.position)
-             for a in snapped.atoms]
-    rep = compare(f, oracle, exclude_centers=snaps,
+    rep = compare(f, oracle, exclude_centers=[c for c, _ in snaps],
                   config={"oracle": args.oracle_kernel, "field": args.field})
     out = args.outdir or "."
     os.makedirs(out, exist_ok=True)

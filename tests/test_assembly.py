@@ -229,3 +229,50 @@ def test_compression_reduces_rank_keeps_entries():
     v0 = rt.eval_entries(rs0.long, idx)
     v1 = rt.eval_entries(rs1.long, idx)
     assert np.max(np.abs(v1 - v0)) <= 1e-6 * np.max(np.abs(v0))
+
+
+def _plane_cluster(seed, n_atoms, g, k):
+    # atoms on a few shared coordinate planes, some on the same node, with
+    # mixed-sign fractional charges
+    rng = np.random.default_rng(seed)
+    lo = k.separation_gamma // 2 + 1
+    planes = [rng.choice(np.arange(lo, g.n - lo), 4, replace=False)
+              for _ in range(3)]
+    idx = np.stack([rng.choice(p, n_atoms) for p in planes], axis=1)
+    idx[-3:] = idx[:3]
+    z = rng.uniform(-2.0, 2.0, n_atoms)
+    z[::5] = np.round(z[::5])
+    return rt.Molecule([rt.Atom(-g.b + i * g.h, c) for i, c in zip(idx, z)])
+
+
+def _equivalence_cases(ligand_mol):
+    g = rt.Grid3(33, 4.0)
+    k = _kernel(g, R=14, gamma=6)
+    # 40 atoms: t2c returns 629 terms for the 520 stacked ones, so the
+    # explicit tensor is kept; 90 atoms: 1170 terms reduce to 648
+    for seed, n_atoms in ((7, 40), (8, 90)):
+        yield _plane_cluster(seed, n_atoms, g, k), k, 1e-9
+    # the ligand at n=33 with the default kernel: t2c returns 512 terms for
+    # the 18 * 18 it started from, so reduction does not pay either
+    g = rt.Grid3(33, rt.resolve_box(rt.RunConfig(n=33), ligand_mol))
+    q = rt.build_quadrature(24, g.h, 2 * SQRT3 * g.b)
+    k = rt.split_reference(rt.assemble_reference_tensor(q, g),
+                           rt.gamma_for_separation(g, 3.5), 1e-8)
+    sm, _ = rt.snapped_molecule(ligand_mol, g)
+    yield sm, k, 1e-8 * g.h ** 2
+
+
+def test_binned_reduction_matches_stacked_reduction(ligand_mol):
+    reduced = []
+    for m, k, eps in _equivalence_cases(ligand_mol):
+        rs = rt.assemble_collective(m, k, eps)
+        explicit = rt.assemble_collective(m, k, None).long
+        ref = rt.reduce_rank(explicit, eps)
+        assert rs.long_rank_pre == explicit.rank == m.n_atoms * k.split_index
+        assert rs.long.rank == ref.rank
+        d_ref = rt.dense(ref)
+        assert np.max(np.abs(rt.dense(rs.long) - d_ref)) \
+            <= 1e-12 * np.max(np.abs(d_ref))
+        reduced.append(rs.long.rank < rs.long_rank_pre)
+    assert reduced == [False, True, False]
+    assert rs.long.rank == 18 * 18

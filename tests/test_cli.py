@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -262,3 +263,40 @@ def test_main_run_and_validate(tmp_path, capsys):
     assert rc == 0
     assert "discrete L2" in capsys.readouterr().out
     assert os.path.exists(os.path.join(d, "report.txt"))
+
+
+@pytest.fixture(scope="module")
+def born_bundle(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundle")
+    assert rt.main(["assemble", "--pqr", BORN, "--n", "33", "--b", "8",
+                    "--rank", "8", "-o", str(d)]) == 0
+    return d
+
+
+def _bundle_copy(src, dst):
+    for name in ("long.ct3", "short_template.ct3", "shortlist.json"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:20],
+    lambda raw: raw[:-8],
+    lambda raw: raw + b"\0"], ids=["header", "short", "trailing"])
+def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, damage):
+    d = _bundle_copy(born_bundle, tmp_path)
+    (d / "long.ct3").write_bytes(damage((d / "long.ct3").read_bytes()))
+    assert rt.main(["solve", "-i", str(d)]) == 4
+    assert "long.ct3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["gamma", "centers", "n"])
+def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
+                                              key):
+    d = _bundle_copy(born_bundle, tmp_path)
+    side = json.loads((d / "shortlist.json").read_text())
+    del side[key]
+    (d / "shortlist.json").write_text(json.dumps(side))
+    assert rt.main(["solve", "-i", str(d)]) == 4
+    out = capsys.readouterr().out
+    assert "shortlist.json" in out and key in out

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
+from rstensor import validation
 
 SQRT3 = np.sqrt(3.0)
 
@@ -156,3 +160,43 @@ def test_report_text_and_files(tmp_path):
     got = dict(line.split("=", 1) for line in kv.splitlines() if "=" in line)
     assert float(got["discrete_l2"]) == pytest.approx(rep.discrete_l2, rel=1e-15)
     assert float(got["max_abs"]) == pytest.approx(rep.max_abs, rel=1e-15)
+
+
+@st.composite
+def _gaussian_case(draw):
+    n = draw(st.sampled_from([5, 8, 11]))
+    g = rt.Grid3(n, draw(st.floats(1.0, 3.0)))
+    R = draw(st.integers(1, 6))
+    t = np.sort(np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=R,
+                                       max_size=R, unique=True))))
+    c = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=R, max_size=R)))
+    q = rt.SincQuadrature(t, c, (g.h, 2 * SQRT3 * g.b), 0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    N = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["off_grid", "duplicated", "snapped"]))
+    pos = rng.uniform(-g.b, g.b, (N, 3))
+    if kind == "duplicated":
+        pos = pos[rng.integers(0, max(1, N // 2), N)]
+    elif kind == "snapped":
+        pos = -g.b + rng.integers(0, n, (N, 3)) * g.h
+    z = rng.uniform(-2.0, 2.0, N)
+    chunk = draw(st.sampled_from([1, 2, 7, None]))
+    return g, q, pos, z, chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gaussian_case())
+def test_gaussian_field_matches_pointwise_sum(case):
+    # pointwise sum_a z_a sum_k c_k exp(-t_k^2 |x - p_a|^2) at every node;
+    # the bound is relative to the sum of the terms' magnitudes
+    g, q, pos, z, chunk = case
+    numel = validation._CHUNK_NUMEL if chunk is None else chunk * g.n ** 2
+    with mock.patch.object(validation, "_CHUNK_NUMEL", numel):
+        field = rt.gaussian_field(pos, z, g, q)
+    x = g.coords()
+    X = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    r2 = np.sum((X[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    terms = np.exp(-r2[:, :, None] * q.nodes ** 2) * q.weights
+    ref = terms.sum(axis=2) @ z
+    scale = terms.sum(axis=2) @ np.abs(z)
+    assert np.all(np.abs(field.ravel() - ref) <= 1e-13 * scale)
