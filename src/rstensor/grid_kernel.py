@@ -12,12 +12,13 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._quadtable import QUAD_TABLE
 from .errors import ConfigError, NumericError
 from .formats import CanonicalTensor3
 
 _SQRT_PI = np.sqrt(np.pi)
+_SQRT3 = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,10 @@ def _profile(t, c, rho):
 
 def _tune(R, B, n_samp=3000):
     # coarse scan of the three substitution parameters around -2*ln(B),
-    # then a simplex polish on the measured sup relative error
+    # then a simplex polish on the measured sup relative error; returns
+    # (v_lo, v_hi, beta)
+    from scipy.optimize import minimize
+
     rho = np.geomspace(1.0, max(B, 1.0), n_samp)
     lnB = np.log(max(B, 1.0))
 
@@ -137,7 +141,24 @@ def _tune(R, B, n_samp=3000):
     res = minimize(obj, best[1], method="Nelder-Mead",
                    options={"xatol": 1e-6, "fatol": 1e-6, "maxiter": 800})
     p = res.x if res.fun < best[0] else best[1]
-    return _de_nodes(p[0], p[1], p[2], R)
+    return tuple(float(v) for v in p)
+
+
+def canonical_ratio(n):
+    """rho_max/rho_min = 2*sqrt(3)*b/h of an n-point grid, computed at b=1.
+
+    The ratio is sqrt(3)*(n-1) for every b; ``QUAD_TABLE`` entries are tuned
+    at exactly this value.
+    """
+    return 2.0 * _SQRT3 / (2.0 / (n - 1))
+
+
+def _table_params(R, B):
+    # a shipped entry applies only where B is its grid's ratio to 1e-12
+    for (r, n), p in QUAD_TABLE.items():
+        if r == R and abs(B / canonical_ratio(n) - 1.0) <= 1e-12:
+            return p
+    return None
 
 
 _TUNE_CACHE = {}
@@ -146,9 +167,16 @@ _TUNE_CACHE = {}
 def build_quadrature(R, rho_min, rho_max, tol=None):
     """Build a rank-R Gaussian-sum quadrature for 1/rho on [rho_min, rho_max].
 
-    The substitution parameters are tuned per (R, rho_max/rho_min) by direct
-    minimization of the measured sup relative error; results are cached per
-    process.  The stored ``achieved_relative_error`` is re-measured on 4096
+    The result depends on the interval only through B = rho_max/rho_min
+    (nodes and weights scale with 1/rho_min).  The double-exponential
+    substitution parameters (v_lo, v_hi, beta) minimize the sup relative
+    error on [1, B].  They are read from the shipped table
+    ``rstensor._quadtable.QUAD_TABLE``, keyed by (R, n), when B equals the
+    ratio sqrt(3)*(n-1) of an n-point grid's cube diagonal 2*sqrt(3)*b to
+    its spacing h, within a relative 1e-12.  Otherwise they are tuned by a
+    coarse scan and a Nelder-Mead polish (about 0.5 s per call) and cached
+    per process.  ``tools/tune_quadrature.py`` regenerates and checks the
+    table.  Either way the stored ``achieved_relative_error`` is re-measured on 4096
     log-spaced points of the target interval.
 
     Parameters
@@ -170,10 +198,13 @@ def build_quadrature(R, rho_min, rho_max, tol=None):
         raise ConfigError("need 0 < rho_min <= rho_max")
     R = int(R)
     B = rho_max / rho_min
-    key = (R, round(B, 12))
-    if key not in _TUNE_CACHE:
-        _TUNE_CACHE[key] = _tune(R, B)
-    t, c = _TUNE_CACHE[key]
+    p = _table_params(R, B)
+    if p is None:
+        key = (R, round(B, 12))
+        if key not in _TUNE_CACHE:
+            _TUNE_CACHE[key] = _tune(R, B)
+        p = _TUNE_CACHE[key]
+    t, c = _de_nodes(p[0], p[1], p[2], R)
     t = t / rho_min
     c = c / rho_min
     rho = np.geomspace(rho_min, rho_max, 4096) if rho_max > rho_min \

@@ -9,12 +9,13 @@ the 3D discrete sine basis; the total potential adds the short-range
 template field back.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dstn
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .formats import CanonicalTensor3, dense, zero_canonical
 from .assembly import scatter_short
 
@@ -329,20 +330,31 @@ def save_field(f, path):
 
 
 def load_field(path):
-    """Read a field dump written by ``save_field``."""
+    """Read a field dump written by ``save_field``.
+
+    Raises DataError when the ``.info`` sidecar lacks a numeric ``n`` or
+    ``b`` (or gives values no grid has), or the dump does not hold n^3
+    float64 values.
+    """
     from .grid_kernel import Grid3
+    info_path = str(path) + ".info"
     info = {}
-    with open(str(path) + ".info") as fh:
-        for line in fh:
-            if "=" in line:
-                k, v = line.strip().split("=", 1)
-                info[k] = v
-    grid = Grid3(int(info["n"]), float(info["b"]))
-    raw = np.fromfile(path, dtype=_F64)
+    try:
+        with open(info_path) as fh:
+            for line in fh:
+                if "=" in line:
+                    k, v = line.strip().split("=", 1)
+                    info[k] = v
+        grid = Grid3(int(info["n"]), float(info["b"]))
+        residual = float(info.get("residual", 0.0))
+    except (KeyError, ValueError, ConfigError) as e:
+        raise DataError("malformed %s: %s %s"
+                        % (info_path, type(e).__name__, e))
     n = grid.n
-    if raw.size != n ** 3:
-        raise ConfigError("dump size does not match n=%d" % n)
-    vals = raw.reshape((n, n, n), order="F")
-    meta = {"bc": info.get("bc", "homogeneous"),
-            "residual": float(info.get("residual", 0.0))}
+    size = os.path.getsize(path)
+    if size != 8 * n ** 3:
+        raise DataError("%s holds %d bytes, n=%d needs %d"
+                        % (path, size, n, 8 * n ** 3))
+    vals = np.fromfile(path, dtype=_F64).reshape((n, n, n), order="F")
+    meta = {"bc": info.get("bc", "homogeneous"), "residual": residual}
     return GridFunction3(grid, vals, meta)

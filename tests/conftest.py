@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import rstensor as rt
 
@@ -23,3 +24,17 @@ def rand_canonical(rng, n, r):
     return rt.CanonicalTensor3(rng.standard_normal(r),
                                tuple(rng.standard_normal((n, r))
                                      for _ in range(3)))
+
+
+# float64 values, with signed zeros and subnormals drawn on purpose
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -1.5e-310]))
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float64 arrays (tells -0.0 from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))

@@ -300,3 +300,68 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     assert rt.main(["solve", "-i", str(d)]) == 4
     out = capsys.readouterr().out
     assert "shortlist.json" in out and key in out
+
+
+def _field_dump(tmp_path):
+    g = rt.Grid3(5, 1.0)
+    f = rt.GridFunction3(g, np.arange(125.0).reshape((5, 5, 5)))
+    p = tmp_path / "f.bin"
+    rt.save_field(f, p)
+    return p
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:-8],
+    lambda raw: raw + b"\0"], ids=["short", "trailing"])
+def test_export_wrong_size_dump_exit_code(tmp_path, capsys, damage):
+    p = _field_dump(tmp_path)
+    p.write_bytes(damage(p.read_bytes()))
+    assert rt.main(["export", "--field", str(p), "--axis", "1", "--index",
+                    "0", "--out", str(tmp_path / "s.csv")]) == 4
+    assert "i/o error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda info: info.replace("n=5\n", ""),
+    lambda info: info.replace("b=1\n", ""),
+    lambda info: info.replace("n=5", "n=five"),
+    lambda info: info.replace("b=1", "b=one"),
+    lambda info: info.replace("n=5", "n=2")],
+    ids=["no-n", "no-b", "bad-n", "bad-b", "tiny-n"])
+def test_export_malformed_info_exit_code(tmp_path, capsys, edit):
+    p = _field_dump(tmp_path)
+    info = tmp_path / "f.bin.info"
+    text = info.read_text()
+    assert "n=5\n" in text and "b=1\n" in text
+    info.write_text(edit(text))
+    assert rt.main(["export", "--field", str(p), "--axis", "1", "--index",
+                    "0", "--out", str(tmp_path / "s.csv")]) == 4
+    out = capsys.readouterr().out
+    assert "i/o error" in out and "f.bin.info" in out
+
+
+@pytest.fixture(scope="module")
+def born_spectral(tmp_path_factory):
+    d = tmp_path_factory.mktemp("spectral")
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8",
+                    "-o", str(d)]) == 0
+    return rt.load_field(d / "total.bin")
+
+
+@pytest.mark.parametrize("flags,echo", [
+    (["--bc", "analytic"], {"bc": "analytic"}),
+    (["--solver", "cg"], {"solver": "cg"}),
+    (["--kappa", "0.5"], {"kappa": "0.5"})], ids=["bc", "solver", "kappa"])
+def test_run_options(tmp_path, capsys, born_spectral, flags, echo):
+    rc = rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8",
+                  "-o", str(tmp_path)] + flags)
+    assert rc == 0
+    met = dict(line.split("=", 1)
+               for line in (tmp_path / "metrics.txt").read_text().splitlines())
+    for k, v in echo.items():
+        assert met[k] == v
+    total = rt.load_field(tmp_path / "total.bin").values
+    assert np.all(np.isfinite(total))
+    if echo.get("solver") == "cg":
+        ref = born_spectral.values
+        assert np.linalg.norm(total - ref) <= 1e-8 * np.linalg.norm(ref)

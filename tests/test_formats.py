@@ -1,8 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
-from conftest import rand_canonical
+from conftest import EDGE_FLOATS, rand_canonical, same_bits
 
 
 def test_eval_entry_zero_tensor():
@@ -194,6 +199,23 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(u.weights, t.weights)
     for a, b in zip(u.factors, t.factors):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=st.tuples(*[st.integers(1, 6)] * 3),
+       R=st.integers(0, 5))
+def test_save_load_round_trip_is_exact(data, shape, R):
+    w = data.draw(arrays(np.float64, (R,), elements=EDGE_FLOATS))
+    fac = tuple(data.draw(arrays(np.float64, (n, R), elements=EDGE_FLOATS))
+                for n in shape)
+    t = rt.CanonicalTensor3(w, fac)
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "t.ct3")
+        rt.save_canonical(t, p)
+        u = rt.load_canonical(p)
+    assert u.shape == tuple(shape) and u.rank == R
+    assert same_bits(u.weights, w)
+    assert all(same_bits(a, b) for a, b in zip(u.factors, fac))
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
 
 import rstensor as rt
+from rstensor import grid_kernel
 
 SQRT3 = np.sqrt(3.0)
 
@@ -55,6 +60,50 @@ def test_quadrature_rejects_bad_interval():
 def test_quadrature_tolerance_failure():
     with pytest.raises(rt.NumericError):
         rt.build_quadrature(2, 0.01, 100.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("R,n", [(8, 33), (29, 129), (17, 257)])
+def test_quadrature_table_matches_tuner(R, n):
+    # the shipped parameters are exactly what the tuner gives today
+    B = grid_kernel.canonical_ratio(n)
+    shipped = grid_kernel.QUAD_TABLE[(R, n)]
+    tuned = grid_kernel._tune(R, B)
+    t0, c0 = grid_kernel._de_nodes(*shipped, R)
+    t1, c1 = grid_kernel._de_nodes(*tuned, R)
+    assert np.array_equal(t0, t1) and np.array_equal(c0, c1)
+
+
+def test_quadrature_table_keyed_by_ratio():
+    B = grid_kernel.canonical_ratio(129)
+    assert B == pytest.approx(SQRT3 * 128, rel=1e-15)
+    assert grid_kernel._table_params(29, B * (1 + 1e-13)) is not None
+    assert grid_kernel._table_params(29, B * (1 + 1e-9)) is None
+    assert grid_kernel._table_params(25, B) is None
+    # every box of a 129-point grid has the shipped ratio
+    g = rt.Grid3(129, 20.0)
+    q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
+    t, c = grid_kernel._de_nodes(*grid_kernel.QUAD_TABLE[(29, 129)], 29)
+    assert np.array_equal(q.nodes, t / g.h)
+    assert np.array_equal(q.weights, c / g.h)
+
+
+def test_table_hit_does_not_import_tuner():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "import rstensor\n"
+        "from rstensor.cli import RunConfig, _resolve_quadrature\n"
+        "q = _resolve_quadrature(RunConfig(), rstensor.Grid3(129, 20.0))\n"
+        "assert q.achieved_relative_error <= 1e-6, q\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "rstensor.build_quadrature(40, 0.1, 60.0)\n"
+        "assert 'scipy.optimize' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_quadrature_accuracy_on_shell():

@@ -1,9 +1,14 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.fft import dstn
 
 import rstensor as rt
-from conftest import rand_canonical
+from conftest import EDGE_FLOATS, rand_canonical, same_bits
 
 SQRT3 = np.sqrt(3.0)
 
@@ -204,6 +209,23 @@ def test_field_save_load_round_trip(tmp_path):
     assert f2.grid.n == 9 and f2.grid.b == 1.0
     info = (tmp_path / "u.bin.info").read_text()
     assert "order=mode1-fastest" in info and "bc=homogeneous" in info
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(3, 7),
+       b=st.floats(min_value=5e-324, max_value=1e300),
+       residual=EDGE_FLOATS)
+def test_field_round_trip_is_exact(data, n, b, residual):
+    vals = data.draw(arrays(np.float64, (n, n, n), elements=EDGE_FLOATS))
+    f = rt.GridFunction3(rt.Grid3(n, b), vals,
+                         {"bc": "homogeneous", "residual": residual})
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "f.bin")
+        rt.save_field(f, p)
+        f2 = rt.load_field(p)
+    assert f2.grid == f.grid
+    assert same_bits(f2.values, f.values)
+    assert same_bits(f2.meta["residual"], residual)
 
 
 def test_field_rejects_nonfinite():
