@@ -10,46 +10,37 @@ solver returns the potential on the full grid.
 """
 
 from .errors import ConfigError, DataError, NumericError
-from .formats import (CanonicalTensor3, TuckerTensor3, c2t_rhosvd,
-                      canonical_axpy, dense, dense_slice, eval_entries,
-                      eval_entry, frobenius_norm, load_canonical,
-                      reduce_rank, save_canonical, t2c, tucker_dense,
-                      zero_canonical)
+from .formats import (CanonicalTensor3, TuckerTensor3, c2t_rhosvd, dense,
+                      eval_entry, load_canonical, reduce_rank, save_canonical,
+                      t2c, zero_canonical)
 from .grid_kernel import (Grid3, ReferenceKernel, SincQuadrature,
                           assemble_reference_tensor, build_quadrature,
-                          gamma_for_separation, gaussian_sum,
-                          split_by_count, split_reference)
+                          gamma_for_separation, gaussian_sum, split_reference)
 from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
-                       rs_eval_entry, scatter_short, shift_and_window,
-                       snap_to_grid, snapped_molecule)
-from .solver import (DeltaSplit, DiscreteLaplacian, GridFunction3,
-                     apply_kron_laplacian, apply_stencil_dense,
-                     build_delta_split, compose_total, dst1_direct,
-                     eigenvalues_1d, load_field, negate, poisson_solve,
-                     save_field)
+                       rs_eval_entry, scatter_short, snap_to_grid,
+                       snapped_molecule)
+from .solver import (DiscreteLaplacian, GridFunction3, apply_kron_laplacian,
+                     apply_stencil_dense, compose_total, load_field, negate,
+                     poisson_solve, save_field)
 from .validation import (ErrorReport, compare, direct_sum_oracle,
                          gaussian_field, write_report)
-from .cli import (RunConfig, export_slice, import_slice, main, parse_pqr,
-                  resolve_box, run_case, run_pipeline, synthetic_cluster)
+from .cli import (RunConfig, export_slice, main, parse_pqr, resolve_box,
+                  run_case, run_pipeline, synthetic_cluster)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "CanonicalTensor3", "ConfigError", "DataError", "DeltaSplit",
+    "Atom", "CanonicalTensor3", "ConfigError", "DataError",
     "DiscreteLaplacian", "ErrorReport", "Grid3", "GridFunction3", "Molecule",
     "NumericError", "RSTensor", "ReferenceKernel", "RunConfig",
     "SincQuadrature", "TuckerTensor3", "apply_kron_laplacian",
     "apply_stencil_dense", "assemble_collective", "assemble_reference_tensor",
-    "build_delta_split", "build_quadrature", "c2t_rhosvd", "canonical_axpy",
-    "compare", "compose_total", "dense", "dense_slice", "direct_sum_oracle",
-    "dst1_direct", "eigenvalues_1d", "eval_entries", "eval_entry",
-    "export_slice", "frobenius_norm", "gamma_for_separation",
-    "gaussian_field", "gaussian_sum", "import_slice", "load_canonical",
-    "load_field", "main", "negate", "parse_pqr", "poisson_solve",
-    "reduce_rank", "resolve_box", "rs_eval_entry", "run_case",
-    "run_pipeline", "save_canonical", "save_field", "scatter_short",
-    "shift_and_window", "snap_to_grid", "snapped_molecule",
-    "split_by_count", "split_reference",
-    "synthetic_cluster", "t2c", "tucker_dense", "write_report",
-    "zero_canonical",
+    "build_quadrature", "c2t_rhosvd", "compare", "compose_total", "dense",
+    "direct_sum_oracle", "eval_entry", "export_slice",
+    "gamma_for_separation", "gaussian_field", "gaussian_sum",
+    "load_canonical", "load_field", "main", "negate", "parse_pqr",
+    "poisson_solve", "reduce_rank", "resolve_box", "rs_eval_entry",
+    "run_case", "run_pipeline", "save_canonical", "save_field",
+    "scatter_short", "snap_to_grid", "snapped_molecule", "split_reference",
+    "synthetic_cluster", "t2c", "write_report", "zero_canonical",
 ]

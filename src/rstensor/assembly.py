@@ -113,40 +113,6 @@ def snapped_molecule(m, grid):
     return Molecule(atoms, m.name), snaps
 
 
-def shift_and_window(kernel, center, part="both"):
-    """Window the doubled-grid reference tensor so its center lands on a node.
-
-    The result's entry at node ``j`` equals the reference tensor's entry at
-    displacement ``j - center``; selecting ``part`` restricts columns to the
-    long-range prefix, the short-range suffix, or all columns.
-
-    Parameters
-    ----------
-    kernel : ReferenceKernel
-    center : sequence of three ints, 0-based node indices
-    part : {"both", "long", "short"}
-
-    Returns
-    -------
-    CanonicalTensor3 on the n-grid.
-    """
-    n = kernel.grid.n
-    center = tuple(int(v) for v in center)
-    for cl in center:
-        if not (0 <= cl < n):
-            raise ConfigError("window center %r outside the grid" % (center,))
-    if part == "both":
-        cols = slice(0, kernel.rank)
-    elif part in ("long", "short"):
-        if kernel.split_index is None:
-            raise ConfigError("kernel is not split; cannot select %r columns" % part)
-        cols = slice(0, kernel.split_index) if part == "long" \
-            else slice(kernel.split_index, kernel.rank)
-    else:
-        raise ConfigError("part must be 'long', 'short' or 'both'")
-    return shift_sum(_columns(kernel.wide_tensor, cols), [center], [1.0])
-
-
 def _columns(t, cols):
     # canonical tensor of the terms ``cols`` of t
     return CanonicalTensor3(t.weights[cols], tuple(A[:, cols] for A in t.factors))

@@ -10,8 +10,10 @@ so reruns with the same config and seed are byte-identical.
 import argparse
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,12 +117,11 @@ class RunConfig:
     bc: str = "homogeneous"
     kappa: float = 0.0
     outdir: str = "."
-    seed: int = 0
 
-    def validate(self, molecule_run=True):
+    def validate(self):
         if int(self.n) != self.n or self.n < 3:
             raise ConfigError("config: n must be an integer >= 3")
-        if molecule_run and self.n < 33:
+        if self.n < 33:
             raise ConfigError("config: molecule runs need n >= 33")
         if self.b != "auto" and not (isinstance(self.b, (int, float)) and self.b > 0):
             raise ConfigError("config: b must be positive or 'auto'")
@@ -142,8 +143,6 @@ class RunConfig:
             raise ConfigError("config: bc must be 'homogeneous' or 'analytic'")
         if not (self.kappa >= 0):
             raise ConfigError("config: kappa must be nonnegative")
-        if int(self.seed) != self.seed:
-            raise ConfigError("config: seed must be an integer")
 
 
 def resolve_box(cfg, m):
@@ -199,6 +198,60 @@ def _boundary_field(m, grid, kappa):
     return g
 
 
+@contextmanager
+def _clock(timings, key):
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+def _assemble_stage(cfg, m, timings):
+    """Validate ``cfg``, resolve grid and kernel, and assemble ``m``.
+
+    Resolves the box, gamma and the rank-reduction tolerance, enforces the
+    atom margin rule (every atom at least gamma*h/2 + 2h from each face),
+    builds the quadrature and the split reference kernel, snaps ``m`` to
+    the grid and assembles its RS tensor.  Stage wall times go into
+    ``timings``.  Returns (RSTensor, quadrature, kernel, snapped molecule,
+    snap list, reduction tolerance).
+    """
+    cfg.validate()
+    grid = Grid3(cfg.n, resolve_box(cfg, m))
+    h = grid.h
+    gamma = cfg.gamma if cfg.gamma != "auto" else gamma_for_separation(grid, cfg.sep_radius)
+    maxabs = float(np.max(np.abs(m.positions)))
+    need = 0.5 * gamma * h + 2.0 * h
+    if grid.b - maxabs < need - 1e-9:
+        raise ConfigError("margin rule violated: atoms within %.3f A of a face, "
+                          "need %.3f A" % (grid.b - maxabs, need))
+    eps_eff = cfg.eps_c2t * h * h if cfg.eps_scaling == "mesh" else cfg.eps_c2t
+    with _clock(timings, "quadrature"):
+        q = _resolve_quadrature(cfg, grid)
+    with _clock(timings, "kernel"):
+        kernel = split_reference(assemble_reference_tensor(q, grid), gamma,
+                                 cfg.eps_support)
+    snapped, snaps = snapped_molecule(m, grid)
+    with _clock(timings, "assemble"):
+        rs = assemble_collective(snapped, kernel, eps_eff)
+    return rs, q, kernel, snapped, snaps, eps_eff
+
+
+def _solve_stage(rs, L, method, timings, bc_molecule=None):
+    """Long-range potential: the delta ``-(lap - kappa^2) rs.long``, solved.
+
+    Homogeneous faces, or with ``bc_molecule`` its screened-Coulomb values
+    on the faces (spectral solver only).
+    """
+    with _clock(timings, "delta"):
+        delta_long = negate(apply_kron_laplacian(rs.long, L))
+    with _clock(timings, "solve"):
+        if bc_molecule is None:
+            return poisson_solve(delta_long, L, bc="homogeneous", method=method)
+        bc_field = _boundary_field(bc_molecule, L.grid, L.kappa)
+        return poisson_solve(delta_long, L, bc="trace", method="spectral",
+                             bc_field=bc_field)
+
+
 def run_case(cfg, m):
     """Execute the pipeline in memory.
 
@@ -207,65 +260,26 @@ def run_case(cfg, m):
     snapped molecule, the error report (None when the oracle was skipped),
     deterministic ``metrics`` and wall-clock ``timings``.
     """
-    cfg.validate(molecule_run=True)
     timings = {}
     t_all = time.perf_counter()
-
-    b = resolve_box(cfg, m)
-    grid = Grid3(cfg.n, b)
-    h = grid.h
-    gamma = cfg.gamma if cfg.gamma != "auto" else gamma_for_separation(grid, cfg.sep_radius)
-    maxabs = float(np.max(np.abs(m.positions)))
-    need = 0.5 * gamma * h + 2.0 * h
-    if b - maxabs < need - 1e-9:
-        raise ConfigError("margin rule violated: atoms within %.3f A of a face, "
-                          "need %.3f A" % (b - maxabs, need))
-    eps_eff = cfg.eps_c2t * h * h if cfg.eps_scaling == "mesh" else cfg.eps_c2t
-
-    t0 = time.perf_counter()
-    q = _resolve_quadrature(cfg, grid)
-    timings["quadrature"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kernel = split_reference(assemble_reference_tensor(q, grid), gamma,
-                             cfg.eps_support)
-    timings["kernel"] = time.perf_counter() - t0
-
-    snapped, snaps = snapped_molecule(m, grid)
+    rs, q, kernel, snapped, snaps, eps_eff = _assemble_stage(cfg, m, timings)
+    grid = rs.grid
     max_off = max(float(np.max(np.abs(off))) for _, off in snaps)
 
-    t0 = time.perf_counter()
-    rs = assemble_collective(snapped, kernel, eps_eff)
-    timings["assemble"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     L = DiscreteLaplacian(grid, cfg.kappa)
-    delta_long = negate(apply_kron_laplacian(rs.long, L)) if rs.long.rank \
-        else rs.long
-    timings["delta"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if cfg.bc == "analytic":
-        bc_field = _boundary_field(snapped, grid, cfg.kappa)
-        u_long = poisson_solve(delta_long, L, bc="trace", method="spectral",
-                               bc_field=bc_field)
-    else:
-        u_long = poisson_solve(delta_long, L, bc="homogeneous",
-                               method=cfg.solver)
-    timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    total = compose_total(u_long, rs)
-    timings["compose"] = time.perf_counter() - t0
+    u_long = _solve_stage(rs, L, cfg.solver, timings,
+                          snapped if cfg.bc == "analytic" else None)
+    with _clock(timings, "compose"):
+        total = compose_total(u_long, rs)
 
     report = None
     if m.n_atoms <= _ORACLE_ATOM_CAP:
-        t0 = time.perf_counter()
-        oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum", quad=q)
-        report = compare(total, oracle,
-                         exclude_centers=[c for c, _ in rs.short_list],
-                         config={"oracle": "gaussian_sum"})
-        timings["oracle"] = time.perf_counter() - t0
+        with _clock(timings, "oracle"):
+            oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
+                                       quad=q)
+            report = compare(total, oracle,
+                             exclude_centers=[c for c, _ in rs.short_list],
+                             config={"oracle": "gaussian_sum"})
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {
@@ -274,10 +288,10 @@ def run_case(cfg, m):
         "net_charge": _fmt(m.net_charge),
         "n": grid.n,
         "b": _fmt(grid.b),
-        "h": _fmt(h),
+        "h": _fmt(grid.h),
         "rank": q.rank,
         "quad_error": _fmt(q.achieved_relative_error),
-        "gamma": gamma,
+        "gamma": kernel.separation_gamma,
         "split_long": kernel.split_index,
         "split_short": kernel.n_short,
         "eps_reduce": _fmt(eps_eff),
@@ -384,15 +398,10 @@ def export_slice(f, axis=None, index=None, fmt="csv", path="slice.csv"):
     raise ConfigError("unknown export format %r" % fmt)
 
 
-def import_slice(path):
-    """Read back a CSV slice written by ``export_slice``."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-
-
 def _molecule_from_args(args):
-    if getattr(args, "pqr", None):
+    if args.pqr:
         return parse_pqr(args.pqr)
-    if getattr(args, "synthetic", None):
+    if args.synthetic:
         he = args.half_extent
         if he is None:
             raise ConfigError("--synthetic needs --half-extent")
@@ -401,16 +410,8 @@ def _molecule_from_args(args):
 
 
 def _config_from_args(args):
-    cfg = RunConfig()
-    for name in ("n", "sep_radius", "eps_kernel", "eps_support", "eps_c2t",
-                 "eps_scaling", "solver", "bc", "kappa", "outdir", "seed"):
-        if getattr(args, name, None) is not None:
-            cfg = replace(cfg, **{name: getattr(args, name)})
-    for name in ("b", "rank", "gamma"):
-        v = getattr(args, name, None)
-        if v is not None:
-            cfg = replace(cfg, **{name: v})
-    return cfg
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if getattr(args, f.name) is not None})
 
 
 def _num_or_auto(kind):
@@ -421,7 +422,7 @@ def _num_or_auto(kind):
     return conv
 
 
-def _add_common(sp, molecule=True):
+def _add_common(sp):
     sp.add_argument("--n", type=int, help="grid points per axis")
     sp.add_argument("--b", type=_num_or_auto(float), help="box half-width in A, or 'auto'")
     sp.add_argument("--rank", type=_num_or_auto(int), help="quadrature rank, or 'auto'")
@@ -435,69 +436,26 @@ def _add_common(sp, molecule=True):
     sp.add_argument("--solver", choices=("spectral", "cg"))
     sp.add_argument("--bc", choices=("homogeneous", "analytic"))
     sp.add_argument("--kappa", type=float)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="synthetic cluster seed (default 0)")
     sp.add_argument("-o", "--outdir", default=None)
-    if molecule:
-        sp.add_argument("--pqr", help="PQR file with ATOM/HETATM records")
-        sp.add_argument("--synthetic", type=int, metavar="N",
-                        help="seeded synthetic cluster with N atoms")
-        sp.add_argument("--half-extent", dest="half_extent", type=float,
-                        help="synthetic cluster half-extent in A")
-        sp.add_argument("--min-sep", dest="min_sep", type=float, default=1.0)
-
-
-def _cmd_kernel(args):
-    cfg = _config_from_args(args)
-    cfg.validate(molecule_run=False)
-    if cfg.b == "auto":
-        raise ConfigError("kernel caching needs an explicit --b")
-    grid = Grid3(cfg.n, float(cfg.b))
-    gamma = cfg.gamma if cfg.gamma != "auto" else gamma_for_separation(grid, cfg.sep_radius)
-    q = _resolve_quadrature(cfg, grid)
-    kernel = split_reference(assemble_reference_tensor(q, grid), gamma,
-                             cfg.eps_support)
-    cache = args.outdir or os.environ.get("RSTENSOR_CACHE", ".")
-    os.makedirs(cache, exist_ok=True)
-    stem = os.path.join(cache, "kernel_n%d_b%g_r%d" % (grid.n, grid.b, q.rank))
-    save_canonical(kernel.wide_tensor, stem + ".ct3")
-    meta = {"n": grid.n, "b": grid.b, "rank": q.rank,
-            "nodes": list(q.nodes), "weights": list(q.weights),
-            "target_interval": list(q.target_interval),
-            "achieved_relative_error": q.achieved_relative_error,
-            "split_index": kernel.split_index, "gamma": gamma,
-            "eps_support": cfg.eps_support}
-    with open(stem + ".json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-    print("kernel: rank %d, split %d/%d, quadrature error %.3e"
-          % (q.rank, kernel.n_short, kernel.split_index,
-             q.achieved_relative_error))
-    print("cached: %s.ct3" % stem)
-    return 0
-
-
-def _bundle_dir(args):
-    d = args.outdir or "."
-    os.makedirs(d, exist_ok=True)
-    return d
+    sp.add_argument("--pqr", help="PQR file with ATOM/HETATM records")
+    sp.add_argument("--synthetic", type=int, metavar="N",
+                    help="seeded synthetic cluster with N atoms")
+    sp.add_argument("--half-extent", dest="half_extent", type=float,
+                    help="synthetic cluster half-extent in A")
+    sp.add_argument("--min-sep", dest="min_sep", type=float, default=1.0)
 
 
 def _cmd_assemble(args):
     cfg = _config_from_args(args)
     m = _molecule_from_args(args)
-    cfg.validate()
-    b = resolve_box(cfg, m)
-    grid = Grid3(cfg.n, b)
-    gamma = cfg.gamma if cfg.gamma != "auto" else gamma_for_separation(grid, cfg.sep_radius)
-    q = _resolve_quadrature(cfg, grid)
-    kernel = split_reference(assemble_reference_tensor(q, grid), gamma,
-                             cfg.eps_support)
-    snapped, _ = snapped_molecule(m, grid)
-    eps_eff = cfg.eps_c2t * grid.h ** 2 if cfg.eps_scaling == "mesh" else cfg.eps_c2t
-    rs = assemble_collective(snapped, kernel, eps_eff)
-    d = _bundle_dir(args)
+    rs = _assemble_stage(cfg, m, {})[0]
+    d = cfg.outdir
+    os.makedirs(d, exist_ok=True)
     save_canonical(rs.long, os.path.join(d, "long.ct3"))
     save_canonical(rs.short_reference, os.path.join(d, "short_template.ct3"))
-    side = {"n": grid.n, "b": grid.b, "gamma": rs.gamma,
+    side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
             "rank_pre": rs.long_rank_pre, "rank_post": rs.long.rank,
             "kappa": cfg.kappa,
             "centers": [list(c) for c, _ in rs.short_list],
@@ -533,10 +491,8 @@ def _cmd_solve(args):
     d = args.indir
     rs, side = _load_bundle(d)
     kappa = args.kappa if args.kappa is not None else side.get("kappa", 0.0)
-    L = DiscreteLaplacian(rs.grid, kappa)
-    delta_long = negate(apply_kron_laplacian(rs.long, L)) if rs.long.rank else rs.long
-    method = args.solver or "spectral"
-    u = poisson_solve(delta_long, L, method=method)
+    u = _solve_stage(rs, DiscreteLaplacian(rs.grid, kappa),
+                     args.solver or "spectral", {})
     total = compose_total(u, rs)
     out = args.outdir or d
     os.makedirs(out, exist_ok=True)
@@ -549,8 +505,6 @@ def _cmd_solve(args):
 
 def _cmd_run(args):
     cfg = _config_from_args(args)
-    if args.outdir is None:
-        cfg = replace(cfg, outdir=".")
     m = _molecule_from_args(args)
     out = run_pipeline(cfg, m)
     for k in sorted(out["metrics"]):
@@ -566,8 +520,7 @@ def _cmd_validate(args):
     grid = f.grid
     snapped, snaps = snapped_molecule(m, grid)
     if args.oracle_kernel == "gaussian_sum":
-        cfg2 = replace(cfg, n=grid.n, b=grid.b)
-        q = _resolve_quadrature(cfg2, grid)
+        q = _resolve_quadrature(cfg, grid)
         oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum", quad=q)
     else:
         oracle = direct_sum_oracle(snapped, grid, kernel="exact_newton")
@@ -596,9 +549,6 @@ def main(argv=None):
                     "range-separated canonical tensor form.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("kernel", help="build and cache a reference kernel")
-    _add_common(sp, molecule=False)
-
     sp = sub.add_parser("assemble", help="assemble a molecule's potential")
     _add_common(sp)
 
@@ -626,17 +576,16 @@ def main(argv=None):
     sp.add_argument("--out", default="slice.csv")
 
     args = p.parse_args(argv)
-    handlers = {"kernel": _cmd_kernel, "assemble": _cmd_assemble,
-                "solve": _cmd_solve, "run": _cmd_run,
+    handlers = {"assemble": _cmd_assemble, "solve": _cmd_solve, "run": _cmd_run,
                 "validate": _cmd_validate, "export": _cmd_export}
     try:
         return handlers[args.cmd](args)
     except ConfigError as e:
-        print("config error: %s" % e)
+        print("config error: %s" % e, file=sys.stderr)
         return 2
     except NumericError as e:
-        print("numeric failure: %s" % e)
+        print("numeric failure: %s" % e, file=sys.stderr)
         return 3
     except (DataError, OSError) as e:
-        print("i/o error: %s" % e)
+        print("i/o error: %s" % e, file=sys.stderr)
         return 4

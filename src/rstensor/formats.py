@@ -110,21 +110,6 @@ def eval_entry(t, i):
                         t.factors[0][i1] * t.factors[1][i2] * t.factors[2][i3]))
 
 
-def eval_entries(t, idx):
-    """Evaluate a batch of entries; ``idx`` is an (S, 3) integer array."""
-    idx = np.asarray(idx, dtype=int).reshape(-1, 3)
-    if t.rank == 0 or idx.size == 0:
-        return np.zeros(len(idx))
-    for ax in range(3):
-        if idx[:, ax].min() < 0 or idx[:, ax].max() >= t.shape[ax]:
-            raise ConfigError("entry index out of range")
-    return np.einsum("sk,sk,sk,k->s",
-                     t.factors[0][idx[:, 0]],
-                     t.factors[1][idx[:, 1]],
-                     t.factors[2][idx[:, 2]],
-                     t.weights)
-
-
 def dense(t):
     """Materialize a canonical tensor as a dense array (chunked over terms)."""
     n1, n2, n3 = t.shape
@@ -136,47 +121,6 @@ def dense(t):
         kab = np.einsum("ak,bk->kab", W1, t.factors[1][:, sl])
         out += np.tensordot(kab, t.factors[2][:, sl], axes=(0, 1))
     return out
-
-
-def dense_slice(t, axis, index):
-    """One full 2D slice of a canonical tensor, fixing ``axis`` (0..2) at ``index``."""
-    if axis not in (0, 1, 2):
-        raise ConfigError("axis must be 0, 1 or 2")
-    if not (0 <= index < t.shape[axis]):
-        raise ConfigError("slice index out of range")
-    rest = [l for l in range(3) if l != axis]
-    if t.rank == 0:
-        return np.zeros((t.shape[rest[0]], t.shape[rest[1]]))
-    w = t.weights * t.factors[axis][index]
-    return np.einsum("k,ak,bk->ab", w, t.factors[rest[0]], t.factors[rest[1]])
-
-
-def tucker_dense(t):
-    """Materialize a Tucker tensor: three mode products of the core."""
-    X = np.tensordot(t.factors[0], t.core, axes=(1, 0))
-    X = np.tensordot(X, t.factors[1], axes=(1, 1)).transpose(0, 2, 1)
-    return np.tensordot(X, t.factors[2], axes=(2, 1))
-
-
-def canonical_axpy(alpha, x, y):
-    """Return alpha*x + y as a canonical tensor of rank R_x + R_y."""
-    if x.shape != y.shape:
-        raise ConfigError("mode sizes differ: %r vs %r" % (x.shape, y.shape))
-    w = np.concatenate([alpha * x.weights, y.weights])
-    A = tuple(np.concatenate([x.factors[l], y.factors[l]], axis=1) for l in range(3))
-    return CanonicalTensor3(w, A)
-
-
-def frobenius_norm(t):
-    """Frobenius norm via Gram matrices of the side matrices, O(R^2 n)."""
-    if t.rank == 0:
-        return 0.0
-    G = t.factors[0].T @ t.factors[0]
-    G = G * (t.factors[1].T @ t.factors[1])
-    G = G * (t.factors[2].T @ t.factors[2])
-    s = float(t.weights @ G @ t.weights)
-    # cancellation can leave a tiny negative residue
-    return np.sqrt(max(s, 0.0))
 
 
 def _check_finite(t):

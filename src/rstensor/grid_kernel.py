@@ -284,28 +284,6 @@ def split_reference(kernel, gamma, eps_support):
                                eps_support=float(eps_support))
 
 
-def split_by_count(kernel, n_long, gamma):
-    """Split kernel columns at a fixed long-range count.
-
-    Used for rank-compression studies where the number of long-range columns
-    is prescribed directly; ``gamma`` still sets the short-range support
-    radius used by assembly and evaluation.  The implied support threshold
-    (value of the first short column at radius gamma*h/2) is recorded in
-    ``eps_support``.
-    """
-    if int(n_long) != n_long or not (0 <= n_long <= kernel.rank):
-        raise ConfigError("long-range count must lie in [0, R]")
-    if int(gamma) != gamma or gamma < 1:
-        raise ConfigError("gamma must be a positive integer of grid units")
-    n_long = int(n_long)
-    gamma = int(gamma)
-    t = kernel.quadrature.nodes
-    r = 0.5 * gamma * kernel.grid.h
-    eps = float(np.exp(-(t[n_long] * r) ** 2)) if n_long < kernel.rank else 0.0
-    return dataclasses.replace(kernel, split_index=n_long,
-                               separation_gamma=gamma, eps_support=eps)
-
-
 def gamma_for_separation(grid, radius):
     """Integer grid units giving a short-range support radius of ``radius``.
 

@@ -1,4 +1,4 @@
-"""Discretized delta splitting and the regularized Poisson solve.
+"""Kronecker discrete Laplacian and the regularized Poisson solve.
 
 The 3D finite-difference Laplacian with homogeneous Dirichlet closure acts
 on canonical tensors mode-wise (rank-3 Kronecker structure), which turns the
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.fft import dstn
 
 from .errors import ConfigError, DataError, NumericError
-from .formats import CanonicalTensor3, dense, zero_canonical
+from .formats import CanonicalTensor3, dense
 from .assembly import scatter_short
 
 _F64 = "<f8"
@@ -124,61 +124,6 @@ class GridFunction3:
             raise NumericError("field contains non-finite values")
 
 
-@dataclass
-class DeltaSplit:
-    """Long- and short-range parts of the discretized delta.
-
-    ``delta_long`` has rank at most 3 R_L (+R_L with screening) and stays
-    localized near the atoms; ``delta_short`` collects the compactly
-    supported per-atom contributions.  ``scaling`` records that the delta is
-    the plain negated Laplacian action, no 4*pi factor, so solving
-    ``(-lap+kappa^2) U = delta_long`` returns the long-range potential in the
-    same units as the assembly.
-    """
-
-    delta_long: CanonicalTensor3
-    delta_short: CanonicalTensor3
-    scaling: str = "unscaled"
-
-
-def _short_collective(rs):
-    # per-atom template columns embedded into full-grid side vectors
-    n = rs.grid.n
-    R0 = rs.short_reference.rank
-    if R0 == 0 or not rs.short_list:
-        return zero_canonical((n, n, n))
-    r = rs.support_radius
-    N = len(rs.short_list)
-    w = np.empty(N * R0)
-    A = [np.zeros((n, N * R0)) for _ in range(3)]
-    for a, (c, z) in enumerate(rs.short_list):
-        sl = slice(a * R0, (a + 1) * R0)
-        w[sl] = z * rs.short_reference.weights
-        for l in range(3):
-            lo = c[l] - r
-            beg = max(lo, 0)
-            end = min(lo + 2 * r + 1, n)
-            A[l][beg:end, sl] = rs.short_reference.factors[l][beg - lo:end - lo]
-    return CanonicalTensor3(w, tuple(A))
-
-
-def build_delta_split(rs, L):
-    """Discretized delta of a range-separated potential, split long/short.
-
-    Both parts are the negated Kronecker-Laplacian action on the respective
-    potential parts; the short part materializes each atom's compact template
-    as full-grid canonical columns, stored collectively.
-    """
-    if rs.grid.n != L.grid.n or abs(rs.grid.b - L.grid.b) > 1e-12:
-        raise ConfigError("tensor and operator grids differ")
-    dl = negate(apply_kron_laplacian(rs.long, L)) if rs.long.rank \
-        else zero_canonical(rs.long.shape)
-    short = _short_collective(rs)
-    ds = negate(apply_kron_laplacian(short, L)) if short.rank \
-        else short
-    return DeltaSplit(dl, ds)
-
-
 def poisson_solve(rhs, L, bc="homogeneous", method="spectral", tol=1e-10,
                   bc_field=None):
     """Solve ``(-lap + kappa^2) u = rhs`` with Dirichlet boundary data.
@@ -262,16 +207,6 @@ def _solve_spectral(f, n, h, kappa):
     return dstn(F, type=1, norm="ortho")
 
 
-def dst1_direct(v):
-    """O(n^2) per line reference transform: orthonormal type-I sine matrix."""
-    n = v.shape[0]
-    j = np.arange(1, n + 1)
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
-    out = np.tensordot(S, v, axes=(1, 0))
-    out = np.moveaxis(np.tensordot(S, np.moveaxis(out, 1, 0), axes=(1, 0)), 0, 1)
-    return np.moveaxis(np.tensordot(S, np.moveaxis(out, 2, 0), axes=(1, 0)), 0, 2)
-
-
 def _solve_cg(f, L, tol):
     if not (tol > 0):
         raise ConfigError("cg tolerance must be positive")
@@ -334,7 +269,7 @@ def load_field(path):
 
     Raises DataError when the ``.info`` sidecar lacks a numeric ``n`` or
     ``b`` (or gives values no grid has), or the dump does not hold n^3
-    float64 values.
+    finite float64 values.
     """
     from .grid_kernel import Grid3
     info_path = str(path) + ".info"
@@ -356,5 +291,7 @@ def load_field(path):
         raise DataError("%s holds %d bytes, n=%d needs %d"
                         % (path, size, n, 8 * n ** 3))
     vals = np.fromfile(path, dtype=_F64).reshape((n, n, n), order="F")
+    if not np.all(np.isfinite(vals)):
+        raise DataError("%s holds non-finite values" % path)
     meta = {"bc": info.get("bc", "homogeneous"), "residual": residual}
     return GridFunction3(grid, vals, meta)

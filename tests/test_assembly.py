@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rstensor as rt
+from helpers import eval_entries, shift_and_window, split_by_count
 
 SQRT3 = np.sqrt(3.0)
 
@@ -49,7 +50,7 @@ def test_window_zero_shift_center_value():
     g = rt.Grid3(33, 4.0)
     k = _kernel(g)
     c = (g.n - 1) // 2
-    win = rt.shift_and_window(k, (c, c, c), part="both")
+    win = shift_and_window(k, (c, c, c), part="both")
     v = rt.eval_entry(win, (c, c, c))
     assert v == pytest.approx(float(np.sum(k.quadrature.weights)), rel=1e-13)
 
@@ -58,8 +59,8 @@ def test_window_unit_shift_advances_one_axis():
     g = rt.Grid3(33, 4.0)
     k = _kernel(g)
     c = (g.n - 1) // 2
-    w0 = rt.shift_and_window(k, (c, c, c), part="both")
-    w1 = rt.shift_and_window(k, (c + 1, c, c), part="both")
+    w0 = shift_and_window(k, (c, c, c), part="both")
+    w1 = shift_and_window(k, (c + 1, c, c), part="both")
     assert np.array_equal(w1.factors[0][1:], w0.factors[0][:-1])
     assert np.array_equal(w1.factors[1], w0.factors[1])
     assert np.array_equal(w1.factors[2], w0.factors[2])
@@ -71,7 +72,7 @@ def test_window_matches_pointwise_gaussian_sum():
     q = k.quadrature
     rng = np.random.default_rng(1)
     c = tuple(rng.integers(10, 55, 3))
-    win = rt.shift_and_window(k, c, part="both")
+    win = shift_and_window(k, c, part="both")
     x = g.coords()
     xc = np.array([x[c[0]], x[c[1]], x[c[2]]])
     idx = rng.integers(0, 65, (20, 3))
@@ -105,7 +106,7 @@ def test_single_charge_equals_reference_window():
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     c = (g.n - 1) // 2
-    win = rt.shift_and_window(k, (c, c, c), part="both")
+    win = shift_and_window(k, (c, c, c), part="both")
     rng = np.random.default_rng(2)
     idx = rng.integers(0, 33, (50, 3))
     scale = float(np.sum(k.quadrature.weights))
@@ -217,7 +218,7 @@ def test_compression_reduces_rank_keeps_entries():
     cl = rt.synthetic_cluster(100, 10.0, min_sep=1.0, seed=21)
     g = rt.Grid3(129, 15.0)
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
-    k = rt.split_by_count(rt.assemble_reference_tensor(q, g), 15,
+    k = split_by_count(rt.assemble_reference_tensor(q, g), 15,
                           rt.gamma_for_separation(g, 3.5))
     sm, _ = rt.snapped_molecule(cl, g)
     rs0 = rt.assemble_collective(sm, k, None)
@@ -226,8 +227,8 @@ def test_compression_reduces_rank_keeps_entries():
     assert rs1.long.rank < 400
     rng = np.random.default_rng(6)
     idx = rng.integers(0, 129, (60, 3))
-    v0 = rt.eval_entries(rs0.long, idx)
-    v1 = rt.eval_entries(rs1.long, idx)
+    v0 = eval_entries(rs0.long, idx)
+    v1 = eval_entries(rs1.long, idx)
     assert np.max(np.abs(v1 - v0)) <= 1e-6 * np.max(np.abs(v0))
 
 

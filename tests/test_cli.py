@@ -7,6 +7,7 @@ import pytest
 
 import rstensor as rt
 from conftest import FIXTURES
+from helpers import import_slice
 
 BORN = os.path.join(FIXTURES, "born.pqr")
 LIGAND = os.path.join(FIXTURES, "ligand18.pqr")
@@ -154,7 +155,7 @@ def test_export_zero_field_csv(tmp_path):
     f = rt.GridFunction3(g, np.zeros((9, 9, 9)))
     p = tmp_path / "z.csv"
     rt.export_slice(f, axis=2, index=4, fmt="csv", path=str(p))
-    vals = rt.import_slice(str(p))
+    vals = import_slice(str(p))
     assert vals.shape == (9, 9)
     assert np.all(vals == 0.0)
 
@@ -165,7 +166,7 @@ def test_export_csv_round_trip_exact(tmp_path):
     f = rt.GridFunction3(g, rng.standard_normal((9, 9, 9)))
     p = tmp_path / "s.csv"
     rt.export_slice(f, axis=1, index=3, fmt="csv", path=str(p))
-    vals = rt.import_slice(str(p))
+    vals = import_slice(str(p))
     assert np.array_equal(vals, f.values[3])
 
 
@@ -174,7 +175,7 @@ def test_export_symmetric_midplane(tmp_path, born_mol):
     out = rt.run_pipeline(cfg, born_mol)
     p = tmp_path / "mid.csv"
     rt.export_slice(out["total"], axis=3, index=16, fmt="csv", path=str(p))
-    v = rt.import_slice(str(p))
+    v = import_slice(str(p))
     scale = np.max(np.abs(v))
     assert np.max(np.abs(v - v[::-1])) <= 1e-12 * scale
     assert np.max(np.abs(v - v[:, ::-1])) <= 1e-12 * scale
@@ -211,13 +212,13 @@ def test_export_errors(tmp_path):
 def test_main_config_error_exit_code(tmp_path, capsys):
     rc = rt.main(["run", "--pqr", BORN, "--n", "2", "-o", str(tmp_path)])
     assert rc == 2
-    assert "config error" in capsys.readouterr().out
+    assert "config error" in capsys.readouterr().err
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):
     rc = rt.main(["run", "--pqr", str(tmp_path / "missing.pqr"), "-o", str(tmp_path)])
     assert rc == 4
-    assert "i/o error" in capsys.readouterr().out
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_main_numeric_error_exit_code(tmp_path, capsys):
@@ -231,19 +232,11 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
     rc = rt.main(["validate", "--pqr", str(p), "--n", "33", "--b", "8",
                   "--field", str(tmp_path / "total.bin"), "-o", str(tmp_path)])
     assert rc == 3
-    assert "numeric failure" in capsys.readouterr().out
+    assert "numeric failure" in capsys.readouterr().err
 
 
-def test_main_kernel_needs_explicit_box(tmp_path, capsys):
-    rc = rt.main(["kernel", "--n", "33", "-o", str(tmp_path)])
-    assert rc == 2
-
-
-def test_main_kernel_assemble_solve_chain(tmp_path, capsys):
+def test_main_assemble_solve_chain(tmp_path, capsys):
     d = str(tmp_path)
-    rc = rt.main(["kernel", "--n", "33", "--b", "8", "--rank", "8", "-o", d])
-    assert rc == 0
-    assert any(f.endswith(".ct3") for f in os.listdir(d))
     rc = rt.main(["assemble", "--pqr", BORN, "--n", "33", "--b", "8", "-o", d])
     assert rc == 0
     rc = rt.main(["solve", "-i", d, "-o", d])
@@ -287,7 +280,7 @@ def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, damage):
     d = _bundle_copy(born_bundle, tmp_path)
     (d / "long.ct3").write_bytes(damage((d / "long.ct3").read_bytes()))
     assert rt.main(["solve", "-i", str(d)]) == 4
-    assert "long.ct3" in capsys.readouterr().out
+    assert "long.ct3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["gamma", "centers", "n"])
@@ -298,8 +291,8 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     del side[key]
     (d / "shortlist.json").write_text(json.dumps(side))
     assert rt.main(["solve", "-i", str(d)]) == 4
-    out = capsys.readouterr().out
-    assert "shortlist.json" in out and key in out
+    err = capsys.readouterr().err
+    assert "shortlist.json" in err and key in err
 
 
 def _field_dump(tmp_path):
@@ -318,7 +311,7 @@ def test_export_wrong_size_dump_exit_code(tmp_path, capsys, damage):
     p.write_bytes(damage(p.read_bytes()))
     assert rt.main(["export", "--field", str(p), "--axis", "1", "--index",
                     "0", "--out", str(tmp_path / "s.csv")]) == 4
-    assert "i/o error" in capsys.readouterr().out
+    assert "i/o error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [
@@ -336,8 +329,8 @@ def test_export_malformed_info_exit_code(tmp_path, capsys, edit):
     info.write_text(edit(text))
     assert rt.main(["export", "--field", str(p), "--axis", "1", "--index",
                     "0", "--out", str(tmp_path / "s.csv")]) == 4
-    out = capsys.readouterr().out
-    assert "i/o error" in out and "f.bin.info" in out
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "f.bin.info" in err
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +358,37 @@ def test_run_options(tmp_path, capsys, born_spectral, flags, echo):
     if echo.get("solver") == "cg":
         ref = born_spectral.values
         assert np.linalg.norm(total - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cmd", ["run", "assemble"])
+def test_margin_rule_exit_code(tmp_path, capsys, cmd):
+    # gamma=30 at h=0.5 needs 9.5 A from each face in a b=8 box
+    rc = rt.main([cmd, "--pqr", BORN, "--n", "33", "--b", "8", "--gamma", "30",
+                  "-o", str(tmp_path)])
+    assert rc == 2
+    assert "config error: margin rule violated" in capsys.readouterr().err
+    assert not (tmp_path / "shortlist.json").exists()
+
+
+def test_synthetic_default_seed_reproducible(tmp_path):
+    flags = ["--synthetic", "20", "--half-extent", "4", "--n", "33",
+             "--b", "12"]
+    dumps = []
+    for sub, extra in (("a", []), ("b", []), ("c", ["--seed", "0"])):
+        d = tmp_path / sub
+        assert rt.main(["assemble", "-o", str(d)] + flags + extra) == 0
+        dumps.append((d / "shortlist.json").read_bytes())
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_export_non_finite_dump_exit_code(tmp_path, capsys, bad):
+    p = _field_dump(tmp_path)
+    vals = np.fromfile(p, dtype="<f8")
+    vals[17] = bad
+    vals.tofile(p)
+    assert rt.main(["export", "--field", str(p), "--axis", "1", "--index",
+                    "0", "--out", str(tmp_path / "s.csv")]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "non-finite" in err
+    assert not (tmp_path / "s.csv").exists()

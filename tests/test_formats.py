@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
+from helpers import (canonical_axpy, dense_slice, eval_entries, frobenius_norm,
+                     tucker_dense)
 
 
 def test_eval_entry_zero_tensor():
@@ -34,7 +36,7 @@ def test_eval_entries_vectorized():
     rng = np.random.default_rng(1)
     t = rand_canonical(rng, 7, 4)
     idx = rng.integers(0, 7, (30, 3))
-    v = rt.eval_entries(t, idx)
+    v = eval_entries(t, idx)
     for k in range(30):
         assert v[k] == pytest.approx(rt.eval_entry(t, idx[k]), abs=1e-13)
 
@@ -49,9 +51,9 @@ def test_dense_slice_all_axes():
     rng = np.random.default_rng(2)
     t = rand_canonical(rng, 6, 4)
     D = rt.dense(t)
-    assert np.allclose(rt.dense_slice(t, 0, 2), D[2], atol=1e-13)
-    assert np.allclose(rt.dense_slice(t, 1, 4), D[:, 4], atol=1e-13)
-    assert np.allclose(rt.dense_slice(t, 2, 0), D[:, :, 0], atol=1e-13)
+    assert np.allclose(dense_slice(t, 0, 2), D[2], atol=1e-13)
+    assert np.allclose(dense_slice(t, 1, 4), D[:, 4], atol=1e-13)
+    assert np.allclose(dense_slice(t, 2, 0), D[:, :, 0], atol=1e-13)
 
 
 def test_c2t_rank1_exact():
@@ -59,7 +61,7 @@ def test_c2t_rank1_exact():
     t = rand_canonical(rng, 8, 1)
     tk = rt.c2t_rhosvd(t, 1e-10)
     assert tk.ranks == (1, 1, 1)
-    err = np.linalg.norm(rt.tucker_dense(tk) - rt.dense(t)) / np.linalg.norm(rt.dense(t))
+    err = np.linalg.norm(tucker_dense(tk) - rt.dense(t)) / np.linalg.norm(rt.dense(t))
     assert err <= 1e-12
 
 
@@ -70,7 +72,7 @@ def test_c2t_duplicate_columns_collapse():
                             tuple(np.hstack([f, f]) for f in a))
     tk = rt.c2t_rhosvd(t, 1e-10)
     assert tk.ranks == (1, 1, 1)
-    err = np.linalg.norm(rt.tucker_dense(tk) - rt.dense(t))
+    err = np.linalg.norm(tucker_dense(tk) - rt.dense(t))
     assert err <= 1e-12 * np.linalg.norm(rt.dense(t))
 
 
@@ -79,7 +81,7 @@ def test_c2t_random_round_trip():
     t = rand_canonical(rng, 33, 20)
     tk = rt.c2t_rhosvd(t, 1e-10)
     D = rt.dense(t)
-    err = np.linalg.norm(rt.tucker_dense(tk) - D) / np.linalg.norm(D)
+    err = np.linalg.norm(tucker_dense(tk) - D) / np.linalg.norm(D)
     assert err <= 1e-8
 
 
@@ -93,8 +95,8 @@ def test_t2c_rank_one_core():
     tk = rt.TuckerTensor3(core, _ortho_factors(rng, 9, (1, 1, 1)))
     t = rt.t2c(tk, 1e-12)
     assert t.rank == 1
-    err = np.linalg.norm(rt.dense(t) - rt.tucker_dense(tk))
-    assert err <= 1e-12 * np.linalg.norm(rt.tucker_dense(tk))
+    err = np.linalg.norm(rt.dense(t) - tucker_dense(tk))
+    assert err <= 1e-12 * np.linalg.norm(tucker_dense(tk))
 
 
 def test_t2c_diagonal_core():
@@ -105,7 +107,7 @@ def test_t2c_diagonal_core():
     tk = rt.TuckerTensor3(core, _ortho_factors(rng, 7, (2, 2, 2)))
     t = rt.t2c(tk, 1e-12)
     assert t.rank == 2
-    err = np.linalg.norm(rt.dense(t) - rt.tucker_dense(tk))
+    err = np.linalg.norm(rt.dense(t) - tucker_dense(tk))
     assert err <= 1e-10
 
 
@@ -114,7 +116,7 @@ def test_t2c_random_round_trip():
     core = rng.standard_normal((6, 6, 6))
     tk = rt.TuckerTensor3(core, _ortho_factors(rng, 12, (6, 6, 6)))
     t = rt.t2c(tk, 1e-9)
-    D = rt.tucker_dense(tk)
+    D = tucker_dense(tk)
     err = np.linalg.norm(rt.dense(t) - D) / np.linalg.norm(D)
     assert err <= 1e-7
 
@@ -145,7 +147,7 @@ def test_axpy_alpha_zero():
     rng = np.random.default_rng(11)
     x = rand_canonical(rng, 7, 3)
     y = rand_canonical(rng, 7, 2)
-    s = rt.canonical_axpy(0.0, x, y)
+    s = canonical_axpy(0.0, x, y)
     assert s.rank == 5
     assert np.allclose(rt.dense(s), rt.dense(y), atol=1e-14)
 
@@ -154,7 +156,7 @@ def test_axpy_cancellation():
     rng = np.random.default_rng(12)
     x = rand_canonical(rng, 9, 3)
     minus = rt.CanonicalTensor3(-x.weights, x.factors)
-    s = rt.canonical_axpy(1.0, x, minus)
+    s = canonical_axpy(1.0, x, minus)
     assert np.max(np.abs(rt.dense(s))) <= 1e-13 * np.max(np.abs(rt.dense(x)))
 
 
@@ -162,32 +164,32 @@ def test_axpy_random_matches_dense():
     rng = np.random.default_rng(13)
     x = rand_canonical(rng, 7, 4)
     y = rand_canonical(rng, 7, 3)
-    s = rt.canonical_axpy(-1.7, x, y)
+    s = canonical_axpy(-1.7, x, y)
     assert np.allclose(rt.dense(s), -1.7 * rt.dense(x) + rt.dense(y), atol=1e-12)
 
 
 def test_axpy_shape_mismatch():
     rng = np.random.default_rng(14)
     with pytest.raises(rt.ConfigError):
-        rt.canonical_axpy(1.0, rand_canonical(rng, 5, 2), rand_canonical(rng, 6, 2))
+        canonical_axpy(1.0, rand_canonical(rng, 5, 2), rand_canonical(rng, 6, 2))
 
 
 def test_frobenius_zero():
-    assert rt.frobenius_norm(rt.zero_canonical((5, 5, 5))) == 0.0
+    assert frobenius_norm(rt.zero_canonical((5, 5, 5))) == 0.0
 
 
 def test_frobenius_rank1_unit_vectors():
     e = np.zeros((8, 1))
     e[3, 0] = 1.0
     t = rt.CanonicalTensor3(np.array([3.0]), (e, e.copy(), e.copy()))
-    assert rt.frobenius_norm(t) == pytest.approx(3.0, rel=1e-14)
+    assert frobenius_norm(t) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_frobenius_matches_dense():
     rng = np.random.default_rng(15)
     t = rand_canonical(rng, 8, 4)
     ref = np.linalg.norm(rt.dense(t))
-    assert rt.frobenius_norm(t) == pytest.approx(ref, rel=1e-12)
+    assert frobenius_norm(t) == pytest.approx(ref, rel=1e-12)
 
 
 def test_save_load_round_trip(tmp_path):

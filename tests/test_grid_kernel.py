@@ -8,6 +8,7 @@ from scipy.integrate import quad as quad1d
 
 import rstensor as rt
 from rstensor import grid_kernel
+from helpers import shift_and_window, split_by_count
 
 SQRT3 = np.sqrt(3.0)
 
@@ -119,7 +120,7 @@ def test_quadrature_accuracy_on_shell():
 def _windowed_center(kernel):
     g = kernel.grid
     c = (g.n - 1) // 2
-    return rt.shift_and_window(kernel, (c, c, c), part="both"), c
+    return shift_and_window(kernel, (c, c, c), part="both"), c
 
 
 def test_reference_entry_at_two_angstrom():
@@ -177,9 +178,9 @@ def test_split_partition_is_exact():
     q = rt.build_quadrature(8, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 4, 1e-8)
     c = (g.n - 1) // 2
-    both = rt.dense(rt.shift_and_window(k, (c, c, c), part="both"))
-    lng = rt.dense(rt.shift_and_window(k, (c, c, c), part="long"))
-    sht = rt.dense(rt.shift_and_window(k, (c, c, c), part="short"))
+    both = rt.dense(shift_and_window(k, (c, c, c), part="both"))
+    lng = rt.dense(shift_and_window(k, (c, c, c), part="long"))
+    sht = rt.dense(shift_and_window(k, (c, c, c), part="short"))
     assert np.max(np.abs(lng + sht - both)) <= 1e-13 * np.max(np.abs(both))
 
 
@@ -204,12 +205,12 @@ def test_split_by_count_records_threshold():
     g = rt.Grid3(65, 8.0)
     q = rt.build_quadrature(20, g.h, 2 * SQRT3 * g.b)
     k0 = rt.assemble_reference_tensor(q, g)
-    k = rt.split_by_count(k0, 7, 10)
+    k = split_by_count(k0, 7, 10)
     assert k.split_index == 7 and k.n_short == 13
     r = 0.5 * 10 * g.h
     assert k.eps_support == pytest.approx(np.exp(-(q.nodes[7] * r) ** 2), rel=1e-12)
     with pytest.raises(rt.ConfigError):
-        rt.split_by_count(k0, 21, 10)
+        split_by_count(k0, 21, 10)
 
 
 def test_short_columns_bounded_past_support_radius():
@@ -220,7 +221,7 @@ def test_short_columns_bounded_past_support_radius():
     gm = 8
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), gm, 1e-8)
     c = (g.n - 1) // 2
-    win = rt.shift_and_window(k, (c, c, c), part="short")
+    win = shift_and_window(k, (c, c, c), part="short")
     i = c + (gm + 1) // 2
     v = rt.eval_entry(win, (i, c, c))
     bound = k.n_short * 1e-8 * float(np.max(q.weights))

@@ -9,6 +9,7 @@ from scipy.fft import dstn
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
+from helpers import build_delta_split, dst1_direct
 
 SQRT3 = np.sqrt(3.0)
 
@@ -61,7 +62,7 @@ def test_delta_split_zero_charges():
     m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 0.0)])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
-    ds = rt.build_delta_split(rs, rt.DiscreteLaplacian(g))
+    ds = build_delta_split(rs, rt.DiscreteLaplacian(g))
     assert np.max(np.abs(rt.dense(ds.delta_long))) == 0.0
     assert np.max(np.abs(rt.dense(ds.delta_short))) == 0.0
 
@@ -74,7 +75,7 @@ def test_delta_split_matches_dense_stencil():
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
-    ds = rt.build_delta_split(rs, L)
+    ds = build_delta_split(rs, L)
     ref = -rt.apply_stencil_dense(L, rt.dense(rs.long))
     out = rt.dense(ds.delta_long)
     assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -90,7 +91,7 @@ def test_delta_split_additivity():
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
-    ds = rt.build_delta_split(rs, L)
+    ds = build_delta_split(rs, L)
     total = rt.dense(rs.long)
     rt.scatter_short(rs, total)
     ref = -rt.apply_stencil_dense(L, total)
@@ -167,7 +168,7 @@ def test_keystone_round_trip_small():
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
-    ds = rt.build_delta_split(rs, L)
+    ds = build_delta_split(rs, L)
     u = rt.poisson_solve(ds.delta_long, L)
     ref = rt.dense(rs.long)
     err = np.linalg.norm(u.values - ref) / np.linalg.norm(ref)
@@ -192,7 +193,7 @@ def test_dst1_direct_matches_fft_version():
     rng = np.random.default_rng(4)
     for n in (5, 16, 33):
         v = rng.standard_normal((n, n, n))
-        a = rt.dst1_direct(v)
+        a = dst1_direct(v)
         b = dstn(v, type=1, norm="ortho")
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
