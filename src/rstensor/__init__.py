@@ -4,9 +4,10 @@ canonical tensor form.
 The collective potential of N particles is kept as one low-rank canonical
 tensor for the smooth long-range part plus a list of translated, compactly
 supported copies of a short-range template, so storage and evaluation stay
-far below the naive N-times-rank cost.  A Kronecker discrete Laplacian acts
-on the long part directly in canonical form and a diagonalization-based
-solver returns the potential on the full grid.
+far below the naive N-times-rank cost.  The 7-point discrete Laplacian of
+the densified long part is the right-hand side of a diagonalization-based
+solver that returns the potential on the full grid; the same operator acts
+on canonical tensors mode-wise as ``apply_kron_laplacian``.
 """
 
 from .errors import ConfigError, DataError, NumericError

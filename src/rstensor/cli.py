@@ -1,10 +1,11 @@
 """Run configuration, molecule ingestion, pipeline orchestration, export.
 
 The pipeline stages are: quadrature -> reference kernel -> long/short split
--> molecule snap -> collective assembly -> delta construction -> spectral
-solve -> total composition -> oracle comparison.  Metrics land in a
-deterministic key=value report; wall-clock stage times go to a separate file
-so reruns with the same config and seed are byte-identical.
+-> molecule snap -> collective assembly -> delta (the 7-point stencil on
+the densified long part) -> Poisson solve -> total composition -> oracle
+comparison.  Metrics land in a deterministic key=value report; wall-clock
+stage times go to a separate file so reruns with the same config and seed
+are byte-identical.
 """
 
 import argparse
@@ -22,10 +23,9 @@ from .grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
                           gamma_for_separation, split_reference)
 from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
                        scatter_short, snapped_molecule)
-from .formats import load_canonical, save_canonical
-from .solver import (DiscreteLaplacian, GridFunction3, apply_kron_laplacian,
-                     compose_total, load_field, negate, poisson_solve,
-                     save_field)
+from .formats import dense, load_canonical, save_canonical
+from .solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
+                     compose_total, load_field, poisson_solve, save_field)
 from .validation import compare, direct_sum_oracle, write_report
 
 _SQRT3 = np.sqrt(3.0)
@@ -239,11 +239,15 @@ def _assemble_stage(cfg, m, timings):
 def _solve_stage(rs, L, method, timings, bc_molecule=None):
     """Long-range potential: the delta ``-(lap - kappa^2) rs.long``, solved.
 
-    Homogeneous faces, or with ``bc_molecule`` its screened-Coulomb values
-    on the faces (spectral solver only).
+    The long part is densified once, at its own rank, and the 7-point
+    stencil makes the right-hand side on the grid; this equals the dense
+    image of ``apply_kron_laplacian`` (3 or 4 times the rank) at every
+    node.  Homogeneous faces, or with ``bc_molecule`` its screened-Coulomb
+    values on the faces (spectral solver only).
     """
     with _clock(timings, "delta"):
-        delta_long = negate(apply_kron_laplacian(rs.long, L))
+        delta_long = apply_stencil_dense(L, dense(rs.long))
+        np.negative(delta_long, out=delta_long)
     with _clock(timings, "solve"):
         if bc_molecule is None:
             return poisson_solve(delta_long, L, bc="homogeneous", method=method)
@@ -518,6 +522,12 @@ def _cmd_validate(args):
     m = _molecule_from_args(args)
     f = load_field(args.field)
     grid = f.grid
+    if args.n is not None and args.n != grid.n:
+        raise ConfigError("--n %d does not match n=%d of %s"
+                          % (args.n, grid.n, args.field))
+    if args.b not in (None, "auto") and abs(args.b - grid.b) > 1e-12 * grid.b:
+        raise ConfigError("--b %.17g does not match b=%.17g of %s"
+                          % (args.b, grid.b, args.field))
     snapped, snaps = snapped_molecule(m, grid)
     if args.oracle_kernel == "gaussian_sum":
         q = _resolve_quadrature(cfg, grid)

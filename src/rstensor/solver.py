@@ -1,12 +1,14 @@
-"""Kronecker discrete Laplacian and the regularized Poisson solve.
+"""Discrete Laplacian and the regularized Poisson solve.
 
-The 3D finite-difference Laplacian with homogeneous Dirichlet closure acts
-on canonical tensors mode-wise (rank-3 Kronecker structure), which turns the
-assembled potential into a discretized delta: ``delta = -A_lap P``.  Its
-smooth long-range part is the right-hand side of the regularized system
-``(-A_lap + kappa^2) U = delta_long``, solved directly by diagonalization in
-the 3D discrete sine basis; the total potential adds the short-range
-template field back.
+The 3D finite-difference Laplacian with homogeneous Dirichlet closure turns
+the assembled potential into a discretized delta: ``delta = -A_lap P``.  The
+pipeline applies the dense 7-point stencil (``apply_stencil_dense``) to the
+densified long part, which gives the smooth right-hand side of the
+regularized system ``(-A_lap + kappa^2) U = delta_long``, solved directly
+by diagonalization in the 3D discrete sine basis; the total potential adds
+the short-range template field back.  ``apply_kron_laplacian`` is the same
+operator on canonical tensors, mode-wise (rank-3 Kronecker structure), and
+equals the stencil at every node.
 """
 
 import os

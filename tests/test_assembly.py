@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
 from helpers import eval_entries, shift_and_window, split_by_count
@@ -145,6 +146,37 @@ def test_rs_additivity_dense():
     rt.scatter_short(rs, ref)
     for i in np.ndindex(17, 17, 17):
         assert abs(rt.rs_eval_entry(rs, i) - ref[i]) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def kernel33():
+    k = _kernel(rt.Grid3(33, 8.0), R=12, gamma=6)
+    assert k.n_short > 0
+    return k
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_atoms=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       reduce=st.booleans())
+def test_rs_eval_entry_matches_dense_plus_short(kernel33, n_atoms, seed,
+                                                 reduce):
+    # entry evaluation against the densified long part plus the scattered
+    # short part, at atom centres and at random nodes
+    g = kernel33.grid
+    rng = np.random.default_rng(seed)
+    m = rt.synthetic_cluster(n_atoms, 4.0, min_sep=0.5, seed=seed)
+    charges = rng.uniform(-2.0, 2.0, n_atoms)
+    m = rt.Molecule([rt.Atom(p, z) for p, z in zip(m.positions, charges)])
+    sm, _ = rt.snapped_molecule(m, g)
+    rs = rt.assemble_collective(sm, kernel33,
+                                1e-8 * g.h ** 2 if reduce else None)
+    ref = rt.dense(rs.long)
+    rt.scatter_short(rs, ref)
+    nodes = [c for c, _ in rs.short_list]
+    nodes += [tuple(int(v) for v in i) for i in rng.integers(0, 33, (20, 3))]
+    vals = np.array([rt.rs_eval_entry(rs, i) for i in nodes])
+    assert np.max(np.abs(vals - np.array([ref[i] for i in nodes]))) \
+        <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_far_node_sees_long_part_only():

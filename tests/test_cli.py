@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,3 +394,59 @@ def test_export_non_finite_dump_exit_code(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "i/o error" in err and "non-finite" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def cluster60():
+    return rt.synthetic_cluster(60, 5.0, seed=7)
+
+
+@pytest.mark.parametrize("solver", ["spectral", "cg"])
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_u_long_matches_kronecker_route(cluster60, solver, kappa):
+    # the pipeline's stencil right-hand side against the dense image of
+    # the Kronecker form, both through the same solver
+    out = rt.run_case(rt.RunConfig(n=33, b=10.0, solver=solver, kappa=kappa),
+                      cluster60)
+    rs = out["rs"]
+    assert 0 < rs.long.rank < rs.long_rank_pre
+    L = rt.DiscreteLaplacian(rs.grid, kappa)
+    rhs = rt.dense(rt.negate(rt.apply_kron_laplacian(rs.long, L)))
+    ref = rt.poisson_solve(rhs, L, method=solver).values
+    u = out["u_long"].values
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("flags", [["--n", "65"], ["--b", "9"],
+                                   ["--n", "65", "--b", "auto"]],
+                         ids=["n", "b", "n-auto-b"])
+def test_validate_rejects_grid_mismatch(tmp_path, capsys, born_spectral,
+                                        flags):
+    p = tmp_path / "total.bin"
+    rt.save_field(born_spectral, p)
+    rc = rt.main(["validate", "--pqr", BORN, "--field", str(p),
+                  "-o", str(tmp_path)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: %s %s does not match" % tuple(flags[:2]) in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_rerun_byte_identical_with_reduction(tmp_path):
+    # two fresh processes on a cluster whose long rank is reduced
+    # (13200 -> 2891 on a 2-vCPU x86 host) must write the same bytes
+    src = os.path.dirname(os.path.dirname(rt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for sub in ("a", "b"):
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from rstensor.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))",
+                        "run", "--synthetic", "600", "--half-extent", "10",
+                        "--seed", "3", "--n", "65", "-o", str(tmp_path / sub)],
+                       env=env, check=True, capture_output=True)
+    met = dict(line.split("=", 1) for line in
+               (tmp_path / "a" / "metrics.txt").read_text().splitlines())
+    assert int(met["rank_post"]) < int(met["rank_pre"]) == 13200
+    for name in ("metrics.txt", "total.bin", "ulong.bin", "short.bin"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes(), name

@@ -55,6 +55,22 @@ def test_kron_laplacian_matches_dense_stencil():
         assert rt.apply_kron_laplacian(t, L).rank == 3 * t.rank + (t.rank if kappa else 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), r=st.integers(0, 6),
+       kappa=st.sampled_from([0.0, 0.3, 1.7]),
+       b=st.floats(min_value=0.5, max_value=20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_of_dense_equals_kron_image(n, r, kappa, b, seed):
+    # the pipeline's right-hand side -stencil(dense(t)) against the dense
+    # image of the 3R (4R with kappa) term Kronecker form, at every node
+    t = rand_canonical(np.random.default_rng(seed), n, r)
+    L = rt.DiscreteLaplacian(rt.Grid3(n, b), kappa)
+    ref = rt.dense(rt.negate(rt.apply_kron_laplacian(t, L)))
+    out = -rt.apply_stencil_dense(L, rt.dense(t))
+    assert np.max(np.abs(out - ref), initial=0.0) \
+        <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
 def test_delta_split_zero_charges():
     g = rt.Grid3(17, 2.0)
     q = rt.build_quadrature(8, g.h, 2 * SQRT3 * g.b)

@@ -145,6 +145,64 @@ def test_core_exclusion_mask():
     assert rep3.discrete_l2 == pytest.approx(100.0 * np.sqrt(g.h ** 3), rel=1e-12)
 
 
+def _compare_reference(a, b, centers, radius, h, l2_excludes_cores):
+    # plain numpy: boolean core mask, masked sums of squares
+    core = np.zeros(a.shape, dtype=bool)
+    for c in centers:
+        core[tuple(slice(max(ci - radius, 0), ci + radius + 1) for ci in c)] = True
+    keep = ~core if l2_excludes_cores else np.ones(a.shape, dtype=bool)
+    diff = a - b
+    ss = np.sum(diff[keep] ** 2)
+    ref_ss = np.sum(b[keep] ** 2)
+    return {"discrete_l2": np.sqrt(h ** 3 * ss), "rss": np.sqrt(ss),
+            "relative_l2": np.sqrt(ss / ref_ss) if ref_ss > 0 else 0.0,
+            "max_abs": np.max(np.abs(diff)),
+            "max_abs_excluding_cores": np.max(np.abs(diff[~core]),
+                                              initial=0.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 2 ** 32 - 1),
+       n_centers=st.integers(0, 4), n_listed=st.integers(0, 2),
+       radius=st.integers(0, 3), fortran=st.booleans(),
+       l2_excludes_cores=st.booleans())
+def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed, radius,
+                                         fortran, l2_excludes_cores):
+    # all five metrics, cores given as centers and as the reference's own
+    # excluded nodes; radius 3 on a small grid can exclude every node
+    rng = np.random.default_rng(seed)
+    g = rt.Grid3(n, rng.uniform(0.5, 5.0))
+    a = rng.standard_normal((n, n, n))
+    b = rng.standard_normal((n, n, n))
+    if fortran:
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    centers = [tuple(int(v) for v in rng.integers(0, n, 3))
+               for _ in range(n_centers)]
+    listed = [tuple(int(v) for v in rng.integers(0, n, 3))
+              for _ in range(n_listed)]
+    fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
+    rep = rt.compare(_field(g, a), fb, exclude_centers=centers,
+                     exclude_radius=radius,
+                     l2_excludes_cores=l2_excludes_cores)
+    ref = _compare_reference(a, b, centers + listed, radius, g.h,
+                             l2_excludes_cores)
+    for k, v in ref.items():
+        assert getattr(rep, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
+    assert np.array_equal(fb.values, b)
+    assert rep.config.get("l2_excludes_cores", False) is l2_excludes_cores
+
+
+def test_compare_all_nodes_excluded():
+    g = rt.Grid3(5, 1.0)
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((2, 5, 5, 5))
+    rep = rt.compare(_field(g, a), _field(g, b), exclude_centers=[(2, 2, 2)],
+                     exclude_radius=2, l2_excludes_cores=True)
+    assert rep.max_abs == np.max(np.abs(a - b))
+    assert rep.max_abs_excluding_cores == 0.0
+    assert rep.discrete_l2 == rep.rss == rep.relative_l2 == 0.0
+
+
 def test_report_text_and_files(tmp_path):
     g = rt.Grid3(9, 1.0)
     rng = np.random.default_rng(5)
