@@ -4,10 +4,12 @@ canonical tensor form.
 The collective potential of N particles is kept as one low-rank canonical
 tensor for the smooth long-range part plus a list of translated, compactly
 supported copies of a short-range template, so storage and evaluation stay
-far below the naive N-times-rank cost.  The 7-point discrete Laplacian of
-the densified long part is the right-hand side of a diagonalization-based
-solver that returns the potential on the full grid; the same operator acts
-on canonical tensors mode-wise as ``apply_kron_laplacian``.
+far below the naive N-times-rank cost.  The densified long part plus the
+scattered short part is the potential on the full grid.  With
+screened-Coulomb face values the 7-point discrete Laplacian of the long
+part is the right-hand side of a diagonalization-based Poisson solver; the
+same operator acts on canonical tensors mode-wise as
+``apply_kron_laplacian``.
 """
 
 from .errors import ConfigError, DataError, NumericError
@@ -21,7 +23,7 @@ from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
                        rs_eval_entry, scatter_short, snap_to_grid,
                        snapped_molecule)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_kron_laplacian,
-                     apply_stencil_dense, compose_total, load_field, negate,
+                     apply_stencil_dense, compose_total, load_field,
                      poisson_solve, save_field)
 from .validation import (ErrorReport, compare, direct_sum_oracle,
                          gaussian_field, write_report)
@@ -39,7 +41,7 @@ __all__ = [
     "build_quadrature", "c2t_rhosvd", "compare", "compose_total", "dense",
     "direct_sum_oracle", "eval_entry", "export_slice",
     "gamma_for_separation", "gaussian_field", "gaussian_sum",
-    "load_canonical", "load_field", "main", "negate", "parse_pqr",
+    "load_canonical", "load_field", "main", "parse_pqr",
     "poisson_solve", "reduce_rank", "resolve_box", "rs_eval_entry",
     "run_case", "run_pipeline", "save_canonical", "save_field",
     "scatter_short", "snap_to_grid", "snapped_molecule", "split_reference",

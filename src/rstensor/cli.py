@@ -1,9 +1,11 @@
 """Run configuration, molecule ingestion, pipeline orchestration, export.
 
 The pipeline stages are: quadrature -> reference kernel -> long/short split
--> molecule snap -> collective assembly -> delta (the 7-point stencil on
-the densified long part) -> Poisson solve -> total composition -> oracle
-comparison.  Metrics land in a deterministic key=value report; wall-clock
+-> molecule snap -> collective assembly -> long part densified on the grid
+-> (``--bc analytic`` only) delta, the 7-point stencil of that field, and
+a Poisson solve with screened-Coulomb faces -> total composition -> oracle
+comparison.  With homogeneous faces the solve would return its input, so
+it is not run.  Metrics land in a deterministic key=value report; wall-clock
 stage times go to a separate file so reruns with the same config and seed
 are byte-identical.
 """
@@ -101,7 +103,8 @@ class RunConfig:
     ``eps_kernel``; ``gamma="auto"`` converts ``sep_radius`` (Angstrom) into
     grid units.  With ``eps_scaling="mesh"`` the rank-reduction tolerance is
     ``eps_c2t * h^2`` so the compression error tracks the grid resolution;
-    "fixed" uses ``eps_c2t`` as is.
+    "fixed" uses ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens only
+    the ``bc="analytic"`` solve, its faces and its operator.
     """
 
     n: int = 129
@@ -113,7 +116,6 @@ class RunConfig:
     eps_support: float = 1e-8
     eps_c2t: float = 1e-8
     eps_scaling: str = "mesh"
-    solver: str = "spectral"
     bc: str = "homogeneous"
     kappa: float = 0.0
     outdir: str = "."
@@ -137,8 +139,6 @@ class RunConfig:
                 raise ConfigError("config: %s must lie in (0, 1)" % name)
         if self.eps_scaling not in ("mesh", "fixed"):
             raise ConfigError("config: eps_scaling must be 'mesh' or 'fixed'")
-        if self.solver not in ("spectral", "cg"):
-            raise ConfigError("config: solver must be 'spectral' or 'cg'")
         if self.bc not in ("homogeneous", "analytic"):
             raise ConfigError("config: bc must be 'homogeneous' or 'analytic'")
         if not (self.kappa >= 0):
@@ -236,24 +236,26 @@ def _assemble_stage(cfg, m, timings):
     return rs, q, kernel, snapped, snaps, eps_eff
 
 
-def _solve_stage(rs, L, method, timings, bc_molecule=None):
-    """Long-range potential: the delta ``-(lap - kappa^2) rs.long``, solved.
+def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
+    """Long-range potential on the grid.
 
-    The long part is densified once, at its own rank, and the 7-point
-    stencil makes the right-hand side on the grid; this equals the dense
-    image of ``apply_kron_laplacian`` (3 or 4 times the rank) at every
-    node.  Homogeneous faces, or with ``bc_molecule`` its screened-Coulomb
-    values on the faces (spectral solver only).
+    With homogeneous faces it is the densified long part, the exact
+    solution of ``(-lap + kappa^2) u = -(lap - kappa^2) rs.long``, so
+    nothing is solved.  With ``bc_molecule`` the faces carry its
+    screened-Coulomb values and that right-hand side, the 7-point stencil
+    of the densified long part, is solved in the sine basis.
     """
+    with _clock(timings, "dense"):
+        values = dense(rs.long)
+    if bc_molecule is None:
+        return GridFunction3(rs.grid, values, {"bc": "homogeneous"})
+    L = DiscreteLaplacian(rs.grid, kappa)
     with _clock(timings, "delta"):
-        delta_long = apply_stencil_dense(L, dense(rs.long))
+        delta_long = apply_stencil_dense(L, values)
         np.negative(delta_long, out=delta_long)
     with _clock(timings, "solve"):
-        if bc_molecule is None:
-            return poisson_solve(delta_long, L, bc="homogeneous", method=method)
-        bc_field = _boundary_field(bc_molecule, L.grid, L.kappa)
-        return poisson_solve(delta_long, L, bc="trace", method="spectral",
-                             bc_field=bc_field)
+        bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
+        return poisson_solve(delta_long, L, bc="trace", bc_field=bc_field)
 
 
 def run_case(cfg, m):
@@ -270,9 +272,9 @@ def run_case(cfg, m):
     grid = rs.grid
     max_off = max(float(np.max(np.abs(off))) for _, off in snaps)
 
-    L = DiscreteLaplacian(grid, cfg.kappa)
-    u_long = _solve_stage(rs, L, cfg.solver, timings,
+    u_long = _solve_stage(rs, timings, cfg.kappa,
                           snapped if cfg.bc == "analytic" else None)
+    u_long.meta["quad_rank"] = q.rank
     with _clock(timings, "compose"):
         total = compose_total(u_long, rs)
 
@@ -301,13 +303,13 @@ def run_case(cfg, m):
         "eps_reduce": _fmt(eps_eff),
         "rank_pre": rs.long_rank_pre,
         "rank_post": rs.long.rank,
-        "solver": cfg.solver,
         "bc": cfg.bc,
         "kappa": _fmt(cfg.kappa),
-        "solver_residual": _fmt(u_long.meta["residual"]),
         "max_snap_offset": _fmt(max_off),
         "oracle": "gaussian_sum" if report else "skipped",
     }
+    if "residual" in u_long.meta:
+        metrics["solver_residual"] = _fmt(u_long.meta["residual"])
     if report is not None:
         metrics.update({
             "l2_weighted": _fmt(report.discrete_l2),
@@ -345,8 +347,8 @@ def run_pipeline(cfg, m):
     short = np.zeros_like(out["total"].values)
     scatter_short(out["rs"], short)
     grid = out["total"].grid
-    save_field(GridFunction3(grid, short, {"bc": "none", "residual": 0.0}),
-               _p("short.bin"))
+    meta = {"bc": "none", "quad_rank": out["quadrature"].rank}
+    save_field(GridFunction3(grid, short, meta), _p("short.bin"))
     with open(_p("metrics.txt"), "w") as fh:
         for k in sorted(out["metrics"]):
             fh.write("%s=%s\n" % (k, out["metrics"][k]))
@@ -437,9 +439,9 @@ def _add_common(sp):
     sp.add_argument("--eps-support", dest="eps_support", type=float)
     sp.add_argument("--eps-c2t", dest="eps_c2t", type=float)
     sp.add_argument("--eps-scaling", dest="eps_scaling", choices=("mesh", "fixed"))
-    sp.add_argument("--solver", choices=("spectral", "cg"))
     sp.add_argument("--bc", choices=("homogeneous", "analytic"))
-    sp.add_argument("--kappa", type=float)
+    sp.add_argument("--kappa", type=float,
+                    help="screening in 1/A for the --bc analytic solve")
     sp.add_argument("--seed", type=int, default=0,
                     help="synthetic cluster seed (default 0)")
     sp.add_argument("-o", "--outdir", default=None)
@@ -461,7 +463,6 @@ def _cmd_assemble(args):
     save_canonical(rs.short_reference, os.path.join(d, "short_template.ct3"))
     side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
             "rank_pre": rs.long_rank_pre, "rank_post": rs.long.rank,
-            "kappa": cfg.kappa,
             "centers": [list(c) for c, _ in rs.short_list],
             "weights": [w for _, w in rs.short_list]}
     with open(os.path.join(d, "shortlist.json"), "w") as fh:
@@ -484,26 +485,22 @@ def _load_bundle(d):
         gamma, rank_pre = int(side["gamma"]), int(side["rank_pre"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
-    rs = RSTensor(grid,
-                  load_canonical(os.path.join(d, "long.ct3")),
-                  load_canonical(os.path.join(d, "short_template.ct3")),
-                  short_list, gamma, long_rank_pre=rank_pre)
-    return rs, side
+    return RSTensor(grid,
+                    load_canonical(os.path.join(d, "long.ct3")),
+                    load_canonical(os.path.join(d, "short_template.ct3")),
+                    short_list, gamma, long_rank_pre=rank_pre)
 
 
 def _cmd_solve(args):
     d = args.indir
-    rs, side = _load_bundle(d)
-    kappa = args.kappa if args.kappa is not None else side.get("kappa", 0.0)
-    u = _solve_stage(rs, DiscreteLaplacian(rs.grid, kappa),
-                     args.solver or "spectral", {})
+    rs = _load_bundle(d)
+    u = _solve_stage(rs, {})
     total = compose_total(u, rs)
     out = args.outdir or d
     os.makedirs(out, exist_ok=True)
     save_field(u, os.path.join(out, "ulong.bin"))
     save_field(total, os.path.join(out, "total.bin"))
-    print("solved: residual %.3e, wrote ulong.bin and total.bin in %s"
-          % (u.meta["residual"], out))
+    print("wrote ulong.bin and total.bin in %s" % out)
     return 0
 
 
@@ -528,6 +525,12 @@ def _cmd_validate(args):
     if args.b not in (None, "auto") and abs(args.b - grid.b) > 1e-12 * grid.b:
         raise ConfigError("--b %.17g does not match b=%.17g of %s"
                           % (args.b, grid.b, args.field))
+    quad_rank = f.meta.get("quad_rank")
+    if quad_rank is not None:
+        if args.rank not in (None, "auto") and args.rank != quad_rank:
+            raise ConfigError("--rank %d does not match quad_rank=%d of %s"
+                              % (args.rank, quad_rank, args.field))
+        cfg.rank = quad_rank
     snapped, snaps = snapped_molecule(m, grid)
     if args.oracle_kernel == "gaussian_sum":
         q = _resolve_quadrature(cfg, grid)
@@ -562,11 +565,9 @@ def main(argv=None):
     sp = sub.add_parser("assemble", help="assemble a molecule's potential")
     _add_common(sp)
 
-    sp = sub.add_parser("solve", help="solve from an assembled bundle")
+    sp = sub.add_parser("solve", help="compose the fields of an assembled bundle")
     sp.add_argument("-i", "--indir", required=True)
     sp.add_argument("-o", "--outdir", default=None)
-    sp.add_argument("--solver", choices=("spectral", "cg"), default=None)
-    sp.add_argument("--kappa", type=float, default=None)
 
     sp = sub.add_parser("run", help="full pipeline with reports")
     _add_common(sp)

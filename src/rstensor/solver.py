@@ -1,14 +1,16 @@
 """Discrete Laplacian and the regularized Poisson solve.
 
 The 3D finite-difference Laplacian with homogeneous Dirichlet closure turns
-the assembled potential into a discretized delta: ``delta = -A_lap P``.  The
-pipeline applies the dense 7-point stencil (``apply_stencil_dense``) to the
-densified long part, which gives the smooth right-hand side of the
-regularized system ``(-A_lap + kappa^2) U = delta_long``, solved directly
-by diagonalization in the 3D discrete sine basis; the total potential adds
-the short-range template field back.  ``apply_kron_laplacian`` is the same
-operator on canonical tensors, mode-wise (rank-3 Kronecker structure), and
-equals the stencil at every node.
+the assembled potential into a discretized delta: ``delta = -A_lap P``.
+``apply_stencil_dense`` is the dense 7-point stencil, and
+``poisson_solve`` solves ``(-A_lap + kappa^2) U = f`` directly by
+diagonalization in the 3D discrete sine basis, with zero faces or with
+given face values lifted into the right-hand side.  The pipeline solves
+only with given faces (``--bc analytic``): with zero faces the stencil
+image of the densified long part has that part itself as its solution.
+``apply_kron_laplacian`` is the same operator on canonical tensors,
+mode-wise (rank-3 Kronecker structure), and equals the stencil at every
+node.
 """
 
 import os
@@ -103,11 +105,6 @@ def apply_kron_laplacian(t, L):
                              np.concatenate(F3, axis=1)))
 
 
-def negate(t):
-    """Canonical tensor with all weights negated."""
-    return CanonicalTensor3(-t.weights, t.factors)
-
-
 @dataclass
 class GridFunction3:
     """Dense scalar field on a Grid3 (potential in charge/length units)."""
@@ -126,9 +123,10 @@ class GridFunction3:
             raise NumericError("field contains non-finite values")
 
 
-def poisson_solve(rhs, L, bc="homogeneous", method="spectral", tol=1e-10,
-                  bc_field=None):
+def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
     """Solve ``(-lap + kappa^2) u = rhs`` with Dirichlet boundary data.
+
+    Direct diagonalization in the 3D discrete sine basis.
 
     Parameters
     ----------
@@ -137,12 +135,6 @@ def poisson_solve(rhs, L, bc="homogeneous", method="spectral", tol=1e-10,
     bc : {"homogeneous", "trace"}
         Homogeneous ghosts, or face values taken from ``bc_field`` with the
         interior solved after moving the face data into the right-hand side.
-    method : {"spectral", "cg"}
-        Direct diagonalization in the 3D sine basis, or conjugate gradients
-        on the Kronecker-structured operator (homogeneous bc only).
-    tol : float
-        Relative residual target for cg; the spectral path is direct and
-        simply reports its residual.
     bc_field : GridFunction3 or dense array, required when bc="trace".
 
     Returns
@@ -160,19 +152,12 @@ def poisson_solve(rhs, L, bc="homogeneous", method="spectral", tol=1e-10,
         raise ConfigError("right-hand side shape does not match the grid")
 
     if bc == "homogeneous":
-        if method == "spectral":
-            u = _solve_spectral(f, n, h, L.kappa)
-        elif method == "cg":
-            u = _solve_cg(f, L, tol)
-        else:
-            raise ConfigError("unknown solver method %r" % method)
+        u = _solve_spectral(f, n, h, L.kappa)
         res = _residual(L, u, f)
-        return GridFunction3(L.grid, u, {"residual": res, "method": method,
-                                         "bc": bc, "kappa": L.kappa})
+        return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
+                                         "kappa": L.kappa})
     if bc != "trace":
         raise ConfigError("bc must be 'homogeneous' or 'trace'")
-    if method != "spectral":
-        raise ConfigError("inhomogeneous boundary data requires the spectral solver")
     if bc_field is None:
         raise ConfigError("bc='trace' needs bc_field")
     g = bc_field.values if isinstance(bc_field, GridFunction3) \
@@ -196,8 +181,8 @@ def poisson_solve(rhs, L, bc="homogeneous", method="spectral", tol=1e-10,
     num = np.linalg.norm((-res_f - f)[1:-1, 1:-1, 1:-1])
     den = np.linalg.norm(fi)
     res = float(num / den) if den > 0 else 0.0
-    return GridFunction3(L.grid, u, {"residual": res, "method": method,
-                                     "bc": bc, "kappa": L.kappa})
+    return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
+                                     "kappa": L.kappa})
 
 
 def _solve_spectral(f, n, h, kappa):
@@ -207,31 +192,6 @@ def _solve_spectral(f, n, h, kappa):
     for i in range(n):
         F[i] /= lam[i] + plane
     return dstn(F, type=1, norm="ortho")
-
-
-def _solve_cg(f, L, tol):
-    if not (tol > 0):
-        raise ConfigError("cg tolerance must be positive")
-    nrm_f = np.linalg.norm(f)
-    if nrm_f == 0:
-        return np.zeros_like(f)
-    x = np.zeros_like(f)
-    r = f.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    cap = 40 * L.grid.n
-    for _ in range(cap):
-        Ap = -apply_stencil_dense(L, p)
-        alpha = rs / float(np.vdot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= tol * nrm_f:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NumericError("cg did not reach tolerance %.1e in %d iterations"
-                       % (tol, cap))
 
 
 def _residual(L, u, f):
@@ -254,14 +214,21 @@ def compose_total(u_long, rs):
 
 def save_field(f, path):
     """Write a field dump: raw little-endian float64, mode-1 fastest, plus a
-    ``path + '.info'`` text sidecar with grid and solver metadata."""
+    ``path + '.info'`` text sidecar with grid and solver metadata.
+
+    ``residual`` and ``quad_rank`` are written when ``f.meta`` has them:
+    the residual of a Poisson solve and the quadrature rank of the run.
+    """
     with open(path, "wb") as fh:
         fh.write(np.asarray(f.values, dtype=_F64).tobytes(order="F"))
     g = f.grid
     lines = ["n=%d" % g.n, "b=%.17g" % g.b, "h=%.17g" % g.h,
              "units=charge/angstrom", "order=mode1-fastest",
-             "bc=%s" % f.meta.get("bc", "homogeneous"),
-             "residual=%.17g" % f.meta.get("residual", 0.0)]
+             "bc=%s" % f.meta.get("bc", "homogeneous")]
+    if "residual" in f.meta:
+        lines.append("residual=%.17g" % f.meta["residual"])
+    if "quad_rank" in f.meta:
+        lines.append("quad_rank=%d" % f.meta["quad_rank"])
     with open(str(path) + ".info", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -270,8 +237,9 @@ def load_field(path):
     """Read a field dump written by ``save_field``.
 
     Raises DataError when the ``.info`` sidecar lacks a numeric ``n`` or
-    ``b`` (or gives values no grid has), or the dump does not hold n^3
-    finite float64 values.
+    ``b`` (or gives values no grid has), has a ``residual`` that is not a
+    number or a ``quad_rank`` that is not a positive integer, or the dump
+    does not hold n^3 finite float64 values.
     """
     from .grid_kernel import Grid3
     info_path = str(path) + ".info"
@@ -283,7 +251,13 @@ def load_field(path):
                     k, v = line.strip().split("=", 1)
                     info[k] = v
         grid = Grid3(int(info["n"]), float(info["b"]))
-        residual = float(info.get("residual", 0.0))
+        meta = {"bc": info.get("bc", "homogeneous")}
+        if "residual" in info:
+            meta["residual"] = float(info["residual"])
+        if "quad_rank" in info:
+            meta["quad_rank"] = int(info["quad_rank"])
+            if meta["quad_rank"] < 1:
+                raise ValueError("quad_rank must be positive")
     except (KeyError, ValueError, ConfigError) as e:
         raise DataError("malformed %s: %s %s"
                         % (info_path, type(e).__name__, e))
@@ -295,5 +269,4 @@ def load_field(path):
     vals = np.fromfile(path, dtype=_F64).reshape((n, n, n), order="F")
     if not np.all(np.isfinite(vals)):
         raise DataError("%s holds non-finite values" % path)
-    meta = {"bc": info.get("bc", "homogeneous"), "residual": residual}
     return GridFunction3(grid, vals, meta)

@@ -13,8 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from rstensor import (CanonicalTensor3, ConfigError, apply_kron_laplacian,
-                      negate, zero_canonical)
+                      zero_canonical)
 from rstensor.formats import shift_sum
+
+
+def negate(t):
+    """Canonical tensor with all weights negated."""
+    return CanonicalTensor3(-t.weights, t.factors)
 
 
 def eval_entries(t, idx):

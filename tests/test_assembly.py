@@ -29,6 +29,31 @@ def test_snap_tie_rounds_away_from_center():
     assert abs(off[0]) == pytest.approx(g.h / 2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 64), b=st.floats(min_value=0.5, max_value=50.0),
+       data=st.data())
+def test_snap_ties_round_away_from_center_property(n, b, data):
+    # per axis: an exact node, or the exact midpoint of nodes k and k+1
+    g = rt.Grid3(n, b)
+    c = 0.5 * (n - 1)
+    ks = [data.draw(st.integers(0, n - 2)) for _ in range(3)]
+    ties = [data.draw(st.booleans()) for _ in range(3)]
+    pos = [-b + (k + 0.5 * t) * g.h for k, t in zip(ks, ties)]
+    (idx, off), = rt.snap_to_grid(rt.Molecule([rt.Atom(pos, 1.0)]), g)
+    for l in range(3):
+        k = ks[l]
+        if not ties[l]:
+            assert idx[l] == k
+        elif k + 0.5 > c:
+            assert idx[l] == k + 1
+        elif k + 0.5 < c:
+            assert idx[l] == k
+        else:
+            # a tie at the centre: both nodes are equally far from it
+            assert idx[l] in (k, k + 1)
+        assert abs(off[l]) <= 0.5 * g.h * (1 + 1e-9)
+
+
 def test_snap_matches_brute_force():
     g = rt.Grid3(129, 16.0)
     rng = np.random.default_rng(0)

@@ -134,6 +134,26 @@ def test_reduce_rank_redundant_columns():
     assert err <= 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), r=st.integers(1, 8), dup=st.integers(0, 8),
+       log_eps=st.floats(min_value=-10.0, max_value=-2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reduce_rank_property(n, r, dup, log_eps, seed):
+    # Gaussian random terms, some repeated with fresh weights: the result
+    # never has more terms and stays within 2 eps (relative Frobenius)
+    rng = np.random.default_rng(seed)
+    t = rand_canonical(rng, n, r)
+    pick = rng.integers(0, r, dup)
+    t = rt.CanonicalTensor3(np.concatenate([t.weights, rng.standard_normal(dup)]),
+                            tuple(np.concatenate([A, A[:, pick]], axis=1)
+                                  for A in t.factors))
+    eps = 10.0 ** log_eps
+    out = rt.reduce_rank(t, eps)
+    assert out.rank <= t.rank
+    D = rt.dense(t)
+    assert np.linalg.norm(rt.dense(out) - D) <= 2 * eps * np.linalg.norm(D)
+
+
 def test_reduce_rank_keeps_minimal_input():
     rng = np.random.default_rng(10)
     t = rand_canonical(rng, 6, 2)
