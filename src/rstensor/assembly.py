@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import (CanonicalTensor3, c2t_shift_sum, dense, eval_entry,
-                      shift_sum, t2c, zero_canonical)
+from .formats import (CanonicalTensor3, TuckerBasis, c2t_shift_sum, dense,
+                      eval_entry, shift_sum, t2c_with_basis, zero_canonical)
 
 _TIE = 1e-9
 
@@ -128,11 +128,18 @@ def _template_radius(gamma):
 class RSTensor:
     """Range-separated representation of a collective potential.
 
-    ``long`` is a rank-R_L canonical tensor on the full grid;
-    ``short_reference`` is the compact short-range template (canonical, side
-    length 2*support_radius + 1) shared by all atoms; ``short_list`` holds
-    (center node, weight) per atom.  Storage is 3*R_L*n + 4*N numbers plus
-    the template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.
+    ``long`` is a rank-R_L canonical tensor on the full grid, the form that
+    entry evaluation and ``long.ct3`` use; ``short_reference`` is the
+    compact short-range template (canonical, side length
+    2*support_radius + 1) shared by all atoms; ``short_list`` holds (center
+    node, weight) per atom.  Storage is 3*R_L*n + 4*N numbers plus the
+    template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.
+
+    ``long_basis`` holds the binned RHOSVD factors that ``long``'s reduced
+    terms live in, so ``tucker_image(long, long_basis)`` is ``long`` in
+    Tucker form, the cheap way to densify it; the image is built on demand
+    and not kept.  It is None when ``long`` was not reduced (the explicit
+    per-atom sum) or was read from a bundle.
     """
 
     grid: object
@@ -141,6 +148,7 @@ class RSTensor:
     short_list: list
     gamma: int
     long_rank_pre: int = 0
+    long_basis: TuckerBasis = field(default=None, repr=False)
     _template: np.ndarray = field(default=None, repr=False)
     _cells: dict = field(default=None, repr=False)
 
@@ -187,9 +195,11 @@ def assemble_collective(m, kernel, eps_reduce):
     The long-range part is the sum over atoms of the charge-weighted
     long-range window columns (rank N * R_l).  With ``eps_reduce`` it is
     compressed by the binned RHOSVD of ``c2t_shift_sum`` followed by
-    ``t2c``; when that does not lower the rank below N * R_l the explicit
-    per-atom tensor is returned instead.  The short-range part is stored as
-    the shared template plus the snapped (center, charge) list.
+    ``t2c``, and the result keeps the Tucker basis of the kept canonical
+    terms (``long_basis``); when that does not lower the rank below
+    N * R_l the explicit per-atom tensor is returned instead, without a
+    basis.  The short-range part is stored as the shared template plus
+    the snapped (center, charge) list.
 
     Parameters
     ----------
@@ -217,18 +227,16 @@ def assemble_collective(m, kernel, eps_reduce):
     R_l = kernel.split_index
     N = m.n_atoms
 
-    if R_l == 0:
-        long_pre = 0
-        long = zero_canonical((n, n, n))
-    else:
+    long_pre, long, basis = 0, zero_canonical((n, n, n)), None
+    if R_l > 0:
         long_pre = N * R_l
         ref = _columns(kernel.wide_tensor, slice(0, R_l))
         centers = [cidx for cidx, _ in snaps]
-        long = None
         if eps_reduce is not None:
-            long = t2c(c2t_shift_sum(ref, centers, z, eps_reduce), eps_reduce)
-        if long is None or long.rank >= long_pre:
-            long = shift_sum(ref, centers, z)
+            long, basis = t2c_with_basis(
+                c2t_shift_sum(ref, centers, z, eps_reduce), eps_reduce)
+        if eps_reduce is None or long.rank >= long_pre:
+            long, basis = shift_sum(ref, centers, z), None
 
     r_t = _template_radius(gamma)
     R_s = kernel.rank - R_l
@@ -240,7 +248,7 @@ def assemble_collective(m, kernel, eps_reduce):
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
     short_list = [(cidx, float(z[a])) for a, (cidx, _) in enumerate(snaps)]
     return RSTensor(grid, long, short_ref, short_list, gamma,
-                    long_rank_pre=long_pre)
+                    long_rank_pre=long_pre, long_basis=basis)
 
 
 def rs_eval_entry(t, i):

@@ -2,12 +2,13 @@
 
 The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
--> (``--bc analytic`` only) delta, the 7-point stencil of that field, and
-a Poisson solve with screened-Coulomb faces -> total composition -> oracle
-comparison.  With homogeneous faces the solve would return its input, so
-it is not run.  Metrics land in a deterministic key=value report; wall-clock
-stage times go to a separate file so reruns with the same config and seed
-are byte-identical.
+(by three mode products of its Tucker image when its rank was reduced,
+else term by term) -> (``--bc analytic`` only) delta, the 7-point stencil
+of that field, and a Poisson solve with screened-Coulomb faces -> total
+composition -> oracle comparison.  With homogeneous faces the solve would
+return its input, so it is not run.  Metrics land in a deterministic
+key=value report; wall-clock stage times go to a separate file so reruns
+with the same config and seed are byte-identical.
 """
 
 import argparse
@@ -25,7 +26,8 @@ from .grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
                           gamma_for_separation, split_reference)
 from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
                        scatter_short, snapped_molecule)
-from .formats import dense, load_canonical, save_canonical
+from .formats import (dense, load_canonical, save_canonical, tucker_dense,
+                      tucker_image)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                      compose_total, load_field, poisson_solve, save_field)
 from .validation import compare, direct_sum_oracle, write_report
@@ -239,14 +241,17 @@ def _assemble_stage(cfg, m, timings):
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
     """Long-range potential on the grid.
 
-    With homogeneous faces it is the densified long part, the exact
-    solution of ``(-lap + kappa^2) u = -(lap - kappa^2) rs.long``, so
-    nothing is solved.  With ``bc_molecule`` the faces carry its
-    screened-Coulomb values and that right-hand side, the 7-point stencil
-    of the densified long part, is solved in the sine basis.
+    The long part is densified from its Tucker image when ``rs`` carries a
+    Tucker basis, else from its canonical terms.  With homogeneous faces
+    that field is the result, the exact solution of
+    ``(-lap + kappa^2) u = -(lap - kappa^2) rs.long``, so nothing is
+    solved.  With ``bc_molecule`` the faces carry its screened-Coulomb
+    values and that right-hand side, the 7-point stencil of the densified
+    long part, is solved in the sine basis.
     """
     with _clock(timings, "dense"):
-        values = dense(rs.long)
+        values = (dense(rs.long) if rs.long_basis is None
+                  else tucker_dense(tucker_image(rs.long, rs.long_basis)))
     if bc_molecule is None:
         return GridFunction3(rs.grid, values, {"bc": "homogeneous"})
     L = DiscreteLaplacian(rs.grid, kappa)

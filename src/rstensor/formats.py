@@ -7,7 +7,10 @@ canonical -> Tucker (reduced higher-order SVD of the side matrices) ->
 canonical (two-level SVD of the Tucker core), never materializing the full
 array.  A sum of shifted copies of one reference tensor (the long-range part
 of a molecule) has its own canonical -> Tucker step that bins the copies by
-node instead of stacking their columns.
+node instead of stacking their columns.  The canonical terms of the second
+step stay expressible over the Tucker factors (``TuckerBasis``), so a
+reduced tensor is densified by mode products of its Tucker image rather
+than term by term.
 """
 
 import os
@@ -88,6 +91,20 @@ class TuckerTensor3:
         return tuple(U.shape[0] for U in self.factors)
 
 
+@dataclass
+class TuckerBasis:
+    """Orthonormal factors spanning the side vectors of a ``t2c`` result.
+
+    Term k's mode-l side vector is ``factors[l] @ c_lk``, and the terms with
+    equal ``groups[k]`` share one mode-``mode`` coordinate vector c_mk (a
+    singular vector of the Tucker core), which ``tucker_image`` exploits.
+    """
+
+    factors: tuple
+    mode: int
+    groups: np.ndarray
+
+
 def eval_entry(t, i):
     """Evaluate one entry of a canonical tensor in O(R).
 
@@ -111,16 +128,27 @@ def eval_entry(t, i):
 
 
 def dense(t):
-    """Materialize a canonical tensor as a dense array (chunked over terms)."""
+    """Materialize a canonical tensor as a dense array.
+
+    Each i1-slab is one GEMM of the weighted mode-2 side matrix with the
+    mode-3 one, written straight into the output, so the only temporary is
+    an n2 x R matrix.
+    """
     n1, n2, n3 = t.shape
-    out = np.zeros((n1, n2, n3))
-    step = max(1, int(_CHUNK_NUMEL // max(1, n1 * n2)))
-    for a in range(0, t.rank, step):
-        sl = slice(a, a + step)
-        W1 = t.factors[0][:, sl] * t.weights[sl]
-        kab = np.einsum("ak,bk->kab", W1, t.factors[1][:, sl])
-        out += np.tensordot(kab, t.factors[2][:, sl], axes=(0, 1))
+    out = np.empty((n1, n2, n3))
+    W1 = t.factors[0] * t.weights
+    B, C = t.factors[1], np.ascontiguousarray(t.factors[2].T)
+    for i in range(n1):
+        np.matmul(B * W1[i], C, out=out[i])
     return out
+
+
+def tucker_dense(t):
+    """Materialize a Tucker tensor by three mode products of the core."""
+    (n1, n2, n3), (r1, r2, r3) = t.shape, t.ranks
+    X = (t.factors[0] @ t.core.reshape(r1, -1)).reshape(n1 * r2, r3)
+    X = (X @ t.factors[2].T).reshape(n1, r2, n3)
+    return np.matmul(t.factors[1], X)
 
 
 def _check_finite(t):
@@ -283,6 +311,16 @@ def t2c(t, eps):
     -------
     CanonicalTensor3 with rank <= min(r1*r2, r2*r3, r1*r3).
     """
+    return t2c_with_basis(t, eps)[0]
+
+
+def t2c_with_basis(t, eps):
+    """``t2c(t, eps)`` together with the TuckerBasis its terms live in.
+
+    Returns
+    -------
+    (CanonicalTensor3, TuckerBasis or None); None when no term is kept.
+    """
     if eps <= 0:
         raise ConfigError("eps must be positive")
     G = t.core
@@ -290,7 +328,7 @@ def t2c(t, eps):
         raise NumericError("core contains non-finite values")
     r = G.shape
     if min(r) == 0 or not np.any(G):
-        return zero_canonical(t.shape)
+        return zero_canonical(t.shape), None
 
     cost = [r[0] * min(r[1], r[2]), r[1] * min(r[0], r[2]), r[2] * min(r[0], r[1])]
     m = int(np.argmin(cost))
@@ -321,7 +359,7 @@ def t2c(t, eps):
             break
     keep = terms[cut:]
     if not keep:
-        return zero_canonical(t.shape)
+        return zero_canonical(t.shape), None
     keep.sort(key=lambda z: -z[0])
 
     weights = np.array([z[0] for z in keep])
@@ -330,7 +368,34 @@ def t2c(t, eps):
     core_fac[rest[0]] = np.stack([z[2] for z in keep], axis=1)
     core_fac[rest[1]] = np.stack([z[3] for z in keep], axis=1)
     A = tuple(t.factors[l] @ core_fac[l] for l in range(3))
-    return CanonicalTensor3(weights, A)
+    groups = np.array([z[1] for z in keep])
+    return CanonicalTensor3(weights, A), TuckerBasis(t.factors, m, groups)
+
+
+def tucker_image(c, basis):
+    """The Tucker tensor over ``basis`` that equals canonical ``c``.
+
+    Its core is ``sum_k w_k C_1k x C_2k x C_3k`` with C_lk the basis
+    coordinates of the side vectors.  The terms of one group share their
+    mode-m coordinates, so each group is summed by one GEMM in the other two
+    modes and the groups by one more GEMM: O(n r R + r^4) flops against the
+    O(R n^3) of ``dense(c)``, after which ``tucker_dense`` costs O(n^3 r).
+    """
+    m = basis.mode
+    a, b = (l for l in range(3) if l != m)
+    Ua, Ub = basis.factors[a], basis.factors[b]
+    order = np.argsort(basis.groups, kind="stable")
+    beg = np.flatnonzero(np.r_[True, np.diff(basis.groups[order]) != 0])
+    bounds = np.r_[beg, order.size]
+    Y = np.empty((beg.size, Ua.shape[1], Ub.shape[1]))
+    for g in range(beg.size):
+        sel = order[bounds[g]:bounds[g + 1]]
+        Pa = Ua.T @ c.factors[a][:, sel]
+        Pb = Ub.T @ c.factors[b][:, sel]
+        np.matmul(Pa * c.weights[sel], Pb.T, out=Y[g])
+    reps = basis.factors[m].T @ c.factors[m][:, order[beg]]
+    core = (reps @ Y.reshape(beg.size, -1)).reshape(-1, *Y.shape[1:])
+    return TuckerTensor3(np.moveaxis(core, 0, m), basis.factors)
 
 
 def reduce_rank(t, eps):

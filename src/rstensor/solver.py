@@ -187,11 +187,12 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
 
 def _solve_spectral(f, n, h, kappa):
     lam = eigenvalues_1d(n, h)
-    F = dstn(f, type=1, norm="ortho")
+    workers = len(os.sched_getaffinity(0))
+    F = dstn(f, type=1, norm="ortho", workers=workers)
     plane = lam[:, None] + lam[None, :] + kappa * kappa
     for i in range(n):
         F[i] /= lam[i] + plane
-    return dstn(F, type=1, norm="ortho")
+    return dstn(F, type=1, norm="ortho", workers=workers)
 
 
 def _residual(L, u, f):

@@ -2,9 +2,9 @@
 
 Each helper is a plain, slow or dense counterpart of something the package
 does in compressed form: batch and slice evaluation of canonical tensors,
-Tucker materialization, the explicit delta of the short-range part, the
-O(n^2)-per-line sine transform, single shifted kernel windows, a split at a
-fixed long-range count, and reading back an exported CSV slice.
+the explicit delta of the short-range part, the O(n^2)-per-line sine
+transform, single shifted kernel windows, a split at a fixed long-range
+count, and reading back an exported CSV slice.
 """
 
 import dataclasses
@@ -48,13 +48,6 @@ def dense_slice(t, axis, index):
         return np.zeros((t.shape[rest[0]], t.shape[rest[1]]))
     w = t.weights * t.factors[axis][index]
     return np.einsum("k,ak,bk->ab", w, t.factors[rest[0]], t.factors[rest[1]])
-
-
-def tucker_dense(t):
-    """Materialize a Tucker tensor: three mode products of the core."""
-    X = np.tensordot(t.factors[0], t.core, axes=(1, 0))
-    X = np.tensordot(X, t.factors[1], axes=(1, 1)).transpose(0, 2, 1)
-    return np.tensordot(X, t.factors[2], axes=(2, 1))
 
 
 def canonical_axpy(alpha, x, y):

@@ -418,6 +418,55 @@ def test_u_long_matches_kronecker_route(cluster60, kappa):
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+CLUSTER60 = ["--synthetic", "60", "--half-extent", "5.0", "--seed", "7",
+             "--n", "33", "--b", "10"]
+
+
+@pytest.fixture(scope="module")
+def densify_cases(cluster60, ligand_mol):
+    # cluster60 keeps its reduction (1080 -> about 795) and densifies the
+    # Tucker image; ligand18 falls back to the explicit sum (324 -> 324)
+    # and densifies the canonical terms
+    return {"cluster60": rt.run_case(rt.RunConfig(n=33, b=10.0), cluster60),
+            "ligand18": rt.run_case(rt.RunConfig(n=33), ligand_mol)}
+
+
+@pytest.mark.parametrize("case", ["cluster60", "ligand18"])
+def test_u_long_is_dense_long(densify_cases, case):
+    out = densify_cases[case]
+    rs = out["rs"]
+    reduced = rs.long.rank < rs.long_rank_pre
+    assert reduced == (case == "cluster60")
+    assert (rs.long_basis is not None) == reduced
+    ref = rt.dense(rs.long)
+    u = out["u_long"].values
+    assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["cluster60", "ligand18"])
+def test_entries_match_total(densify_cases, case):
+    # rs_eval_entry reads the canonical terms, total the densified field
+    out = densify_cases[case]
+    rs, total = out["rs"], out["total"].values
+    rng = np.random.default_rng(5)
+    nodes = [c for c, _ in rs.short_list] \
+        + [tuple(v) for v in rng.integers(0, rs.grid.n, (500, 3)).tolist()]
+    vals = np.array([rt.rs_eval_entry(rs, i) for i in nodes])
+    ref = total[tuple(np.array(nodes).T)]
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(total))
+
+
+def test_assemble_solve_matches_run(tmp_path):
+    # solve densifies the bundle's canonical terms, run the Tucker image
+    run, bundle = str(tmp_path / "run"), str(tmp_path / "bundle")
+    assert rt.main(["run", "-o", run] + CLUSTER60) == 0
+    assert rt.main(["assemble", "-o", bundle] + CLUSTER60) == 0
+    assert rt.main(["solve", "-i", bundle]) == 0
+    a = rt.load_field(os.path.join(run, "total.bin")).values
+    b = rt.load_field(os.path.join(bundle, "total.bin")).values
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+
+
 @pytest.mark.parametrize("flags", [["--n", "65"], ["--b", "9"],
                                    ["--n", "65", "--b", "auto"]],
                          ids=["n", "b", "n-auto-b"])

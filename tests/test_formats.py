@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
-from helpers import (canonical_axpy, dense_slice, eval_entries, frobenius_norm,
-                     tucker_dense)
+from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
+from rstensor.formats import t2c_with_basis, tucker_dense, tucker_image
 
 
 def test_eval_entry_zero_tensor():
@@ -119,6 +119,43 @@ def test_t2c_random_round_trip():
     D = tucker_dense(tk)
     err = np.linalg.norm(rt.dense(t) - D) / np.linalg.norm(D)
     assert err <= 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), ranks=st.tuples(*[st.integers(1, 8)] * 3),
+       decay=st.floats(min_value=0.05, max_value=1.0),
+       log_eps=st.floats(min_value=-10.0, max_value=-2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_t2c_image_property(n, ranks, decay, log_eps, seed):
+    # the Tucker image of t2c's kept terms densifies to the canonical
+    # result, which is t2c's own; the core decays so truncation bites
+    ranks = tuple(min(r, n) for r in ranks)
+    rng = np.random.default_rng(seed)
+    scale = decay ** np.add.outer(np.add.outer(*[np.arange(r) for r in
+                                                 ranks[:2]]),
+                                  np.arange(ranks[2]))
+    tk = rt.TuckerTensor3(rng.standard_normal(ranks) * scale,
+                          _ortho_factors(rng, n, ranks))
+    eps = 10.0 ** log_eps
+    t, basis = t2c_with_basis(tk, eps)
+    ref = rt.t2c(tk, eps)
+    assert same_bits(t.weights, ref.weights)
+    assert all(same_bits(a, b) for a, b in zip(t.factors, ref.factors))
+    image = tucker_image(t, basis)
+    assert all(a is b for a, b in zip(image.factors, tk.factors))
+    D = rt.dense(ref)
+    assert np.linalg.norm(tucker_dense(image) - D) <= 1e-12 * np.linalg.norm(D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), R=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_matches_einsum(shape, R, seed):
+    rng = np.random.default_rng(seed)
+    t = rt.CanonicalTensor3(rng.standard_normal(R),
+                            tuple(rng.standard_normal((n, R)) for n in shape))
+    ref = np.einsum("k,ak,bk,ck->abc", t.weights, *t.factors)
+    assert np.allclose(rt.dense(t), ref, rtol=0, atol=1e-13 * max(1, R))
 
 
 def test_reduce_rank_redundant_columns():
