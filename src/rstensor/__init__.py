@@ -7,9 +7,9 @@ supported copies of a short-range template, so storage and evaluation stay
 far below the naive N-times-rank cost.  The densified long part plus the
 scattered short part is the potential on the full grid.  With
 screened-Coulomb face values the 7-point discrete Laplacian of the long
-part is the right-hand side of a diagonalization-based Poisson solver; the
-same operator acts on canonical tensors mode-wise as
-``apply_kron_laplacian``.
+part (less kappa^2 times the short part) is the right-hand side of a
+diagonalization-based Poisson solver; the same operator acts on canonical
+tensors mode-wise as ``apply_kron_laplacian``.
 """
 
 from .errors import ConfigError, DataError, NumericError
@@ -19,9 +19,8 @@ from .formats import (CanonicalTensor3, TuckerTensor3, c2t_rhosvd, dense,
 from .grid_kernel import (Grid3, ReferenceKernel, SincQuadrature,
                           assemble_reference_tensor, build_quadrature,
                           gamma_for_separation, gaussian_sum, split_reference)
-from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
-                       rs_eval_entry, scatter_short, snap_to_grid,
-                       snapped_molecule)
+from .assembly import (Molecule, RSTensor, assemble_collective, rs_eval_entry,
+                       scatter_short, snap_to_grid, snapped_molecule)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_kron_laplacian,
                      apply_stencil_dense, compose_total, load_field,
                      poisson_solve, save_field)
@@ -33,7 +32,7 @@ from .cli import (RunConfig, export_slice, main, parse_pqr, resolve_box,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "CanonicalTensor3", "ConfigError", "DataError",
+    "CanonicalTensor3", "ConfigError", "DataError",
     "DiscreteLaplacian", "ErrorReport", "Grid3", "GridFunction3", "Molecule",
     "NumericError", "RSTensor", "ReferenceKernel", "RunConfig",
     "SincQuadrature", "TuckerTensor3", "apply_kron_laplacian",

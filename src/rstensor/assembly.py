@@ -23,43 +23,40 @@ _TIE = 1e-9
 
 
 @dataclass
-class Atom:
-    """Point charge: position (Angstrom), charge (elementary units), radius."""
-
-    position: np.ndarray
-    charge: float
-    radius: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.position)):
-            raise DataError("atom position must be finite")
-        if not (self.radius >= 0):
-            raise DataError("atom radius must be nonnegative")
-
-
-@dataclass
 class Molecule:
-    """A named list of atoms."""
+    """Point charges as arrays, copied and checked on construction.
 
-    atoms: list
+    ``positions`` (N, 3) and ``radii`` (N,; zeros by default) in Angstrom,
+    ``charges`` (N,) in elementary units.
+    """
+
+    positions: np.ndarray
+    charges: np.ndarray
+    radii: np.ndarray = None
     name: str = ""
 
     def __post_init__(self):
-        if len(self.atoms) == 0:
+        pos = np.array(self.positions, dtype=float)
+        z = np.array(self.charges, dtype=float)
+        r = (np.zeros(z.shape) if self.radii is None
+             else np.array(self.radii, dtype=float))
+        if pos.size == 0:
             raise DataError("molecule has no atoms")
+        if pos.ndim != 2 or pos.shape[1] != 3 or z.shape != (len(pos),) \
+                or r.shape != z.shape:
+            raise DataError("molecule needs (N, 3) positions and N charges "
+                            "and radii")
+        if not np.all(np.isfinite(pos)):
+            raise DataError("atom positions must be finite")
+        if not np.all(np.isfinite(z)):
+            raise DataError("atom charges must be finite")
+        if not np.all(r >= 0):
+            raise DataError("atom radii must be nonnegative")
+        self.positions, self.charges, self.radii = pos, z, r
 
     @property
     def n_atoms(self):
-        return len(self.atoms)
-
-    @property
-    def positions(self):
-        return np.array([a.position for a in self.atoms])
-
-    @property
-    def charges(self):
-        return np.array([a.charge for a in self.atoms])
+        return len(self.charges)
 
     @property
     def net_charge(self):
@@ -76,9 +73,10 @@ def snap_to_grid(m, grid):
 
     Returns
     -------
-    list of ((i1, i2, i3), offset)
-        0-based node indices and the residual ``position - node`` vector,
-        max-norm at most h/2.
+    nodes : (N, 3) int array
+        0-based node indices.
+    offsets : (N, 3) float array
+        The residual ``position - node``, max-norm at most h/2.
     """
     pts = m.positions
     if np.any(np.abs(pts) > grid.b + 1e-9):
@@ -93,24 +91,18 @@ def snap_to_grid(m, grid):
     tie = np.abs(frac - 0.5) <= _TIE
     idx[tie & (u >= c)] += 1
     idx = np.clip(idx, 0, grid.n - 1).astype(int)
-    out = []
-    for a in range(pts.shape[0]):
-        node = -grid.b + idx[a] * h
-        out.append((tuple(int(v) for v in idx[a]), pts[a] - node))
-    return out
+    return idx, pts - (-grid.b + idx * h)
 
 
 def snapped_molecule(m, grid):
     """Copy of ``m`` with every atom moved to its nearest grid node.
 
-    Returns the new molecule and the snap list from ``snap_to_grid``.
+    Returns the new molecule and the ``(nodes, offsets)`` pair from
+    ``snap_to_grid``.
     """
-    snaps = snap_to_grid(m, grid)
-    atoms = []
-    for a, (idx, _) in zip(m.atoms, snaps):
-        pos = -grid.b + np.asarray(idx) * grid.h
-        atoms.append(Atom(pos, a.charge, a.radius))
-    return Molecule(atoms, m.name), snaps
+    nodes, offsets = snap_to_grid(m, grid)
+    return (Molecule(-grid.b + nodes * grid.h, m.charges, m.radii, m.name),
+            (nodes, offsets))
 
 
 def _columns(t, cols):
@@ -222,7 +214,7 @@ def assemble_collective(m, kernel, eps_reduce):
     if margin < 0.5 * gamma * grid.h - 1e-9:
         raise ConfigError("atom margin %.3f A is below gamma*h/2 = %.3f A"
                           % (margin, 0.5 * gamma * grid.h))
-    snaps = snap_to_grid(m, grid)
+    nodes, _ = snap_to_grid(m, grid)
     z = m.charges
     R_l = kernel.split_index
     N = m.n_atoms
@@ -231,12 +223,11 @@ def assemble_collective(m, kernel, eps_reduce):
     if R_l > 0:
         long_pre = N * R_l
         ref = _columns(kernel.wide_tensor, slice(0, R_l))
-        centers = [cidx for cidx, _ in snaps]
         if eps_reduce is not None:
             long, basis = t2c_with_basis(
-                c2t_shift_sum(ref, centers, z, eps_reduce), eps_reduce)
+                c2t_shift_sum(ref, nodes, z, eps_reduce), eps_reduce)
         if eps_reduce is None or long.rank >= long_pre:
-            long, basis = shift_sum(ref, centers, z), None
+            long, basis = shift_sum(ref, nodes, z), None
 
     r_t = _template_radius(gamma)
     R_s = kernel.rank - R_l
@@ -246,7 +237,7 @@ def assemble_collective(m, kernel, eps_reduce):
         Wc = [kernel.wide_tensor.factors[l][n - r_t:n + r_t + 1, R_l:]
               for l in range(3)]
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
-    short_list = [(cidx, float(z[a])) for a, (cidx, _) in enumerate(snaps)]
+    short_list = [(tuple(c), w) for c, w in zip(nodes.tolist(), z.tolist())]
     return RSTensor(grid, long, short_ref, short_list, gamma,
                     long_rank_pre=long_pre, long_basis=basis)
 

@@ -4,8 +4,8 @@ The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
 (by three mode products of its Tucker image when its rank was reduced,
 else term by term) -> (``--bc analytic`` only) delta, the 7-point stencil
-of that field, and a Poisson solve with screened-Coulomb faces -> total
-composition -> oracle comparison.  With homogeneous faces the solve would
+of that field less kappa^2 times the short part, and a Poisson solve with
+screened-Coulomb faces -> total composition -> oracle comparison.  With homogeneous faces the solve would
 return its input, so it is not run.  Metrics land in a deterministic
 key=value report; wall-clock stage times go to a separate file so reruns
 with the same config and seed are byte-identical.
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
                           gamma_for_separation, split_reference)
-from .assembly import (Atom, Molecule, RSTensor, assemble_collective,
-                       scatter_short, snapped_molecule)
+from .assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
+                       snapped_molecule)
 from .formats import (dense, load_canonical, save_canonical, tucker_dense,
                       tucker_image)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
@@ -46,9 +46,9 @@ def parse_pqr(path):
 
     Raises
     ------
-    DataError on malformed numeric fields (with line number) or zero atoms.
+    DataError on malformed fields (with line number), no atoms, bad values.
     """
-    atoms = []
+    vals = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             toks = line.split()
@@ -58,14 +58,14 @@ def parse_pqr(path):
                 raise DataError("%s:%d: too few fields in %s record"
                                 % (path, lineno, toks[0]))
             try:
-                x, y, z, q, r = (float(v) for v in toks[-5:])
+                vals.extend(float(v) for v in toks[-5:])
             except ValueError:
                 raise DataError("%s:%d: malformed numeric field" % (path, lineno))
-            atoms.append(Atom((x, y, z), q, r))
-    if not atoms:
+    if not vals:
         raise DataError("no atoms found in %s" % path)
+    a = np.array(vals).reshape(-1, 5)
     name = os.path.splitext(os.path.basename(path))[0]
-    return Molecule(atoms, name)
+    return Molecule(a[:, :3], a[:, 3], a[:, 4], name)
 
 
 def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0, name=None):
@@ -90,9 +90,9 @@ def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0, name=None):
             continue
         pts[count] = cand
         count += 1
-    atoms = [Atom(pts[i], 1.0 if i % 2 == 0 else -1.0, 1.5)
-             for i in range(n_atoms)]
-    return Molecule(atoms, name or "cluster%d" % n_atoms)
+    charges = np.where(np.arange(n_atoms) % 2 == 0, 1.0, -1.0)
+    return Molecule(pts, charges, np.full(n_atoms, 1.5),
+                    name or "cluster%d" % n_atoms)
 
 
 @dataclass
@@ -105,8 +105,8 @@ class RunConfig:
     ``eps_kernel``; ``gamma="auto"`` converts ``sep_radius`` (Angstrom) into
     grid units.  With ``eps_scaling="mesh"`` the rank-reduction tolerance is
     ``eps_c2t * h^2`` so the compression error tracks the grid resolution;
-    "fixed" uses ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens only
-    the ``bc="analytic"`` solve, its faces and its operator.
+    "fixed" uses ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens the
+    ``bc="analytic"`` solve, and only that solve, so it needs that ``bc``.
     """
 
     n: int = 129
@@ -145,6 +145,8 @@ class RunConfig:
             raise ConfigError("config: bc must be 'homogeneous' or 'analytic'")
         if not (self.kappa >= 0):
             raise ConfigError("config: kappa must be nonnegative")
+        if self.kappa > 0 and self.bc != "analytic":
+            raise ConfigError("config: kappa > 0 needs bc='analytic'")
 
 
 def resolve_box(cfg, m):
@@ -215,7 +217,7 @@ def _assemble_stage(cfg, m, timings):
     builds the quadrature and the split reference kernel, snaps ``m`` to
     the grid and assembles its RS tensor.  Stage wall times go into
     ``timings``.  Returns (RSTensor, quadrature, kernel, snapped molecule,
-    snap list, reduction tolerance).
+    reduction tolerance).
     """
     cfg.validate()
     grid = Grid3(cfg.n, resolve_box(cfg, m))
@@ -232,10 +234,10 @@ def _assemble_stage(cfg, m, timings):
     with _clock(timings, "kernel"):
         kernel = split_reference(assemble_reference_tensor(q, grid), gamma,
                                  cfg.eps_support)
-    snapped, snaps = snapped_molecule(m, grid)
+    snapped, _ = snapped_molecule(m, grid)
     with _clock(timings, "assemble"):
         rs = assemble_collective(snapped, kernel, eps_eff)
-    return rs, q, kernel, snapped, snaps, eps_eff
+    return rs, q, kernel, snapped, eps_eff
 
 
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
@@ -243,24 +245,25 @@ def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
 
     The long part is densified from its Tucker image when ``rs`` carries a
     Tucker basis, else from its canonical terms.  With homogeneous faces
-    that field is the result, the exact solution of
-    ``(-lap + kappa^2) u = -(lap - kappa^2) rs.long``, so nothing is
-    solved.  With ``bc_molecule`` the faces carry its screened-Coulomb
-    values and that right-hand side, the 7-point stencil of the densified
-    long part, is solved in the sine basis.
+    that field is the result (it solves ``-lap u = -lap rs.long``).  With
+    ``bc_molecule`` the faces carry its screened-Coulomb values, and the
+    regular part u_r of the total ``U_short + u_r`` solves
+    ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.
     """
     with _clock(timings, "dense"):
         values = (dense(rs.long) if rs.long_basis is None
                   else tucker_dense(tucker_image(rs.long, rs.long_basis)))
     if bc_molecule is None:
         return GridFunction3(rs.grid, values, {"bc": "homogeneous"})
-    L = DiscreteLaplacian(rs.grid, kappa)
     with _clock(timings, "delta"):
-        delta_long = apply_stencil_dense(L, values)
-        np.negative(delta_long, out=delta_long)
+        rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
+        np.negative(rhs, out=rhs)
+        if kappa > 0:
+            rhs -= kappa * kappa * scatter_short(rs, np.zeros_like(values))
     with _clock(timings, "solve"):
         bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
-        return poisson_solve(delta_long, L, bc="trace", bc_field=bc_field)
+        return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
+                             bc="trace", bc_field=bc_field)
 
 
 def run_case(cfg, m):
@@ -273,9 +276,8 @@ def run_case(cfg, m):
     """
     timings = {}
     t_all = time.perf_counter()
-    rs, q, kernel, snapped, snaps, eps_eff = _assemble_stage(cfg, m, timings)
+    rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
-    max_off = max(float(np.max(np.abs(off))) for _, off in snaps)
 
     u_long = _solve_stage(rs, timings, cfg.kappa,
                           snapped if cfg.bc == "analytic" else None)
@@ -310,7 +312,7 @@ def run_case(cfg, m):
         "rank_post": rs.long.rank,
         "bc": cfg.bc,
         "kappa": _fmt(cfg.kappa),
-        "max_snap_offset": _fmt(max_off),
+        "max_snap_offset": _fmt(np.max(np.abs(snapped.positions - m.positions))),
         "oracle": "gaussian_sum" if report else "skipped",
     }
     if "residual" in u_long.meta:
@@ -422,7 +424,7 @@ def _molecule_from_args(args):
 
 def _config_from_args(args):
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                        if getattr(args, f.name) is not None})
+                        if getattr(args, f.name, None) is not None})
 
 
 def _num_or_auto(kind):
@@ -434,19 +436,11 @@ def _num_or_auto(kind):
 
 
 def _add_common(sp):
+    # molecule, grid and quadrature: the flags every molecule subcommand reads
     sp.add_argument("--n", type=int, help="grid points per axis")
     sp.add_argument("--b", type=_num_or_auto(float), help="box half-width in A, or 'auto'")
     sp.add_argument("--rank", type=_num_or_auto(int), help="quadrature rank, or 'auto'")
-    sp.add_argument("--gamma", type=_num_or_auto(int), help="separation in grid units, or 'auto'")
-    sp.add_argument("--sep-radius", dest="sep_radius", type=float,
-                    help="short-range support radius in A (default 3.5)")
     sp.add_argument("--eps-kernel", dest="eps_kernel", type=float)
-    sp.add_argument("--eps-support", dest="eps_support", type=float)
-    sp.add_argument("--eps-c2t", dest="eps_c2t", type=float)
-    sp.add_argument("--eps-scaling", dest="eps_scaling", choices=("mesh", "fixed"))
-    sp.add_argument("--bc", choices=("homogeneous", "analytic"))
-    sp.add_argument("--kappa", type=float,
-                    help="screening in 1/A for the --bc analytic solve")
     sp.add_argument("--seed", type=int, default=0,
                     help="synthetic cluster seed (default 0)")
     sp.add_argument("-o", "--outdir", default=None)
@@ -456,6 +450,15 @@ def _add_common(sp):
     sp.add_argument("--half-extent", dest="half_extent", type=float,
                     help="synthetic cluster half-extent in A")
     sp.add_argument("--min-sep", dest="min_sep", type=float, default=1.0)
+
+
+def _add_assembly(sp):
+    sp.add_argument("--gamma", type=_num_or_auto(int), help="separation in grid units, or 'auto'")
+    sp.add_argument("--sep-radius", dest="sep_radius", type=float,
+                    help="short-range support radius in A (default 3.5)")
+    sp.add_argument("--eps-support", dest="eps_support", type=float)
+    sp.add_argument("--eps-c2t", dest="eps_c2t", type=float)
+    sp.add_argument("--eps-scaling", dest="eps_scaling", choices=("mesh", "fixed"))
 
 
 def _cmd_assemble(args):
@@ -536,13 +539,13 @@ def _cmd_validate(args):
             raise ConfigError("--rank %d does not match quad_rank=%d of %s"
                               % (args.rank, quad_rank, args.field))
         cfg.rank = quad_rank
-    snapped, snaps = snapped_molecule(m, grid)
+    snapped, (nodes, _) = snapped_molecule(m, grid)
     if args.oracle_kernel == "gaussian_sum":
         q = _resolve_quadrature(cfg, grid)
         oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum", quad=q)
     else:
         oracle = direct_sum_oracle(snapped, grid, kernel="exact_newton")
-    rep = compare(f, oracle, exclude_centers=[c for c, _ in snaps],
+    rep = compare(f, oracle, exclude_centers=nodes.tolist(),
                   config={"oracle": args.oracle_kernel, "field": args.field})
     out = args.outdir or "."
     os.makedirs(out, exist_ok=True)
@@ -569,6 +572,7 @@ def main(argv=None):
 
     sp = sub.add_parser("assemble", help="assemble a molecule's potential")
     _add_common(sp)
+    _add_assembly(sp)
 
     sp = sub.add_parser("solve", help="compose the fields of an assembled bundle")
     sp.add_argument("-i", "--indir", required=True)
@@ -576,6 +580,10 @@ def main(argv=None):
 
     sp = sub.add_parser("run", help="full pipeline with reports")
     _add_common(sp)
+    _add_assembly(sp)
+    sp.add_argument("--bc", choices=("homogeneous", "analytic"))
+    sp.add_argument("--kappa", type=float,
+                    help="screening in 1/A; needs --bc analytic")
 
     sp = sub.add_parser("validate", help="compare a field dump to an oracle")
     _add_common(sp)

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .solver import GridFunction3
 
-_CHUNK_NUMEL = 3.2e7
-
 
 @dataclass
 class ErrorReport:
@@ -69,7 +67,8 @@ def gaussian_field(positions, charges, grid, q):
     The (atom, term) columns are grouped by term and distinct third
     coordinate: each group contributes one n x n GEMM of its first two
     Gaussian factors, and the groups are contracted with their shared third
-    factor in chunks of at most ``_CHUNK_NUMEL`` numbers.  For charges on
+    factor n at a time, one mode-1 slab of the output per GEMM, so the
+    largest temporary is one n^3 block of group products.  For charges on
     grid nodes the group count is at most R n, whatever N is.
     """
     x = grid.coords()
@@ -83,18 +82,18 @@ def gaussian_field(positions, charges, grid, q):
     bounds = np.r_[0, np.cumsum(np.bincount(inv3))]
     G = q.rank * z3.size
     out = np.zeros((n, n, n))
-    step = max(1, int(_CHUNK_NUMEL // (n * n)))
-    for g0 in range(0, G, step):
-        gk, gj = np.divmod(np.arange(g0, min(g0 + step, G)), z3.size)
-        kab = np.empty((gk.size, n, n))
+    kab = np.empty((min(n, G), n, n))
+    for g0 in range(0, G, n):
+        gk, gj = np.divmod(np.arange(g0, min(g0 + n, G)), z3.size)
         for g, (k, j) in enumerate(zip(gk, gj)):
             ia = atoms[bounds[j]:bounds[j + 1]]
             E1 = np.exp(-t2[k] * (x[:, None] - positions[ia, 0][None, :]) ** 2)
             E1 *= charges[ia] * q.weights[k]
             E2 = np.exp(-t2[k] * (x[:, None] - positions[ia, 1][None, :]) ** 2)
             np.matmul(E1, E2.T, out=kab[g])
-        E3 = np.exp(-t2[gk][None, :] * (x[:, None] - z3[gj][None, :]) ** 2)
-        out += np.tensordot(kab, E3, axes=(0, 1))
+        E3T = np.exp(-t2[gk][:, None] * (x[None, :] - z3[gj][:, None]) ** 2)
+        for i in range(n):
+            out[i] += kab[:gk.size, i, :].T @ E3T
     return out
 
 

@@ -265,8 +265,7 @@ def test_criterion_09_dense_oracle_suite():
     # range-separated entry formula against dense long + scattered short
     q = rt.build_quadrature(8, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 4, 1e-8)
-    m = rt.Molecule([rt.Atom((0.5, 0.0, -0.25), 1.0),
-                     rt.Atom((-0.5, 0.25, 0.0), -0.7)])
+    m = rt.Molecule([(0.5, 0.0, -0.25), (-0.5, 0.25, 0.0)], [1.0, -0.7])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     ref = rt.dense(rs.long)

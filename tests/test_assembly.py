@@ -15,18 +15,18 @@ def _kernel(g, R=10, gamma=8, eps=1e-8):
 
 def test_snap_exact_node():
     g = rt.Grid3(33, 4.0)
-    m = rt.Molecule([rt.Atom((0.25, -0.5, 0.0), 1.0)])
-    (idx, off), = rt.snap_to_grid(m, g)
-    assert idx == (17, 14, 16)
-    assert np.max(np.abs(off)) == 0.0
+    m = rt.Molecule([(0.25, -0.5, 0.0)], [1.0])
+    nodes, offsets = rt.snap_to_grid(m, g)
+    assert nodes.tolist() == [[17, 14, 16]]
+    assert np.max(np.abs(offsets)) == 0.0
 
 
 def test_snap_tie_rounds_away_from_center():
     g = rt.Grid3(5, 1.0)  # h = 0.5, nodes at -1,-0.5,0,0.5,1
-    m = rt.Molecule([rt.Atom((0.25, -0.25, 0.0), 1.0)])
-    (idx, off), = rt.snap_to_grid(m, g)
-    assert idx == (3, 1, 2)
-    assert abs(off[0]) == pytest.approx(g.h / 2)
+    m = rt.Molecule([(0.25, -0.25, 0.0)], [1.0])
+    nodes, offsets = rt.snap_to_grid(m, g)
+    assert nodes.tolist() == [[3, 1, 2]]
+    assert abs(offsets[0, 0]) == pytest.approx(g.h / 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -39,7 +39,8 @@ def test_snap_ties_round_away_from_center_property(n, b, data):
     ks = [data.draw(st.integers(0, n - 2)) for _ in range(3)]
     ties = [data.draw(st.booleans()) for _ in range(3)]
     pos = [-b + (k + 0.5 * t) * g.h for k, t in zip(ks, ties)]
-    (idx, off), = rt.snap_to_grid(rt.Molecule([rt.Atom(pos, 1.0)]), g)
+    nodes, offsets = rt.snap_to_grid(rt.Molecule([pos], [1.0]), g)
+    idx, off = nodes[0], offsets[0]
     for l in range(3):
         k = ks[l]
         if not ties[l]:
@@ -58,9 +59,9 @@ def test_snap_matches_brute_force():
     g = rt.Grid3(129, 16.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-15.0, 15.0, (18, 3))
-    m = rt.Molecule([rt.Atom(p, 1.0) for p in pts])
+    m = rt.Molecule(pts, np.ones(len(pts)))
     x = g.coords()
-    for (idx, off), p in zip(rt.snap_to_grid(m, g), pts):
+    for idx, off, p in zip(*rt.snap_to_grid(m, g), pts):
         assert np.max(np.abs(off)) <= g.h / 2 + 1e-12
         for l in range(3):
             assert idx[l] == int(np.argmin(np.abs(x - p[l])))
@@ -69,7 +70,38 @@ def test_snap_matches_brute_force():
 def test_snap_rejects_outside_box():
     g = rt.Grid3(33, 4.0)
     with pytest.raises(rt.ConfigError):
-        rt.snap_to_grid(rt.Molecule([rt.Atom((5.0, 0, 0), 1.0)]), g)
+        rt.snap_to_grid(rt.Molecule([(5.0, 0, 0)], [1.0]), g)
+
+
+_TWO_ATOMS = dict(positions=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+                  charges=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(charges=[1.0]), "N charges"),
+    (dict(radii=[1.0]), "N charges and radii"),
+    (dict(positions=[0.0, 0.0, 0.0]), "(N, 3) positions"),
+    (dict(positions=np.zeros((0, 3)), charges=[]), "no atoms"),
+    (dict(positions=[(0, 0, 0), (np.nan, 0, 0)]), "positions must be finite"),
+    (dict(positions=[(0, 0, 0), (0, np.inf, 0)]), "positions must be finite"),
+    (dict(charges=[1.0, np.nan]), "charges must be finite"),
+    (dict(charges=[-np.inf, 1.0]), "charges must be finite"),
+    (dict(radii=[1.0, -0.5]), "radii must be nonnegative")],
+    ids=["charges-length", "radii-length", "flat-positions", "empty",
+         "nan-position", "inf-position", "nan-charge", "inf-charge",
+         "negative-radius"])
+def test_molecule_rejects_bad_input(change, message):
+    with pytest.raises(rt.DataError) as e:
+        rt.Molecule(**dict(_TWO_ATOMS, **change))
+    assert message in str(e.value)
+
+
+def test_molecule_copies_its_arrays():
+    pos, z = np.zeros((2, 3)), np.array([1.0, -1.0])
+    m = rt.Molecule(pos, z)
+    pos[0, 0], z[0] = 5.0, 3.0
+    assert m.positions[0, 0] == 0.0 and m.charges[0] == 1.0
+    assert m.radii.tolist() == [0.0, 0.0] and m.n_atoms == 2
 
 
 def test_window_zero_shift_center_value():
@@ -111,7 +143,7 @@ def test_window_matches_pointwise_gaussian_sum():
 def test_assemble_rejects_margin_violation():
     g = rt.Grid3(33, 4.0)
     k = _kernel(g, gamma=8)  # needs margin >= gamma*h/2 = 0.5
-    m = rt.Molecule([rt.Atom((3.9, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(3.9, 0.0, 0.0)], [1.0])
     with pytest.raises(rt.ConfigError):
         rt.assemble_collective(m, k, None)
 
@@ -120,7 +152,7 @@ def test_assemble_requires_split_kernel():
     g = rt.Grid3(33, 4.0)
     q = rt.build_quadrature(10, g.h, 2 * SQRT3 * g.b)
     k0 = rt.assemble_reference_tensor(q, g)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     with pytest.raises(rt.ConfigError):
         rt.assemble_collective(m, k0, None)
 
@@ -128,7 +160,7 @@ def test_assemble_requires_split_kernel():
 def test_single_charge_equals_reference_window():
     g = rt.Grid3(33, 4.0)
     k = _kernel(g)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     c = (g.n - 1) // 2
@@ -162,9 +194,8 @@ def test_collective_matches_gaussian_oracle(ligand_mol):
 def test_rs_additivity_dense():
     g = rt.Grid3(17, 2.0)
     k = _kernel(g, R=8, gamma=4)
-    m = rt.Molecule([rt.Atom((0.5, 0.0, -0.25), 1.0),
-                     rt.Atom((-0.5, 0.25, 0.0), -0.7),
-                     rt.Atom((0.0, -0.5, 0.5), 0.3)])
+    m = rt.Molecule([(0.5, 0.0, -0.25), (-0.5, 0.25, 0.0), (0.0, -0.5, 0.5)],
+                    [1.0, -0.7, 0.3])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     ref = rt.dense(rs.long)
@@ -191,7 +222,7 @@ def test_rs_eval_entry_matches_dense_plus_short(kernel33, n_atoms, seed,
     rng = np.random.default_rng(seed)
     m = rt.synthetic_cluster(n_atoms, 4.0, min_sep=0.5, seed=seed)
     charges = rng.uniform(-2.0, 2.0, n_atoms)
-    m = rt.Molecule([rt.Atom(p, z) for p, z in zip(m.positions, charges)])
+    m = rt.Molecule(m.positions, charges)
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, kernel33,
                                 1e-8 * g.h ** 2 if reduce else None)
@@ -207,7 +238,7 @@ def test_rs_eval_entry_matches_dense_plus_short(kernel33, n_atoms, seed,
 def test_far_node_sees_long_part_only():
     g = rt.Grid3(65, 8.0)
     k = _kernel(g, R=12, gamma=6)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     i = (5, 5, 5)  # far corner, beyond the template radius
@@ -218,12 +249,11 @@ def test_far_node_sees_long_part_only():
 def test_charge_change_is_local_in_short_part():
     g = rt.Grid3(33, 4.0)
     k = _kernel(g, gamma=6)
-    base = [rt.Atom((0.0, 0.0, 0.0), 1.0), rt.Atom((2.0, 0.0, 0.0), -1.0)]
-    bumped = [rt.Atom((0.0, 0.0, 0.0), 1.0), rt.Atom((2.0, 0.0, 0.0), -0.5)]
+    pts = [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
     s1 = np.zeros((33, 33, 33))
     s2 = np.zeros((33, 33, 33))
-    sm1, _ = rt.snapped_molecule(rt.Molecule(base), g)
-    sm2, _ = rt.snapped_molecule(rt.Molecule(bumped), g)
+    sm1, _ = rt.snapped_molecule(rt.Molecule(pts, [1.0, -1.0]), g)
+    sm2, _ = rt.snapped_molecule(rt.Molecule(pts, [1.0, -0.5]), g)
     rs1 = rt.assemble_collective(sm1, k, None)
     rs2 = rt.assemble_collective(sm2, k, None)
     rt.scatter_short(rs1, s1)
@@ -245,8 +275,8 @@ def test_assembly_linear_in_charges():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-2.0, 2.0, (4, 3))
     z = rng.uniform(-1, 1, 4)
-    m1 = rt.Molecule([rt.Atom(p, c) for p, c in zip(pts, z)])
-    m2 = rt.Molecule([rt.Atom(p, 2 * c) for p, c in zip(pts, z)])
+    m1 = rt.Molecule(pts, z)
+    m2 = rt.Molecule(pts, 2 * z)
     sm1, _ = rt.snapped_molecule(m1, g)
     sm2, _ = rt.snapped_molecule(m2, g)
     rs1 = rt.assemble_collective(sm1, k, None)
@@ -262,7 +292,7 @@ def test_short_centers_away_from_boundary():
     k = _kernel(g, R=12, gamma=6)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-6.0, 6.0, (10, 3))
-    m = rt.Molecule([rt.Atom(p, 1.0) for p in pts])
+    m = rt.Molecule(pts, np.ones(len(pts)))
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     for c, _ in rs.short_list:
@@ -300,7 +330,7 @@ def _plane_cluster(seed, n_atoms, g, k):
     idx[-3:] = idx[:3]
     z = rng.uniform(-2.0, 2.0, n_atoms)
     z[::5] = np.round(z[::5])
-    return rt.Molecule([rt.Atom(-g.b + i * g.h, c) for i, c in zip(idx, z)])
+    return rt.Molecule(-g.b + idx * g.h, z)
 
 
 def _equivalence_cases(ligand_mol):

@@ -18,7 +18,7 @@ LIGAND = os.path.join(FIXTURES, "ligand18.pqr")
 def test_parse_born(born_mol):
     assert born_mol.n_atoms == 1
     assert born_mol.net_charge == pytest.approx(1.0)
-    assert born_mol.atoms[0].radius == pytest.approx(1.0)
+    assert born_mol.radii[0] == pytest.approx(1.0)
     assert born_mol.name == "born"
 
 
@@ -78,7 +78,7 @@ def test_config_validation_messages():
         dict(n=2), dict(n=17), dict(b=-1.0), dict(rank=0), dict(gamma=0),
         dict(sep_radius=0.0), dict(eps_kernel=0.0), dict(eps_support=2.0),
         dict(eps_c2t=-1e-9), dict(eps_scaling="loose"),
-        dict(bc="periodic"), dict(kappa=-0.1),
+        dict(bc="periodic"), dict(kappa=-0.1), dict(kappa=0.5),
     ]
     messages = set()
     for kw in bad:
@@ -350,7 +350,8 @@ def born_total(tmp_path_factory):
 
 @pytest.mark.parametrize("flags,echo", [
     (["--bc", "analytic"], {"bc": "analytic"}),
-    (["--kappa", "0.5"], {"kappa": "0.5"})], ids=["bc", "kappa"])
+    (["--bc", "analytic", "--kappa", "0.5"], {"bc": "analytic", "kappa": "0.5"})],
+    ids=["bc", "kappa"])
 def test_run_options(tmp_path, capsys, flags, echo):
     rc = rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8",
                   "-o", str(tmp_path)] + flags)
@@ -363,6 +364,50 @@ def test_run_options(tmp_path, capsys, flags, echo):
     assert np.all(np.isfinite(total))
     if echo.get("bc") == "analytic":
         assert float(met["solver_residual"]) <= 1e-12
+
+
+def test_screened_total_is_debye_hueckel(born_mol):
+    # the total of a unit charge against exp(-kappa r)/r away from the
+    # core; the error is the O(h^2) of the 7-point operator
+    errs = {}
+    for n in (33, 65):
+        out = rt.run_case(rt.RunConfig(n=n, b=8.0, bc="analytic", kappa=0.5),
+                          born_mol)
+        x = out["total"].grid.coords()
+        r = np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
+                    + x[None, None, :] ** 2)
+        keep = r >= 1.0
+        ref = np.exp(-0.5 * r[keep]) / r[keep]
+        errs[n] = np.max(np.abs(out["total"].values[keep] - ref) / ref)
+    assert errs[33] <= 1.5e-2
+    assert errs[65] <= 4e-3
+    assert errs[33] >= 3 * errs[65]
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("validate", "--gamma", "6"), ("validate", "--sep-radius", "-4"),
+    ("validate", "--eps-support", "1e-8"), ("validate", "--eps-c2t", "2.0"),
+    ("validate", "--eps-scaling", "fixed"), ("validate", "--bc", "analytic"),
+    ("validate", "--kappa", "0.5"), ("assemble", "--bc", "analytic"),
+    ("assemble", "--kappa", "0.5")])
+def test_subcommand_rejects_unread_flag(tmp_path, capsys, cmd, flag, value):
+    argv = [cmd, "--pqr", BORN, "--n", "33", "--b", "8", flag, value,
+            "-o", str(tmp_path)]
+    if cmd == "validate":
+        argv += ["--field", str(tmp_path / "total.bin")]
+    with pytest.raises(SystemExit) as e:
+        rt.main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: %s %s" % (flag, value) \
+        in capsys.readouterr().err
+
+
+def test_run_nan_charge_exit_code(tmp_path, capsys):
+    p = tmp_path / "nan.pqr"
+    p.write_text("ATOM 1 Q ION 1 0.000 0.000 0.000 nan 1.0000\n")
+    assert rt.main(["run", "--pqr", str(p), "--n", "33", "--b", "8",
+                    "-o", str(tmp_path)]) == 4
+    assert "i/o error: atom charges must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["run", "assemble"])
@@ -404,14 +449,13 @@ def cluster60():
     return rt.synthetic_cluster(60, 5.0, seed=7)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.5])
-def test_u_long_matches_kronecker_route(cluster60, kappa):
+def test_u_long_matches_kronecker_route(cluster60):
     # the pipeline's long-range potential against the homogeneous solve
     # of the dense image of the Kronecker form
-    out = rt.run_case(rt.RunConfig(n=33, b=10.0, kappa=kappa), cluster60)
+    out = rt.run_case(rt.RunConfig(n=33, b=10.0), cluster60)
     rs = out["rs"]
     assert 0 < rs.long.rank < rs.long_rank_pre
-    L = rt.DiscreteLaplacian(rs.grid, kappa)
+    L = rt.DiscreteLaplacian(rs.grid)
     rhs = rt.dense(negate(rt.apply_kron_laplacian(rs.long, L)))
     ref = rt.poisson_solve(rhs, L).values
     u = out["u_long"].values

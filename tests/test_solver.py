@@ -76,7 +76,7 @@ def test_delta_split_zero_charges():
     g = rt.Grid3(17, 2.0)
     q = rt.build_quadrature(8, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 4, 1e-8)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 0.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [0.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     ds = build_delta_split(rs, rt.DiscreteLaplacian(g))
@@ -88,7 +88,7 @@ def test_delta_split_matches_dense_stencil():
     g = rt.Grid3(33, 4.0)
     q = rt.build_quadrature(10, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 8, 1e-8)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
@@ -104,7 +104,7 @@ def test_delta_split_additivity():
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 4, 1e-8)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1.0, 1.0, (3, 3))
-    m = rt.Molecule([rt.Atom(p, float(z)) for p, z in zip(pts, (1.0, -0.5, 0.25))])
+    m = rt.Molecule(pts, [1.0, -0.5, 0.25])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
@@ -189,7 +189,7 @@ def test_keystone_round_trip_small():
     g = rt.Grid3(33, 4.0)
     q = rt.build_quadrature(10, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 8, 1e-8)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
@@ -204,7 +204,7 @@ def test_compose_total_adds_short_field():
     g = rt.Grid3(17, 2.0)
     q = rt.build_quadrature(8, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 4, 1e-8)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     zero = rt.GridFunction3(g, np.zeros((17, 17, 17)))

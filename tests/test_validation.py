@@ -1,11 +1,8 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
-from rstensor import validation
 
 SQRT3 = np.sqrt(3.0)
 
@@ -53,7 +50,7 @@ def test_compare_rejects_zero_reference():
 
 def test_exact_newton_point_value():
     g = rt.Grid3(33, 4.0)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     f = rt.direct_sum_oracle(m, g, kernel="exact_newton")
     i = int(round((2.0 + g.b) / g.h))
     c = (g.n - 1) // 2
@@ -62,7 +59,7 @@ def test_exact_newton_point_value():
 
 def test_exact_newton_antisymmetry():
     g = rt.Grid3(33, 4.0)
-    m = rt.Molecule([rt.Atom((1.0, 0.0, 0.0), 1.0), rt.Atom((-1.0, 0.0, 0.0), -1.0)])
+    m = rt.Molecule([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)], [1.0, -1.0])
     f = rt.direct_sum_oracle(m, g, kernel="exact_newton")
     v = f.values
     flip = v[::-1]
@@ -73,7 +70,7 @@ def test_exact_newton_antisymmetry():
 def test_exact_newton_flags_singular_nodes():
     g = rt.Grid3(17, 2.0)
     c = (g.n - 1) // 2
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     f = rt.direct_sum_oracle(m, g, kernel="exact_newton")
     assert (c, c, c) in f.meta["excluded_nodes"]
     assert f.values[c, c, c] == 0.0
@@ -84,7 +81,7 @@ def test_exact_newton_flags_singular_nodes():
 
 def test_gaussian_oracle_needs_quadrature():
     g = rt.Grid3(9, 1.0)
-    m = rt.Molecule([rt.Atom((0.0, 0.0, 0.0), 1.0)])
+    m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     with pytest.raises(rt.ConfigError):
         rt.direct_sum_oracle(m, g, kernel="gaussian_sum")
     with pytest.raises(rt.ConfigError):
@@ -97,7 +94,7 @@ def test_gaussian_oracle_matches_uncompressed_assembly():
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 8, 1e-8)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2.5, 2.5, (3, 3))
-    m = rt.Molecule([rt.Atom(p, z) for p, z in zip(pts, (1.0, -1.0, 0.5))])
+    m = rt.Molecule(pts, [1.0, -1.0, 0.5])
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     oracle = rt.direct_sum_oracle(sm, g, kernel="gaussian_sum", quad=q)
@@ -238,19 +235,17 @@ def _gaussian_case(draw):
     elif kind == "snapped":
         pos = -g.b + rng.integers(0, n, (N, 3)) * g.h
     z = rng.uniform(-2.0, 2.0, N)
-    chunk = draw(st.sampled_from([1, 2, 7, None]))
-    return g, q, pos, z, chunk
+    return g, q, pos, z
 
 
 @settings(max_examples=60, deadline=None)
 @given(_gaussian_case())
 def test_gaussian_field_matches_pointwise_sum(case):
     # pointwise sum_a z_a sum_k c_k exp(-t_k^2 |x - p_a|^2) at every node;
-    # the bound is relative to the sum of the terms' magnitudes
-    g, q, pos, z, chunk = case
-    numel = validation._CHUNK_NUMEL if chunk is None else chunk * g.n ** 2
-    with mock.patch.object(validation, "_CHUNK_NUMEL", numel):
-        field = rt.gaussian_field(pos, z, g, q)
+    # the bound is relative to the sum of the terms' magnitudes; up to
+    # 6 * 12 groups on n <= 11 also cross the n-group chunk boundaries
+    g, q, pos, z = case
+    field = rt.gaussian_field(pos, z, g, q)
     x = g.coords()
     X = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     r2 = np.sum((X[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
