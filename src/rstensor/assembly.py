@@ -7,8 +7,8 @@ the atoms by node in each mode gives the mode SVDs an n x (occupied nodes *
 R_L) matrix, and the Tucker core comes from the sparse charge grid and the
 projected shift tables, so the cost no longer grows with N*R_L*n.  The
 short-range columns are kept as a single compact reference template plus a
-list of (center, charge) pairs, evaluated locally through a uniform-cell
-spatial index.
+list of (center, charge) pairs, evaluated locally through a CSR index from
+uniform grid cells to the atoms whose windows reach them.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +20,7 @@ from .formats import (CanonicalTensor3, TuckerBasis, c2t_shift_sum, dense,
                       eval_entry, shift_sum, t2c_with_basis, zero_canonical)
 
 _TIE = 1e-9
+_EMPTY = slice(0, 0)  # the row of a cell no window reaches
 
 
 @dataclass
@@ -132,6 +133,10 @@ class RSTensor:
     Tucker form, the cheap way to densify it; the image is built on demand
     and not kept.  It is None when ``long`` was not reduced (the explicit
     per-atom sum) or was read from a bundle.
+
+    Entry queries read a cell index built on first use (``cell_index``):
+    the grid is cut into cells of side gamma nodes, and each cell's row in
+    a CSR layout lists the atoms whose template window reaches into it.
     """
 
     grid: object
@@ -142,11 +147,11 @@ class RSTensor:
     long_rank_pre: int = 0
     long_basis: TuckerBasis = field(default=None, repr=False)
     _template: np.ndarray = field(default=None, repr=False)
-    _cells: dict = field(default=None, repr=False)
+    _cells: tuple = field(default=None, repr=False)
 
     @property
     def support_radius(self):
-        return (self.short_reference.shape[0] - 1) // 2
+        return (self.short_reference.factors[0].shape[0] - 1) // 2
 
     def template_dense(self):
         """Dense short-range template block, cached."""
@@ -155,30 +160,70 @@ class RSTensor:
         return self._template
 
     def cell_index(self):
-        """Uniform-cell index over short_list, cell size gamma grid units."""
+        """CSR index from grid cells to the atoms whose windows reach them.
+
+        Cells have side gamma nodes, ``nc = (n - 1) // gamma + 1`` per
+        axis, and node i lies in cell ``(i0//gamma*nc + i1//gamma)*nc +
+        i2//gamma``.  Built once and cached, as the tuple ``(rows, ids,
+        row_centres, corners, weights)``:
+
+        - ``ids`` lists short_list indices row by row, each row in
+          short_list order, and ``row_centres`` (3, M) holds their centre
+          nodes column by column in the same order; an atom appears once
+          in each cell its window ``[c - r, c + r]`` reaches into (at most
+          27: the windows assembly builds are at most 2*gamma + 1 wide).
+        - ``rows`` maps a cell to the slice of ``ids`` that is its row;
+          a cell no window reaches has no entry, so the index holds O(N)
+          numbers whatever the number of cells.
+        - ``corners`` (N,) and ``weights`` (N,) are indexed by short_list
+          index: ``corners[a] = (c - r) . (L*L, L, 1)`` with L = 2r + 1,
+          so node i of atom a's window is entry ``i . (L*L, L, 1) -
+          corners[a]`` of the flattened template.
+        """
         if self._cells is None:
-            cells = {}
-            for a, (cidx, _) in enumerate(self.short_list):
-                key = tuple(v // self.gamma for v in cidx)
-                cells.setdefault(key, []).append(a)
-            self._cells = cells
+            n, g, r = self.grid.n, self.gamma, self.support_radius
+            L = 2 * r + 1
+            centres = np.array([c for c, _ in self.short_list],
+                               dtype=int).reshape(-1, 3)
+            weights = np.array([w for _, w in self.short_list], dtype=float)
+            nc = (n - 1) // g + 1
+            # cells each window covers along each axis: lo + d for d < span
+            lo = np.maximum(centres - r, 0) // g
+            hi = np.minimum(centres + r, n - 1) // g
+            span = int(np.max(hi - lo, initial=0)) + 1
+            cx = lo[:, :, None] + np.arange(span)
+            reach = cx <= hi[:, :, None]
+            keys = ((cx[:, 0, :, None, None] * nc + cx[:, 1, None, :, None])
+                    * nc + cx[:, 2, None, None, :])
+            ok = reach[:, 0, :, None, None] & reach[:, 1, None, :, None] \
+                & reach[:, 2, None, None, :]
+            atom = np.broadcast_to(
+                np.arange(len(centres))[:, None, None, None], keys.shape)
+            keys, atom = keys[ok], atom[ok]
+            order = np.argsort(keys, kind="stable")
+            ids = atom[order]
+            cells, beg = np.unique(keys[order], return_index=True)
+            end = np.append(beg[1:], len(ids))
+            rows = {k: slice(b, e) for k, b, e
+                    in zip(cells.tolist(), beg.tolist(), end.tolist())}
+            corners = (centres - r) @ np.array([L * L, L, 1])
+            self._cells = (rows, ids, np.ascontiguousarray(centres[ids].T),
+                           corners, weights)
         return self._cells
 
     def nearby_atoms(self, i):
-        """Indices of short_list entries whose template window covers node i."""
-        cells = self.cell_index()
-        ci = tuple(v // self.gamma for v in i)
-        r = self.support_radius
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for a in cells.get((ci[0] + dx, ci[1] + dy, ci[2] + dz), ()):
-                        c = self.short_list[a][0]
-                        if max(abs(i[0] - c[0]), abs(i[1] - c[1]),
-                               abs(i[2] - c[2])) <= r:
-                            out.append(a)
-        return out
+        """Indices of short_list entries whose template window covers node i.
+
+        Reads the row of node i's cell in ``cell_index`` and keeps the
+        atoms within Chebyshev distance support_radius of i, as an int
+        array in short_list order.
+        """
+        rows, ids, row_centres, _, _ = self.cell_index()
+        g = self.gamma
+        nc = (self.grid.n - 1) // g + 1
+        row = rows.get((i[0] // g * nc + i[1] // g) * nc + i[2] // g, _EMPTY)
+        dist = np.abs(row_centres[:, row] - np.array(i)[:, None]).max(axis=0)
+        return ids[row][dist <= self.support_radius]
 
 
 def assemble_collective(m, kernel, eps_reduce):
@@ -245,21 +290,22 @@ def assemble_collective(m, kernel, eps_reduce):
 def rs_eval_entry(t, i):
     """Evaluate one entry of a range-separated tensor.
 
-    Cost is O(R_L) for the long part plus O(1) per nearby atom through the
-    cached dense template, the nearby set coming from the spatial index.
+    Cost is O(R_L) for the long part plus a fixed number of vectorised
+    operations for the short part: ``nearby_atoms`` reads one row of the
+    cell index, and the hits' template values are gathered from the cached
+    dense template in one indexed read.
     """
     n = t.grid.n
-    i = tuple(int(v) for v in i)
-    for v in i:
-        if not (0 <= v < n):
-            raise ConfigError("index %r out of range" % (i,))
+    i = tuple(map(int, i))
+    if min(i) < 0 or max(i) >= n:
+        raise ConfigError("index %r out of range" % (i,))
     val = eval_entry(t.long, i) if t.long.rank else 0.0
     T = t.template_dense()
-    r = t.support_radius
-    for a in t.nearby_atoms(i):
-        c, w = t.short_list[a]
-        val += w * T[i[0] - c[0] + r, i[1] - c[1] + r, i[2] - c[2] + r]
-    return float(val)
+    L = 2 * t.support_radius + 1
+    hits = t.nearby_atoms(i)
+    _, _, _, corners, weights = t.cell_index()
+    flat = (i[0] * L + i[1]) * L + i[2] - corners[hits]
+    return float(val + np.dot(weights[hits], T.ravel()[flat]))
 
 
 def scatter_short(t, out):

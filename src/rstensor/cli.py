@@ -5,7 +5,8 @@ The pipeline stages are: quadrature -> reference kernel -> long/short split
 (by three mode products of its Tucker image when its rank was reduced,
 else term by term) -> (``--bc analytic`` only) delta, the 7-point stencil
 of that field less kappa^2 times the short part, and a Poisson solve with
-screened-Coulomb faces -> total composition -> oracle comparison.  With homogeneous faces the solve would
+screened-Coulomb faces -> total composition -> oracle comparison (kappa = 0
+only: the oracle is unscreened).  With homogeneous faces the solve would
 return its input, so it is not run.  Metrics land in a deterministic
 key=value report; wall-clock stage times go to a separate file so reruns
 with the same config and seed are byte-identical.
@@ -46,9 +47,11 @@ def parse_pqr(path):
 
     Raises
     ------
-    DataError on malformed fields (with line number), no atoms, bad values.
+    DataError on malformed fields, no atoms, or values ``Molecule``
+    rejects (non-finite, negative radius); each names the file and the
+    line of the first offending record.
     """
-    vals = []
+    vals, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             toks = line.split()
@@ -61,11 +64,20 @@ def parse_pqr(path):
                 vals.extend(float(v) for v in toks[-5:])
             except ValueError:
                 raise DataError("%s:%d: malformed numeric field" % (path, lineno))
+            linenos.append(lineno)
     if not vals:
         raise DataError("no atoms found in %s" % path)
     a = np.array(vals).reshape(-1, 5)
     name = os.path.splitext(os.path.basename(path))[0]
-    return Molecule(a[:, :3], a[:, 3], a[:, 4], name)
+    try:
+        return Molecule(a[:, :3], a[:, 3], a[:, 4], name)
+    except DataError as e:
+        # the first record failing the check Molecule reports, in its order
+        bad = next(b for b in (~np.isfinite(a[:, :3]).all(axis=1),
+                               ~np.isfinite(a[:, 3]), ~(a[:, 4] >= 0))
+                   if b.any())
+        raise DataError("%s (%s:%d)" % (e, path, linenos[np.argmax(bad)])) \
+            from None
 
 
 def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0, name=None):
@@ -271,8 +283,10 @@ def run_case(cfg, m):
 
     Returns a dict with the composed field (``total``), the long-range solve
     (``u_long``), the assembled tensor (``rs``), the reference kernel, the
-    snapped molecule, the error report (None when the oracle was skipped),
-    deterministic ``metrics`` and wall-clock ``timings``.
+    snapped molecule, the error report, deterministic ``metrics`` and
+    wall-clock ``timings``.  The report is None when the Gaussian-sum
+    oracle was skipped: above ``_ORACLE_ATOM_CAP`` atoms, and for
+    ``kappa > 0``, where the oracle's unscreened field is no reference.
     """
     timings = {}
     t_all = time.perf_counter()
@@ -286,7 +300,7 @@ def run_case(cfg, m):
         total = compose_total(u_long, rs)
 
     report = None
-    if m.n_atoms <= _ORACLE_ATOM_CAP:
+    if m.n_atoms <= _ORACLE_ATOM_CAP and cfg.kappa == 0:
         with _clock(timings, "oracle"):
             oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                        quad=q)

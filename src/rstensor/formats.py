@@ -118,13 +118,12 @@ def eval_entry(t, i):
     float
     """
     i1, i2, i3 = i
-    n1, n2, n3 = t.shape
-    if not (0 <= i1 < n1 and 0 <= i2 < n2 and 0 <= i3 < n3):
+    A1, A2, A3 = t.factors
+    if not (0 <= i1 < len(A1) and 0 <= i2 < len(A2) and 0 <= i3 < len(A3)):
         raise ConfigError("index %r out of range for shape %r" % (tuple(i), t.shape))
     if t.rank == 0:
         return 0.0
-    return float(np.dot(t.weights,
-                        t.factors[0][i1] * t.factors[1][i2] * t.factors[2][i3]))
+    return float(np.dot(t.weights, A1[i1] * A2[i2] * A3[i3]))
 
 
 def dense(t):

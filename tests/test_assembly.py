@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
 from helpers import eval_entries, shift_and_window, split_by_count
+from rstensor.assembly import _template_radius
+from rstensor.formats import zero_canonical
 
 SQRT3 = np.sqrt(3.0)
 
@@ -243,7 +245,83 @@ def test_far_node_sees_long_part_only():
     rs = rt.assemble_collective(sm, k, None)
     i = (5, 5, 5)  # far corner, beyond the template radius
     assert rt.rs_eval_entry(rs, i) == rt.eval_entry(rs.long, i)
-    assert rs.nearby_atoms(i) == []
+    assert len(rs.nearby_atoms(i)) == 0
+
+
+def _index_case(n, gamma, centres, weights):
+    # RS tensor with a zero long part and a random template of the radius
+    # assembly gives gamma, so the short part alone is queried
+    L = 2 * _template_radius(gamma) + 1
+    rng = np.random.default_rng(0)
+    ref = rt.CanonicalTensor3(rng.uniform(0.5, 1.5, 2),
+                              tuple(rng.standard_normal((L, 2))
+                                    for _ in range(3)))
+    short_list = [(tuple(c), float(w)) for c, w in zip(centres, weights)]
+    return rt.RSTensor(rt.Grid3(n, 4.0), zero_canonical((n, n, n)), ref,
+                       short_list, gamma)
+
+
+def _scan_nearby(rs, i):
+    # brute-force Chebyshev scan of short_list
+    r = rs.support_radius
+    return [a for a, (c, _) in enumerate(rs.short_list)
+            if max(abs(i[0] - c[0]), abs(i[1] - c[1]), abs(i[2] - c[2])) <= r]
+
+
+def _scan_entry(rs, i):
+    T = rs.template_dense()
+    r = rs.support_radius
+    near = [rs.short_list[a] for a in _scan_nearby(rs, i)]
+    return sum(w * T[i[0] - c[0] + r, i[1] - c[1] + r, i[2] - c[2] + r]
+               for c, w in near)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.integers(1, 8), data=st.data())
+def test_nearby_atoms_matches_scan(gamma, data):
+    # centres anywhere on the grid, faces and corners included, some
+    # atoms sharing a node; queries at random nodes and at Chebyshev
+    # distance r and r + 1 from a centre
+    n = data.draw(st.integers(3, 4 * gamma + 8))
+    coord = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    node = st.tuples(coord, coord, coord)
+    centres = data.draw(st.lists(node, min_size=1, max_size=25))
+    centres += data.draw(st.lists(st.sampled_from(centres), max_size=3))
+    weights = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(centres),
+                                 max_size=len(centres)))
+    rs = _index_case(n, gamma, centres, weights)
+    r = rs.support_radius
+    assert r == _template_radius(gamma)
+    queries = data.draw(st.lists(node, min_size=1, max_size=20))
+    for c in centres[:5]:
+        for d in (r, r + 1):
+            step = data.draw(st.tuples(*[st.sampled_from([-d, d])] * 3))
+            q = tuple(min(max(v + s, 0), n - 1) for v, s in zip(c, step))
+            queries.append(q)
+    scale = np.max(np.abs(rs.template_dense())) * (1 + np.sum(np.abs(weights)))
+    for i in queries:
+        hits = rs.nearby_atoms(i)
+        assert hits.dtype.kind == "i"
+        assert sorted(hits.tolist()) == _scan_nearby(rs, i)
+        assert abs(rt.rs_eval_entry(rs, i) - _scan_entry(rs, i)) \
+            <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("gamma", range(1, 9))
+def test_nearby_atoms_window_edge(gamma):
+    # a node at Chebyshev distance exactly r is in the window, r + 1 is not,
+    # on every axis and on the corner diagonals
+    n = 4 * gamma + 9
+    c = (n // 2,) * 3
+    rs = _index_case(n, gamma, [c], [1.0])
+    r = rs.support_radius
+    steps = [s for s in np.ndindex(3, 3, 3) if s != (1, 1, 1)]
+    for d, hit in ((r, True), (r + 1, False)):
+        for s in steps:
+            i = tuple(v + d * (k - 1) for v, k in zip(c, s))
+            assert (len(rs.nearby_atoms(i)) == 1) == hit, (d, s)
+            val = rt.rs_eval_entry(rs, i)
+            assert (val == _scan_entry(rs, i)) if hit else val == 0.0
 
 
 def test_charge_change_is_local_in_short_part():

@@ -410,6 +410,30 @@ def test_run_nan_charge_exit_code(tmp_path, capsys):
     assert "i/o error: atom charges must be finite" in capsys.readouterr().err
 
 
+def test_run_negative_radius_names_record(tmp_path, capsys):
+    p = tmp_path / "neg.pqr"
+    p.write_text("REMARK two atoms\n"
+                 "ATOM 1 Q ION 1 0.000 0.000 0.000 1.0 1.0000\n"
+                 "ATOM 2 Q ION 1 1.000 0.000 0.000 -1.0 -0.5000\n")
+    assert rt.main(["run", "--pqr", str(p), "--n", "33", "--b", "8",
+                    "-o", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error: atom radii must be nonnegative (%s:3)" % p in err
+
+
+def test_screened_run_skips_oracle(tmp_path):
+    # the oracle is the unscreened Gaussian sum, so a kappa > 0 run has no
+    # error figures; test_screened_total_is_debye_hueckel checks its total
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "--bc",
+                    "analytic", "--kappa", "0.5", "-o", str(tmp_path)]) == 0
+    met = dict(line.split("=", 1)
+               for line in (tmp_path / "metrics.txt").read_text().splitlines())
+    assert met["oracle"] == "skipped"
+    assert not {"l2_weighted", "l2_relative", "rss", "max_abs",
+                "max_abs_excl"} & set(met)
+    assert not (tmp_path / "report.txt").exists()
+
+
 @pytest.mark.parametrize("cmd", ["run", "assemble"])
 def test_margin_rule_exit_code(tmp_path, capsys, cmd):
     # gamma=30 at h=0.5 needs 9.5 A from each face in a b=8 box
@@ -500,6 +524,25 @@ def test_entries_match_total(densify_cases, case):
     vals = np.array([rt.rs_eval_entry(rs, i) for i in nodes])
     ref = total[tuple(np.array(nodes).T)]
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(total))
+
+
+def test_loaded_bundle_answers_entries(tmp_path, densify_cases):
+    # an RSTensor read back from assemble's files builds its own cell index
+    # and answers as the in-memory tensor of the same run does
+    assert rt.main(["assemble", "-o", str(tmp_path)] + CLUSTER60) == 0
+    rs = rt.cli._load_bundle(str(tmp_path))
+    ref = densify_cases["cluster60"]["rs"]
+    r = rs.support_radius
+    rng = np.random.default_rng(6)
+    nodes = [c for c, _ in rs.short_list] \
+        + [tuple(v) for v in rng.integers(0, rs.grid.n, (300, 3)).tolist()]
+    for i in nodes:
+        scan = [a for a, (c, _) in enumerate(rs.short_list)
+                if max(abs(i[0] - c[0]), abs(i[1] - c[1]),
+                       abs(i[2] - c[2])) <= r]
+        assert sorted(rs.nearby_atoms(i).tolist()) == scan
+        assert abs(rt.rs_eval_entry(rs, i) - rt.rs_eval_entry(ref, i)) \
+            <= 1e-12 * abs(rt.rs_eval_entry(ref, i))
 
 
 def test_assemble_solve_matches_run(tmp_path):
