@@ -309,11 +309,17 @@ def rs_eval_entry(t, i):
 
 
 def scatter_short(t, out):
-    """Add the short-range field into dense array ``out`` (shape n^3) in place."""
+    """Add the short-range field into dense array ``out`` (shape n^3) in place.
+
+    A Fortran-ordered ``out`` gets the windows of a Fortran copy of the
+    template, so each add walks both operands in memory order.
+    """
     n = t.grid.n
     if out.shape != (n, n, n):
         raise ConfigError("output array does not match the grid")
     T = t.template_dense()
+    if out.flags.f_contiguous:
+        T = np.asfortranarray(T)
     r = t.support_radius
     for c, w in t.short_list:
         lo = [ci - r for ci in c]

@@ -7,9 +7,12 @@ else term by term) -> (``--bc analytic`` only) delta, the 7-point stencil
 of that field less kappa^2 times the short part, and a Poisson solve with
 screened-Coulomb faces -> total composition -> oracle comparison (kappa = 0
 only: the oracle is unscreened).  With homogeneous faces the solve would
-return its input, so it is not run.  Metrics land in a deterministic
-key=value report; wall-clock stage times go to a separate file so reruns
-with the same config and seed are byte-identical.
+return its input, so it is not run.  Every n^3 field is Fortran-ordered
+(mode-1 fastest), the layout of the ``.bin`` dumps, so they are written
+without a copy.  Metrics land in a deterministic key=value report;
+wall-clock stage times go to a separate file so reruns with the same
+config and seed are byte-identical.  ``python -m rstensor`` and ``python
+-m rstensor.cli`` run ``main`` and exit with its code.
 """
 
 import argparse
@@ -27,8 +30,8 @@ from .grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
                           gamma_for_separation, split_reference)
 from .assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
                        snapped_molecule)
-from .formats import (dense, load_canonical, save_canonical, tucker_dense,
-                      tucker_image)
+from .formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
+                      save_canonical, tucker_dense, tucker_image)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                      compose_total, load_field, poisson_solve, save_field)
 from .validation import compare, direct_sum_oracle, write_report
@@ -195,7 +198,7 @@ def _boundary_field(m, grid, kappa):
     # screened-Coulomb boundary data on the six faces, zeros inside
     x = grid.coords()
     n = grid.n
-    g = np.zeros((n, n, n))
+    g = np.zeros((n, n, n), order="F")
     planes = [(0, 0), (0, n - 1), (1, 0), (1, n - 1), (2, 0), (2, n - 1)]
     for ax, idx in planes:
         axes = [x] * 3
@@ -252,19 +255,29 @@ def _assemble_stage(cfg, m, timings):
     return rs, q, kernel, snapped, eps_eff
 
 
+def _dense_mode1_fastest(rs):
+    # the C-ordered densification of the axis-reversed long part, transposed:
+    # the field in the dump's layout, with no n^3 copy
+    t = rs.long
+    if rs.long_basis is None:
+        return dense(CanonicalTensor3(t.weights, t.factors[::-1])).T
+    t = tucker_image(t, rs.long_basis)
+    return tucker_dense(TuckerTensor3(t.core.transpose(), t.factors[::-1])).T
+
+
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
     """Long-range potential on the grid.
 
     The long part is densified from its Tucker image when ``rs`` carries a
-    Tucker basis, else from its canonical terms.  With homogeneous faces
-    that field is the result (it solves ``-lap u = -lap rs.long``).  With
+    Tucker basis, else from its canonical terms, straight into a
+    Fortran-ordered (mode-1 fastest) array.  With homogeneous faces that
+    field is the result (it solves ``-lap u = -lap rs.long``).  With
     ``bc_molecule`` the faces carry its screened-Coulomb values, and the
     regular part u_r of the total ``U_short + u_r`` solves
     ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.
     """
     with _clock(timings, "dense"):
-        values = (dense(rs.long) if rs.long_basis is None
-                  else tucker_dense(tucker_image(rs.long, rs.long_basis)))
+        values = _dense_mode1_fastest(rs)
     if bc_molecule is None:
         return GridFunction3(rs.grid, values, {"bc": "homogeneous"})
     with _clock(timings, "delta"):
@@ -627,3 +640,7 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print("i/o error: %s" % e, file=sys.stderr)
         return 4
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -165,7 +165,7 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
     if g.shape != (n, n, n):
         raise ConfigError("boundary field shape does not match the grid")
     # move the known face values into the interior right-hand side
-    fi = f[1:-1, 1:-1, 1:-1].copy()
+    fi = f[1:-1, 1:-1, 1:-1].copy(order="K")
     h2 = h * h
     fi[0] += g[0, 1:-1, 1:-1] / h2
     fi[-1] += g[-1, 1:-1, 1:-1] / h2
@@ -174,7 +174,7 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
     fi[:, :, 0] += g[1:-1, 1:-1, 0] / h2
     fi[:, :, -1] += g[1:-1, 1:-1, -1] / h2
     ui = _solve_spectral(fi, n - 2, h, L.kappa)
-    u = g.copy()
+    u = g.copy(order="K")
     u[1:-1, 1:-1, 1:-1] = ui
     # residual over the interior equations actually solved
     res_f = apply_stencil_dense(DiscreteLaplacian(L.grid, L.kappa), u)
@@ -186,6 +186,10 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
 
 
 def _solve_spectral(f, n, h, kappa):
+    if f.flags.f_contiguous:
+        # the operator is the same along every axis: solve the C-ordered
+        # transpose, and the result keeps the layout of f
+        return _solve_spectral(f.T, n, h, kappa).T
     lam = eigenvalues_1d(n, h)
     workers = len(os.sched_getaffinity(0))
     F = dstn(f, type=1, norm="ortho", workers=workers)
@@ -206,7 +210,7 @@ def compose_total(u_long, rs):
     """Total potential: long-range solve plus the short-range template field."""
     if u_long.grid.n != rs.grid.n or abs(u_long.grid.b - rs.grid.b) > 1e-12:
         raise ConfigError("field and tensor grids differ")
-    out = u_long.values.copy()
+    out = u_long.values.copy(order="K")
     scatter_short(rs, out)
     meta = dict(u_long.meta)
     meta["composed"] = True
@@ -217,11 +221,16 @@ def save_field(f, path):
     """Write a field dump: raw little-endian float64, mode-1 fastest, plus a
     ``path + '.info'`` text sidecar with grid and solver metadata.
 
-    ``residual`` and ``quad_rank`` are written when ``f.meta`` has them:
-    the residual of a Poisson solve and the quadrature rank of the run.
+    A Fortran-ordered field, as every field the pipeline builds is, is
+    written from its own memory with no copy; a C-ordered one is copied
+    into that layout first.  ``residual`` and ``quad_rank`` are written
+    when ``f.meta`` has them: the residual of a Poisson solve and the
+    quadrature rank of the run.
     """
     with open(path, "wb") as fh:
-        fh.write(np.asarray(f.values, dtype=_F64).tobytes(order="F"))
+        # the C-contiguous transpose of the F-ordered values is their bytes
+        # in mode-1-fastest order
+        fh.write(np.asfortranarray(f.values, dtype=_F64).T)
     g = f.grid
     lines = ["n=%d" % g.n, "b=%.17g" % g.b, "h=%.17g" % g.h,
              "units=charge/angstrom", "order=mode1-fastest",

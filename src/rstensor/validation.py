@@ -66,11 +66,14 @@ def gaussian_field(positions, charges, grid, q):
 
     The (atom, term) columns are grouped by term and distinct third
     coordinate: each group contributes one n x n GEMM of its first two
-    Gaussian factors, and the groups are contracted with their shared third
-    factor n at a time, one mode-1 slab of the output per GEMM, so the
-    largest temporary is one n^3 block of group products.  For charges on
-    grid nodes the group count is at most R n, whatever N is.
+    Gaussian factors.  The groups are contracted with their shared third
+    factor n at a time, by one in-place GEMM into the Fortran-ordered
+    (mode-1 fastest) output seen as an n^2 x n matrix, so the largest
+    temporary is one n^3 block of group products.  For charges on grid
+    nodes the group count is at most R n, whatever N is.
     """
+    # loaded here, not at package import: only the oracle needs it
+    from scipy.linalg.blas import dgemm
     x = grid.coords()
     n = grid.n
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -81,7 +84,11 @@ def gaussian_field(positions, charges, grid, q):
     atoms = np.argsort(inv3, kind="stable")
     bounds = np.r_[0, np.cumsum(np.bincount(inv3))]
     G = q.rank * z3.size
-    out = np.zeros((n, n, n))
+    out = np.zeros((n, n, n), order="F")
+    # row i1 + n*i2, column i3: a view of out, which dgemm updates in place
+    out2 = out.reshape(n * n, n, order="F")
+    # kab[g] is indexed [i2, i1], so kab[:m] reshaped to (m, n^2) is the
+    # transpose of the F-ordered (n^2, m) left operand
     kab = np.empty((min(n, G), n, n))
     for g0 in range(0, G, n):
         gk, gj = np.divmod(np.arange(g0, min(g0 + n, G)), z3.size)
@@ -90,10 +97,10 @@ def gaussian_field(positions, charges, grid, q):
             E1 = np.exp(-t2[k] * (x[:, None] - positions[ia, 0][None, :]) ** 2)
             E1 *= charges[ia] * q.weights[k]
             E2 = np.exp(-t2[k] * (x[:, None] - positions[ia, 1][None, :]) ** 2)
-            np.matmul(E1, E2.T, out=kab[g])
-        E3T = np.exp(-t2[gk][:, None] * (x[None, :] - z3[gj][:, None]) ** 2)
-        for i in range(n):
-            out[i] += kab[:gk.size, i, :].T @ E3T
+            np.matmul(E2, E1.T, out=kab[g])
+        E3 = np.exp(-t2[gk][None, :] * (x[:, None] - z3[gj][None, :]) ** 2)
+        dgemm(1.0, kab[:gk.size].reshape(gk.size, n * n).T, E3.T, beta=1.0,
+              c=out2, overwrite_c=1)
     return out
 
 
@@ -125,18 +132,19 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
         raise ConfigError("unknown oracle kernel %r" % kernel)
     x = grid.coords()
     n = grid.n
-    out = np.zeros((n, n, n))
-    singular = np.zeros((n, n, n), dtype=bool)
+    out = np.zeros((n, n, n), order="F")
+    singular = np.zeros((n, n, n), dtype=bool, order="F")
     tol2 = (1e-9 * grid.h) ** 2
     for pos, z in zip(m.positions, m.charges):
         d1 = (x - pos[0]) ** 2
         d2 = (x - pos[1]) ** 2
         d3 = (x - pos[2]) ** 2
-        D = d1[:, None, None] + d2[None, :, None] + d3[None, None, :]
+        # built on reversed axes, so that its transpose is mode-1 fastest
+        D = ((d1[None, None, :] + d2[None, :, None]) + d3[:, None, None]).T
         hit = D < tol2
         if np.any(hit):
             singular |= hit
-            D = np.where(hit, 1.0, D)
+            D[hit] = 1.0
         out += z / np.sqrt(D)
     excluded = [tuple(int(v) for v in idx) for idx in np.argwhere(singular)]
     if excluded:

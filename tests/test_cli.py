@@ -276,6 +276,38 @@ def _bundle_copy(src, dst):
     return dst
 
 
+@pytest.mark.parametrize("bc,kappa", [("homogeneous", 0.0),
+                                      ("analytic", 0.0), ("analytic", 0.5)],
+                         ids=["homogeneous", "analytic", "kappa"])
+def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
+    # fields share the dumps' layout, so save_field writes them without a
+    # copy; the short template stays C-ordered for rs_eval_entry's ravel
+    out = rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa), born_mol)
+    assert out["total"].values.flags.f_contiguous
+    assert out["u_long"].values.flags.f_contiguous
+    assert out["rs"].template_dense().flags.c_contiguous
+
+
+def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
+    rs = rt.cli._load_bundle(str(born_bundle))
+    u = rt.cli._solve_stage(rs, {})
+    total = rt.compose_total(u, rs)
+    assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
+    assert rs.template_dense().flags.c_contiguous
+    rt.save_field(total, tmp_path / "total.bin")
+    loaded = rt.load_field(tmp_path / "total.bin")
+    assert loaded.values.flags.f_contiguous
+    assert np.array_equal(loaded.values, total.values)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
+def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
+    g = rt.Grid3(33, 8.0)
+    q = rt.build_quadrature(8, g.h, 2 * np.sqrt(3.0) * g.b)
+    f = rt.direct_sum_oracle(born_mol, g, kernel=kernel, quad=q)
+    assert f.values.flags.f_contiguous
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw: raw[:20],
     lambda raw: raw[:-8],
@@ -510,6 +542,7 @@ def test_u_long_is_dense_long(densify_cases, case):
     assert (rs.long_basis is not None) == reduced
     ref = rt.dense(rs.long)
     u = out["u_long"].values
+    assert u.flags.f_contiguous
     assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

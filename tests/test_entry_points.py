@@ -1,22 +1,29 @@
-"""The names the benchmark and the quadrature tool reach in the package.
+"""The names the benchmark and the quadrature tool reach in the package,
+and the ``python -m`` entry points.
 
 ``perfbench/tracing.py`` wraps package functions by attribute name,
 ``perfbench/*.py`` call them through ``rt.<module>.<name>`` and
 ``tools/tune_quadrature.py`` imports ``cli._RANK_LADDER`` and the
 ``grid_kernel`` tuner.  A refactor that drops or renames one of them fails
-here rather than in a benchmark run.
+here rather than in a benchmark run.  ``python -m rstensor`` and
+``python -m rstensor.cli`` must run ``main`` and exit with its code.
 """
 
 import glob
 import importlib
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 import rstensor as rt
 from rstensor import cli, grid_kernel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+BORN = os.path.join(ROOT, "fixtures", "born.pqr")
 
 
 def _resolve(obj, dotted):
@@ -53,3 +60,29 @@ def test_tool_names_resolve():
     for name in ("_tune", "canonical_ratio", "build_quadrature",
                  "QUAD_TABLE"):
         assert hasattr(grid_kernel, name), name
+
+
+def _python_m(module, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", module] + list(args),
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("module", ["rstensor", "rstensor.cli"])
+def test_python_m_runs_main(tmp_path, module):
+    res = _python_m(module, "run", "--pqr", BORN, "--n", "33", "--b", "8",
+                    "-o", "out", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert os.path.getsize(tmp_path / "out" / "total.bin") == 8 * 33 ** 3
+
+
+@pytest.mark.parametrize("module", ["rstensor", "rstensor.cli"])
+def test_python_m_passes_exit_code(tmp_path, module):
+    res = _python_m(module, "run", "--pqr", BORN, "--n", "5", "--b", "8",
+                    "-o", "out", cwd=tmp_path)
+    assert res.returncode == 2
+    assert "config error: config: molecule runs need n >= 33" in res.stderr
+    assert not (tmp_path / "out").exists()

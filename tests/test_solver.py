@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,10 +124,13 @@ def test_poisson_round_trip_random_field():
     L = rt.DiscreteLaplacian(g)
     u_star = rng.standard_normal((n, n, n))
     f = -rt.apply_stencil_dense(L, u_star)
-    u = rt.poisson_solve(f, L)
-    err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
-    assert err <= 1e-10
-    assert u.meta["residual"] <= 1e-12
+    # an F-ordered right-hand side is solved as its C-ordered transpose
+    for order in "CF":
+        u = rt.poisson_solve(np.asarray(f, order=order), L)
+        assert u.values.flags.f_contiguous == (order == "F")
+        err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
+        assert err <= 1e-10
+        assert u.meta["residual"] <= 1e-12
 
 
 def test_poisson_separable_sine_rhs():
@@ -166,9 +170,12 @@ def test_poisson_trace_boundary_lifting():
     L = rt.DiscreteLaplacian(g)
     u_star = rng.standard_normal((n, n, n))
     f = -rt.apply_stencil_dense(L, u_star)
-    u = rt.poisson_solve(f, L, bc="trace", bc_field=u_star)
-    err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
-    assert err <= 1e-10
+    for order in "CF":
+        u = rt.poisson_solve(np.asarray(f, order=order), L, bc="trace",
+                             bc_field=np.asarray(u_star, order=order))
+        assert u.values.flags.f_contiguous == (order == "F")
+        err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
+        assert err <= 1e-10
 
 
 def test_poisson_rejects_bad_options():
@@ -240,18 +247,43 @@ def test_field_save_load_round_trip(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(3, 7),
        b=st.floats(min_value=5e-324, max_value=1e300),
-       residual=EDGE_FLOATS)
-def test_field_round_trip_is_exact(data, n, b, residual):
+       residual=EDGE_FLOATS, order=st.sampled_from("CF"))
+def test_field_round_trip_is_exact(data, n, b, residual, order):
     vals = data.draw(arrays(np.float64, (n, n, n), elements=EDGE_FLOATS))
-    f = rt.GridFunction3(rt.Grid3(n, b), vals,
+    f = rt.GridFunction3(rt.Grid3(n, b), np.asarray(vals, order=order),
                          {"bc": "homogeneous", "residual": residual})
     with tempfile.TemporaryDirectory() as d:
         p = os.path.join(d, "f.bin")
         rt.save_field(f, p)
         f2 = rt.load_field(p)
     assert f2.grid == f.grid
+    assert f2.values.flags.f_contiguous
     assert same_bits(f2.values, f.values)
     assert same_bits(f2.meta["residual"], residual)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_save_field_writes_mode1_fastest_bytes(tmp_path, order):
+    vals = np.random.default_rng(8).standard_normal((5, 5, 5))
+    f = rt.GridFunction3(rt.Grid3(5, 1.0), np.asarray(vals, order=order))
+    rt.save_field(f, tmp_path / "f.bin")
+    assert (tmp_path / "f.bin").read_bytes() == vals.tobytes(order="F")
+
+
+def test_save_field_f_order_writes_without_copy(tmp_path):
+    # an F-ordered field is written from its own memory: the traced peak
+    # stays far below the n^3 * 8 bytes a transposing copy takes
+    n = 65
+    f = rt.GridFunction3(rt.Grid3(n, 1.0),
+                         np.asfortranarray(np.ones((n, n, n))))
+    tracemalloc.start()
+    try:
+        rt.save_field(f, tmp_path / "f.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n ** 3 * 8 / 4
+    assert os.path.getsize(tmp_path / "f.bin") == n ** 3 * 8
 
 
 def test_field_rejects_nonfinite():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +250,7 @@ def test_gaussian_field_matches_pointwise_sum(case):
     # 6 * 12 groups on n <= 11 also cross the n-group chunk boundaries
     g, q, pos, z = case
     field = rt.gaussian_field(pos, z, g, q)
+    assert field.flags.f_contiguous
     x = g.coords()
     X = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     r2 = np.sum((X[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
@@ -253,3 +258,25 @@ def test_gaussian_field_matches_pointwise_sum(case):
     ref = terms.sum(axis=2) @ z
     scale = terms.sum(axis=2) @ np.abs(z)
     assert np.all(np.abs(field.ravel() - ref) <= 1e-13 * scale)
+
+
+def test_oracle_alone_imports_scipy_linalg():
+    # import rstensor stays without scipy.linalg; gaussian_field loads it
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import rstensor as rt\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "g = rt.Grid3(9, 2.0)\n"
+        "q = rt.SincQuadrature(np.array([0.5, 1.0]), np.array([1.0, 0.5]),\n"
+        "                      (g.h, 1.0), 0.0)\n"
+        "f = rt.gaussian_field(np.zeros((1, 3)), np.ones(1), g, q)\n"
+        "assert f[4, 4, 4] == 1.5\n"
+        "assert 'scipy.linalg' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
