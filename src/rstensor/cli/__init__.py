@@ -25,16 +25,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
-from .grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
-                          gamma_for_separation, split_reference)
-from .assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
-                       snapped_molecule)
-from .formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
-                      save_canonical, tucker_dense, tucker_image)
-from .solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
-                     compose_total, load_field, poisson_solve, save_field)
-from .validation import compare, direct_sum_oracle, write_report
+from ..errors import ConfigError, DataError, NumericError
+from ..grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
+                           gamma_for_separation, split_reference)
+from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
+                        snapped_molecule)
+from ..formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
+                       save_canonical, tucker_dense, tucker_image)
+from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
+                      compose_total, load_field, poisson_solve, save_field)
+from ..validation import compare, direct_sum_oracle, write_report
 
 _SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
@@ -284,7 +284,8 @@ def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
         rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
         np.negative(rhs, out=rhs)
         if kappa > 0:
-            rhs -= kappa * kappa * scatter_short(rs, np.zeros_like(values))
+            rhs -= kappa * kappa * scatter_short(
+                rs, np.zeros(values.shape, order="F"))
     with _clock(timings, "solve"):
         bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
         return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
@@ -378,9 +379,9 @@ def run_pipeline(cfg, m):
 
     save_field(out["total"], _p("total.bin"))
     save_field(out["u_long"], _p("ulong.bin"))
-    short = np.zeros_like(out["total"].values)
-    scatter_short(out["rs"], short)
     grid = out["total"].grid
+    short = np.zeros((grid.n,) * 3, order="F")
+    scatter_short(out["rs"], short)
     meta = {"bc": "none", "quad_rank": out["quadrature"].rank}
     save_field(GridFunction3(grid, short, meta), _p("short.bin"))
     with open(_p("metrics.txt"), "w") as fh:
@@ -513,15 +514,23 @@ def _load_bundle(d):
         with open(path) as fh:
             side = json.load(fh)
         grid = Grid3(side["n"], side["b"])
-        if len(side["centers"]) != len(side["weights"]):
-            raise ValueError("centers and weights differ in length")
-        short_list = [(tuple(int(v) for v in c), float(w))
-                      for c, w in zip(side["centers"], side["weights"])]
+        nodes = np.array(side["centers"], dtype=float)
+        weights = np.array(side["weights"], dtype=float)
+        if (weights.ndim != 1 or nodes.shape != (weights.size, 3)
+                or not np.all(np.isfinite(weights)) or np.any(
+                    (nodes != np.round(nodes)) | (nodes < 0) | (nodes >= grid.n))):
+            raise ValueError("centers must be N nodes in [0, %d)^3 with N "
+                             "finite weights" % grid.n)
         gamma, rank_pre = int(side["gamma"]), int(side["rank_pre"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
-    return RSTensor(grid,
-                    load_canonical(os.path.join(d, "long.ct3")),
+    long = load_canonical(os.path.join(d, "long.ct3"))
+    if long.shape != (grid.n,) * 3:
+        raise DataError("long.ct3 in %s has shape %s, not the n=%d of "
+                        "shortlist.json" % (d, long.shape, grid.n))
+    short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
+                          weights.tolist()))
+    return RSTensor(grid, long,
                     load_canonical(os.path.join(d, "short_template.ct3")),
                     short_list, gamma, long_rank_pre=rank_pre)
 
@@ -640,7 +649,3 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print("i/o error: %s" % e, file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

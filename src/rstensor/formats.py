@@ -304,7 +304,8 @@ def t2c(t, eps):
     reshaped and SVD-factored again, so every kept triple becomes one
     canonical term.  Terms are truncated against a global Frobenius budget of
     ``eps * ||core||_F``, which is exact because the triples form an
-    orthonormal system.
+    orthonormal system.  The kept terms come by descending weight, ties in
+    row-major (core row, singular value) order.
 
     Returns
     -------
@@ -331,44 +332,29 @@ def t2c_with_basis(t, eps):
 
     cost = [r[0] * min(r[1], r[2]), r[1] * min(r[0], r[2]), r[2] * min(r[0], r[1])]
     m = int(np.argmin(cost))
-    rest = [l for l in range(3) if l != m]
-    Gm = np.moveaxis(G, m, 0).reshape(r[m], -1)
-    U, tau, Vt = np.linalg.svd(Gm, full_matrices=False)
-    total = float(np.sum(tau ** 2))
+    a, b = (l for l in range(3) if l != m)
+    U, tau, Vt = np.linalg.svd(np.moveaxis(G, m, 0).reshape(r[m], -1),
+                               full_matrices=False)
+    # every right singular vector of the unfolding, as an r_a x r_b matrix,
+    # in one batched SVD; term (j, i) has weight tau_j s_ji
+    P, s, Q = np.linalg.svd(Vt.reshape(-1, r[a], r[b]), full_matrices=False)
+    w = (tau[:, None] * s).ravel()
 
-    terms = []
-    for j in range(tau.shape[0]):
-        if tau[j] <= 0:
-            continue
-        Pj, s, Qjt = np.linalg.svd(Vt[j].reshape(r[rest[0]], r[rest[1]]),
-                                   full_matrices=False)
-        for i in range(s.shape[0]):
-            wji = tau[j] * s[i]
-            if wji > 0:
-                terms.append((wji, j, Pj[:, i], Qjt[i]))
-
-    terms.sort(key=lambda z: z[0])
-    budget = eps * eps * total
-    acc, cut = 0.0, 0
-    for wji, _, _, _ in terms:
-        if acc + wji * wji <= budget:
-            acc += wji * wji
-            cut += 1
-        else:
-            break
-    keep = terms[cut:]
-    if not keep:
+    # ascending, ties in row-major order: the smallest terms, zero weights
+    # first, go while their squared weights sum to at most the budget
+    order = np.argsort(w, kind="stable")
+    keep = order[np.searchsorted(np.cumsum(w[order] ** 2),
+                                 eps * eps * np.sum(tau ** 2), side="right"):]
+    if not keep.size:
         return zero_canonical(t.shape), None
-    keep.sort(key=lambda z: -z[0])
+    keep = keep[np.argsort(-w[keep], kind="stable")]
+    j, i = np.divmod(keep, s.shape[1])
 
-    weights = np.array([z[0] for z in keep])
-    core_fac = [None] * 3
-    core_fac[m] = np.stack([U[:, z[1]] for z in keep], axis=1)
-    core_fac[rest[0]] = np.stack([z[2] for z in keep], axis=1)
-    core_fac[rest[1]] = np.stack([z[3] for z in keep], axis=1)
-    A = tuple(t.factors[l] @ core_fac[l] for l in range(3))
-    groups = np.array([z[1] for z in keep])
-    return CanonicalTensor3(weights, A), TuckerBasis(t.factors, m, groups)
+    # copied to C order: BLAS rounds transposed (F-ordered) operands differently
+    coords = {m: U[:, j], a: P.transpose(1, 0, 2)[:, j, i],
+              b: Q.transpose(2, 0, 1)[:, j, i]}
+    A = tuple(t.factors[l] @ np.ascontiguousarray(coords[l]) for l in range(3))
+    return CanonicalTensor3(w[keep], A), TuckerBasis(t.factors, m, j)
 
 
 def tucker_image(c, basis):

@@ -331,6 +331,24 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     assert "shortlist.json" in err and key in err
 
 
+
+@pytest.mark.parametrize("edit,name", [
+    ({"centers": [[16, 16]]}, "shortlist.json"),
+    ({"centers": [[16, 16, 99]]}, "shortlist.json"),
+    ({"n": 65}, "long.ct3")], ids=["two_coordinates", "off_grid", "n"])
+def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
+                                          name):
+    # each of these crashed, dropped the atom or exited 2 before the bundle
+    # reader checked the centres and the long part's shape
+    d = _bundle_copy(born_bundle, tmp_path)
+    side = json.loads((d / "shortlist.json").read_text())
+    side.update(edit)
+    (d / "shortlist.json").write_text(json.dumps(side))
+    assert rt.main(["solve", "-i", str(d)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and name in err
+
+
 def _field_dump(tmp_path):
     g = rt.Grid3(5, 1.0)
     f = rt.GridFunction3(g, np.arange(125.0).reshape((5, 5, 5)))

@@ -76,6 +76,7 @@ def test_python_m_runs_main(tmp_path, module):
     res = _python_m(module, "run", "--pqr", BORN, "--n", "33", "--b", "8",
                     "-o", "out", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert os.path.getsize(tmp_path / "out" / "total.bin") == 8 * 33 ** 3
 
 

@@ -147,6 +147,51 @@ def test_t2c_image_property(n, ranks, decay, log_eps, seed):
     assert np.linalg.norm(tucker_dense(image) - D) <= 1e-12 * np.linalg.norm(D)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 10), ranks=st.tuples(*[st.integers(1, 7)] * 3),
+       decay=st.floats(min_value=0.05, max_value=1.0),
+       rounded=st.booleans(), slab=st.integers(-1, 2),
+       log_eps=st.floats(min_value=-10.0, max_value=np.log10(0.8)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_t2c_truncation_rule(n, ranks, decay, rounded, slab, log_eps, seed):
+    # the kept terms are the largest, and the discarded ones are the
+    # smallest that fit the budget eps^2 ||core||^2; the discarded terms
+    # are the terms of t2c at a vanishing eps that t2c at eps drops
+    ranks = tuple(min(r, n) for r in ranks)
+    rng = np.random.default_rng(seed)
+    scale = decay ** np.add.outer(np.add.outer(*[np.arange(r) for r in
+                                                 ranks[:2]]),
+                                  np.arange(ranks[2]))
+    core = rng.standard_normal(ranks) * scale
+    if rounded:      # cores of one-decimal entries give tied weights
+        core = np.round(core, 1)
+    if slab >= 0:
+        core[(slice(None),) * slab + (rng.integers(ranks[slab]),)] = 0.0
+    tk = rt.TuckerTensor3(core, _ortho_factors(rng, n, ranks))
+    eps = 10.0 ** log_eps
+    kept, full = rt.t2c(tk, eps), rt.t2c(tk, 1e-300)
+
+    X = np.vstack((full.weights,) + full.factors)
+    Y = np.vstack((kept.weights,) + kept.factors)
+    dist = np.abs(X[:, :, None] - Y[:, None, :]).max(axis=0)
+    match = dist.argmin(axis=0) if full.rank else np.zeros(0, dtype=int)
+    assert np.all(dist[match, np.arange(kept.rank)] <= 1e-12)
+    assert np.unique(match).size == kept.rank
+    drop = np.setdiff1d(np.arange(full.rank), match)
+    gone = rt.CanonicalTensor3(full.weights[drop],
+                               tuple(A[:, drop] for A in full.factors))
+
+    budget = eps * eps * np.sum(core ** 2)
+    assert np.all(np.diff(kept.weights) <= 0)
+    assert np.sum(gone.weights ** 2) <= budget * (1 + 1e-12)
+    if kept.rank:
+        w_min = kept.weights[-1]
+        assert np.sum(gone.weights ** 2) + w_min ** 2 > budget * (1 - 1e-12)
+    D = tucker_dense(tk)
+    err = np.linalg.norm(rt.dense(kept) + rt.dense(gone) - D)
+    assert err <= 1e-12 * max(np.linalg.norm(D), 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(shape=st.tuples(*[st.integers(1, 9)] * 3), R=st.integers(0, 12),
        seed=st.integers(0, 2 ** 32 - 1))
