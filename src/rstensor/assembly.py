@@ -131,8 +131,9 @@ class RSTensor:
     ``long_basis`` holds the binned RHOSVD factors that ``long``'s reduced
     terms live in, so ``tucker_image(long, long_basis)`` is ``long`` in
     Tucker form, the cheap way to densify it; the image is built on demand
-    and not kept.  It is None when ``long`` was not reduced (the explicit
-    per-atom sum) or was read from a bundle.
+    and not kept.  It is None when ``long`` was read from a bundle or was
+    not reduced; the explicit per-atom sum of the latter is densified by
+    ``shift_sum_dense`` from its R_L columns in ``long_reference``.
 
     Entry queries read a cell index built on first use (``cell_index``):
     the grid is cut into cells of side gamma nodes, and each cell's row in
@@ -146,6 +147,7 @@ class RSTensor:
     gamma: int
     long_rank_pre: int = 0
     long_basis: TuckerBasis = field(default=None, repr=False)
+    long_reference: CanonicalTensor3 = field(default=None, repr=False)
     _template: np.ndarray = field(default=None, repr=False)
     _cells: tuple = field(default=None, repr=False)
 
@@ -234,9 +236,10 @@ def assemble_collective(m, kernel, eps_reduce):
     compressed by the binned RHOSVD of ``c2t_shift_sum`` followed by
     ``t2c``, and the result keeps the Tucker basis of the kept canonical
     terms (``long_basis``); when that does not lower the rank below
-    N * R_l the explicit per-atom tensor is returned instead, without a
-    basis.  The short-range part is stored as the shared template plus
-    the snapped (center, charge) list.
+    N * R_l the explicit per-atom tensor is returned instead, with the
+    long reference columns (``long_reference``) in place of a basis.  The
+    short-range part is stored as the shared template plus the snapped
+    (center, charge) list.
 
     Parameters
     ----------
@@ -264,7 +267,7 @@ def assemble_collective(m, kernel, eps_reduce):
     R_l = kernel.split_index
     N = m.n_atoms
 
-    long_pre, long, basis = 0, zero_canonical((n, n, n)), None
+    long_pre, long, basis, ref = 0, zero_canonical((n, n, n)), None, None
     if R_l > 0:
         long_pre = N * R_l
         ref = _columns(kernel.wide_tensor, slice(0, R_l))
@@ -284,7 +287,8 @@ def assemble_collective(m, kernel, eps_reduce):
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
     short_list = [(tuple(c), w) for c, w in zip(nodes.tolist(), z.tolist())]
     return RSTensor(grid, long, short_ref, short_list, gamma,
-                    long_rank_pre=long_pre, long_basis=basis)
+                    long_rank_pre=long_pre, long_basis=basis,
+                    long_reference=ref if basis is None else None)
 
 
 def rs_eval_entry(t, i):

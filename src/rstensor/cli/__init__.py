@@ -3,8 +3,9 @@
 The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
 (by three mode products of its Tucker image when its rank was reduced,
-else term by term) -> (``--bc analytic`` only) delta, the 7-point stencil
-of that field less kappa^2 times the short part, and a Poisson solve with
+else plane by plane from its long reference columns, or term by term for
+a loaded bundle) -> (``--bc analytic`` only) delta, the 7-point stencil of
+that field less kappa^2 times the short part, and a Poisson solve with
 screened-Coulomb faces -> total composition -> oracle comparison (kappa = 0
 only: the oracle is unscreened).  With homogeneous faces the solve would
 return its input, so it is not run.  Every n^3 field is Fortran-ordered
@@ -31,7 +32,8 @@ from ..grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
 from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
                         snapped_molecule)
 from ..formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
-                       save_canonical, tucker_dense, tucker_image)
+                       save_canonical, shift_sum_dense, tucker_dense,
+                       tucker_image)
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
 from ..validation import compare, direct_sum_oracle, write_report
@@ -256,9 +258,11 @@ def _assemble_stage(cfg, m, timings):
 
 
 def _dense_mode1_fastest(rs):
-    # the C-ordered densification of the axis-reversed long part, transposed:
-    # the field in the dump's layout, with no n^3 copy
+    # the long part in the dump's layout, with no n^3 copy; a dense() result
+    # is the C-ordered densification of the axis-reversed tensor, transposed
     t = rs.long
+    if rs.long_reference is not None:
+        return shift_sum_dense(rs.long_reference, *zip(*rs.short_list))
     if rs.long_basis is None:
         return dense(CanonicalTensor3(t.weights, t.factors[::-1])).T
     t = tucker_image(t, rs.long_basis)
@@ -268,8 +272,8 @@ def _dense_mode1_fastest(rs):
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
     """Long-range potential on the grid.
 
-    The long part is densified from its Tucker image when ``rs`` carries a
-    Tucker basis, else from its canonical terms, straight into a
+    The long part is densified from its Tucker image or its reference
+    columns when ``rs`` carries them, else from its canonical terms, into a
     Fortran-ordered (mode-1 fastest) array.  With homogeneous faces that
     field is the result (it solves ``-lap u = -lap rs.long``).  With
     ``bc_molecule`` the faces carry its screened-Coulomb values, and the

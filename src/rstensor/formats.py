@@ -215,6 +215,42 @@ def _shift_columns(W, nodes):
     return W[n + np.arange(n)[:, None] - np.asarray(nodes)[None, :]]
 
 
+def _plane_sum(out, table, w, points, q):
+    """Add ``sum_a q[a] sum_k w[k] T1_k(x_a) x T2_k(y_a) x T3_k(z_a)`` into
+    the Fortran-ordered (n1, n2, n3) array ``out`` and return it.
+
+    ``table(l, u)`` is the (R, len(u), n_l) array of the terms' mode-l
+    vectors at the sorted distinct mode-l coordinates u of the (N, 3)
+    ``points``.  Each plane (distinct mode-3 coordinate) gets its R two-mode
+    products by one batched GEMM, and each block of about n1 (plane, term)
+    groups meets its mode-3 vectors in one in-place GEMM on ``out``.
+    """
+    # loaded here, not at package import: assembly never needs it
+    from scipy.linalg.blas import dgemm
+    points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
+    u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
+    T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
+    T[0] = T[0] * np.reshape(w, (-1, 1, 1))
+    R, (n1, n2, n3) = T[0].shape[0], out.shape
+    # plane p holds the points at the p-th distinct mode-3 coordinate
+    order = np.argsort(idx[2], kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
+    Z, step = bounds.size - 1, max(1, n1 // R)
+    # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
+    # is the transpose of the F-ordered (n1 n2, G) left operand
+    kab = np.empty((min(step, Z) * R, n2, n1))
+    for p0 in range(0, Z, step):
+        P = min(step, Z - p0)
+        for p in range(P):
+            a = order[bounds[p0 + p]:bounds[p0 + p + 1]]
+            np.matmul(T[1][:, idx[1][a]].transpose(0, 2, 1),
+                      T[0][:, idx[0][a]] * q[a, None], out=kab[p * R:(p + 1) * R])
+        E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
+        dgemm(1.0, kab[:P * R].reshape(P * R, -1).T, E3.T, beta=1.0,
+              c=out.reshape(n1 * n2, n3, order="F"), overwrite_c=1)
+    return out
+
+
 def shift_sum(ref, centers, charges):
     """Explicit canonical form of a charge-weighted sum of shifted copies.
 
@@ -229,6 +265,16 @@ def shift_sum(ref, centers, charges):
     A = tuple(_shift_columns(ref.factors[l], centers[:, l]).reshape(-1, N * R)
               for l in range(3))
     return CanonicalTensor3(w.ravel(), A)
+
+
+def shift_sum_dense(ref, centers, charges):
+    """``dense(shift_sum(ref, centers, charges))``, Fortran-ordered, summed
+    plane by plane from the shifted columns of ``ref``: O(n^3 R Z) flops
+    for Z occupied mode-3 nodes against the O(n^3 R N) of ``dense``.
+    """
+    out = np.zeros(tuple(A.shape[0] // 2 for A in ref.factors), order="F")
+    return _plane_sum(out, lambda l, u: _shift_columns(ref.factors[l], u).T,
+                      ref.weights, centers, charges)
 
 
 def c2t_shift_sum(ref, centers, charges, eps):

@@ -4,9 +4,9 @@ The direct-sum oracle evaluates the collective potential either with the
 exact radial kernel 1/r (an O(N n^3) loop over atoms) or with the same
 Gaussian-sum kernel the tensor pipeline uses; the latter is the default
 comparison target, so reported errors isolate compression and solver terms
-from quadrature error.  The Gaussian sum groups its N*R separable terms by
-(term, distinct third coordinate), costing O(N R n^2 + G n^3) for G groups;
-G is at most R n for grid-snapped charges.
+from quadrature error.  The Gaussian sum adds the atoms one plane (distinct
+third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
+most n for grid-snapped charges, whatever N is.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .formats import _plane_sum
 from .solver import GridFunction3
 
 
@@ -64,44 +65,15 @@ class ErrorReport:
 def gaussian_field(positions, charges, grid, q):
     """Dense Gaussian-sum potential of point charges at arbitrary positions.
 
-    The (atom, term) columns are grouped by term and distinct third
-    coordinate: each group contributes one n x n GEMM of its first two
-    Gaussian factors.  The groups are contracted with their shared third
-    factor n at a time, by one in-place GEMM into the Fortran-ordered
-    (mode-1 fastest) output seen as an n^2 x n matrix, so the largest
-    temporary is one n^3 block of group products.  For charges on grid
-    nodes the group count is at most R n, whatever N is.
+    The factors ``exp(-t_k^2 (x - u)^2)`` are tabulated once per term k and
+    distinct coordinate u of each mode; ``_plane_sum`` adds them up plane
+    by plane (distinct third coordinate) into a Fortran-ordered (mode-1
+    fastest) output, so the largest temporary is one n^3 block.
     """
-    # loaded here, not at package import: only the oracle needs it
-    from scipy.linalg.blas import dgemm
-    x = grid.coords()
-    n = grid.n
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    charges = np.asarray(charges, dtype=float)
-    t2 = q.nodes ** 2
-    z3, inv3 = np.unique(positions[:, 2], return_inverse=True)
-    # group g = k * z3.size + j holds term k of the atoms at z3[j]
-    atoms = np.argsort(inv3, kind="stable")
-    bounds = np.r_[0, np.cumsum(np.bincount(inv3))]
-    G = q.rank * z3.size
-    out = np.zeros((n, n, n), order="F")
-    # row i1 + n*i2, column i3: a view of out, which dgemm updates in place
-    out2 = out.reshape(n * n, n, order="F")
-    # kab[g] is indexed [i2, i1], so kab[:m] reshaped to (m, n^2) is the
-    # transpose of the F-ordered (n^2, m) left operand
-    kab = np.empty((min(n, G), n, n))
-    for g0 in range(0, G, n):
-        gk, gj = np.divmod(np.arange(g0, min(g0 + n, G)), z3.size)
-        for g, (k, j) in enumerate(zip(gk, gj)):
-            ia = atoms[bounds[j]:bounds[j + 1]]
-            E1 = np.exp(-t2[k] * (x[:, None] - positions[ia, 0][None, :]) ** 2)
-            E1 *= charges[ia] * q.weights[k]
-            E2 = np.exp(-t2[k] * (x[:, None] - positions[ia, 1][None, :]) ** 2)
-            np.matmul(E2, E1.T, out=kab[g])
-        E3 = np.exp(-t2[gk][None, :] * (x[:, None] - z3[gj][None, :]) ** 2)
-        dgemm(1.0, kab[:gk.size].reshape(gk.size, n * n).T, E3.T, beta=1.0,
-              c=out2, overwrite_c=1)
-    return out
+    x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
+    out = np.zeros((grid.n,) * 3, order="F")
+    return _plane_sum(out, lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
+                      q.weights, positions, charges)
 
 
 def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
@@ -168,24 +140,28 @@ def compare(a, b, exclude_centers=None, exclude_radius=1, config=None,
     if a.grid.n != b.grid.n or abs(a.grid.b - b.grid.b) > 1e-12:
         raise ConfigError("fields live on different grids")
     g = a.grid
-    mask = np.zeros((g.n,) * 3, dtype=bool)
+    mask = np.zeros((g.n,) * 3, dtype=bool, order="F")
     centers = list(exclude_centers or [])
     centers += b.meta.get("excluded_nodes", [])
     for c in centers:
         lo = [max(ci - exclude_radius, 0) for ci in c]
         hi = [min(ci + exclude_radius + 1, g.n) for ci in c]
         mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-    # |a - b| is the only n^3 float temporary of the full-grid metrics; its
-    # core nodes are zeroed in place once the full-grid figures are taken
-    absd = a.values - b.values
-    np.abs(absd, out=absd)
-    max_abs = float(absd.max())
-    if not l2_excludes_cores:
-        ss, ref_ss = _sumsq(absd), _sumsq(b.values)
-    absd[mask] = 0.0
-    max_excl = float(absd.max())
-    if l2_excludes_cores:
-        ss, ref_ss = _sumsq(absd), _sumsq(b.values[~mask])
+    # |a - b| goes through one 2 MiB buffer, a block of i3 planes at a time;
+    # its core nodes are zeroed once the block's full-grid max is taken
+    k = max(1, 2 ** 18 // g.n ** 2)
+    buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
+    max_abs = max_excl = ss = ref_ss = 0.0
+    for i3 in range(0, g.n, k):
+        sl = np.s_[:, :, i3:i3 + k]
+        d, ref, core = buf[:, :, :min(k, g.n - i3)], b.values[sl], mask[sl]
+        np.abs(np.subtract(a.values[sl], ref, out=d), out=d)
+        max_abs = max(max_abs, float(d.max()))
+        if l2_excludes_cores:
+            d[core], ref = 0.0, ref[~core]
+        ss, ref_ss = ss + _sumsq(d), ref_ss + _sumsq(ref)
+        d[core] = 0.0
+        max_excl = max(max_excl, float(d.max()))
     l2 = np.sqrt(g.h ** 3 * ss)
     rel = np.sqrt(ss / ref_ss) if ref_ss > 0 else (0.0 if ss == 0 else np.inf)
     if not np.isfinite(rel):

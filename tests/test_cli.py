@@ -558,6 +558,7 @@ def test_u_long_is_dense_long(densify_cases, case):
     reduced = rs.long.rank < rs.long_rank_pre
     assert reduced == (case == "cluster60")
     assert (rs.long_basis is not None) == reduced
+    assert (rs.long_reference is None) == reduced
     ref = rt.dense(rs.long)
     u = out["u_long"].values
     assert u.flags.f_contiguous
@@ -655,21 +656,34 @@ def test_validate_takes_rank_from_dump(tmp_path):
     assert float(kv["relative_l2"]) <= 1e-12
 
 
-def test_rerun_byte_identical_with_reduction(tmp_path):
-    # two fresh processes on a cluster whose long rank is reduced
-    # (13200 -> 2891 on a 2-vCPU x86 host) must write the same bytes
+def _rerun_twice(tmp_path, args):
+    # the metrics of the first of two fresh-process runs, after checking
+    # that both wrote the same bytes
     src = os.path.dirname(os.path.dirname(rt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for sub in ("a", "b"):
         subprocess.run([sys.executable, "-c",
                         "import sys; from rstensor.cli import main; "
                         "sys.exit(main(sys.argv[1:]))",
-                        "run", "--synthetic", "600", "--half-extent", "10",
-                        "--seed", "3", "--n", "65", "-o", str(tmp_path / sub)],
+                        "run", *args, "-o", str(tmp_path / sub)],
                        env=env, check=True, capture_output=True)
-    met = dict(line.split("=", 1) for line in
-               (tmp_path / "a" / "metrics.txt").read_text().splitlines())
-    assert int(met["rank_post"]) < int(met["rank_pre"]) == 13200
     for name in ("metrics.txt", "total.bin", "ulong.bin", "short.bin"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes(), name
+    return dict(line.split("=", 1) for line in
+                (tmp_path / "a" / "metrics.txt").read_text().splitlines())
+
+
+def test_rerun_byte_identical_with_reduction(tmp_path):
+    # a cluster whose long rank is reduced (13200 -> 2891 on a 2-vCPU x86
+    # host)
+    met = _rerun_twice(tmp_path, ["--synthetic", "600", "--half-extent", "10",
+                                  "--seed", "3", "--n", "65"])
+    assert int(met["rank_post"]) < int(met["rank_pre"]) == 13200
+
+
+def test_rerun_byte_identical_explicit_long(tmp_path):
+    # ligand18 keeps its explicit long sum, densified plane by plane from
+    # the long reference columns
+    met = _rerun_twice(tmp_path, ["--pqr", LIGAND, "--n", "65"])
+    assert met["rank_post"] == met["rank_pre"]

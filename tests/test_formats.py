@@ -3,13 +3,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
-from rstensor.formats import t2c_with_basis, tucker_dense, tucker_image
+from rstensor.formats import (_plane_sum, t2c_with_basis, tucker_dense,
+                              tucker_image)
 
 
 def test_eval_entry_zero_tensor():
@@ -201,6 +202,29 @@ def test_dense_matches_einsum(shape, R, seed):
                             tuple(rng.standard_normal((n, R)) for n in shape))
     ref = np.einsum("k,ak,bk,ck->abc", t.weights, *t.factors)
     assert np.allclose(rt.dense(t), ref, rtol=0, atol=1e-13 * max(1, R))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 3), R=st.integers(1, 8),
+       m=st.tuples(*[st.integers(1, 12)] * 3), N=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0)
+def test_plane_sum_matches_einsum(shape, R, m, N, seed):
+    # N points on m_l coordinates per mode repeat nodes and crowd planes;
+    # up to 12 planes against max(1, n1 // R) per group block cross blocks
+    rng = np.random.default_rng(seed)
+    T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
+    pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
+    w, q = rng.standard_normal(R), rng.standard_normal(N)
+    out0 = np.asfortranarray(rng.standard_normal(shape))
+    out = out0.copy(order="F")
+    assert _plane_sum(out, lambda l, u: T[l][:, u], w, pts, q) is out
+    G = [t[:, p] for t, p in zip(T, pts.T)]
+    ref = out0 + np.einsum("k,a,kai,kaj,kal->ijl", w, q, *G)
+    scale = np.abs(out0) + np.einsum("k,a,kai,kaj,kal->ijl", np.abs(w),
+                                     np.abs(q), *map(np.abs, G))
+    assert out.flags.f_contiguous
+    assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
 def test_reduce_rank_redundant_columns():
