@@ -258,8 +258,8 @@ def _assemble_stage(cfg, m, timings):
 
 
 def _dense_mode1_fastest(rs):
-    # the long part in the dump's layout, with no n^3 copy; a dense() result
-    # is the C-ordered densification of the axis-reversed tensor, transposed
+    # the long part in the dump's layout, with no n^3 copy: written so by
+    # shift_sum_dense, else densified axis-reversed in C order and transposed
     t = rs.long
     if rs.long_reference is not None:
         return shift_sum_dense(rs.long_reference, *zip(*rs.short_list))
