@@ -4,15 +4,16 @@ The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
 (by three mode products of its Tucker image when its rank was reduced,
 else plane by plane from its long reference columns, or term by term for
-a loaded bundle) -> (``--bc analytic`` only) delta, the 7-point stencil of
-that field less kappa^2 times the short part, and a Poisson solve with
-screened-Coulomb faces -> total composition -> oracle comparison (kappa = 0
-only: the oracle is unscreened).  With homogeneous faces the solve would
-return its input, so it is not run.  Every n^3 field is Fortran-ordered
-(mode-1 fastest), the layout of the ``.bin`` dumps, so they are written
-without a copy.  Metrics land in a deterministic key=value report;
-wall-clock stage times go to a separate file so reruns with the same
-config and seed are byte-identical.  ``python -m rstensor`` and ``python
+a loaded bundle) -> short part scattered once -> (``--bc analytic`` only)
+delta, the stencil of the long field less kappa^2 times the short one,
+and a Poisson solve with screened-Coulomb faces -> oracle field (kappa = 0
+only: it is unscreened) -> total, long plus short in one add -> oracle
+comparison.  With homogeneous faces the solve would return its input, so
+it is not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the
+layout of the ``.bin`` dumps, so they are written without a copy.
+Metrics land in a deterministic key=value report; wall-clock stage times
+go to a separate file so reruns with the same config and seed are
+byte-identical.  ``python -m rstensor`` and ``python
 -m rstensor.cli`` run ``main`` and exit with its code.
 """
 
@@ -119,17 +120,17 @@ class RunConfig:
     ``b="auto"`` sizes the box so the atom margin rule (every atom at least
     gamma*h/2 + 2h from each face) holds with slack; ``rank="auto"`` picks
     the smallest ladder rank whose measured kernel error meets
-    ``eps_kernel``; ``gamma="auto"`` converts ``sep_radius`` (Angstrom) into
-    grid units.  With ``eps_scaling="mesh"`` the rank-reduction tolerance is
-    ``eps_c2t * h^2`` so the compression error tracks the grid resolution;
-    "fixed" uses ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens the
+    ``eps_kernel``.  The separation gamma is ``sep_radius`` (Angstrom) in
+    grid units, round(2*sep_radius/h) and at least 2.  With
+    ``eps_scaling="mesh"`` the rank-reduction tolerance is ``eps_c2t * h^2``
+    so the compression error tracks the grid resolution; "fixed" uses
+    ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens the
     ``bc="analytic"`` solve, and only that solve, so it needs that ``bc``.
     """
 
     n: int = 129
     b: object = "auto"
     rank: object = "auto"
-    gamma: object = "auto"
     sep_radius: float = 3.5
     eps_kernel: float = 1e-6
     eps_support: float = 1e-8
@@ -148,8 +149,6 @@ class RunConfig:
             raise ConfigError("config: b must be positive or 'auto'")
         if self.rank != "auto" and (int(self.rank) != self.rank or self.rank < 1):
             raise ConfigError("config: rank must be a positive integer or 'auto'")
-        if self.gamma != "auto" and (int(self.gamma) != self.gamma or self.gamma < 1):
-            raise ConfigError("config: gamma must be a positive integer or 'auto'")
         if not (self.sep_radius > 0):
             raise ConfigError("config: sep_radius must be positive")
         for name in ("eps_kernel", "eps_support", "eps_c2t"):
@@ -223,7 +222,7 @@ def _boundary_field(m, grid, kappa):
 def _clock(timings, key):
     t0 = time.perf_counter()
     yield
-    timings[key] = time.perf_counter() - t0
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
 def _assemble_stage(cfg, m, timings):
@@ -239,7 +238,7 @@ def _assemble_stage(cfg, m, timings):
     cfg.validate()
     grid = Grid3(cfg.n, resolve_box(cfg, m))
     h = grid.h
-    gamma = cfg.gamma if cfg.gamma != "auto" else gamma_for_separation(grid, cfg.sep_radius)
+    gamma = gamma_for_separation(grid, cfg.sep_radius)
     maxabs = float(np.max(np.abs(m.positions)))
     need = 0.5 * gamma * h + 2.0 * h
     if grid.b - maxabs < need - 1e-9:
@@ -270,58 +269,67 @@ def _dense_mode1_fastest(rs):
 
 
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
-    """Long-range potential on the grid.
+    """Long-range potential and short-range field (``bc=none``) on the grid.
 
     The long part is densified from its Tucker image or its reference
     columns when ``rs`` carries them, else from its canonical terms, into a
-    Fortran-ordered (mode-1 fastest) array.  With homogeneous faces that
-    field is the result (it solves ``-lap u = -lap rs.long``).  With
-    ``bc_molecule`` the faces carry its screened-Coulomb values, and the
-    regular part u_r of the total ``U_short + u_r`` solves
-    ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.
+    Fortran-ordered (mode-1 fastest) array; the short part is scattered
+    once into another.  With homogeneous faces the long field is the
+    result (it solves ``-lap u = -lap rs.long``).  With ``bc_molecule``
+    the faces carry its screened-Coulomb values, and the regular part u_r
+    of the total ``U_short + u_r`` solves
+    ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.  Returns
+    ``(u_long, short)``.
     """
     with _clock(timings, "dense"):
         values = _dense_mode1_fastest(rs)
+    with _clock(timings, "compose"):
+        short = GridFunction3(rs.grid, scatter_short(
+            rs, np.zeros(values.shape, order="F")), {"bc": "none"})
     if bc_molecule is None:
-        return GridFunction3(rs.grid, values, {"bc": "homogeneous"})
+        return GridFunction3(rs.grid, values, {"bc": "homogeneous"}), short
     with _clock(timings, "delta"):
         rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
+        del values  # read no more: the short field takes its place in the peak
         np.negative(rhs, out=rhs)
         if kappa > 0:
-            rhs -= kappa * kappa * scatter_short(
-                rs, np.zeros(values.shape, order="F"))
+            rhs -= kappa * kappa * short.values
     with _clock(timings, "solve"):
         bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
         return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
-                             bc="trace", bc_field=bc_field)
+                             bc="trace", bc_field=bc_field), short
 
 
 def run_case(cfg, m):
     """Execute the pipeline in memory.
 
-    Returns a dict with the composed field (``total``), the long-range solve
-    (``u_long``), the assembled tensor (``rs``), the reference kernel, the
-    snapped molecule, the error report, deterministic ``metrics`` and
-    wall-clock ``timings``.  The report is None when the Gaussian-sum
-    oracle was skipped: above ``_ORACLE_ATOM_CAP`` atoms, and for
-    ``kappa > 0``, where the oracle's unscreened field is no reference.
+    Returns a dict with the fields ``total`` = ``u_long`` + ``short`` (the
+    long-range solve and the run's one short-range scatter), the assembled
+    tensor (``rs``), the reference kernel, the snapped molecule, the error
+    report, deterministic ``metrics`` and wall-clock ``timings``.  The
+    report is None when the Gaussian-sum oracle was skipped: above
+    ``_ORACLE_ATOM_CAP`` atoms, and for ``kappa > 0``, where the oracle's
+    unscreened field is no reference.
     """
     timings = {}
     t_all = time.perf_counter()
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 
-    u_long = _solve_stage(rs, timings, cfg.kappa,
-                          snapped if cfg.bc == "analytic" else None)
-    u_long.meta["quad_rank"] = q.rank
-    with _clock(timings, "compose"):
-        total = compose_total(u_long, rs)
+    u_long, short = _solve_stage(rs, timings, cfg.kappa,
+                                 snapped if cfg.bc == "analytic" else None)
+    u_long.meta["quad_rank"] = short.meta["quad_rank"] = q.rank
 
-    report = None
+    # oracle after the densify's temporaries, before the total: lowest peak
+    oracle = report = None
     if m.n_atoms <= _ORACLE_ATOM_CAP and cfg.kappa == 0:
         with _clock(timings, "oracle"):
             oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                        quad=q)
+    with _clock(timings, "compose"):
+        total = compose_total(u_long, short)
+    if oracle is not None:
+        with _clock(timings, "oracle"):
             report = compare(total, oracle,
                              exclude_centers=[c for c, _ in rs.short_list],
                              config={"oracle": "gaussian_sum"})
@@ -357,9 +365,9 @@ def run_case(cfg, m):
             "max_abs": _fmt(report.max_abs),
             "max_abs_excl": _fmt(report.max_abs_excluding_cores),
         })
-    return {"total": total, "u_long": u_long, "rs": rs, "kernel": kernel,
-            "molecule": snapped, "report": report, "metrics": metrics,
-            "timings": timings, "quadrature": q}
+    return {"total": total, "u_long": u_long, "short": short, "rs": rs,
+            "kernel": kernel, "molecule": snapped, "report": report,
+            "metrics": metrics, "timings": timings, "quadrature": q}
 
 
 def _fmt(v):
@@ -383,11 +391,7 @@ def run_pipeline(cfg, m):
 
     save_field(out["total"], _p("total.bin"))
     save_field(out["u_long"], _p("ulong.bin"))
-    grid = out["total"].grid
-    short = np.zeros((grid.n,) * 3, order="F")
-    scatter_short(out["rs"], short)
-    meta = {"bc": "none", "quad_rank": out["quadrature"].rank}
-    save_field(GridFunction3(grid, short, meta), _p("short.bin"))
+    save_field(out["short"], _p("short.bin"))
     with open(_p("metrics.txt"), "w") as fh:
         for k in sorted(out["metrics"]):
             fh.write("%s=%s\n" % (k, out["metrics"][k]))
@@ -485,7 +489,6 @@ def _add_common(sp):
 
 
 def _add_assembly(sp):
-    sp.add_argument("--gamma", type=_num_or_auto(int), help="separation in grid units, or 'auto'")
     sp.add_argument("--sep-radius", dest="sep_radius", type=float,
                     help="short-range support radius in A (default 3.5)")
     sp.add_argument("--eps-support", dest="eps_support", type=float)
@@ -542,8 +545,8 @@ def _load_bundle(d):
 def _cmd_solve(args):
     d = args.indir
     rs = _load_bundle(d)
-    u = _solve_stage(rs, {})
-    total = compose_total(u, rs)
+    u, short = _solve_stage(rs, {})
+    total = compose_total(u, short)
     out = args.outdir or d
     os.makedirs(out, exist_ok=True)
     save_field(u, os.path.join(out, "ulong.bin"))

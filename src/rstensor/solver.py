@@ -21,7 +21,6 @@ from scipy.fft import dstn
 
 from .errors import ConfigError, DataError, NumericError
 from .formats import CanonicalTensor3, dense
-from .assembly import scatter_short
 
 _F64 = "<f8"
 
@@ -206,15 +205,12 @@ def _residual(L, u, f):
     return float(np.linalg.norm(-apply_stencil_dense(L, u) - f) / den)
 
 
-def compose_total(u_long, rs):
-    """Total potential: long-range solve plus the short-range template field."""
-    if u_long.grid.n != rs.grid.n or abs(u_long.grid.b - rs.grid.b) > 1e-12:
-        raise ConfigError("field and tensor grids differ")
-    out = u_long.values.copy(order="K")
-    scatter_short(rs, out)
-    meta = dict(u_long.meta)
-    meta["composed"] = True
-    return GridFunction3(u_long.grid, out, meta)
+def compose_total(u_long, short):
+    """Total potential ``u_long + short``: one add, in their memory layout."""
+    if u_long.grid != short.grid:
+        raise ConfigError("long and short field grids differ")
+    total = np.add(u_long.values, short.values, order="K")
+    return GridFunction3(u_long.grid, total, dict(u_long.meta, composed=True))
 
 
 def save_field(f, path):

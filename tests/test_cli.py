@@ -75,7 +75,7 @@ def test_config_validation_messages():
     cfg = rt.RunConfig()
     cfg.validate()
     bad = [
-        dict(n=2), dict(n=17), dict(b=-1.0), dict(rank=0), dict(gamma=0),
+        dict(n=2), dict(n=17), dict(b=-1.0), dict(rank=0),
         dict(sep_radius=0.0), dict(eps_kernel=0.0), dict(eps_support=2.0),
         dict(eps_c2t=-1e-9), dict(eps_scaling="loose"),
         dict(bc="periodic"), dict(kappa=-0.1), dict(kappa=0.5),
@@ -152,6 +152,52 @@ def test_short_dump_is_short_field(tmp_path, born_mol):
     assert np.array_equal(short.values, ref)
     tot = rt.load_field(tmp_path / "total.bin")
     assert np.allclose(tot.values, out["u_long"].values + ref, atol=1e-15)
+
+
+def _count_scatters(monkeypatch):
+    # rebinds every module name holding scatter_short, so no caller is missed;
+    # returns the list of the arrays scattered into
+    orig, made = rt.scatter_short, []
+
+    def counted(rs, out):
+        made.append(orig(rs, out))
+        return made[-1]
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "rstensor":
+            for attr, v in list(vars(mod).items()):
+                if v is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return made
+
+
+def _dumps(d, *names):
+    return [rt.load_field(d / name).values for name in names]
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--bc", "analytic"], ["--bc", "analytic", "--kappa", "0.5"]],
+    ids=["homogeneous", "analytic", "kappa"])
+def test_run_scatters_short_once(tmp_path, monkeypatch, flags):
+    # every consumer reads the one short field: the dump, the total and,
+    # at kappa > 0, the right-hand side
+    made = _count_scatters(monkeypatch)
+    assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "-o", str(tmp_path)]
+                   + flags) == 0
+    assert len(made) == 1
+    total, u_long, short = _dumps(tmp_path, "total.bin", "ulong.bin",
+                                  "short.bin")
+    assert np.array_equal(short, made[0])
+    assert np.array_equal(total, u_long + short)
+
+
+def test_solve_scatters_short_once(tmp_path, monkeypatch):
+    assert rt.main(["assemble", "--pqr", LIGAND, "--n", "33", "-o",
+                    str(tmp_path)]) == 0
+    made = _count_scatters(monkeypatch)
+    assert rt.main(["solve", "-i", str(tmp_path)]) == 0
+    assert len(made) == 1
+    total, u_long = _dumps(tmp_path, "total.bin", "ulong.bin")
+    assert np.array_equal(total, u_long + made[0])
 
 
 def test_export_zero_field_csv(tmp_path):
@@ -285,14 +331,16 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
     out = rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa), born_mol)
     assert out["total"].values.flags.f_contiguous
     assert out["u_long"].values.flags.f_contiguous
+    assert out["short"].values.flags.f_contiguous
     assert out["rs"].template_dense().flags.c_contiguous
 
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
     rs = rt.cli._load_bundle(str(born_bundle))
-    u = rt.cli._solve_stage(rs, {})
-    total = rt.compose_total(u, rs)
+    u, short = rt.cli._solve_stage(rs, {})
+    total = rt.compose_total(u, short)
     assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
+    assert short.values.flags.f_contiguous
     assert rs.template_dense().flags.c_contiguous
     rt.save_field(total, tmp_path / "total.bin")
     loaded = rt.load_field(tmp_path / "total.bin")
@@ -435,7 +483,8 @@ def test_screened_total_is_debye_hueckel(born_mol):
 
 
 @pytest.mark.parametrize("cmd,flag,value", [
-    ("validate", "--gamma", "6"), ("validate", "--sep-radius", "-4"),
+    ("run", "--gamma", "6"), ("validate", "--gamma", "6"),
+    ("validate", "--sep-radius", "-4"),
     ("validate", "--eps-support", "1e-8"), ("validate", "--eps-c2t", "2.0"),
     ("validate", "--eps-scaling", "fixed"), ("validate", "--bc", "analytic"),
     ("validate", "--kappa", "0.5"), ("assemble", "--bc", "analytic"),
@@ -486,9 +535,10 @@ def test_screened_run_skips_oracle(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["run", "assemble"])
 def test_margin_rule_exit_code(tmp_path, capsys, cmd):
-    # gamma=30 at h=0.5 needs 9.5 A from each face in a b=8 box
-    rc = rt.main([cmd, "--pqr", BORN, "--n", "33", "--b", "8", "--gamma", "30",
-                  "-o", str(tmp_path)])
+    # sep_radius 7.5 A is gamma=30 at h=0.5, which needs 8.5 A from each
+    # face in a b=8 box
+    rc = rt.main([cmd, "--pqr", BORN, "--n", "33", "--b", "8", "--sep-radius",
+                  "7.5", "-o", str(tmp_path)])
     assert rc == 2
     assert "config error: margin rule violated" in capsys.readouterr().err
     assert not (tmp_path / "shortlist.json").exists()

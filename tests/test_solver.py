@@ -215,10 +215,12 @@ def test_compose_total_adds_short_field():
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
     zero = rt.GridFunction3(g, np.zeros((17, 17, 17)))
-    tot = rt.compose_total(zero, rs)
     ref = rt.scatter_short(rs, np.zeros((17, 17, 17)))
+    tot = rt.compose_total(zero, rt.GridFunction3(g, ref, {"bc": "none"}))
     assert np.array_equal(tot.values, ref)
     assert tot.meta["composed"] is True
+    with pytest.raises(rt.ConfigError):
+        rt.compose_total(zero, rt.GridFunction3(rt.Grid3(17, 3.0), ref))
 
 
 def test_dst1_direct_matches_fft_version():
