@@ -12,9 +12,11 @@ comparison.  With homogeneous faces the solve would return its input, so
 it is not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the
 layout of the ``.bin`` dumps, so they are written without a copy.
 Metrics land in a deterministic key=value report; wall-clock stage times
-go to a separate file so reruns with the same config and seed are
-byte-identical.  ``python -m rstensor`` and ``python
--m rstensor.cli`` run ``main`` and exit with its code.
+go to a separate file.  Reruns of born, and of ligand18 and a 600-atom
+cluster at n=65, are byte-identical (tested); not every input's are (the
+open ``FOUND`` line on cluster2000 seed 4 in CHANGES.md).  ``python -m
+rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
+code.
 """
 
 import argparse
@@ -86,7 +88,7 @@ def parse_pqr(path):
             from None
 
 
-def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0, name=None):
+def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0):
     """Reproducible random particle cloud with a minimum pairwise separation.
 
     Positions are drawn uniformly in [-half_extent, half_extent]^3 by
@@ -109,8 +111,7 @@ def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0, name=None):
         pts[count] = cand
         count += 1
     charges = np.where(np.arange(n_atoms) % 2 == 0, 1.0, -1.0)
-    return Molecule(pts, charges, np.full(n_atoms, 1.5),
-                    name or "cluster%d" % n_atoms)
+    return Molecule(pts, charges, np.full(n_atoms, 1.5), "cluster%d" % n_atoms)
 
 
 @dataclass
@@ -121,11 +122,11 @@ class RunConfig:
     gamma*h/2 + 2h from each face) holds with slack; ``rank="auto"`` picks
     the smallest ladder rank whose measured kernel error meets
     ``eps_kernel``.  The separation gamma is ``sep_radius`` (Angstrom) in
-    grid units, round(2*sep_radius/h) and at least 2.  With
-    ``eps_scaling="mesh"`` the rank-reduction tolerance is ``eps_c2t * h^2``
-    so the compression error tracks the grid resolution; "fixed" uses
-    ``eps_c2t`` as is.  ``kappa`` (1/Angstrom) screens the
-    ``bc="analytic"`` solve, and only that solve, so it needs that ``bc``.
+    grid units, round(2*sep_radius/h) and at least 2.  The rank-reduction
+    tolerance is always ``eps_c2t * h^2``, so the compression error tracks
+    the grid resolution; a fixed tolerance e is ``eps_c2t = e / h^2``.
+    ``kappa`` (1/Angstrom) screens the ``bc="analytic"`` solve, and only
+    that solve, so it needs that ``bc``.
     """
 
     n: int = 129
@@ -135,32 +136,33 @@ class RunConfig:
     eps_kernel: float = 1e-6
     eps_support: float = 1e-8
     eps_c2t: float = 1e-8
-    eps_scaling: str = "mesh"
     bc: str = "homogeneous"
     kappa: float = 0.0
     outdir: str = "."
+    # not a field, so not settable: perfbench/worker.py reads it to compute
+    # the reduction tolerance, and test_entry_points checks that it resolves
+    eps_scaling = "mesh"
 
     def validate(self):
         if int(self.n) != self.n or self.n < 3:
             raise ConfigError("config: n must be an integer >= 3")
         if self.n < 33:
             raise ConfigError("config: molecule runs need n >= 33")
-        if self.b != "auto" and not (isinstance(self.b, (int, float)) and self.b > 0):
-            raise ConfigError("config: b must be positive or 'auto'")
+        if self.b != "auto" and not (isinstance(self.b, (int, float))
+                                     and 0 < self.b < np.inf):
+            raise ConfigError("config: b must be positive and finite or 'auto'")
         if self.rank != "auto" and (int(self.rank) != self.rank or self.rank < 1):
             raise ConfigError("config: rank must be a positive integer or 'auto'")
-        if not (self.sep_radius > 0):
-            raise ConfigError("config: sep_radius must be positive")
+        if not (0 < self.sep_radius < np.inf):
+            raise ConfigError("config: sep_radius must be positive and finite")
         for name in ("eps_kernel", "eps_support", "eps_c2t"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ConfigError("config: %s must lie in (0, 1)" % name)
-        if self.eps_scaling not in ("mesh", "fixed"):
-            raise ConfigError("config: eps_scaling must be 'mesh' or 'fixed'")
         if self.bc not in ("homogeneous", "analytic"):
             raise ConfigError("config: bc must be 'homogeneous' or 'analytic'")
-        if not (self.kappa >= 0):
-            raise ConfigError("config: kappa must be nonnegative")
+        if not (0 <= self.kappa and self.kappa * self.kappa < np.inf):
+            raise ConfigError("config: kappa must be >= 0 with finite kappa^2")
         if self.kappa > 0 and self.bc != "analytic":
             raise ConfigError("config: kappa > 0 needs bc='analytic'")
 
@@ -244,7 +246,7 @@ def _assemble_stage(cfg, m, timings):
     if grid.b - maxabs < need - 1e-9:
         raise ConfigError("margin rule violated: atoms within %.3f A of a face, "
                           "need %.3f A" % (grid.b - maxabs, need))
-    eps_eff = cfg.eps_c2t * h * h if cfg.eps_scaling == "mesh" else cfg.eps_c2t
+    eps_eff = cfg.eps_c2t * h * h
     with _clock(timings, "quadrature"):
         q = _resolve_quadrature(cfg, grid)
     with _clock(timings, "kernel"):
@@ -492,8 +494,8 @@ def _add_assembly(sp):
     sp.add_argument("--sep-radius", dest="sep_radius", type=float,
                     help="short-range support radius in A (default 3.5)")
     sp.add_argument("--eps-support", dest="eps_support", type=float)
-    sp.add_argument("--eps-c2t", dest="eps_c2t", type=float)
-    sp.add_argument("--eps-scaling", dest="eps_scaling", choices=("mesh", "fixed"))
+    sp.add_argument("--eps-c2t", dest="eps_c2t", type=float,
+                    help="rank-reduction tolerance in units of h^2")
 
 
 def _cmd_assemble(args):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadtable import QUAD_TABLE
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .formats import CanonicalTensor3
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -164,7 +164,7 @@ def _table_params(R, B):
 _TUNE_CACHE = {}
 
 
-def build_quadrature(R, rho_min, rho_max, tol=None):
+def build_quadrature(R, rho_min, rho_max):
     """Build a rank-R Gaussian-sum quadrature for 1/rho on [rho_min, rho_max].
 
     The result depends on the interval only through B = rho_max/rho_min
@@ -185,8 +185,6 @@ def build_quadrature(R, rho_min, rho_max, tol=None):
         Number of Gaussian terms, >= 1.
     rho_min, rho_max : float
         Target interval, 0 < rho_min <= rho_max.
-    tol : float, optional
-        When given, raise NumericError if the achieved error exceeds it.
 
     Returns
     -------
@@ -210,8 +208,6 @@ def build_quadrature(R, rho_min, rho_max, tol=None):
     rho = np.geomspace(rho_min, rho_max, 4096) if rho_max > rho_min \
         else np.array([rho_min])
     err = float(np.max(np.abs(rho * (np.exp(-np.outer(rho ** 2, t ** 2)) @ c) - 1.0)))
-    if tol is not None and err > tol:
-        raise NumericError("quadrature error %.3e exceeds requested %.3e" % (err, tol))
     return SincQuadrature(t, c, (float(rho_min), float(rho_max)), err)
 
 
@@ -288,7 +284,12 @@ def gamma_for_separation(grid, radius):
     """Integer grid units giving a short-range support radius of ``radius``.
 
     The support radius is gamma*h/2, so gamma = round(2*radius/h), at least 2.
+    A radius at or beyond the box half-width violates the margin rule for
+    any atom, which must stay gamma*h/2 + 2h from each face.
     """
     if not (radius > 0):
         raise ConfigError("separation radius must be positive")
+    if not (radius < grid.b):
+        raise ConfigError("margin rule violated: separation radius %.3g A "
+                          "reaches the box half-width %.3g A" % (radius, grid.b))
     return max(2, int(round(2.0 * radius / grid.h)))

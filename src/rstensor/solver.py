@@ -20,7 +20,7 @@ import numpy as np
 from scipy.fft import dstn
 
 from .errors import ConfigError, DataError, NumericError
-from .formats import CanonicalTensor3, dense
+from .formats import CanonicalTensor3
 
 _F64 = "<f8"
 
@@ -129,24 +129,20 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
 
     Parameters
     ----------
-    rhs : CanonicalTensor3, GridFunction3 or dense array
+    rhs : dense (n, n, n) array
     L : DiscreteLaplacian
     bc : {"homogeneous", "trace"}
         Homogeneous ghosts, or face values taken from ``bc_field`` with the
         interior solved after moving the face data into the right-hand side.
-    bc_field : GridFunction3 or dense array, required when bc="trace".
+    bc_field : dense (n, n, n) array, required when bc="trace"; only its
+        faces are read.
 
     Returns
     -------
     GridFunction3 with ``meta["residual"]`` set.
     """
     n, h = L.grid.n, L.grid.h
-    if isinstance(rhs, CanonicalTensor3):
-        f = dense(rhs)
-    elif isinstance(rhs, GridFunction3):
-        f = rhs.values
-    else:
-        f = np.asarray(rhs, dtype=float)
+    f = np.asarray(rhs, dtype=float)
     if f.shape != (n, n, n):
         raise ConfigError("right-hand side shape does not match the grid")
 
@@ -159,8 +155,7 @@ def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
         raise ConfigError("bc must be 'homogeneous' or 'trace'")
     if bc_field is None:
         raise ConfigError("bc='trace' needs bc_field")
-    g = bc_field.values if isinstance(bc_field, GridFunction3) \
-        else np.asarray(bc_field, dtype=float)
+    g = np.asarray(bc_field, dtype=float)
     if g.shape != (n, n, n):
         raise ConfigError("boundary field shape does not match the grid")
     # move the known face values into the interior right-hand side

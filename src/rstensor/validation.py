@@ -24,8 +24,9 @@ class ErrorReport:
 
     ``discrete_l2`` is sqrt(h^3 * sum diff^2) (potential * Angstrom^(3/2));
     ``rss`` is the unweighted root-sum-square; ``relative_l2`` is the ratio
-    of difference to reference norms; nodes within ``exclude_radius`` grid
-    units (Chebyshev) of a listed center are dropped from
+    of difference to reference norms.  Nodes where the reference is
+    undefined are left out of all five metrics; nodes within one grid unit
+    (Chebyshev) of an atom center are also left out of
     ``max_abs_excluding_cores``.
     """
 
@@ -92,8 +93,9 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
 
     Returns
     -------
-    GridFunction3; in exact mode, nodes coinciding with an atom are set to 0
-    and listed in ``meta["excluded_nodes"]``.
+    GridFunction3; in exact mode, nodes coinciding with an atom, where 1/r
+    is undefined, are set to 0 and listed in ``meta["excluded_nodes"]``,
+    which ``compare`` leaves out of every metric.
     """
     if kernel == "gaussian_sum":
         if quad is None:
@@ -125,54 +127,51 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
                                      "excluded_nodes": excluded})
 
 
-def compare(a, b, exclude_centers=None, exclude_radius=1, config=None,
-            l2_excludes_cores=False):
+def compare(a, b, exclude_centers=None, config=None):
     """Error metrics of field ``a`` against reference ``b``.
 
-    ``exclude_centers`` lists node index triples (atom centers); nodes within
-    ``exclude_radius`` grid units of any of them, plus any nodes the
-    reference itself excluded, are dropped from the core-excluding max norm.
-    With ``l2_excludes_cores`` the L2-type metrics drop those nodes too;
-    that is the right mode when ``a`` and ``b`` resolve the singular cores
-    differently (e.g. two quadratures of unequal rank), since the core
-    values are quadrature-dependent regularizations, not field values.
+    Nodes the reference lists as undefined in ``b.meta["excluded_nodes"]``
+    (the exact oracle's atom nodes, stored as 0) drop out of every metric.
+    ``exclude_centers`` lists node index triples (atom centers); the nodes
+    within one grid unit (Chebyshev) of any of them, the singular cores,
+    drop out of ``max_abs_excluding_cores`` only.
     """
     if a.grid.n != b.grid.n or abs(a.grid.b - b.grid.b) > 1e-12:
         raise ConfigError("fields live on different grids")
     g = a.grid
     mask = np.zeros((g.n,) * 3, dtype=bool, order="F")
-    centers = list(exclude_centers or [])
-    centers += b.meta.get("excluded_nodes", [])
-    for c in centers:
-        lo = [max(ci - exclude_radius, 0) for ci in c]
-        hi = [min(ci + exclude_radius + 1, g.n) for ci in c]
+    for c in exclude_centers or []:
+        lo = [max(ci - 1, 0) for ci in c]
+        hi = [min(ci + 2, g.n) for ci in c]
         mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    undefined = None
+    if b.meta.get("excluded_nodes"):
+        undefined = np.zeros((g.n,) * 3, dtype=bool, order="F")
+        undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
     # |a - b| goes through one 2 MiB buffer, a block of i3 planes at a time;
-    # its core nodes are zeroed once the block's full-grid max is taken
+    # its undefined nodes are zeroed first, its core nodes once the block's
+    # sums and full-grid max are taken
     k = max(1, 2 ** 18 // g.n ** 2)
     buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
     max_abs = max_excl = ss = ref_ss = 0.0
     for i3 in range(0, g.n, k):
         sl = np.s_[:, :, i3:i3 + k]
-        d, ref, core = buf[:, :, :min(k, g.n - i3)], b.values[sl], mask[sl]
+        d, ref = buf[:, :, :min(k, g.n - i3)], b.values[sl]
         np.abs(np.subtract(a.values[sl], ref, out=d), out=d)
+        if undefined is not None:
+            d[undefined[sl]], ref = 0.0, ref[~undefined[sl]]
         max_abs = max(max_abs, float(d.max()))
-        if l2_excludes_cores:
-            d[core], ref = 0.0, ref[~core]
         ss, ref_ss = ss + _sumsq(d), ref_ss + _sumsq(ref)
-        d[core] = 0.0
+        d[mask[sl]] = 0.0
         max_excl = max(max_excl, float(d.max()))
     l2 = np.sqrt(g.h ** 3 * ss)
     rel = np.sqrt(ss / ref_ss) if ref_ss > 0 else (0.0 if ss == 0 else np.inf)
     if not np.isfinite(rel):
         raise NumericError("reference field is identically zero")
-    cfg = dict(config or {})
-    if l2_excludes_cores:
-        cfg["l2_excludes_cores"] = True
     return ErrorReport(discrete_l2=l2, max_abs=max_abs,
                        max_abs_excluding_cores=max_excl,
                        relative_l2=float(rel), rss=float(np.sqrt(ss)),
-                       n=g.n, b=g.b, config=cfg)
+                       n=g.n, b=g.b, config=dict(config or {}))
 
 
 def _sumsq(x):

@@ -77,8 +77,8 @@ def test_config_validation_messages():
     bad = [
         dict(n=2), dict(n=17), dict(b=-1.0), dict(rank=0),
         dict(sep_radius=0.0), dict(eps_kernel=0.0), dict(eps_support=2.0),
-        dict(eps_c2t=-1e-9), dict(eps_scaling="loose"),
-        dict(bc="periodic"), dict(kappa=-0.1), dict(kappa=0.5),
+        dict(eps_c2t=-1e-9), dict(bc="periodic"), dict(kappa=-0.1),
+        dict(kappa=0.5),
     ]
     messages = set()
     for kw in bad:
@@ -488,7 +488,8 @@ def test_screened_total_is_debye_hueckel(born_mol):
     ("validate", "--eps-support", "1e-8"), ("validate", "--eps-c2t", "2.0"),
     ("validate", "--eps-scaling", "fixed"), ("validate", "--bc", "analytic"),
     ("validate", "--kappa", "0.5"), ("assemble", "--bc", "analytic"),
-    ("assemble", "--kappa", "0.5")])
+    ("assemble", "--kappa", "0.5"), ("run", "--eps-scaling", "mesh"),
+    ("assemble", "--eps-scaling", "mesh")])
 def test_subcommand_rejects_unread_flag(tmp_path, capsys, cmd, flag, value):
     argv = [cmd, "--pqr", BORN, "--n", "33", "--b", "8", flag, value,
             "-o", str(tmp_path)]
@@ -544,6 +545,44 @@ def test_margin_rule_exit_code(tmp_path, capsys, cmd):
     assert not (tmp_path / "shortlist.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sep-radius", "inf"], ["--b", "8", "--sep-radius", "inf"],
+    ["--b", "8", "--sep-radius", "1e308"], ["--b", "inf"],
+    ["--b", "8", "--bc", "analytic", "--kappa", "1e200"],
+    ["--b", "8", "--bc", "analytic", "--kappa", "inf"]],
+    ids=["sep-inf-auto-b", "sep-inf", "sep-1e308", "b-inf", "kappa-1e200",
+         "kappa-inf"])
+def test_run_non_finite_setting_exit_code(tmp_path, capsys, flags):
+    # each ended in a ValueError or OverflowError traceback, or in a
+    # numeric failure (exit 3), before it reached a configuration check
+    rc = rt.main(["run", "--pqr", BORN, "--n", "33", "-o", str(tmp_path)]
+                 + flags)
+    assert rc == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def _kv(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+@pytest.mark.parametrize("args", [["--pqr", BORN, "--n", "65", "--b", "8"],
+                                  ["--pqr", LIGAND, "--n", "65"]],
+                         ids=["born", "ligand18"])
+def test_validate_exact_oracle_leaves_out_atom_nodes(tmp_path, args):
+    # 1/r is undefined at an atom node, where the exact oracle stores 0;
+    # counting those nodes read relative L2 0.186 (born) and 0.909
+    # (ligand18), the defined nodes about 1e-8
+    d = str(tmp_path)
+    assert rt.main(["run", "-o", d] + args) == 0
+    assert rt.main(["validate", "--field", os.path.join(d, "total.bin"),
+                    "--oracle-kernel", "exact_newton", "-o", d] + args) == 0
+    kv = _kv(tmp_path / "report.txt.kv")
+    assert kv["oracle"] == "exact_newton"
+    assert float(kv["relative_l2"]) <= 1e-6
+    assert float(kv["max_abs"]) <= 1e-6
+
+
 def test_synthetic_default_seed_reproducible(tmp_path):
     flags = ["--synthetic", "20", "--half-extent", "4", "--n", "33",
              "--b", "12"]
@@ -590,6 +629,50 @@ def test_u_long_matches_kronecker_route(cluster60, kappa):
 
 CLUSTER60 = ["--synthetic", "60", "--half-extent", "5.0", "--seed", "7",
              "--n", "33", "--b", "10"]
+
+
+@pytest.fixture(scope="module")
+def cluster60_defaults(tmp_path_factory):
+    d = tmp_path_factory.mktemp("c60")
+    assert rt.main(["run", "-o", str(d)] + CLUSTER60) == 0
+    return _kv(d / "metrics.txt")
+
+
+def test_eps_c2t_flag(tmp_path, cluster60_defaults):
+    # the reduction tolerance is eps_c2t * h^2; a looser one keeps fewer
+    # terms (795 -> 391) at a larger error (2.9e-5)
+    assert rt.main(["run", "-o", str(tmp_path), "--eps-c2t", "1e-4"]
+                   + CLUSTER60) == 0
+    met, ref = _kv(tmp_path / "metrics.txt"), cluster60_defaults
+    h = float(met["h"])
+    assert float(met["eps_reduce"]) == 1e-4 * h * h
+    assert float(ref["eps_reduce"]) == 1e-8 * h * h
+    assert int(met["rank_post"]) < int(ref["rank_post"])
+    assert float(ref["l2_relative"]) < float(met["l2_relative"]) <= 1e-4
+
+
+def test_eps_kernel_flag(tmp_path, cluster60_defaults):
+    # the auto rank is the smallest ladder rank meeting eps_kernel (24 -> 17)
+    assert rt.main(["run", "-o", str(tmp_path), "--eps-kernel", "1e-4"]
+                   + CLUSTER60) == 0
+    met, ref = _kv(tmp_path / "metrics.txt"), cluster60_defaults
+    assert int(met["rank"]) < int(ref["rank"])
+    assert float(ref["quad_error"]) <= 1e-6
+    assert float(ref["quad_error"]) < float(met["quad_error"]) <= 1e-4
+    assert float(met["l2_relative"]) <= 1e-6
+
+
+def test_eps_support_flag(tmp_path, cluster60_defaults):
+    # a column is short-range once its Gaussian falls below eps_support at
+    # the separation radius, so a larger eps_support moves columns from
+    # the long part to the short one (18 -> 17 long)
+    assert rt.main(["run", "-o", str(tmp_path), "--eps-support", "1e-3"]
+                   + CLUSTER60) == 0
+    met, ref = _kv(tmp_path / "metrics.txt"), cluster60_defaults
+    assert met["rank"] == ref["rank"]
+    assert int(met["split_long"]) < int(ref["split_long"])
+    assert int(met["split_long"]) + int(met["split_short"]) == int(met["rank"])
+    assert float(met["l2_relative"]) <= 1e-6
 
 
 @pytest.fixture(scope="module")

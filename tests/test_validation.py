@@ -136,41 +136,46 @@ def test_core_exclusion_mask():
     bumped[8, 8, 8] += 100.0
     a = _field(g, bumped)
     b = _field(g, base)
+    # a core stays in every metric but the core-excluding max
     rep = rt.compare(a, b, exclude_centers=[(8, 8, 8)])
     assert rep.max_abs == pytest.approx(100.0, rel=1e-12)
     assert rep.max_abs_excluding_cores == 0.0
-    rep2 = rt.compare(a, b, exclude_centers=[(8, 8, 8)], l2_excludes_cores=True)
-    assert rep2.discrete_l2 == 0.0
-    assert rep2.config["l2_excludes_cores"] is True
-    rep3 = rt.compare(a, b, exclude_centers=[(8, 8, 8)])
-    assert rep3.discrete_l2 == pytest.approx(100.0 * np.sqrt(g.h ** 3), rel=1e-12)
+    assert rep.discrete_l2 == pytest.approx(100.0 * np.sqrt(g.h ** 3), rel=1e-12)
+    # a node the reference leaves undefined drops out of every metric
+    undefined = rt.GridFunction3(g, base, {"excluded_nodes": [(8, 8, 8)]})
+    rep2 = rt.compare(a, undefined)
+    assert rep2.discrete_l2 == rep2.rss == rep2.relative_l2 == 0.0
+    assert rep2.max_abs == rep2.max_abs_excluding_cores == 0.0
 
 
-def _compare_reference(a, b, centers, radius, h, l2_excludes_cores):
-    # plain numpy: boolean core mask, masked sums of squares
+def _compare_reference(a, b, centers, listed, h):
+    # plain numpy: the listed nodes leave every metric, the radius-1 cores
+    # of the centers only the core-excluding max
     core = np.zeros(a.shape, dtype=bool)
     for c in centers:
-        core[tuple(slice(max(ci - radius, 0), ci + radius + 1) for ci in c)] = True
-    keep = ~core if l2_excludes_cores else np.ones(a.shape, dtype=bool)
+        core[tuple(slice(max(ci - 1, 0), ci + 2) for ci in c)] = True
+    keep = np.ones(a.shape, dtype=bool)
+    for c in listed:
+        keep[c] = False
     diff = a - b
     ss = np.sum(diff[keep] ** 2)
     ref_ss = np.sum(b[keep] ** 2)
     return {"discrete_l2": np.sqrt(h ** 3 * ss), "rss": np.sqrt(ss),
             "relative_l2": np.sqrt(ss / ref_ss) if ref_ss > 0 else 0.0,
-            "max_abs": np.max(np.abs(diff)),
-            "max_abs_excluding_cores": np.max(np.abs(diff[~core]),
+            "max_abs": np.max(np.abs(diff[keep]), initial=0.0),
+            "max_abs_excluding_cores": np.max(np.abs(diff[keep & ~core]),
                                               initial=0.0)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 10), seed=st.integers(0, 2 ** 32 - 1),
-       n_centers=st.integers(0, 4), n_listed=st.integers(0, 2),
-       radius=st.integers(0, 3), fortran=st.booleans(),
-       l2_excludes_cores=st.booleans())
-def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed, radius,
-                                         fortran, l2_excludes_cores):
-    # all five metrics, cores given as centers and as the reference's own
-    # excluded nodes; radius 3 on a small grid can exclude every node
+       n_centers=st.integers(0, 4), n_listed=st.integers(0, 3),
+       fortran=st.booleans())
+def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
+                                         fortran):
+    # all five metrics, cores given as centers and undefined nodes as the
+    # reference's own list; a core at the middle of a 3-node grid covers
+    # every node
     rng = np.random.default_rng(seed)
     g = rt.Grid3(n, rng.uniform(0.5, 5.0))
     a = rng.standard_normal((n, n, n))
@@ -182,25 +187,23 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed, radius,
     listed = [tuple(int(v) for v in rng.integers(0, n, 3))
               for _ in range(n_listed)]
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
-    rep = rt.compare(_field(g, a), fb, exclude_centers=centers,
-                     exclude_radius=radius,
-                     l2_excludes_cores=l2_excludes_cores)
-    ref = _compare_reference(a, b, centers + listed, radius, g.h,
-                             l2_excludes_cores)
+    rep = rt.compare(_field(g, a), fb, exclude_centers=centers)
+    ref = _compare_reference(a, b, centers, listed, g.h)
     for k, v in ref.items():
         assert getattr(rep, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
     assert np.array_equal(fb.values, b)
-    assert rep.config.get("l2_excludes_cores", False) is l2_excludes_cores
 
 
 def test_compare_all_nodes_excluded():
+    # a reference undefined at every node leaves nothing to measure
     g = rt.Grid3(5, 1.0)
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((2, 5, 5, 5))
-    rep = rt.compare(_field(g, a), _field(g, b), exclude_centers=[(2, 2, 2)],
-                     exclude_radius=2, l2_excludes_cores=True)
-    assert rep.max_abs == np.max(np.abs(a - b))
-    assert rep.max_abs_excluding_cores == 0.0
+    every = [tuple(v) for v in np.argwhere(np.ones((5, 5, 5), dtype=bool))]
+    rep = rt.compare(_field(g, a),
+                     rt.GridFunction3(g, b, {"excluded_nodes": every}),
+                     exclude_centers=[(2, 2, 2)])
+    assert rep.max_abs == rep.max_abs_excluding_cores == 0.0
     assert rep.discrete_l2 == rep.rss == rep.relative_l2 == 0.0
 
 
