@@ -30,8 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ConfigError, DataError, NumericError
-from ..grid_kernel import (Grid3, assemble_reference_tensor, build_quadrature,
-                           gamma_for_separation, split_reference)
+from ..grid_kernel import (MAX_QUAD_RANK, Grid3, assemble_reference_tensor,
+                           build_quadrature, gamma_for_separation,
+                           split_reference)
 from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
                         snapped_molecule)
 from ..formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
@@ -121,7 +122,8 @@ class RunConfig:
     ``b="auto"`` sizes the box so the atom margin rule (every atom at least
     gamma*h/2 + 2h from each face) holds with slack; ``rank="auto"`` picks
     the smallest ladder rank whose measured kernel error meets
-    ``eps_kernel``.  The separation gamma is ``sep_radius`` (Angstrom) in
+    ``eps_kernel``, and a numeric rank may not exceed ``MAX_QUAD_RANK``
+    (256).  The separation gamma is ``sep_radius`` (Angstrom) in
     grid units, round(2*sep_radius/h) and at least 2.  The rank-reduction
     tolerance is always ``eps_c2t * h^2``, so the compression error tracks
     the grid resolution; a fixed tolerance e is ``eps_c2t = e / h^2``.
@@ -188,6 +190,9 @@ def resolve_box(cfg, m):
 def _resolve_quadrature(cfg, grid):
     rho_min, rho_max = grid.h, 2.0 * _SQRT3 * grid.b
     if cfg.rank != "auto":
+        if cfg.rank > MAX_QUAD_RANK:
+            raise ConfigError("config: rank %d exceeds the cap of %d"
+                              % (cfg.rank, MAX_QUAD_RANK))
         return build_quadrature(int(cfg.rank), rho_min, rho_max)
     for R in _RANK_LADDER:
         q = build_quadrature(R, rho_min, rho_max)

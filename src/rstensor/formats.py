@@ -5,9 +5,12 @@ side matrices ``A[l]`` of shape (n_l, R); entry (i,j,k) is
 ``sum_q xi[q] * A[0][i,q] * A[1][j,q] * A[2][k,q]``.  Rank reduction goes
 canonical -> Tucker (reduced higher-order SVD of the side matrices) ->
 canonical (two-level SVD of the Tucker core), never materializing the full
-array.  A sum of shifted copies of one reference tensor (the long-range part
-of a molecule) has its own canonical -> Tucker step that bins the copies by
-node instead of stacking their columns.  The canonical terms of the second
+array.  Each mode SVD runs on the small triangular factor of a QR of the
+side matrix's transpose, which has the side matrix's left singular pairs.
+A sum of shifted copies of one reference tensor (the long-range part of a
+molecule) has its own canonical -> Tucker step that bins the copies by
+node instead of stacking their columns, and contracts its core plane by
+plane, one GEMM per block of planes.  The canonical terms of the second
 step stay expressible over the Tucker factors (``TuckerBasis``), so a
 reduced tensor is densified by mode products of its Tucker image rather
 than term by term.
@@ -160,8 +163,10 @@ def _check_finite(t):
 
 def _mode_basis(M, eps):
     # leading left singular vectors of M with sigma > eps * sigma_max, at
-    # least one
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    # least one.  M = R^T Q^T for the QR factors of M^T, so M has the left
+    # singular pairs of the small triangular R^T, whose SVD forms no right
+    # singular vectors of M's length.
+    U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T, full_matrices=False)
     r = int(np.sum(s > eps * s[0])) if s.size and s[0] > 0 else 0
     return U[:, :max(r, 1)]
 
@@ -290,9 +295,13 @@ def c2t_shift_sum(ref, centers, charges, eps):
     values and left singular subspaces, hence the same truncation ranks.
     The core is ``sum_k xi_k Z x_1 P_1k x_2 P_2k x_3 P_3k`` with Z the
     sparse grid of summed charges and P_lk = U_l^T g_k(. - i) the projected
-    shift tables; it is contracted one GEMM per (term, occupied mode-3
-    node).  With Tucker ranks r <= n the cost is O(R n^3 + N R r^2 +
-    R n r^3) instead of the O(N R (n^2 + r^3)) of the explicit route.
+    shift tables.  Each occupied mode-3 node (plane) gets the r1 x r2
+    slices of all R terms by one batched GEMM over its occupied nodes, and
+    each block of max(1, Z // R) of the Z planes meets the weighted mode-3
+    table in one GEMM of (r1 r2, block*R) by (block*R, r3), so the slice
+    buffer holds at most max(Z, R) r1 r2 floats.  With Tucker ranks r <= n
+    the cost is O(R n^3 + N R r^2 + R n r^3) instead of the
+    O(N R (n^2 + r^3)) of the explicit route.
 
     Returns
     -------
@@ -321,25 +330,31 @@ def c2t_shift_sum(ref, centers, charges, eps):
         P.append(np.tensordot(U, G, axes=(0, 0)))   # (r_l, nodes, R)
         bins.append(inv)
 
-    # distinct occupied nodes with summed charges, ordered by mode-3 bin
+    # distinct occupied nodes with summed charges, ordered by mode-3 bin;
+    # every mode-3 bin is occupied, so plane g is mode-3 node g
     occ, inv = np.unique(np.stack([bins[2], bins[0], bins[1]], axis=1),
                          axis=0, return_inverse=True)
     q = np.bincount(inv.ravel(), weights=charges, minlength=occ.shape[0])
     i3, i1, i2 = occ.T
-    beg = np.flatnonzero(np.r_[True, np.diff(i3) != 0])
-    bounds = np.r_[beg, occ.shape[0]]
+    bounds = np.r_[0, np.cumsum(np.bincount(i3))]
+    R, Z = ref.rank, bounds.size - 1
     r1, r2, r3 = (U.shape[1] for U in Us)
-    core = np.zeros((r1, r2, r3))
-    Y = np.empty((beg.size, r1, r2))
-    for k in range(ref.rank):
-        X1 = P[0][:, i1, k] * q
-        X2 = P[1][:, i2, k]
-        for g in range(beg.size):
-            sl = slice(bounds[g], bounds[g + 1])
-            np.matmul(X1[:, sl], X2[:, sl].T, out=Y[g])
-        core += ref.weights[k] * np.tensordot(Y, P[2][:, i3[beg], k],
-                                              axes=(0, 1))
-    return TuckerTensor3(core, tuple(Us))
+    T1, T2 = P[0].transpose(2, 0, 1), P[1].transpose(2, 1, 0)
+    # E3[g*R + k] = xi_k P_3k[:, g]: the mode-3 table with the weights
+    E3 = (P[2] * ref.weights).transpose(1, 2, 0).reshape(Z * R, r3)
+    # Y[p*R + k] is term k's r1 x r2 slice of plane p0 + p; a block holds
+    # at most max(Z, R) slices, one plane when Z < R
+    step = max(1, Z // R)
+    Y = np.empty((min(step, Z) * R, r1, r2))
+    core = np.zeros((r1 * r2, r3))
+    for p0 in range(0, Z, step):
+        B = min(step, Z - p0)
+        for p in range(B):
+            sl = slice(bounds[p0 + p], bounds[p0 + p + 1])
+            np.matmul(T1[:, :, i1[sl]] * q[sl], T2[:, i2[sl]],
+                      out=Y[p * R:(p + 1) * R])
+        core += Y[:B * R].reshape(B * R, -1).T @ E3[p0 * R:(p0 + B) * R]
+    return TuckerTensor3(core.reshape(r1, r2, r3), tuple(Us))
 
 
 def t2c(t, eps):
@@ -363,6 +378,10 @@ def t2c(t, eps):
 def t2c_with_basis(t, eps):
     """``t2c(t, eps)`` together with the TuckerBasis its terms live in.
 
+    The first-level SVD is taken of the transpose of the core unfolding,
+    which is tall, and the second level is one batched SVD of all its
+    singular vectors reshaped to matrices.
+
     Returns
     -------
     (CanonicalTensor3, TuckerBasis or None); None when no term is kept.
@@ -379,11 +398,13 @@ def t2c_with_basis(t, eps):
     cost = [r[0] * min(r[1], r[2]), r[1] * min(r[0], r[2]), r[2] * min(r[0], r[1])]
     m = int(np.argmin(cost))
     a, b = (l for l in range(3) if l != m)
-    U, tau, Vt = np.linalg.svd(np.moveaxis(G, m, 0).reshape(r[m], -1),
+    # SVD of the tall transpose of the wide unfolding: LAPACK's wide path
+    # is about twice as slow
+    V, tau, Ut = np.linalg.svd(np.moveaxis(G, m, 0).reshape(r[m], -1).T,
                                full_matrices=False)
     # every right singular vector of the unfolding, as an r_a x r_b matrix,
     # in one batched SVD; term (j, i) has weight tau_j s_ji
-    P, s, Q = np.linalg.svd(Vt.reshape(-1, r[a], r[b]), full_matrices=False)
+    P, s, Q = np.linalg.svd(V.T.reshape(-1, r[a], r[b]), full_matrices=False)
     w = (tau[:, None] * s).ravel()
 
     # ascending, ties in row-major order: the smallest terms, zero weights
@@ -397,7 +418,7 @@ def t2c_with_basis(t, eps):
     j, i = np.divmod(keep, s.shape[1])
 
     # copied to C order: BLAS rounds transposed (F-ordered) operands differently
-    coords = {m: U[:, j], a: P.transpose(1, 0, 2)[:, j, i],
+    coords = {m: Ut[j].T, a: P.transpose(1, 0, 2)[:, j, i],
               b: Q.transpose(2, 0, 1)[:, j, i]}
     A = tuple(t.factors[l] @ np.ascontiguousarray(coords[l]) for l in range(3))
     return CanonicalTensor3(w[keep], A), TuckerBasis(t.factors, m, j)

@@ -19,6 +19,9 @@ from .formats import CanonicalTensor3
 
 _SQRT_PI = np.sqrt(np.pi)
 _SQRT3 = np.sqrt(3.0)
+# ceiling on a requested quadrature rank: the auto ladder stops at 60, and
+# a tune evaluates arrays of thousands of points per term
+MAX_QUAD_RANK = 256
 
 
 @dataclass(frozen=True)

@@ -239,10 +239,10 @@ def load_field(path):
 
     Raises DataError when the ``.info`` sidecar lacks a numeric ``n`` or
     ``b`` (or gives values no grid has), has a ``residual`` that is not a
-    number or a ``quad_rank`` that is not a positive integer, or the dump
-    does not hold n^3 finite float64 values.
+    number or a ``quad_rank`` that is not an integer in [1,
+    ``MAX_QUAD_RANK``], or the dump does not hold n^3 finite float64 values.
     """
-    from .grid_kernel import Grid3
+    from .grid_kernel import MAX_QUAD_RANK, Grid3
     info_path = str(path) + ".info"
     info = {}
     try:
@@ -257,8 +257,8 @@ def load_field(path):
             meta["residual"] = float(info["residual"])
         if "quad_rank" in info:
             meta["quad_rank"] = int(info["quad_rank"])
-            if meta["quad_rank"] < 1:
-                raise ValueError("quad_rank must be positive")
+            if not 1 <= meta["quad_rank"] <= MAX_QUAD_RANK:
+                raise ValueError("quad_rank must lie in [1, %d]" % MAX_QUAD_RANK)
     except (KeyError, ValueError, ConfigError) as e:
         raise DataError("malformed %s: %s %s"
                         % (info_path, type(e).__name__, e))

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
 from helpers import eval_entries, shift_and_window, split_by_count
-from rstensor.assembly import _template_radius
-from rstensor.formats import zero_canonical
+from rstensor.assembly import _columns, _template_radius
+from rstensor.formats import c2t_shift_sum, zero_canonical
 
 SQRT3 = np.sqrt(3.0)
 
@@ -442,3 +447,54 @@ def test_binned_reduction_matches_stacked_reduction(ligand_mol):
         reduced.append(rs.long.rank < rs.long_rank_pre)
     assert reduced == [False, True, False]
     assert rs.long.rank == 18 * 18
+
+
+def test_binned_core_memory_stays_within_old_buffer():
+    # a 400-atom cluster at n=65 (Tucker ranks 65, R_L 22, 45 planes): the
+    # core contraction holds at most one r1 x r2 slice per plane plus the
+    # core and one GEMM product of its size, on top of the tables every
+    # route builds.  Copying the slices for a tensordot, or gathering
+    # (R_L, r1, N) tables up front (9 MiB here), breaks the bound.
+    m = rt.synthetic_cluster(400, 12.0, seed=1)
+    g = rt.Grid3(65, rt.resolve_box(rt.RunConfig(n=65), m))
+    q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
+    k = rt.split_reference(rt.assemble_reference_tensor(q, g),
+                           rt.gamma_for_separation(g, 3.5), 1e-8)
+    nodes, _ = rt.snap_to_grid(rt.snapped_molecule(m, g)[0], g)
+    ref = _columns(k.wide_tensor, slice(0, k.split_index))
+    tracemalloc.start()
+    try:
+        tk = c2t_shift_sum(ref, nodes, m.charges, 1e-8 * g.h ** 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (r1, r2, r3), R, n = tk.ranks, ref.rank, g.n
+    occ = [np.unique(nodes[:, l]).size for l in range(3)]
+    Z = occ[2]
+    assert Z >= R
+    # projected tables, one shift table, the weighted mode-3 table, bases
+    tables = (sum(r * o for r, o in zip(tk.ranks, occ)) * R
+              + n * max(occ) * R + Z * R * r3 + 3 * n * max(tk.ranks))
+    bound = 8 * (tables + Z * r1 * r2 + 2 * r1 * r2 * r3) + 2 ** 19
+    assert peak <= bound, (peak, bound)
+
+
+def test_reduced_assembly_leaves_scipy_linalg_unimported():
+    # the binned reduction runs on numpy alone: a cluster whose long rank
+    # is reduced (1080 -> 795) loads no scipy.linalg
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "import rstensor as rt\n"
+        "from rstensor.cli import RunConfig, _assemble_stage\n"
+        "m = rt.synthetic_cluster(60, 5.0, seed=7)\n"
+        "rs = _assemble_stage(RunConfig(n=33, b=10.0), m, {})[0]\n"
+        "assert rs.long_basis is not None, rs.long.rank\n"
+        "assert rs.long.rank < rs.long_rank_pre, rs.long.rank\n"
+        "assert 'scipy.linalg' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -10,6 +10,7 @@ import pytest
 import rstensor as rt
 from conftest import FIXTURES
 from helpers import import_slice, negate
+from rstensor.cli import _resolve_quadrature
 
 BORN = os.path.join(FIXTURES, "born.pqr")
 LIGAND = os.path.join(FIXTURES, "ligand18.pqr")
@@ -423,9 +424,10 @@ def test_export_wrong_size_dump_exit_code(tmp_path, capsys, damage):
     lambda info: info.replace("b=1", "b=one"),
     lambda info: info.replace("n=5", "n=2"),
     lambda info: info + "quad_rank=eight\n",
-    lambda info: info + "quad_rank=0\n"],
+    lambda info: info + "quad_rank=0\n",
+    lambda info: info + "quad_rank=100000000\n"],
     ids=["no-n", "no-b", "bad-n", "bad-b", "tiny-n", "bad-quad-rank",
-         "zero-quad-rank"])
+         "zero-quad-rank", "huge-quad-rank"])
 def test_export_malformed_info_exit_code(tmp_path, capsys, edit):
     p = _field_dump(tmp_path)
     info = tmp_path / "f.bin.info"
@@ -774,6 +776,56 @@ def test_validate_rank_against_dump(tmp_path, capsys, born_total):
         kv = dict(line.split("=", 1) for line in
                   (tmp_path / "report.txt.kv").read_text().splitlines())
         assert float(kv["relative_l2"]) <= 1e-12
+
+
+def _no_quadrature(*args):
+    raise AssertionError("a quadrature was built")
+
+
+@pytest.mark.parametrize("cmd", ["run", "assemble", "validate"])
+def test_rank_above_cap_is_config_error(tmp_path, capsys, monkeypatch,
+                                        born_total, cmd):
+    # refused before any quadrature is built: a rank-1e8 tune died in a
+    # 763 MiB MemoryError; validate reads --rank from a dump without
+    # quad_rank
+    monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
+    args = [cmd, "--pqr", BORN, "--rank", "100000000", "-o", str(tmp_path)]
+    if cmd == "validate":
+        p = tmp_path / "total.bin"
+        rt.save_field(rt.GridFunction3(born_total.grid, born_total.values), p)
+        args += ["--field", str(p)]
+    else:
+        args += ["--n", "33", "--b", "8"]
+    assert rt.main(args) == 2
+    assert "config error: config: rank 100000000 exceeds the cap of %d" \
+        % rt.grid_kernel.MAX_QUAD_RANK in capsys.readouterr().err
+
+
+def test_rank_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr("rstensor.cli.build_quadrature",
+                        lambda R, lo, hi: R)
+    cap, grid = rt.grid_kernel.MAX_QUAD_RANK, rt.Grid3(33, 8.0)
+    assert _resolve_quadrature(rt.RunConfig(rank=cap), grid) == cap
+    with pytest.raises(rt.ConfigError):
+        _resolve_quadrature(rt.RunConfig(rank=cap + 1), grid)
+
+
+def test_validate_dump_rank_above_cap_is_io_error(tmp_path, capsys,
+                                                  monkeypatch, born_total):
+    # a sidecar's quad_rank is checked against the same cap when the dump
+    # is read, so no rank-1e8 oracle quadrature is attempted
+    monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
+    p = tmp_path / "total.bin"
+    rt.save_field(born_total, p)
+    info = tmp_path / "total.bin.info"
+    text = info.read_text()
+    info.write_text(text.replace("quad_rank=%d" % born_total.meta["quad_rank"],
+                                 "quad_rank=100000000"))
+    assert rt.main(["validate", "--pqr", BORN, "--field", str(p),
+                    "-o", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "total.bin.info" in err
+    assert "quad_rank must lie in [1, %d]" % rt.grid_kernel.MAX_QUAD_RANK in err
 
 
 def test_validate_takes_rank_from_dump(tmp_path):

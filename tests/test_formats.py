@@ -3,13 +3,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
-from rstensor.formats import (_plane_sum, t2c_with_basis, tucker_dense,
+from rstensor.formats import (_mode_basis, _plane_sum, c2t_shift_sum,
+                              shift_sum, t2c_with_basis, tucker_dense,
                               tucker_image)
 
 
@@ -225,6 +226,97 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed):
                                      np.abs(q), *map(np.abs, G))
     assert out.flags.f_contiguous
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 40), rank=st.integers(0, 12),
+       decay=st.floats(min_value=0.01, max_value=1.0),
+       log_eps=st.floats(min_value=-12.0, max_value=-1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=5, cols=30, rank=5, decay=0.5, log_eps=-6.0, seed=0)    # wide
+@example(rows=12, cols=4, rank=4, decay=0.5, log_eps=-6.0, seed=1)    # tall
+@example(rows=6, cols=9, rank=0, decay=1.0, log_eps=-6.0, seed=2)     # zero
+@example(rows=8, cols=20, rank=3, decay=1.0, log_eps=-10.0, seed=3)   # deficient
+def test_mode_basis_matches_svd(rows, cols, rank, decay, log_eps, seed):
+    # the SVD of the QR factor keeps what the SVD of M keeps: the same
+    # truncation rank and, where the kept singular values are separated
+    # from the rest, the same column span
+    rng = np.random.default_rng(seed)
+    k = min(rank, rows, cols)
+    M = (rng.standard_normal((rows, k)) * decay ** np.arange(k)) \
+        @ rng.standard_normal((k, cols))
+    eps = 10.0 ** log_eps
+    U0, s, _ = np.linalg.svd(M, full_matrices=False)
+    if s[0] > 0:
+        # no singular value within 1% of the threshold
+        assume(np.all(np.abs(s / s[0] - eps) > 0.01 * eps))
+    r = max(int(np.sum(s > eps * s[0])) if s[0] > 0 else 0, 1)
+    U = _mode_basis(M, eps)
+    assert U.shape == (rows, r)
+    assert np.allclose(U.T @ U, np.eye(r), rtol=0, atol=1e-12)
+    tail = s[r] if r < s.size else 0.0
+    if s[r - 1] - tail > 1e-4 * s[0]:
+        d = U @ U.T - U0[:, :r] @ U0[:, :r].T
+        assert np.max(np.abs(d)) <= 1e-10
+
+
+def _gaussian_reference(n, R, rng):
+    # R smooth Gaussians on a doubled grid (2n rows, center row n), like the
+    # long-range columns of a reference kernel, so the mode SVDs truncate
+    x = np.arange(2 * n) - n
+    A = [np.exp(-np.outer(x * x, rng.uniform(0.05, 0.8, R) ** 2))
+         for _ in range(3)]
+    return rt.CanonicalTensor3(rng.uniform(0.5, 2.0, R), tuple(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["few-planes", "ragged", "shared-node", "cancel"]),
+       n=st.integers(6, 12), R=st.integers(1, 6), N=st.integers(2, 30),
+       log_eps=st.floats(min_value=-12.0, max_value=-3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_core_matches_stacked_reduction(case, n, R, N, log_eps, seed):
+    # the binned core, summed one GEMM per block of max(1, Z // R) planes,
+    # is the core of the stacked columns: Z < R (one plane per block), a
+    # ragged last block, several atoms on one node, and a plane whose
+    # charges cancel on one node
+    rng = np.random.default_rng(seed)
+    if case == "few-planes":
+        R = max(R, 3)
+        Z = int(rng.integers(1, R))
+    elif case == "ragged":
+        # Z > R with Z not a multiple of the block Z // R
+        Z = next((z for z in range(R + 1, n + 1) if z % (z // R)), None)
+        assume(Z is not None)
+    else:
+        Z = int(rng.integers(1, n + 1))
+    ref = _gaussian_reference(n, R, rng)
+    planes = rng.choice(n, Z, replace=False)
+    N = max(N, Z) + 2
+    centers = rng.integers(0, n, (N, 3))
+    centers[:, 2] = planes[np.r_[np.arange(Z), rng.integers(0, Z, N - Z)]]
+    charges = rng.choice([-1.0, 1.0], N) * rng.uniform(0.5, 2.0, N)
+    if case == "shared-node":
+        centers[Z:] = centers[0]
+    if case == "cancel":
+        # plane planes[0] holds only a +0.75 and a -0.75 on one node
+        off = centers[:, 2] != planes[0]
+        node = [rng.integers(0, n), rng.integers(0, n), planes[0]]
+        centers = np.vstack([centers[off], [node, node]])
+        charges = np.r_[charges[off], 0.75, -0.75]
+    assert np.unique(centers[:, 2]).size == Z
+
+    eps = 10.0 ** log_eps
+    stacked = shift_sum(ref, centers, charges)
+    w = np.abs(stacked.weights) ** (1.0 / 3.0)
+    for A in stacked.factors:
+        s = np.linalg.svd(A * w, compute_uv=False)
+        assume(np.all(np.abs(s / s[0] - eps) > 0.01 * eps))
+    tk = c2t_shift_sum(ref, centers, charges, eps)
+    tk0 = rt.c2t_rhosvd(stacked, eps)
+    assert tk.ranks == tk0.ranks
+    D, D0 = tucker_dense(tk), tucker_dense(tk0)
+    scale = np.sum(np.abs(charges)) * np.sum(ref.weights)
+    assert np.max(np.abs(D - D0)) <= 1e-12 * scale
 
 
 def test_reduce_rank_redundant_columns():
