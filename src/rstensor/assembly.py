@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import (CanonicalTensor3, TuckerBasis, c2t_shift_sum, dense,
-                      eval_entry, shift_sum, t2c_with_basis, zero_canonical)
+                      eval_entry, shift_sum, shift_sum_dense, t2c_with_basis,
+                      tucker_dense, tucker_image, zero_canonical)
 
 _TIE = 1e-9
 _EMPTY = slice(0, 0)  # the row of a cell no window reaches
@@ -129,11 +130,10 @@ class RSTensor:
     template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.
 
     ``long_basis`` holds the binned RHOSVD factors that ``long``'s reduced
-    terms live in, so ``tucker_image(long, long_basis)`` is ``long`` in
-    Tucker form, the cheap way to densify it; the image is built on demand
-    and not kept.  It is None when ``long`` was read from a bundle or was
-    not reduced; the explicit per-atom sum of the latter is densified by
-    ``shift_sum_dense`` from its R_L columns in ``long_reference``.
+    terms live in, and ``long_reference`` the R_L reference columns of an
+    explicit per-atom sum; both are None when ``long`` was read from a
+    bundle.  ``long_field`` picks the densify route from them.  Every dense
+    array the tensor builds is Fortran-ordered, like every n^3 field.
 
     Entry queries read a cell index built on first use (``cell_index``):
     the grid is cut into cells of side gamma nodes, and each cell's row in
@@ -161,6 +161,16 @@ class RSTensor:
             self._template = dense(self.short_reference)
         return self._template
 
+    def long_field(self):
+        """The long part on the full grid: three mode products of its Tucker
+        image when it was reduced, a plane sum over the reference columns
+        when it is the explicit per-atom sum, else term by term."""
+        if self.long_basis is not None:
+            return tucker_dense(tucker_image(self.long, self.long_basis))
+        if self.long_reference is not None:
+            return shift_sum_dense(self.long_reference, *zip(*self.short_list))
+        return dense(self.long)
+
     def cell_index(self):
         """CSR index from grid cells to the atoms whose windows reach them.
 
@@ -178,9 +188,9 @@ class RSTensor:
           a cell no window reaches has no entry, so the index holds O(N)
           numbers whatever the number of cells.
         - ``corners`` (N,) and ``weights`` (N,) are indexed by short_list
-          index: ``corners[a] = (c - r) . (L*L, L, 1)`` with L = 2r + 1,
-          so node i of atom a's window is entry ``i . (L*L, L, 1) -
-          corners[a]`` of the flattened template.
+          index: ``corners[a] = (c - r) . (1, L, L*L)`` with L = 2r + 1,
+          so node i of atom a's window is entry ``i . (1, L, L*L) -
+          corners[a]`` of the template flattened in its Fortran order.
         """
         if self._cells is None:
             n, g, r = self.grid.n, self.gamma, self.support_radius
@@ -208,7 +218,7 @@ class RSTensor:
             end = np.append(beg[1:], len(ids))
             rows = {k: slice(b, e) for k, b, e
                     in zip(cells.tolist(), beg.tolist(), end.tolist())}
-            corners = (centres - r) @ np.array([L * L, L, 1])
+            corners = (centres - r) @ np.array([1, L, L * L])
             self._cells = (rows, ids, np.ascontiguousarray(centres[ids].T),
                            corners, weights)
         return self._cells
@@ -308,22 +318,20 @@ def rs_eval_entry(t, i):
     L = 2 * t.support_radius + 1
     hits = t.nearby_atoms(i)
     _, _, _, corners, weights = t.cell_index()
-    flat = (i[0] * L + i[1]) * L + i[2] - corners[hits]
-    return float(val + np.dot(weights[hits], T.ravel()[flat]))
+    flat = (i[2] * L + i[1]) * L + i[0] - corners[hits]
+    return float(val + np.dot(weights[hits], T.ravel(order="F")[flat]))
 
 
 def scatter_short(t, out):
     """Add the short-range field into dense array ``out`` (shape n^3) in place.
 
-    A Fortran-ordered ``out`` gets the windows of a Fortran copy of the
-    template, so each add walks both operands in memory order.
+    The template shares the fields' Fortran order, so each add of a
+    Fortran-ordered ``out`` walks both operands in memory order.
     """
     n = t.grid.n
     if out.shape != (n, n, n):
         raise ConfigError("output array does not match the grid")
     T = t.template_dense()
-    if out.flags.f_contiguous:
-        T = np.asfortranarray(T)
     r = t.support_radius
     for c, w in t.short_list:
         lo = [ci - r for ci in c]

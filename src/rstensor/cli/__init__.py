@@ -2,17 +2,15 @@
 
 The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
-(by three mode products of its Tucker image when its rank was reduced,
-else plane by plane from its long reference columns, or term by term for
-a loaded bundle) -> short part scattered once -> (``--bc analytic`` only)
-delta, the stencil of the long field less kappa^2 times the short one,
-and a Poisson solve with screened-Coulomb faces -> oracle field (kappa = 0
-only: it is unscreened) -> total, long plus short in one add -> oracle
-comparison.  With homogeneous faces the solve would return its input, so
-it is not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the
-layout of the ``.bin`` dumps, so they are written without a copy.
-Metrics land in a deterministic key=value report; wall-clock stage times
-go to a separate file.  Reruns of born, and of ligand18 and a 600-atom
+(``RSTensor.long_field``) -> short part scattered once -> (``--bc
+analytic`` only) delta, the stencil of the long field less kappa^2 times
+the short one, and a Poisson solve with screened-Coulomb faces -> oracle
+field (kappa = 0 only: it is unscreened) -> total, long plus short in one
+add -> oracle comparison.  With homogeneous faces the solve would return
+its input, so it is not run.  Every n^3 field is Fortran-ordered (mode-1
+fastest), the layout of the ``.bin`` dumps, so they are written without a
+copy.  Metrics land in a deterministic key=value report; wall-clock stage
+times go to a separate file.  Reruns of born, and of ligand18 and a 600-atom
 cluster at n=65, are byte-identical (tested); not every input's are (the
 open ``FOUND`` line on cluster2000 seed 4 in CHANGES.md).  ``python -m
 rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
@@ -35,9 +33,7 @@ from ..grid_kernel import (MAX_QUAD_RANK, Grid3, assemble_reference_tensor,
                            split_reference)
 from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
                         snapped_molecule)
-from ..formats import (CanonicalTensor3, TuckerTensor3, dense, load_canonical,
-                       save_canonical, shift_sum_dense, tucker_dense,
-                       tucker_image)
+from ..formats import load_canonical, save_canonical
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
 from ..validation import compare, direct_sum_oracle, write_report
@@ -263,33 +259,20 @@ def _assemble_stage(cfg, m, timings):
     return rs, q, kernel, snapped, eps_eff
 
 
-def _dense_mode1_fastest(rs):
-    # the long part in the dump's layout, with no n^3 copy: written so by
-    # shift_sum_dense, else densified axis-reversed in C order and transposed
-    t = rs.long
-    if rs.long_reference is not None:
-        return shift_sum_dense(rs.long_reference, *zip(*rs.short_list))
-    if rs.long_basis is None:
-        return dense(CanonicalTensor3(t.weights, t.factors[::-1])).T
-    t = tucker_image(t, rs.long_basis)
-    return tucker_dense(TuckerTensor3(t.core.transpose(), t.factors[::-1])).T
-
-
 def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
     """Long-range potential and short-range field (``bc=none``) on the grid.
 
-    The long part is densified from its Tucker image or its reference
-    columns when ``rs`` carries them, else from its canonical terms, into a
-    Fortran-ordered (mode-1 fastest) array; the short part is scattered
-    once into another.  With homogeneous faces the long field is the
-    result (it solves ``-lap u = -lap rs.long``).  With ``bc_molecule``
-    the faces carry its screened-Coulomb values, and the regular part u_r
-    of the total ``U_short + u_r`` solves
+    The long part is densified by ``rs.long_field()`` into a Fortran-ordered
+    (mode-1 fastest) array; the short part is scattered once into another.
+    With homogeneous faces the long field is the result (it solves
+    ``-lap u = -lap rs.long``).  With ``bc_molecule`` the faces carry its
+    screened-Coulomb values, and the regular part u_r of the total
+    ``U_short + u_r`` solves
     ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.  Returns
     ``(u_long, short)``.
     """
     with _clock(timings, "dense"):
-        values = _dense_mode1_fastest(rs)
+        values = rs.long_field()
     with _clock(timings, "compose"):
         short = GridFunction3(rs.grid, scatter_short(
             rs, np.zeros(values.shape, order="F")), {"bc": "none"})

@@ -130,27 +130,27 @@ def eval_entry(t, i):
 
 
 def dense(t):
-    """Materialize a canonical tensor as a dense array.
+    """Materialize a canonical tensor as a Fortran-ordered dense array.
 
-    Each i1-slab is one GEMM of the weighted mode-2 side matrix with the
-    mode-3 one, written straight into the output, so the only temporary is
+    Each i3-slab is one GEMM of the weighted mode-2 side matrix with the
+    mode-1 one, written straight into the output, so the only temporary is
     an n2 x R matrix.
     """
-    n1, n2, n3 = t.shape
-    out = np.empty((n1, n2, n3))
-    W1 = t.factors[0] * t.weights
-    B, C = t.factors[1], np.ascontiguousarray(t.factors[2].T)
-    for i in range(n1):
-        np.matmul(B * W1[i], C, out=out[i])
+    out = np.empty(t.shape, order="F")
+    W3 = t.factors[2] * t.weights
+    B, C = t.factors[1], np.ascontiguousarray(t.factors[0].T)
+    for k in range(t.shape[2]):
+        np.matmul(B * W3[k], C, out=out[:, :, k].T)
     return out
 
 
 def tucker_dense(t):
-    """Materialize a Tucker tensor by three mode products of the core."""
+    """Materialize a Tucker tensor, Fortran-ordered, by three mode products
+    of the core; the products build its C-ordered transpose."""
     (n1, n2, n3), (r1, r2, r3) = t.shape, t.ranks
-    X = (t.factors[0] @ t.core.reshape(r1, -1)).reshape(n1 * r2, r3)
-    X = (X @ t.factors[2].T).reshape(n1, r2, n3)
-    return np.matmul(t.factors[1], X)
+    X = (t.factors[2] @ t.core.T.reshape(r3, -1)).reshape(n3 * r2, r1)
+    X = (X @ t.factors[0].T).reshape(n3, r2, n1)
+    return np.matmul(t.factors[1], X).T
 
 
 def _check_finite(t):
@@ -340,8 +340,10 @@ def c2t_shift_sum(ref, centers, charges, eps):
     R, Z = ref.rank, bounds.size - 1
     r1, r2, r3 = (U.shape[1] for U in Us)
     T1, T2 = P[0].transpose(2, 0, 1), P[1].transpose(2, 1, 0)
-    # E3[g*R + k] = xi_k P_3k[:, g]: the mode-3 table with the weights
-    E3 = (P[2] * ref.weights).transpose(1, 2, 0).reshape(Z * R, r3)
+    # E3[g*R + k] = xi_k P_3k[:, g]: the mode-3 table with the weights; the
+    # contraction reads no other mode-3 table, so the last shift table goes
+    E3 = (P.pop() * ref.weights).transpose(1, 2, 0).reshape(Z * R, r3)
+    del G
     # Y[p*R + k] is term k's r1 x r2 slice of plane p0 + p; a block holds
     # at most max(Z, R) slices, one plane when Z < R
     step = max(1, Z // R)
@@ -484,8 +486,9 @@ def save_canonical(t, path):
 def load_canonical(path):
     """Read a canonical tensor written by ``save_canonical``.
 
-    Raises DataError when the magic is wrong or the file length does not
-    match the sizes in its header.
+    Raises DataError when the magic is wrong, the file length does not
+    match the sizes in its header, or a weight or side matrix entry is not
+    finite.
     """
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
@@ -505,4 +508,7 @@ def load_canonical(path):
         for n in (n1, n2, n3):
             buf = np.frombuffer(f.read(8 * n * R), dtype="<f8")
             A.append(buf.reshape((n, R), order="F").astype(float))
+    if not all(np.all(np.isfinite(a)) for a in (xi, *A)):
+        raise DataError("canonical tensor file %s holds non-finite values"
+                        % path)
     return CanonicalTensor3(xi, tuple(A))

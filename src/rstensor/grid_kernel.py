@@ -89,10 +89,16 @@ class SincQuadrature:
 
 def gaussian_sum(q, rho):
     """Evaluate sum_k c_k exp(-t_k^2 rho^2) at scalar or array rho."""
-    rho = np.asarray(rho, dtype=float)
-    X = np.multiply.outer(rho * rho, q.nodes ** 2)
+    return _gauss(q.nodes, q.weights, np.asarray(rho, dtype=float))
+
+
+def _gauss(t, c, rho):
+    # the one evaluator of sum_k c_k exp(-t_k^2 rho^2), for gaussian_sum and
+    # the quadrature's error profile rho * _gauss - 1; exponents are clipped
+    # where exp underflows
+    X = np.multiply.outer(rho * rho, t * t)
     np.clip(X, None, 700.0, out=X)
-    return np.exp(-X) @ q.weights
+    return np.exp(-X) @ c
 
 
 def _de_nodes(v_lo, v_hi, beta, R):
@@ -111,12 +117,6 @@ def _de_nodes(v_lo, v_hi, beta, R):
     return t, c
 
 
-def _profile(t, c, rho):
-    X = np.outer(rho ** 2, t ** 2)
-    np.clip(X, None, 700.0, out=X)
-    return rho * (np.exp(-X) @ c) - 1.0
-
-
 def _tune(R, B, n_samp=3000):
     # coarse scan of the three substitution parameters around -2*ln(B),
     # then a simplex polish on the measured sup relative error; returns
@@ -131,7 +131,8 @@ def _tune(R, B, n_samp=3000):
         if v_hi <= v_lo:
             return 9.0
         t, c = _de_nodes(v_lo, v_hi, beta, R)
-        return np.log10(np.max(np.abs(_profile(t, c, rho))) + 1e-300)
+        err = np.max(np.abs(rho * _gauss(t, c, rho) - 1.0))
+        return np.log10(err + 1e-300)
 
     best = None
     for blo in np.linspace(-2.0, 4.0, 7):
@@ -210,7 +211,7 @@ def build_quadrature(R, rho_min, rho_max):
     c = c / rho_min
     rho = np.geomspace(rho_min, rho_max, 4096) if rho_max > rho_min \
         else np.array([rho_min])
-    err = float(np.max(np.abs(rho * (np.exp(-np.outer(rho ** 2, t ** 2)) @ c) - 1.0)))
+    err = float(np.max(np.abs(rho * _gauss(t, c, rho) - 1.0)))
     return SincQuadrature(t, c, (float(rho_min), float(rho_max)), err)
 
 

@@ -328,12 +328,13 @@ def _bundle_copy(src, dst):
                          ids=["homogeneous", "analytic", "kappa"])
 def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
     # fields share the dumps' layout, so save_field writes them without a
-    # copy; the short template stays C-ordered for rs_eval_entry's ravel
+    # copy; the short template has it too, so each window add walks memory
+    # in order
     out = rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa), born_mol)
     assert out["total"].values.flags.f_contiguous
     assert out["u_long"].values.flags.f_contiguous
     assert out["short"].values.flags.f_contiguous
-    assert out["rs"].template_dense().flags.c_contiguous
+    assert out["rs"].template_dense().flags.f_contiguous
 
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
@@ -342,7 +343,7 @@ def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
     total = rt.compose_total(u, short)
     assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
     assert short.values.flags.f_contiguous
-    assert rs.template_dense().flags.c_contiguous
+    assert rs.template_dense().flags.f_contiguous
     rt.save_field(total, tmp_path / "total.bin")
     loaded = rt.load_field(tmp_path / "total.bin")
     assert loaded.values.flags.f_contiguous
@@ -357,15 +358,24 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
     assert f.values.flags.f_contiguous
 
 
-@pytest.mark.parametrize("damage", [
-    lambda raw: raw[:20],
-    lambda raw: raw[:-8],
-    lambda raw: raw + b"\0"], ids=["header", "short", "trailing"])
-def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, damage):
+def _nan_weight(raw):
+    # the first weight follows the 4-byte magic and the 32-byte header
+    return raw[:36] + np.float64(np.nan).tobytes() + raw[44:]
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("long.ct3", lambda raw: raw[:20]),
+    ("long.ct3", lambda raw: raw[:-8]),
+    ("long.ct3", lambda raw: raw + b"\0"),
+    ("long.ct3", _nan_weight),
+    ("short_template.ct3", _nan_weight)],
+    ids=["header", "short", "trailing", "nan_long", "nan_template"])
+def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, name,
+                                       damage):
     d = _bundle_copy(born_bundle, tmp_path)
-    (d / "long.ct3").write_bytes(damage((d / "long.ct3").read_bytes()))
+    (d / name).write_bytes(damage((d / name).read_bytes()))
     assert rt.main(["solve", "-i", str(d)]) == 4
-    assert "long.ct3" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["gamma", "centers", "n"])

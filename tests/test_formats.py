@@ -205,6 +205,27 @@ def test_dense_matches_einsum(shape, R, seed):
     assert np.allclose(rt.dense(t), ref, rtol=0, atol=1e-13 * max(1, R))
 
 
+@pytest.mark.parametrize("shape,R", [((4, 6, 5), 3), ((1, 7, 2), 0),
+                                     ((5, 5, 5), 4), ((3, 3, 3), 0)],
+                         ids=["mixed", "mixed_rank0", "cubic", "cubic_rank0"])
+def test_dense_arrays_are_fortran_ordered(shape, R):
+    # dense, tucker_dense and the short template share the fields' layout
+    rng = np.random.default_rng(R)
+    t = rt.CanonicalTensor3(rng.standard_normal(R),
+                            tuple(rng.standard_normal((n, R)) for n in shape))
+    ranks = tuple(min(n, r) for n, r in zip(shape, (2, 3, 1)))
+    tk = rt.TuckerTensor3(rng.standard_normal(ranks), tuple(
+        np.linalg.qr(rng.standard_normal((n, r)))[0]
+        for n, r in zip(shape, ranks)))
+    rs = rt.RSTensor(rt.Grid3(9, 1.0), rt.zero_canonical((9, 9, 9)), t, [], 2)
+    ref = np.einsum("k,ak,bk,ck->abc", t.weights, *t.factors)
+    tref = np.einsum("abc,ia,jb,kc->ijk", tk.core, *tk.factors)
+    for D, E in ((rt.dense(t), ref), (rs.template_dense(), ref),
+                 (tucker_dense(tk), tref)):
+        assert D.flags.f_contiguous and D.shape == shape
+        assert np.allclose(D, E, rtol=0, atol=1e-13)
+
+
 @settings(max_examples=60, deadline=None)
 @given(shape=st.tuples(*[st.integers(1, 6)] * 3), R=st.integers(1, 8),
        m=st.tuples(*[st.integers(1, 12)] * 3), N=st.integers(1, 40),
