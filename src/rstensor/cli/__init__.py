@@ -2,17 +2,21 @@
 
 The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
-(``RSTensor.long_field``) -> short part scattered once -> (``--bc
-analytic`` only) delta, the stencil of the long field less kappa^2 times
-the short one, and a Poisson solve with screened-Coulomb faces -> oracle
-field (kappa = 0 only: it is unscreened) -> total, long plus short in one
-add -> oracle comparison.  With homogeneous faces the solve would return
-its input, so it is not run.  Every n^3 field is Fortran-ordered (mode-1
-fastest), the layout of the ``.bin`` dumps, so they are written without a
-copy.  Metrics land in a deterministic key=value report; wall-clock stage
-times go to a separate file.  Reruns of born, and of ligand18 and a 600-atom
-cluster at n=65, are byte-identical (tested); not every input's are (the
-open ``FOUND`` line on cluster2000 seed 4 in CHANGES.md).  ``python -m
+(``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil of
+the long field, less kappa^2 times the short part when kappa > 0 (then
+scattered right after the densify), and a Poisson solve with
+screened-Coulomb faces -> oracle field (kappa = 0 only: it is unscreened)
+-> short part scattered once -> total and oracle comparison in one pass
+over blocks of planes, each block of the total written over the oracle's,
+so the total takes over the oracle's memory and that pass holds three n^3
+fields, not four.  Without an oracle the total is long plus short in one
+add.  With homogeneous faces the solve would return its input, so it is
+not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the layout
+of the ``.bin`` dumps, so they are written without a copy.  Metrics land
+in a deterministic key=value report; wall-clock stage times go to a
+separate file.  Reruns of born, and of ligand18 and a 600-atom cluster at
+n=65, are byte-identical (tested); not every input's are (the open
+``FOUND`` line on cluster2000 seed 4 in CHANGES.md).  ``python -m
 rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
 code.
 """
@@ -36,7 +40,8 @@ from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
 from ..formats import load_canonical, save_canonical
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
-from ..validation import compare, direct_sum_oracle, write_report
+from ..validation import (compare, compose_and_compare, direct_sum_oracle,
+                          write_report)
 
 _SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
@@ -259,28 +264,26 @@ def _assemble_stage(cfg, m, timings):
     return rs, q, kernel, snapped, eps_eff
 
 
-def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
-    """Long-range potential and short-range field (``bc=none``) on the grid.
+def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
+    """Long-range potential on the grid, and the short field if it read it.
 
     The long part is densified by ``rs.long_field()`` into a Fortran-ordered
-    (mode-1 fastest) array; the short part is scattered once into another.
-    With homogeneous faces the long field is the result (it solves
-    ``-lap u = -lap rs.long``).  With ``bc_molecule`` the faces carry its
-    screened-Coulomb values, and the regular part u_r of the total
+    (mode-1 fastest) array.  With homogeneous faces that is the result (it
+    solves ``-lap u = -lap rs.long``).  With ``bc_molecule`` the faces carry
+    its screened-Coulomb values, and the regular part u_r of the total
     ``U_short + u_r`` solves
     ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.  Returns
-    ``(u_long, short)``.
+    ``(u_long, short)``; ``short`` is None unless ``kappa > 0``, where the
+    right-hand side reads it, so it is scattered right after the densify.
     """
     with _clock(timings, "dense"):
         values = rs.long_field()
-    with _clock(timings, "compose"):
-        short = GridFunction3(rs.grid, scatter_short(
-            rs, np.zeros(values.shape, order="F")), {"bc": "none"})
     if bc_molecule is None:
-        return GridFunction3(rs.grid, values, {"bc": "homogeneous"}), short
+        return GridFunction3(rs.grid, values, {"bc": "homogeneous"}), None
+    short = _short_stage(rs, timings) if kappa > 0 else None
     with _clock(timings, "delta"):
         rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
-        del values  # read no more: the short field takes its place in the peak
+        del values  # read no more: the solve's arrays take its place
         np.negative(rhs, out=rhs)
         if kappa > 0:
             rhs -= kappa * kappa * short.values
@@ -288,6 +291,20 @@ def _solve_stage(rs, timings, kappa=0.0, bc_molecule=None):
         bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
         return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
                              bc="trace", bc_field=bc_field), short
+
+
+def _short_stage(rs, timings):
+    """The short-range field (``bc=none``): the run's one scatter of the
+    short part, into a Fortran-ordered zero array."""
+    with _clock(timings, "compose"):
+        return GridFunction3(rs.grid, scatter_short(
+            rs, np.zeros((rs.grid.n,) * 3, order="F")), {"bc": "none"})
+
+
+def _solve_stage(rs, timings):
+    """The ``solve`` command's fields ``(u_long, short)``, homogeneous faces."""
+    u_long, _ = _long_stage(rs, timings)
+    return u_long, _short_stage(rs, timings)
 
 
 def run_case(cfg, m):
@@ -299,30 +316,38 @@ def run_case(cfg, m):
     report, deterministic ``metrics`` and wall-clock ``timings``.  The
     report is None when the Gaussian-sum oracle was skipped: above
     ``_ORACLE_ATOM_CAP`` atoms, and for ``kappa > 0``, where the oracle's
-    unscreened field is no reference.
+    unscreened field is no reference.  With the oracle, the total is built
+    in the oracle's memory by ``compose_and_compare``, which compares each
+    block of it before writing it there; the oracle is gone afterwards.
     """
     timings = {}
     t_all = time.perf_counter()
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 
-    u_long, short = _solve_stage(rs, timings, cfg.kappa,
-                                 snapped if cfg.bc == "analytic" else None)
-    u_long.meta["quad_rank"] = short.meta["quad_rank"] = q.rank
-
-    # oracle after the densify's temporaries, before the total: lowest peak
+    u_long, short = _long_stage(rs, timings, cfg.kappa,
+                                snapped if cfg.bc == "analytic" else None)
+    # the oracle comes once the long field is final and its densify or
+    # solve temporaries are gone, and before the short field exists: its
+    # plane-sum block then meets two n^3 fields, not three
     oracle = report = None
     if m.n_atoms <= _ORACLE_ATOM_CAP and cfg.kappa == 0:
         with _clock(timings, "oracle"):
             oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                        quad=q)
+    if short is None:
+        short = _short_stage(rs, timings)
+    u_long.meta["quad_rank"] = short.meta["quad_rank"] = q.rank
     with _clock(timings, "compose"):
-        total = compose_total(u_long, short)
-    if oracle is not None:
-        with _clock(timings, "oracle"):
-            report = compare(total, oracle,
-                             exclude_centers=[c for c, _ in rs.short_list],
-                             config={"oracle": "gaussian_sum"})
+        if oracle is None:
+            total = compose_total(u_long, short)
+        else:
+            # three n^3 fields at the peak: the total overwrites the oracle
+            total, report = compose_and_compare(
+                u_long, short, oracle,
+                exclude_centers=[c for c, _ in rs.short_list],
+                config={"oracle": "gaussian_sum"})
+            del oracle
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {

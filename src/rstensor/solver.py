@@ -118,8 +118,16 @@ class GridFunction3:
         if self.values.shape != (n, n, n):
             raise ConfigError("field shape %r does not match grid n=%d"
                               % (self.values.shape, n))
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise NumericError("field contains non-finite values")
+
+
+def _all_finite(a):
+    # in blocks of 2^18 values in memory order: np.isfinite of the whole
+    # field would be an n^3 bool temporary
+    flat = a.ravel(order="K")
+    return all(np.isfinite(flat[i:i + 2 ** 18]).all()
+               for i in range(0, flat.size, 2 ** 18))
 
 
 def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,54 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
     q = rt.build_quadrature(8, g.h, 2 * np.sqrt(3.0) * g.b)
     f = rt.direct_sum_oracle(born_mol, g, kernel=kernel, quad=q)
     assert f.values.flags.f_contiguous
+
+
+@pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
+@pytest.mark.parametrize("case", ["born97", "cluster60"])
+def test_total_over_oracle_matches_compose_and_compare(born_mol, cluster60,
+                                                       case, bc):
+    # run_case composes the total over the oracle in one pass over compare's
+    # blocks of i3 planes; born at n=97 has 27 planes per block, three full
+    # blocks and a ragged one of 16
+    m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
+              "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
+    out = rt.run_case(cfg, m)
+    u, short = out["u_long"], out["short"]
+    oracle = rt.direct_sum_oracle(out["molecule"], u.grid,
+                                  kernel="gaussian_sum", quad=out["quadrature"])
+    ref = rt.compare(rt.compose_total(u, short), oracle,
+                     exclude_centers=[c for c, _ in out["rs"].short_list],
+                     config={"oracle": "gaussian_sum"})
+    assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
+    assert np.array_equal(out["total"].values, u.values + short.values)
+
+
+def test_run_case_peak_holds_three_fields(ligand_mol):
+    # The peak of a run with the oracle is the pass that composes the total
+    # over it: three n^3 float fields (u_long, short, and the oracle that
+    # becomes the total), compare's n^3 bool core mask and its one buffer of
+    # k = 2^18 // n^2 planes, and what the result keeps besides the fields
+    # (the long factors, the long and short reference columns, the short
+    # template, the kernel), plus 256 KiB of slack.  The oracle is built
+    # before the short field exists: two fields and its (planes x R, n, n)
+    # plane-sum block, under one field here (2 x 29 x 65^2 floats), stay
+    # below that.  A separate total array is a fourth field, 2.1 MiB here,
+    # and breaks the bound.
+    cfg = rt.RunConfig(n=65)
+    rt.run_case(cfg, ligand_mol)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        out = rt.run_case(cfg, ligand_mol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rs, n = out["rs"], out["total"].grid.n
+    kept = rs.template_dense().nbytes + sum(
+        f.nbytes for t in (rs.long, rs.long_reference, rs.short_reference,
+                           out["kernel"].wide_tensor) for f in t.factors)
+    k = 2 ** 18 // n ** 2
+    bound = 3 * 8 * n ** 3 + n ** 3 + 8 * n * n * k + kept + 2 ** 18
+    assert peak <= bound, (peak, bound)
 
 
 def _nan_weight(raw):

@@ -294,3 +294,14 @@ def test_field_rejects_nonfinite():
     bad[2, 2, 2] = np.inf
     with pytest.raises(rt.NumericError):
         rt.GridFunction3(g, bad)
+    # checked in blocks of 2^18 values: 65^3 leaves a last, ragged block of
+    # 12,481, in either memory order
+    g = rt.Grid3(65, 1.0)
+    for order in ("F", "C"):
+        for idx, v in (((64, 64, 64), np.nan), ((0, 64, 64), -np.inf),
+                       ((64, 64, 0), -np.inf)):
+            bad = np.zeros((65, 65, 65), order=order)
+            bad[idx] = v
+            with pytest.raises(rt.NumericError):
+                rt.GridFunction3(g, bad)
+    rt.GridFunction3(g, np.zeros((65, 65, 65)))
