@@ -204,7 +204,9 @@ def _resolve_quadrature(cfg, grid):
 
 
 def _boundary_field(m, grid, kappa):
-    # screened-Coulomb boundary data on the six faces, zeros inside
+    # screened-Coulomb boundary data on the six faces, zeros inside, in
+    # O(6 N n^2) arithmetic: exact (screened) 1/r, while the interior and
+    # the oracle use the Gaussian sum (the face gap the README documents)
     x = grid.coords()
     n = grid.n
     g = np.zeros((n, n, n), order="F")
@@ -269,9 +271,10 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
 
     The long part is densified by ``rs.long_field()`` into a Fortran-ordered
     (mode-1 fastest) array.  With homogeneous faces that is the result (it
-    solves ``-lap u = -lap rs.long``).  With ``bc_molecule`` the faces carry
-    its screened-Coulomb values, and the regular part u_r of the total
-    ``U_short + u_r`` solves
+    solves ``-lap u = -lap rs.long``).  With ``bc_molecule``,
+    ``poisson_solve(rhs, L, bc_field)`` keeps the faces of ``bc_field``,
+    the molecule's screened-Coulomb values, and solves for the interior:
+    the regular part u_r of the total ``U_short + u_r`` solves
     ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.  Returns
     ``(u_long, short)``; ``short`` is None unless ``kappa > 0``, where the
     right-hand side reads it, so it is scattered right after the densify.
@@ -290,7 +293,7 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
     with _clock(timings, "solve"):
         bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
         return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
-                             bc="trace", bc_field=bc_field), short
+                             bc_field), short
 
 
 def _short_stage(rs, timings):
@@ -299,12 +302,6 @@ def _short_stage(rs, timings):
     with _clock(timings, "compose"):
         return GridFunction3(rs.grid, scatter_short(
             rs, np.zeros((rs.grid.n,) * 3, order="F")), {"bc": "none"})
-
-
-def _solve_stage(rs, timings):
-    """The ``solve`` command's fields ``(u_long, short)``, homogeneous faces."""
-    u_long, _ = _long_stage(rs, timings)
-    return u_long, _short_stage(rs, timings)
 
 
 def run_case(cfg, m):
@@ -550,18 +547,22 @@ def _load_bundle(d):
     if long.shape != (grid.n,) * 3:
         raise DataError("long.ct3 in %s has shape %s, not the n=%d of "
                         "shortlist.json" % (d, long.shape, grid.n))
+    template = load_canonical(os.path.join(d, "short_template.ct3"))
+    w = template.shape[0]
+    if template.shape != (w,) * 3 or w % 2 == 0:
+        raise DataError("short_template.ct3 in %s has shape %s, not a cube "
+                        "with an odd side" % (d, template.shape))
     short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
                           weights.tolist()))
-    return RSTensor(grid, long,
-                    load_canonical(os.path.join(d, "short_template.ct3")),
-                    short_list, gamma, long_rank_pre=rank_pre)
+    return RSTensor(grid, long, template, short_list, gamma,
+                    long_rank_pre=rank_pre)
 
 
 def _cmd_solve(args):
     d = args.indir
     rs = _load_bundle(d)
-    u, short = _solve_stage(rs, {})
-    total = compose_total(u, short)
+    u, _ = _long_stage(rs, {})
+    total = compose_total(u, _short_stage(rs, {}))
     out = args.outdir or d
     os.makedirs(out, exist_ok=True)
     save_field(u, os.path.join(out, "ulong.bin"))

@@ -2,12 +2,12 @@
 
 The 3D finite-difference Laplacian with homogeneous Dirichlet closure turns
 the assembled potential into a discretized delta: ``delta = -A_lap P``.
-``apply_stencil_dense`` is the dense 7-point stencil, and
-``poisson_solve`` solves ``(-A_lap + kappa^2) U = f`` directly by
-diagonalization in the 3D discrete sine basis, with zero faces or with
-given face values lifted into the right-hand side.  The pipeline solves
-only with given faces (``--bc analytic``): with zero faces the stencil
-image of the densified long part has that part itself as its solution.
+``apply_stencil_dense`` is the dense 7-point stencil, and ``poisson_solve``
+solves ``(-A_lap + kappa^2) U = f`` directly by diagonalization in the 3D
+discrete sine basis, for all nodes with zero ghosts or, given a field's
+faces, for the interior nodes.  The pipeline solves only with given faces
+(``--bc analytic``): with zero faces the stencil image of the densified
+long part has that part itself as its solution.
 ``apply_kron_laplacian`` is the same operator on canonical tensors,
 mode-wise (rank-3 Kronecker structure), and equals the stencil at every
 node.
@@ -130,68 +130,54 @@ def _all_finite(a):
                for i in range(0, flat.size, 2 ** 18))
 
 
-def poisson_solve(rhs, L, bc="homogeneous", bc_field=None):
-    """Solve ``(-lap + kappa^2) u = rhs`` with Dirichlet boundary data.
+def poisson_solve(rhs, L, bc_field=None):
+    """Solve ``(-lap + kappa^2) u = rhs`` by diagonalization in the 3D
+    discrete sine basis; ``rhs`` and ``bc_field`` are dense (n, n, n).
 
-    Direct diagonalization in the 3D discrete sine basis.
-
-    Parameters
-    ----------
-    rhs : dense (n, n, n) array
-    L : DiscreteLaplacian
-    bc : {"homogeneous", "trace"}
-        Homogeneous ghosts, or face values taken from ``bc_field`` with the
-        interior solved after moving the face data into the right-hand side.
-    bc_field : dense (n, n, n) array, required when bc="trace"; only its
-        faces are read.
-
-    Returns
-    -------
-    GridFunction3 with ``meta["residual"]`` set.
+    Without ``bc_field`` the unknowns are all n^3 nodes, with zero ghosts
+    (``meta["bc"]`` "homogeneous").  With it they are the (n-2)^3 interior
+    nodes, and its six faces, all that is read of it, are kept and lifted
+    into the right-hand side (``meta["bc"]`` "trace").  Returns a
+    GridFunction3 whose ``meta["residual"]`` is ``||stencil(u_i) + f_i||
+    / ||f_i||`` over the system solved, u_i its unknowns and f_i its
+    right-hand side.
     """
     n, h = L.grid.n, L.grid.h
     f = np.asarray(rhs, dtype=float)
     if f.shape != (n, n, n):
         raise ConfigError("right-hand side shape does not match the grid")
-
-    if bc == "homogeneous":
-        u = _solve_spectral(f, n, h, L.kappa)
-        res = _residual(L, u, f)
-        return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
-                                         "kappa": L.kappa})
-    if bc != "trace":
-        raise ConfigError("bc must be 'homogeneous' or 'trace'")
     if bc_field is None:
-        raise ConfigError("bc='trace' needs bc_field")
-    g = np.asarray(bc_field, dtype=float)
-    if g.shape != (n, n, n):
-        raise ConfigError("boundary field shape does not match the grid")
-    # move the known face values into the interior right-hand side
-    fi = f[1:-1, 1:-1, 1:-1].copy(order="K")
-    h2 = h * h
-    fi[0] += g[0, 1:-1, 1:-1] / h2
-    fi[-1] += g[-1, 1:-1, 1:-1] / h2
-    fi[:, 0] += g[1:-1, 0, 1:-1] / h2
-    fi[:, -1] += g[1:-1, -1, 1:-1] / h2
-    fi[:, :, 0] += g[1:-1, 1:-1, 0] / h2
-    fi[:, :, -1] += g[1:-1, 1:-1, -1] / h2
-    ui = _solve_spectral(fi, n - 2, h, L.kappa)
-    u = g.copy(order="K")
-    u[1:-1, 1:-1, 1:-1] = ui
-    # residual over the interior equations actually solved
-    res_f = apply_stencil_dense(DiscreteLaplacian(L.grid, L.kappa), u)
-    num = np.linalg.norm((-res_f - f)[1:-1, 1:-1, 1:-1])
+        fi, bc = f, "homogeneous"
+    else:
+        g = np.asarray(bc_field, dtype=float)
+        if g.shape != (n, n, n):
+            raise ConfigError("boundary field shape does not match the grid")
+        fi, bc = f[1:-1, 1:-1, 1:-1].copy(order="K"), "trace"
+        for ax in range(3):
+            fa, ga = np.moveaxis(fi, ax, 0), np.moveaxis(g, ax, 0)
+            for end in (0, -1):
+                fa[end] += ga[end, 1:-1, 1:-1] / (h * h)
+    ui = _solve_spectral(fi, h, L.kappa)
+    # the stencil with zero ghosts is the operator of either system
+    r = apply_stencil_dense(L, ui)
+    r += fi
     den = np.linalg.norm(fi)
-    res = float(num / den) if den > 0 else 0.0
+    res = float(np.linalg.norm(r) / den) if den > 0 else 0.0
+    del r, fi  # before the n^3 result is allocated
+    u = ui
+    if bc_field is not None:
+        u = g.copy(order="K")
+        u[1:-1, 1:-1, 1:-1] = ui
     return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
                                      "kappa": L.kappa})
 
 
-def _solve_spectral(f, n, h, kappa):
+def _solve_spectral(f, h, kappa):
     if f.flags.f_contiguous:
         # the operator is the same along every axis: solve the C-ordered
         # transpose, and the result keeps the layout of f
-        return _solve_spectral(f.T, n, h, kappa).T
+        return _solve_spectral(f.T, h, kappa).T
+    n = f.shape[0]
     lam = eigenvalues_1d(n, h)
     workers = len(os.sched_getaffinity(0))
     F = dstn(f, type=1, norm="ortho", workers=workers)
@@ -199,13 +185,6 @@ def _solve_spectral(f, n, h, kappa):
     for i in range(n):
         F[i] /= lam[i] + plane
     return dstn(F, type=1, norm="ortho", workers=workers)
-
-
-def _residual(L, u, f):
-    den = np.linalg.norm(f)
-    if den == 0:
-        return 0.0
-    return float(np.linalg.norm(-apply_stencil_dense(L, u) - f) / den)
 
 
 def compose_total(u_long, short):
@@ -276,6 +255,7 @@ def load_field(path):
         raise DataError("%s holds %d bytes, n=%d needs %d"
                         % (path, size, n, 8 * n ** 3))
     vals = np.fromfile(path, dtype=_F64).reshape((n, n, n), order="F")
-    if not np.all(np.isfinite(vals)):
-        raise DataError("%s holds non-finite values" % path)
-    return GridFunction3(grid, vals, meta)
+    try:
+        return GridFunction3(grid, vals, meta)
+    except NumericError:
+        raise DataError("%s holds non-finite values" % path) from None

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -340,7 +341,8 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
     rs = rt.cli._load_bundle(str(born_bundle))
-    u, short = rt.cli._solve_stage(rs, {})
+    u, _ = rt.cli._long_stage(rs, {})
+    short = rt.cli._short_stage(rs, {})
     total = rt.compose_total(u, short)
     assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
     assert short.values.flags.f_contiguous
@@ -412,13 +414,31 @@ def _nan_weight(raw):
     return raw[:36] + np.float64(np.nan).tobytes() + raw[44:]
 
 
+def _cut_factors(keep):
+    # factor k cut to its first keep(w)[k] rows, w the side of the window:
+    # the non-cubic one crashed the scatter, the even one dropped a plane
+    def damage(raw):
+        dims = struct.unpack("<4Q", raw[4:36])
+        R, sides = dims[3], keep(dims[0])
+        cols, parts = np.frombuffer(raw, "<f8", offset=36 + 8 * R), []
+        for n, k in zip(dims[:3], sides):
+            A, cols = cols[:n * R].reshape((n, R), order="F"), cols[n * R:]
+            parts.append(A[:k].tobytes(order="F"))
+        return (raw[:4] + struct.pack("<4Q", *sides, R)
+                + raw[36:36 + 8 * R] + b"".join(parts))
+    return damage
+
+
 @pytest.mark.parametrize("name,damage", [
     ("long.ct3", lambda raw: raw[:20]),
     ("long.ct3", lambda raw: raw[:-8]),
     ("long.ct3", lambda raw: raw + b"\0"),
     ("long.ct3", _nan_weight),
-    ("short_template.ct3", _nan_weight)],
-    ids=["header", "short", "trailing", "nan_long", "nan_template"])
+    ("short_template.ct3", _nan_weight),
+    ("short_template.ct3", _cut_factors(lambda w: (w, 3, w))),
+    ("short_template.ct3", _cut_factors(lambda w: (w - 1,) * 3))],
+    ids=["header", "short", "trailing", "nan_long", "nan_template",
+         "non_cubic_template", "even_template"])
 def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, name,
                                        damage):
     d = _bundle_copy(born_bundle, tmp_path)

@@ -126,11 +126,15 @@ def test_poisson_round_trip_random_field():
     f = -rt.apply_stencil_dense(L, u_star)
     # an F-ordered right-hand side is solved as its C-ordered transpose
     for order in "CF":
-        u = rt.poisson_solve(np.asarray(f, order=order), L)
+        fo = np.asarray(f, order=order)
+        u = rt.poisson_solve(fo, L)
         assert u.values.flags.f_contiguous == (order == "F")
         err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
         assert err <= 1e-10
         assert u.meta["residual"] <= 1e-12
+        # ||stencil(u) + f|| is ||-stencil(u) - f||, bit for bit
+        ref = np.linalg.norm(-rt.apply_stencil_dense(L, u.values) - fo)
+        assert same_bits(u.meta["residual"], ref / np.linalg.norm(fo))
 
 
 def test_poisson_separable_sine_rhs():
@@ -171,11 +175,40 @@ def test_poisson_trace_boundary_lifting():
     u_star = rng.standard_normal((n, n, n))
     f = -rt.apply_stencil_dense(L, u_star)
     for order in "CF":
-        u = rt.poisson_solve(np.asarray(f, order=order), L, bc="trace",
-                             bc_field=np.asarray(u_star, order=order))
+        u = rt.poisson_solve(np.asarray(f, order=order), L,
+                             np.asarray(u_star, order=order))
         assert u.values.flags.f_contiguous == (order == "F")
+        assert u.meta["bc"] == "trace"
         err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
         assert err <= 1e-10
+        assert u.meta["residual"] <= 1e-12
+        for ax in range(3):
+            for end in (0, -1):
+                assert same_bits(np.moveaxis(u.values, ax, 0)[end],
+                                 np.moveaxis(u_star, ax, 0)[end])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_poisson_trace_solve_memory(kappa):
+    # allocations of the call: the interior right-hand side f_i, the DST
+    # of it and the inverse DST (3 arrays of (n-2)^3 floats), then f_i,
+    # u_i, the stencil of u_i and, at kappa > 0, kappa^2 u_i (4 arrays),
+    # then u_i and the n^3 result.  So 4 n^3 floats, plus 2^18 B for the
+    # eigenvalues and one plane of denominators
+    n = 65
+    L = rt.DiscreteLaplacian(rt.Grid3(n, 2.0), kappa)
+    rng = np.random.default_rng(9)
+    u_star = np.asfortranarray(rng.standard_normal((n, n, n)))
+    f = -rt.apply_stencil_dense(L, u_star)
+    tracemalloc.start()
+    try:
+        u = rt.poisson_solve(f, L, bc_field=u_star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.meta["bc"] == "trace" and u.meta["residual"] <= 1e-12
+    bound = 4 * 8 * n ** 3 + 2 ** 18
+    assert peak <= bound, (peak, bound)
 
 
 def test_poisson_rejects_bad_options():
@@ -183,11 +216,9 @@ def test_poisson_rejects_bad_options():
     L = rt.DiscreteLaplacian(g)
     f = np.zeros((9, 9, 9))
     with pytest.raises(rt.ConfigError):
-        rt.poisson_solve(f, L, bc="periodic")
-    with pytest.raises(rt.ConfigError):
-        rt.poisson_solve(f, L, bc="trace")
-    with pytest.raises(rt.ConfigError):
         rt.poisson_solve(np.zeros((3, 3, 3)), L)
+    with pytest.raises(rt.ConfigError):
+        rt.poisson_solve(f, L, np.zeros((3, 3, 3)))
 
 
 def test_keystone_round_trip_small():
@@ -286,6 +317,24 @@ def test_save_field_f_order_writes_without_copy(tmp_path):
         tracemalloc.stop()
     assert peak < n ** 3 * 8 / 4
     assert os.path.getsize(tmp_path / "f.bin") == n ** 3 * 8
+
+
+def test_load_field_memory(tmp_path):
+    # the values themselves and one 2^18-value block of the finiteness
+    # check, whose bool mask is 2^18 B: no second check, no n^3 mask
+    n = 129
+    rt.save_field(rt.GridFunction3(rt.Grid3(n, 1.0),
+                                   np.ones((n, n, n), order="F")),
+                  tmp_path / "f.bin")
+    tracemalloc.start()
+    try:
+        f = rt.load_field(tmp_path / "f.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == (n, n, n)
+    bound = 8 * n ** 3 + 2 ** 19
+    assert peak <= bound, (peak, bound)
 
 
 def test_field_rejects_nonfinite():
