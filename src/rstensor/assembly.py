@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import (CanonicalTensor3, TuckerBasis, c2t_shift_sum, dense,
-                      eval_entry, shift_sum, shift_sum_dense, t2c_with_basis,
-                      tucker_dense, tucker_image, zero_canonical)
+from .formats import (CanonicalTensor3, TuckerTensor3, c2t_shift_sum, dense,
+                      eval_entry, shift_sum, shift_sum_dense, t2c_with_image,
+                      tucker_dense, zero_canonical)
 
 _TIE = 1e-9
 _EMPTY = slice(0, 0)  # the row of a cell no window reaches
@@ -129,11 +129,12 @@ class RSTensor:
     node, weight) per atom.  Storage is 3*R_L*n + 4*N numbers plus the
     template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.
 
-    ``long_basis`` holds the binned RHOSVD factors that ``long``'s reduced
-    terms live in, and ``long_reference`` the R_L reference columns of an
-    explicit per-atom sum; both are None when ``long`` was read from a
-    bundle.  ``long_field`` picks the densify route from them.  Every dense
-    array the tensor builds is Fortran-ordered, like every n^3 field.
+    ``long_image`` is the Tucker tensor, over the binned RHOSVD factors,
+    that equals ``long``'s reduced terms, and ``long_reference`` holds the
+    R_L reference columns of an explicit per-atom sum; both are None when
+    ``long`` was read from a bundle.  ``long_field`` picks the densify
+    route from them.  Every dense array the tensor builds is
+    Fortran-ordered, like every n^3 field.
 
     Entry queries read a cell index built on first use (``cell_index``):
     the grid is cut into cells of side gamma nodes, and each cell's row in
@@ -146,7 +147,7 @@ class RSTensor:
     short_list: list
     gamma: int
     long_rank_pre: int = 0
-    long_basis: TuckerBasis = field(default=None, repr=False)
+    long_image: TuckerTensor3 = field(default=None, repr=False)
     long_reference: CanonicalTensor3 = field(default=None, repr=False)
     _template: np.ndarray = field(default=None, repr=False)
     _cells: tuple = field(default=None, repr=False)
@@ -165,8 +166,8 @@ class RSTensor:
         """The long part on the full grid: three mode products of its Tucker
         image when it was reduced, a plane sum over the reference columns
         when it is the explicit per-atom sum, else term by term."""
-        if self.long_basis is not None:
-            return tucker_dense(tucker_image(self.long, self.long_basis))
+        if self.long_image is not None:
+            return tucker_dense(self.long_image)
         if self.long_reference is not None:
             return shift_sum_dense(self.long_reference, *zip(*self.short_list))
         return dense(self.long)
@@ -244,12 +245,12 @@ def assemble_collective(m, kernel, eps_reduce):
     The long-range part is the sum over atoms of the charge-weighted
     long-range window columns (rank N * R_l).  With ``eps_reduce`` it is
     compressed by the binned RHOSVD of ``c2t_shift_sum`` followed by
-    ``t2c``, and the result keeps the Tucker basis of the kept canonical
-    terms (``long_basis``); when that does not lower the rank below
-    N * R_l the explicit per-atom tensor is returned instead, with the
-    long reference columns (``long_reference``) in place of a basis.  The
-    short-range part is stored as the shared template plus the snapped
-    (center, charge) list.
+    ``t2c``, and the result keeps the Tucker image of the kept canonical
+    terms (``long_image``) that ``t2c_with_image`` returns with them; when
+    that does not lower the rank below N * R_l the explicit per-atom
+    tensor is returned instead, with the long reference columns
+    (``long_reference``) in place of an image.  The short-range part is
+    stored as the shared template plus the snapped (center, charge) list.
 
     Parameters
     ----------
@@ -277,15 +278,15 @@ def assemble_collective(m, kernel, eps_reduce):
     R_l = kernel.split_index
     N = m.n_atoms
 
-    long_pre, long, basis, ref = 0, zero_canonical((n, n, n)), None, None
+    long_pre, long, image, ref = 0, zero_canonical((n, n, n)), None, None
     if R_l > 0:
         long_pre = N * R_l
         ref = _columns(kernel.wide_tensor, slice(0, R_l))
         if eps_reduce is not None:
-            long, basis = t2c_with_basis(
+            long, image = t2c_with_image(
                 c2t_shift_sum(ref, nodes, z, eps_reduce), eps_reduce)
         if eps_reduce is None or long.rank >= long_pre:
-            long, basis = shift_sum(ref, nodes, z), None
+            long, image = shift_sum(ref, nodes, z), None
 
     r_t = _template_radius(gamma)
     R_s = kernel.rank - R_l
@@ -297,8 +298,8 @@ def assemble_collective(m, kernel, eps_reduce):
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
     short_list = [(tuple(c), w) for c, w in zip(nodes.tolist(), z.tolist())]
     return RSTensor(grid, long, short_ref, short_list, gamma,
-                    long_rank_pre=long_pre, long_basis=basis,
-                    long_reference=ref if basis is None else None)
+                    long_rank_pre=long_pre, long_image=image,
+                    long_reference=ref if image is None else None)
 
 
 def rs_eval_entry(t, i):

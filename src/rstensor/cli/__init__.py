@@ -98,6 +98,9 @@ def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0):
     """
     if n_atoms < 1:
         raise ConfigError("cluster needs at least one atom")
+    if not (0 < half_extent < np.inf and 0 <= min_sep < np.inf):
+        raise ConfigError("cluster needs a positive finite half_extent and a "
+                          "finite min_sep >= 0")
     rng = np.random.default_rng(seed)
     pts = np.empty((n_atoms, 3))
     count = 0
@@ -583,6 +586,7 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = _config_from_args(args)
+    cfg.validate()
     m = _molecule_from_args(args)
     f = load_field(args.field)
     grid = f.grid

@@ -10,10 +10,10 @@ side matrix's transpose, which has the side matrix's left singular pairs.
 A sum of shifted copies of one reference tensor (the long-range part of a
 molecule) has its own canonical -> Tucker step that bins the copies by
 node instead of stacking their columns, and contracts its core plane by
-plane, one GEMM per block of planes.  The canonical terms of the second
-step stay expressible over the Tucker factors (``TuckerBasis``), so a
-reduced tensor is densified by mode products of its Tucker image rather
-than term by term.
+plane, one GEMM per block of planes.  The second step also returns the
+Tucker image of the terms it keeps, a core built from their core
+coordinates over the same factors, so a reduced tensor is densified by
+mode products of that image rather than term by term.
 """
 
 import os
@@ -92,20 +92,6 @@ class TuckerTensor3:
     @property
     def shape(self):
         return tuple(U.shape[0] for U in self.factors)
-
-
-@dataclass
-class TuckerBasis:
-    """Orthonormal factors spanning the side vectors of a ``t2c`` result.
-
-    Term k's mode-l side vector is ``factors[l] @ c_lk``, and the terms with
-    equal ``groups[k]`` share one mode-``mode`` coordinate vector c_mk (a
-    singular vector of the Tucker core), which ``tucker_image`` exploits.
-    """
-
-    factors: tuple
-    mode: int
-    groups: np.ndarray
 
 
 def eval_entry(t, i):
@@ -374,19 +360,24 @@ def t2c(t, eps):
     -------
     CanonicalTensor3 with rank <= min(r1*r2, r2*r3, r1*r3).
     """
-    return t2c_with_basis(t, eps)[0]
+    return t2c_with_image(t, eps)[0]
 
 
-def t2c_with_basis(t, eps):
-    """``t2c(t, eps)`` together with the TuckerBasis its terms live in.
+def t2c_with_image(t, eps):
+    """``t2c(t, eps)`` together with the Tucker image of its terms.
 
     The first-level SVD is taken of the transpose of the core unfolding,
     which is tall, and the second level is one batched SVD of all its
-    singular vectors reshaped to matrices.
+    singular vectors reshaped to matrices.  The image has ``t``'s factors
+    and the core ``sum_k w_k c_1k x c_2k x c_3k`` of the kept terms' core
+    coordinates c_lk.  The terms of first-level vector j share their
+    mode-m coordinates, so each j sums its terms' other two modes into one
+    r_a x r_b matrix Y_j, and one GEMM of the mode-m coordinates with the
+    stacked Y_j gives the core: O(r^2 K + r^4) flops for K kept terms.
 
     Returns
     -------
-    (CanonicalTensor3, TuckerBasis or None); None when no term is kept.
+    (CanonicalTensor3, TuckerTensor3)
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
@@ -394,8 +385,8 @@ def t2c_with_basis(t, eps):
     if not np.all(np.isfinite(G)):
         raise NumericError("core contains non-finite values")
     r = G.shape
-    if min(r) == 0 or not np.any(G):
-        return zero_canonical(t.shape), None
+    if min(r) == 0:
+        return zero_canonical(t.shape), t
 
     cost = [r[0] * min(r[1], r[2]), r[1] * min(r[0], r[2]), r[2] * min(r[0], r[1])]
     m = int(np.argmin(cost))
@@ -407,6 +398,7 @@ def t2c_with_basis(t, eps):
     # every right singular vector of the unfolding, as an r_a x r_b matrix,
     # in one batched SVD; term (j, i) has weight tau_j s_ji
     P, s, Q = np.linalg.svd(V.T.reshape(-1, r[a], r[b]), full_matrices=False)
+    del V
     w = (tau[:, None] * s).ravel()
 
     # ascending, ties in row-major order: the smallest terms, zero weights
@@ -414,42 +406,24 @@ def t2c_with_basis(t, eps):
     order = np.argsort(w, kind="stable")
     keep = order[np.searchsorted(np.cumsum(w[order] ** 2),
                                  eps * eps * np.sum(tau ** 2), side="right"):]
-    if not keep.size:
-        return zero_canonical(t.shape), None
     keep = keep[np.argsort(-w[keep], kind="stable")]
     j, i = np.divmod(keep, s.shape[1])
+    w = w[keep]
 
-    # copied to C order: BLAS rounds transposed (F-ordered) operands differently
     coords = {m: Ut[j].T, a: P.transpose(1, 0, 2)[:, j, i],
               b: Q.transpose(2, 0, 1)[:, j, i]}
+    del P, Q
+    # copied to C order: BLAS rounds transposed (F-ordered) operands differently
     A = tuple(t.factors[l] @ np.ascontiguousarray(coords[l]) for l in range(3))
-    return CanonicalTensor3(w[keep], A), TuckerBasis(t.factors, m, j)
 
-
-def tucker_image(c, basis):
-    """The Tucker tensor over ``basis`` that equals canonical ``c``.
-
-    Its core is ``sum_k w_k C_1k x C_2k x C_3k`` with C_lk the basis
-    coordinates of the side vectors.  The terms of one group share their
-    mode-m coordinates, so each group is summed by one GEMM in the other two
-    modes and the groups by one more GEMM: O(n r R + r^4) flops against the
-    O(R n^3) of ``dense(c)``, after which ``tucker_dense`` costs O(n^3 r).
-    """
-    m = basis.mode
-    a, b = (l for l in range(3) if l != m)
-    Ua, Ub = basis.factors[a], basis.factors[b]
-    order = np.argsort(basis.groups, kind="stable")
-    beg = np.flatnonzero(np.r_[True, np.diff(basis.groups[order]) != 0])
-    bounds = np.r_[beg, order.size]
-    Y = np.empty((beg.size, Ua.shape[1], Ub.shape[1]))
-    for g in range(beg.size):
-        sel = order[bounds[g]:bounds[g + 1]]
-        Pa = Ua.T @ c.factors[a][:, sel]
-        Pb = Ub.T @ c.factors[b][:, sel]
-        np.matmul(Pa * c.weights[sel], Pb.T, out=Y[g])
-    reps = basis.factors[m].T @ c.factors[m][:, order[beg]]
-    core = (reps @ Y.reshape(beg.size, -1)).reshape(-1, *Y.shape[1:])
-    return TuckerTensor3(np.moveaxis(core, 0, m), basis.factors)
+    by_j = np.argsort(j, kind="stable")
+    rows, beg = np.unique(j[by_j], return_index=True)
+    Y = np.empty((rows.size, r[a], r[b]))
+    for y, sel in zip(Y, np.split(by_j, beg[1:])):
+        np.matmul(coords[a][:, sel] * w[sel], coords[b][:, sel].T, out=y)
+    core = Ut[rows].T @ Y.reshape(rows.size, r[a] * r[b])
+    image = np.moveaxis(core.reshape(r[m], r[a], r[b]), 0, m)
+    return CanonicalTensor3(w, A), TuckerTensor3(image, t.factors)
 
 
 def reduce_rank(t, eps):

@@ -68,7 +68,9 @@ def apply_stencil_dense(L, v):
     w[:, :, 1:] += v[:, :, :-1]
     w /= h2
     if L.kappa > 0:
-        w -= (L.kappa ** 2) * v
+        # one i3-plane at a time: no temporary of the input's size
+        for i3 in range(w.shape[2]):
+            w[:, :, i3] -= (L.kappa ** 2) * v[:, :, i3]
     return w
 
 

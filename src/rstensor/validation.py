@@ -168,7 +168,7 @@ def compose_and_compare(u_long, short, oracle, exclude_centers=None,
 
 
 def _check_grids(a, b):
-    if a.grid.n != b.grid.n or abs(a.grid.b - b.grid.b) > 1e-12:
+    if a.grid != b.grid:
         raise ConfigError("fields live on different grids")
 
 

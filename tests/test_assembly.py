@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import rstensor as rt
 from helpers import eval_entries, shift_and_window, split_by_count
 from rstensor.assembly import _columns, _template_radius
-from rstensor.formats import c2t_shift_sum, zero_canonical
+from rstensor.formats import c2t_shift_sum, t2c_with_image, zero_canonical
 
 SQRT3 = np.sqrt(3.0)
 
@@ -449,12 +449,9 @@ def test_binned_reduction_matches_stacked_reduction(ligand_mol):
     assert rs.long.rank == 18 * 18
 
 
-def test_binned_core_memory_stays_within_old_buffer():
-    # a 400-atom cluster at n=65 (Tucker ranks 65, R_L 22, 45 planes): the
-    # core contraction holds at most one r1 x r2 slice per plane plus the
-    # core and one GEMM product of its size, on top of the tables every
-    # route builds.  Copying the slices for a tensordot, or gathering
-    # (R_L, r1, N) tables up front (9 MiB here), breaks the bound.
+@pytest.fixture(scope="module")
+def cluster400():
+    # a 400-atom cluster at n=65: Tucker ranks 65, R_L 22, 45 planes
     m = rt.synthetic_cluster(400, 12.0, seed=1)
     g = rt.Grid3(65, rt.resolve_box(rt.RunConfig(n=65), m))
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
@@ -462,12 +459,27 @@ def test_binned_core_memory_stays_within_old_buffer():
                            rt.gamma_for_separation(g, 3.5), 1e-8)
     nodes, _ = rt.snap_to_grid(rt.snapped_molecule(m, g)[0], g)
     ref = _columns(k.wide_tensor, slice(0, k.split_index))
+    return g, ref, nodes, m.charges
+
+
+def _traced_peak(f, *args):
     tracemalloc.start()
     try:
-        tk = c2t_shift_sum(ref, nodes, m.charges, 1e-8 * g.h ** 2)
+        out = f(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_binned_core_memory_stays_within_old_buffer(cluster400):
+    # the core contraction holds at most one r1 x r2 slice per plane plus
+    # the core and one GEMM product of its size, on top of the tables every
+    # route builds.  Copying the slices for a tensordot, or gathering
+    # (R_L, r1, N) tables up front (9 MiB here), breaks the bound.
+    g, ref, nodes, charges = cluster400
+    tk, peak = _traced_peak(c2t_shift_sum, ref, nodes, charges,
+                            1e-8 * g.h ** 2)
     (r1, r2, r3), R, n = tk.ranks, ref.rank, g.n
     occ = [np.unique(nodes[:, l]).size for l in range(3)]
     Z = occ[2]
@@ -476,6 +488,24 @@ def test_binned_core_memory_stays_within_old_buffer():
     tables = (sum(r * o for r, o in zip(tk.ranks, occ)) * R
               + n * max(occ) * R + Z * R * r3 + 3 * n * max(tk.ranks))
     bound = 8 * (tables + Z * r1 * r2 + 2 * r1 * r2 * r3) + 2 ** 19
+    assert peak <= bound, (peak, bound)
+
+
+def test_t2c_image_memory(cluster400):
+    # t2c_with_image holds the K kept terms' n-row side matrices, their
+    # r-row core coordinates in three modes plus one C-ordered copy of a
+    # mode's coordinates while its side matrix is formed (4 r K), and two
+    # core-sized arrays: the image core and the stacked Y_j.  The unfolding's
+    # right singular vectors V and the second-level factors P and Q, each
+    # up to r1 r2 r3 floats, are freed before the side matrices are built,
+    # and 2^19 bytes cover the weights, sort permutations and LAPACK work.
+    g, ref, nodes, charges = cluster400
+    eps = 1e-8 * g.h ** 2
+    tk = c2t_shift_sum(ref, nodes, charges, eps)
+    (c, image), peak = _traced_peak(t2c_with_image, tk, eps)
+    (r1, r2, r3), n, K = tk.ranks, g.n, c.rank
+    assert image.ranks == tk.ranks and K < len(charges) * ref.rank
+    bound = 8 * (3 * n * K + 4 * max(tk.ranks) * K + 2 * r1 * r2 * r3) + 2 ** 19
     assert peak <= bound, (peak, bound)
 
 
@@ -490,7 +520,7 @@ def test_reduced_assembly_leaves_scipy_linalg_unimported():
         "from rstensor.cli import RunConfig, _assemble_stage\n"
         "m = rt.synthetic_cluster(60, 5.0, seed=7)\n"
         "rs = _assemble_stage(RunConfig(n=33, b=10.0), m, {})[0]\n"
-        "assert rs.long_basis is not None, rs.long.rank\n"
+        "assert rs.long_image is not None, rs.long.rank\n"
         "assert rs.long.rank < rs.long_rank_pre, rs.long.rank\n"
         "assert 'scipy.linalg' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -771,7 +771,7 @@ def test_u_long_is_dense_long(densify_cases, case):
     rs = out["rs"]
     reduced = rs.long.rank < rs.long_rank_pre
     assert reduced == (case == "cluster60")
-    assert (rs.long_basis is not None) == reduced
+    assert (rs.long_image is not None) == reduced
     assert (rs.long_reference is None) == reduced
     ref = rt.dense(rs.long)
     u = out["u_long"].values
@@ -835,6 +835,32 @@ def test_validate_rejects_grid_mismatch(tmp_path, capsys, born_total,
     err = capsys.readouterr().err
     assert "config error: %s %s does not match" % tuple(flags[:2]) in err
     assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "0", "-1", "2"])
+def test_validate_checks_config(tmp_path, capsys, born_total, eps):
+    # a dump without quad_rank, as solve writes it, takes the oracle rank
+    # from eps_kernel, which validate checks as run does
+    p = tmp_path / "total.bin"
+    rt.save_field(rt.GridFunction3(born_total.grid, born_total.values), p)
+    assert rt.main(["validate", "--pqr", BORN, "--field", str(p),
+                    "--eps-kernel=" + eps, "-o", str(tmp_path)]) == 2
+    assert "config error: config: eps_kernel must lie in (0, 1)" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--half-extent", "nan"], ["--half-extent", "inf"], ["--half-extent=-3"],
+    ["--half-extent", "3", "--min-sep", "nan"],
+    ["--half-extent", "3", "--min-sep=-1"]],
+    ids=["extent-nan", "extent-inf", "extent-negative", "sep-nan",
+         "sep-negative"])
+def test_synthetic_rejects_bad_extent(tmp_path, capsys, flags):
+    assert rt.main(["run", "--synthetic", "5", "--n", "33", "-o",
+                    str(tmp_path)] + flags) == 2
+    assert "config error: cluster needs" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.txt").exists()
 
 
 def test_validate_rank_against_dump(tmp_path, capsys, born_total):

@@ -10,8 +10,7 @@ import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
 from rstensor.formats import (_mode_basis, _plane_sum, c2t_shift_sum,
-                              shift_sum, t2c_with_basis, tucker_dense,
-                              tucker_image)
+                              shift_sum, t2c_with_image, tucker_dense)
 
 
 def test_eval_entry_zero_tensor():
@@ -130,7 +129,8 @@ def test_t2c_random_round_trip():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_t2c_image_property(n, ranks, decay, log_eps, seed):
     # the Tucker image of t2c's kept terms densifies to the canonical
-    # result, which is t2c's own; the core decays so truncation bites
+    # result, which is t2c's own; the core decays so truncation bites.  At
+    # a vanishing eps every term is kept and the image is the input core
     ranks = tuple(min(r, n) for r in ranks)
     rng = np.random.default_rng(seed)
     scale = decay ** np.add.outer(np.add.outer(*[np.arange(r) for r in
@@ -139,14 +139,16 @@ def test_t2c_image_property(n, ranks, decay, log_eps, seed):
     tk = rt.TuckerTensor3(rng.standard_normal(ranks) * scale,
                           _ortho_factors(rng, n, ranks))
     eps = 10.0 ** log_eps
-    t, basis = t2c_with_basis(tk, eps)
+    t, image = t2c_with_image(tk, eps)
     ref = rt.t2c(tk, eps)
     assert same_bits(t.weights, ref.weights)
     assert all(same_bits(a, b) for a, b in zip(t.factors, ref.factors))
-    image = tucker_image(t, basis)
     assert all(a is b for a, b in zip(image.factors, tk.factors))
     D = rt.dense(ref)
     assert np.linalg.norm(tucker_dense(image) - D) <= 1e-12 * np.linalg.norm(D)
+    full = t2c_with_image(tk, 1e-300)[1].core
+    assert full.shape == tk.core.shape
+    assert np.max(np.abs(full - tk.core)) <= 1e-13 * np.max(np.abs(tk.core))
 
 
 @settings(max_examples=80, deadline=None)

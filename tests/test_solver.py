@@ -211,6 +211,26 @@ def test_poisson_trace_solve_memory(kappa):
     assert peak <= bound, (peak, bound)
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_screened_stencil_memory(order):
+    # kappa^2 v is taken off one i3-plane at a time: the result is the
+    # only array of the input's size (a full-size kappa^2 v read 4.4 MB)
+    n = 65
+    L = rt.DiscreteLaplacian(rt.Grid3(n, 1.0), 0.5)
+    v = np.asarray(np.random.default_rng(3).standard_normal((n, n, n)),
+                   order=order)
+    tracemalloc.start()
+    try:
+        w = rt.apply_stencil_dense(L, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ref = rt.apply_stencil_dense(rt.DiscreteLaplacian(L.grid), v) - 0.25 * v
+    assert same_bits(w, ref)
+    bound = 8 * n ** 3 + 2 ** 18
+    assert peak <= bound, (peak, bound)
+
+
 def test_poisson_rejects_bad_options():
     g = rt.Grid3(9, 1.0)
     L = rt.DiscreteLaplacian(g)

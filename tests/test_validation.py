@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
+from rstensor.validation import compose_and_compare
 
 SQRT3 = np.sqrt(3.0)
 
@@ -42,6 +43,26 @@ def test_compare_rejects_grid_mismatch():
     b = _field(rt.Grid3(9, 2.0), np.zeros((9, 9, 9)))
     with pytest.raises(rt.ConfigError):
         rt.compare(a, b)
+
+
+_ONE_ULP = {
+    "compare": rt.compare,
+    "compose_total": rt.compose_total,
+    "compose_and_compare-short": lambda a, b: compose_and_compare(a, b, a),
+    "compose_and_compare-oracle": lambda a, b: compose_and_compare(a, a, b),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ONE_ULP))
+def test_same_grid_is_grid_equality(call):
+    # every pairing of fields asks for equal Grid3s: a box half-width one
+    # ulp apart is another grid, as load_field reads b back bit for bit
+    b = 1.0
+    a = _field(rt.Grid3(9, b), np.ones((9, 9, 9), order="F"))
+    other = _field(rt.Grid3(9, np.nextafter(b, 2.0)),
+                   np.ones((9, 9, 9), order="F"))
+    with pytest.raises(rt.ConfigError):
+        _ONE_ULP[call](a, other)
 
 
 def test_compare_rejects_zero_reference():
