@@ -133,8 +133,9 @@ class RSTensor:
     that equals ``long``'s reduced terms, and ``long_reference`` holds the
     R_L reference columns of an explicit per-atom sum; both are None when
     ``long`` was read from a bundle.  ``long_field`` picks the densify
-    route from them.  Every dense array the tensor builds is
-    Fortran-ordered, like every n^3 field.
+    route from them.  ``cli._long_stage`` drops ``long_image`` once it is
+    densified; a later ``long_field`` reads ``long``.  Every dense array the
+    tensor builds is Fortran-ordered, like every n^3 field.
 
     Entry queries read a cell index built on first use (``cell_index``):
     the grid is cut into cells of side gamma nodes, and each cell's row in

@@ -4,8 +4,9 @@ The pipeline stages are: quadrature -> reference kernel -> long/short split
 -> molecule snap -> collective assembly -> long part densified on the grid
 (``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil of
 the long field, less kappa^2 times the short part when kappa > 0 (then
-scattered right after the densify), and a Poisson solve with
-screened-Coulomb faces -> oracle field (kappa = 0 only: it is unscreened)
+scattered right after the densify), the delta's face layers set to the
+exact oracle's screened-Coulomb values, and a Poisson solve that keeps them
+-> oracle field (kappa = 0 only: it is unscreened)
 -> short part scattered once -> total and oracle comparison in one pass
 over blocks of planes, each block of the total written over the oracle's,
 so the total takes over the oracle's memory and that pass holds three n^3
@@ -40,8 +41,8 @@ from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
 from ..formats import load_canonical, save_canonical
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
-from ..validation import (compare, compose_and_compare, direct_sum_oracle,
-                          write_report)
+from ..validation import (_coulomb_sum, compare, compose_and_compare,
+                          direct_sum_oracle, write_report)
 
 _SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
@@ -62,7 +63,9 @@ def parse_pqr(path):
     line of the first offending record.
     """
     vals, linenos = [], []
-    with open(path) as fh:
+    # a byte outside ASCII becomes a lone surrogate: skipped with the rest
+    # of a non-record line, a malformed number inside a record
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             toks = line.split()
             if not toks or toks[0] not in ("ATOM", "HETATM"):
@@ -101,6 +104,8 @@ def synthetic_cluster(n_atoms, half_extent, min_sep=1.0, seed=0):
     if not (0 < half_extent < np.inf and 0 <= min_sep < np.inf):
         raise ConfigError("cluster needs a positive finite half_extent and a "
                           "finite min_sep >= 0")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError("cluster needs an integer seed >= 0")
     rng = np.random.default_rng(seed)
     pts = np.empty((n_atoms, 3))
     count = 0
@@ -206,31 +211,6 @@ def _resolve_quadrature(cfg, grid):
                        % (cfg.eps_kernel, rho_min, rho_max))
 
 
-def _boundary_field(m, grid, kappa):
-    # screened-Coulomb boundary data on the six faces, zeros inside, in
-    # O(6 N n^2) arithmetic: exact (screened) 1/r, while the interior and
-    # the oracle use the Gaussian sum (the face gap the README documents)
-    x = grid.coords()
-    n = grid.n
-    g = np.zeros((n, n, n), order="F")
-    planes = [(0, 0), (0, n - 1), (1, 0), (1, n - 1), (2, 0), (2, n - 1)]
-    for ax, idx in planes:
-        axes = [x] * 3
-        axes[ax] = np.array([x[idx]])
-        X = axes[0][:, None, None]
-        Y = axes[1][None, :, None]
-        Z = axes[2][None, None, :]
-        vals = np.zeros((len(axes[0]), len(axes[1]), len(axes[2])))
-        for pos, z in zip(m.positions, m.charges):
-            r = np.sqrt((X - pos[0]) ** 2 + (Y - pos[1]) ** 2 + (Z - pos[2]) ** 2)
-            r = np.maximum(r, 1e-12)
-            vals += z * np.exp(-kappa * r) / r
-        sl = [slice(None)] * 3
-        sl[ax] = idx
-        g[tuple(sl)] = vals.squeeze(axis=ax)
-    return g
-
-
 @contextmanager
 def _clock(timings, key):
     t0 = time.perf_counter()
@@ -273,17 +253,20 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
     """Long-range potential on the grid, and the short field if it read it.
 
     The long part is densified by ``rs.long_field()`` into a Fortran-ordered
-    (mode-1 fastest) array.  With homogeneous faces that is the result (it
-    solves ``-lap u = -lap rs.long``).  With ``bc_molecule``,
-    ``poisson_solve(rhs, L, bc_field)`` keeps the faces of ``bc_field``,
-    the molecule's screened-Coulomb values, and solves for the interior:
-    the regular part u_r of the total ``U_short + u_r`` solves
-    ``(-lap + kappa^2) u_r = -lap U_long - kappa^2 U_short``.  Returns
-    ``(u_long, short)``; ``short`` is None unless ``kappa > 0``, where the
-    right-hand side reads it, so it is scattered right after the densify.
+    (mode-1 fastest) array, and ``rs.long_image`` is dropped.  With
+    homogeneous faces that is the result (it solves ``-lap u = -lap
+    rs.long``).  With ``bc_molecule`` the face layers of ``rhs``, unread
+    by the trace solve, take the molecule's screened-Coulomb values, and
+    ``poisson_solve(rhs, L, rhs)`` keeps them and solves for the interior
+    (four n^3 arrays at its peak): the regular part u_r of the total
+    ``U_short + u_r`` solves ``(-lap + kappa^2) u_r = -lap U_long -
+    kappa^2 U_short``.  Returns ``(u_long, short)``; ``short`` is None
+    unless ``kappa > 0``, where the right-hand side reads it, so it is
+    scattered right after the densify.
     """
     with _clock(timings, "dense"):
         values = rs.long_field()
+        rs.long_image = None
     if bc_molecule is None:
         return GridFunction3(rs.grid, values, {"bc": "homogeneous"}), None
     short = _short_stage(rs, timings) if kappa > 0 else None
@@ -294,9 +277,15 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
         if kappa > 0:
             rhs -= kappa * kappa * short.values
     with _clock(timings, "solve"):
-        bc_field = _boundary_field(bc_molecule, rs.grid, kappa)
-        return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa),
-                             bc_field), short
+        # screened-Coulomb boundary data, in O(6 N n^2) arithmetic: exact
+        # (screened) 1/r, while the interior and the oracle use the
+        # Gaussian sum (the face gap the README documents)
+        x, ends = rs.grid.coords(), slice(None, None, rs.grid.n - 1)
+        for ax in range(3):  # both faces normal to axis ax at once
+            axes, face = [x] * 3, [slice(None)] * 3
+            axes[ax], face[ax] = x[ends], ends
+            rhs[tuple(face)] = _coulomb_sum(bc_molecule, *axes, kappa)[0]
+        return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa), rhs), short
 
 
 def _short_stage(rs, timings):
@@ -603,11 +592,9 @@ def _cmd_validate(args):
                               % (args.rank, quad_rank, args.field))
         cfg.rank = quad_rank
     snapped, (nodes, _) = snapped_molecule(m, grid)
-    if args.oracle_kernel == "gaussian_sum":
-        q = _resolve_quadrature(cfg, grid)
-        oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum", quad=q)
-    else:
-        oracle = direct_sum_oracle(snapped, grid, kernel="exact_newton")
+    q = (_resolve_quadrature(cfg, grid)
+         if args.oracle_kernel == "gaussian_sum" else None)
+    oracle = direct_sum_oracle(snapped, grid, args.oracle_kernel, q)
     rep = compare(f, oracle, exclude_centers=nodes.tolist(),
                   config={"oracle": args.oracle_kernel, "field": args.field})
     out = args.outdir or "."

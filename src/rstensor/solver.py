@@ -139,7 +139,8 @@ def poisson_solve(rhs, L, bc_field=None):
     Without ``bc_field`` the unknowns are all n^3 nodes, with zero ghosts
     (``meta["bc"]`` "homogeneous").  With it they are the (n-2)^3 interior
     nodes, and its six faces, all that is read of it, are kept and lifted
-    into the right-hand side (``meta["bc"]`` "trace").  Returns a
+    into the right-hand side (``meta["bc"]`` "trace").  ``bc_field`` may
+    be ``rhs`` itself: only the interior of ``rhs`` is read.  Returns a
     GridFunction3 whose ``meta["residual"]`` is ``||stencil(u_i) + f_i||
     / ||f_i||`` over the system solved, u_i its unknowns and f_i its
     right-hand side.

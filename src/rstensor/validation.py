@@ -107,26 +107,36 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     if kernel != "exact_newton":
         raise ConfigError("unknown oracle kernel %r" % kernel)
     x = grid.coords()
-    n = grid.n
-    out = np.zeros((n, n, n), order="F")
-    singular = np.zeros((n, n, n), dtype=bool, order="F")
-    tol2 = (1e-9 * grid.h) ** 2
-    for pos, z in zip(m.positions, m.charges):
-        d1 = (x - pos[0]) ** 2
-        d2 = (x - pos[1]) ** 2
-        d3 = (x - pos[2]) ** 2
-        # built on reversed axes, so that its transpose is mode-1 fastest
-        D = ((d1[None, None, :] + d2[None, :, None]) + d3[:, None, None]).T
-        hit = D < tol2
-        if np.any(hit):
-            singular |= hit
-            D[hit] = 1.0
-        out += z / np.sqrt(D)
+    out, singular = _coulomb_sum(m, x, x, x, tol=1e-9 * grid.h)
     excluded = [tuple(int(v) for v in idx) for idx in np.argwhere(singular)]
-    if excluded:
-        out[singular] = 0.0
     return GridFunction3(grid, out, {"kernel": kernel,
                                      "excluded_nodes": excluded})
+
+
+def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
+    """sum_a z_a exp(-kappa r_a) / r_a at the nodes (x1[i], x2[j], x3[k]),
+    for the exact oracle and the ``--bc analytic`` faces alike.
+
+    Returns ``(values, mask)``, Fortran-ordered: nodes within ``tol`` of an
+    atom, where 1/r is undefined, are 0 in ``values`` and True in ``mask``.
+    """
+    shape = (len(x1), len(x2), len(x3))
+    out = np.zeros(shape, order="F")
+    singular = np.zeros(shape, dtype=bool, order="F")
+    for pos, z in zip(m.positions, m.charges):
+        d1 = (x1 - pos[0]) ** 2
+        d2 = (x2 - pos[1]) ** 2
+        d3 = (x3 - pos[2]) ** 2
+        # built on reversed axes, so that its transpose is mode-1 fastest
+        r = ((d1[None, None, :] + d2[None, :, None]) + d3[:, None, None]).T
+        hit = r < tol ** 2
+        singular |= hit
+        r[hit] = 1.0
+        np.sqrt(r, out=r)
+        w = z * np.exp(-kappa * r) if kappa > 0 else z
+        out += np.divide(w, r, out=r)
+    out[singular] = 0.0
+    return out, singular
 
 
 def compare(a, b, exclude_centers=None, config=None):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rstensor as rt
-from conftest import FIXTURES
+from conftest import FIXTURES, same_bits
 from helpers import import_slice, negate
 from rstensor.cli import _resolve_quadrature
 
@@ -44,6 +44,29 @@ def test_parse_reports_bad_line_number(tmp_path):
     with pytest.raises(rt.DataError) as e:
         rt.parse_pqr(p)
     assert ":2:" in str(e.value)
+
+
+def test_parse_skips_non_utf8_remark(tmp_path):
+    # a Latin-1 byte outside a record ended in a UnicodeDecodeError
+    # traceback (exit 1); non-record lines are ignored, bytes and all
+    p = tmp_path / "latin.pqr"
+    p.write_bytes(b"REMARK caf\xe9\nATOM 1 Q ION 1 0.5 0.0 -0.5 1.0 1.2\n")
+    m = rt.parse_pqr(p)
+    assert m.n_atoms == 1 and m.net_charge == 1.0
+    assert np.array_equal(m.positions, [[0.5, 0.0, -0.5]])
+
+
+@pytest.mark.parametrize("cmd", ["run", "validate"])
+def test_non_ascii_byte_in_record_exit_code(tmp_path, capsys, cmd):
+    # validate parses the molecule before it reads the field
+    p = tmp_path / "bad.pqr"
+    p.write_bytes(b"REMARK caf\xe9\nATOM 1 Q ION 1 0.0 0.0 0\xe9 1.0 1.0\n")
+    args = [cmd, "--pqr", str(p), "-o", str(tmp_path)]
+    if cmd == "validate":
+        args += ["--field", str(tmp_path / "total.bin")]
+    assert rt.main(args) == 4
+    assert "i/o error: %s:2: malformed numeric field" % p \
+        in capsys.readouterr().err
 
 
 def test_parse_rejects_short_record(tmp_path):
@@ -381,7 +404,8 @@ def test_total_over_oracle_matches_compose_and_compare(born_mol, cluster60,
     assert np.array_equal(out["total"].values, u.values + short.values)
 
 
-def test_run_case_peak_holds_three_fields(ligand_mol):
+@pytest.mark.parametrize("case", ["ligand18", "cluster100"])
+def test_run_case_peak_holds_three_fields(ligand_mol, case):
     # The peak of a run with the oracle is the pass that composes the total
     # over it: three n^3 float fields (u_long, short, and the oracle that
     # becomes the total), compare's n^3 bool core mask and its one buffer of
@@ -391,22 +415,67 @@ def test_run_case_peak_holds_three_fields(ligand_mol):
     # before the short field exists: two fields and its (planes x R, n, n)
     # plane-sum block, under one field here (2 x 29 x 65^2 floats), stay
     # below that.  A separate total array is a fourth field, 2.1 MiB here,
-    # and breaks the bound.
+    # and breaks the bound.  cluster100's long part is reduced (2100 ->
+    # 2028): the core of its Tucker image, not counted, is dropped once
+    # densified (kept, it broke the bound by 1.7 MB)
+    m = ligand_mol if case == "ligand18" else rt.synthetic_cluster(100, 8.0,
+                                                                   seed=1)
     cfg = rt.RunConfig(n=65)
-    rt.run_case(cfg, ligand_mol)  # caches filled outside the trace
+    rt.run_case(cfg, m)  # caches filled outside the trace
     tracemalloc.start()
     try:
-        out = rt.run_case(cfg, ligand_mol)
+        out = rt.run_case(cfg, m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     rs, n = out["rs"], out["total"].grid.n
+    assert (rs.long_reference is None) == (case == "cluster100")
     kept = rs.template_dense().nbytes + sum(
         f.nbytes for t in (rs.long, rs.long_reference, rs.short_reference,
-                           out["kernel"].wide_tensor) for f in t.factors)
+                           out["kernel"].wide_tensor) if t is not None
+        for f in t.factors)
     k = 2 ** 18 // n ** 2
     bound = 3 * 8 * n ** 3 + n ** 3 + 8 * n * n * k + kept + 2 ** 18
     assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_long_stage_analytic_peak(ligand_mol, kappa):
+    # the faces go into the face layers of the right-hand side, which is
+    # also the solve's bc_field: at the DST the right-hand side, the
+    # interior copy, its transform and the inverse transform (four n^3
+    # arrays), and at kappa > 0 the short field.  A separate n^3 face
+    # array was a fifth (sixth) array here
+    rs, _, _, snapped, _ = rt.cli._assemble_stage(rt.RunConfig(n=65),
+                                                  ligand_mol, {})
+    rt.cli._long_stage(rs, {}, kappa, snapped)  # caches filled outside
+    tracemalloc.start()
+    try:
+        u, short = rt.cli._long_stage(rs, {}, kappa, snapped)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.meta["bc"] == "trace" and (short is None) == (kappa == 0)
+    n = rs.grid.n
+    bound = (4 + (kappa > 0)) * 8 * n ** 3 + 2 ** 19
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("case", ["born", "cluster60"])
+def test_analytic_faces_are_exact_oracle_faces(born_mol, cluster60, case):
+    # at kappa = 0 the faces of the analytic solve and the exact oracle
+    # come from one evaluator, bit for bit
+    m, cfg = {"born": (born_mol, rt.RunConfig(n=33, b=8.0, bc="analytic")),
+              "cluster60": (cluster60, rt.RunConfig(n=33, b=10.0,
+                                                    bc="analytic"))}[case]
+    out = rt.run_case(cfg, m)
+    u = out["u_long"].values
+    ref = rt.direct_sum_oracle(out["molecule"], out["u_long"].grid,
+                               kernel="exact_newton").values
+    for ax in range(3):
+        for end in (0, -1):
+            assert same_bits(np.moveaxis(u, ax, 0)[end],
+                             np.moveaxis(ref, ax, 0)[end])
 
 
 def _nan_weight(raw):
@@ -766,13 +835,20 @@ def densify_cases(cluster60, ligand_mol):
 
 
 @pytest.mark.parametrize("case", ["cluster60", "ligand18"])
-def test_u_long_is_dense_long(densify_cases, case):
+def test_u_long_is_dense_long(densify_cases, cluster60, ligand_mol, case):
+    # the route is read off the tensor as assembled; run_case drops the
+    # Tucker image once it is densified
+    m, cfg = {"cluster60": (cluster60, rt.RunConfig(n=33, b=10.0)),
+              "ligand18": (ligand_mol, rt.RunConfig(n=33))}[case]
+    assembled = rt.cli._assemble_stage(cfg, m, {})[0]
+    reduced = assembled.long.rank < assembled.long_rank_pre
+    assert reduced == (case == "cluster60")
+    assert (assembled.long_image is not None) == reduced
+    assert (assembled.long_reference is None) == reduced
     out = densify_cases[case]
     rs = out["rs"]
-    reduced = rs.long.rank < rs.long_rank_pre
-    assert reduced == (case == "cluster60")
-    assert (rs.long_image is not None) == reduced
-    assert (rs.long_reference is None) == reduced
+    assert rs.long_image is None
+    assert rs.long.rank == assembled.long.rank
     ref = rt.dense(rs.long)
     u = out["u_long"].values
     assert u.flags.f_contiguous
@@ -853,9 +929,10 @@ def test_validate_checks_config(tmp_path, capsys, born_total, eps):
 @pytest.mark.parametrize("flags", [
     ["--half-extent", "nan"], ["--half-extent", "inf"], ["--half-extent=-3"],
     ["--half-extent", "3", "--min-sep", "nan"],
-    ["--half-extent", "3", "--min-sep=-1"]],
+    ["--half-extent", "3", "--min-sep=-1"],
+    ["--half-extent", "3", "--seed", "-1"]],
     ids=["extent-nan", "extent-inf", "extent-negative", "sep-nan",
-         "sep-negative"])
+         "sep-negative", "seed-negative"])
 def test_synthetic_rejects_bad_extent(tmp_path, capsys, flags):
     assert rt.main(["run", "--synthetic", "5", "--n", "33", "-o",
                     str(tmp_path)] + flags) == 2

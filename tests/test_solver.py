@@ -189,6 +189,25 @@ def test_poisson_trace_boundary_lifting():
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_poisson_trace_solve_reads_rhs_faces_as_bc(kappa):
+    # the trace solve reads only the interior of rhs and the faces of
+    # bc_field, so one array can be both: the --bc analytic solve passes
+    # its right-hand side with the faces written into its face layers
+    n = 17
+    L = rt.DiscreteLaplacian(rt.Grid3(n, 2.0), kappa)
+    rng = np.random.default_rng(4)
+    f = np.asfortranarray(rng.standard_normal((n, n, n)))
+    g = np.zeros_like(f)
+    for ax in range(3):
+        for end in (0, -1):
+            np.moveaxis(g, ax, 0)[end] = np.moveaxis(f, ax, 0)[end]
+    ref = rt.poisson_solve(f.copy(order="F"), L, g)
+    u = rt.poisson_solve(f, L, f)
+    assert same_bits(u.values, ref.values)
+    assert u.meta == ref.meta
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_poisson_trace_solve_memory(kappa):
     # allocations of the call: the interior right-hand side f_i, the DST
     # of it and the inverse DST (3 arrays of (n-2)^3 floats), then f_i,
