@@ -9,11 +9,12 @@ array.  Each mode SVD runs on the small triangular factor of a QR of the
 side matrix's transpose, which has the side matrix's left singular pairs.
 A sum of shifted copies of one reference tensor (the long-range part of a
 molecule) has its own canonical -> Tucker step that bins the copies by
-node instead of stacking their columns, and contracts its core plane by
-plane, one GEMM per block of planes.  The second step also returns the
-Tucker image of the terms it keeps, a core built from their core
-coordinates over the same factors, so a reduced tensor is densified by
-mode products of that image rather than term by term.
+node instead of stacking their columns, and adds up its core with the
+same plane-by-plane kernel that densifies such a sum.  The second step
+also returns the Tucker image of the terms it keeps, a core built from
+their core coordinates over the same factors, so a reduced tensor is
+densified by mode products of that image rather than term by term.  Every
+product here runs on numpy's own BLAS; the module imports no scipy.
 """
 
 import os
@@ -214,10 +215,10 @@ def _plane_sum(out, table, w, points, q):
     vectors at the sorted distinct mode-l coordinates u of the (N, 3)
     ``points``.  Each plane (distinct mode-3 coordinate) gets its R two-mode
     products by one batched GEMM, and each block of about n1 (plane, term)
-    groups meets its mode-3 vectors in one in-place GEMM on ``out``.
+    groups meets its mode-3 vectors one tile of rows of the (n1 n2, n3)
+    unfolding of ``out`` at a time: a GEMM into one reused buffer of
+    min(2^20 / n3, n1 n2 / 8) rows, added into ``out``.
     """
-    # loaded here, not at package import: assembly never needs it
-    from scipy.linalg.blas import dgemm
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
     T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
@@ -228,8 +229,12 @@ def _plane_sum(out, table, w, points, q):
     bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
     Z, step = bounds.size - 1, max(1, n1 // R)
     # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
-    # is the transpose of the F-ordered (n1 n2, G) left operand
+    # has the rows of the F-ordered (n1 n2, n3) view of out as columns
     kab = np.empty((min(step, Z) * R, n2, n1))
+    # the tile buffer holds at most 2^20 floats and an eighth of out
+    rows = max(1, min(2 ** 20 // n3, n1 * n2 // 8))
+    buf = np.empty((n3, rows))
+    flat = out.reshape(n1 * n2, n3, order="F")
     for p0 in range(0, Z, step):
         P = min(step, Z - p0)
         for p in range(P):
@@ -237,8 +242,10 @@ def _plane_sum(out, table, w, points, q):
             np.matmul(T[1][:, idx[1][a]].transpose(0, 2, 1),
                       T[0][:, idx[0][a]] * q[a, None], out=kab[p * R:(p + 1) * R])
         E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
-        dgemm(1.0, kab[:P * R].reshape(P * R, -1).T, E3.T, beta=1.0,
-              c=out.reshape(n1 * n2, n3, order="F"), overwrite_c=1)
+        K = kab[:P * R].reshape(P * R, -1)
+        for r0 in range(0, n1 * n2, rows):
+            Kt = K[:, r0:r0 + rows]
+            flat[r0:r0 + rows] += np.matmul(E3, Kt, out=buf[:, :Kt.shape[1]]).T
     return out
 
 
@@ -279,15 +286,14 @@ def c2t_shift_sum(ref, centers, charges, eps):
     n x (occupied nodes * R) matrix with columns
     ``sqrt(W_i) |xi_k|**(1/3) g_k(. - i)``, which has the same singular
     values and left singular subspaces, hence the same truncation ranks.
-    The core is ``sum_k xi_k Z x_1 P_1k x_2 P_2k x_3 P_3k`` with Z the
-    sparse grid of summed charges and P_lk = U_l^T g_k(. - i) the projected
-    shift tables.  Each occupied mode-3 node (plane) gets the r1 x r2
-    slices of all R terms by one batched GEMM over its occupied nodes, and
-    each block of max(1, Z // R) of the Z planes meets the weighted mode-3
-    table in one GEMM of (r1 r2, block*R) by (block*R, r3), so the slice
-    buffer holds at most max(Z, R) r1 r2 floats.  With Tucker ranks r <= n
-    the cost is O(R n^3 + N R r^2 + R n r^3) instead of the
-    O(N R (n^2 + r^3)) of the explicit route.
+    The core is ``sum_a charges[a] sum_k xi_k P_1k(x_a) x P_2k(y_a) x
+    P_3k(z_a)`` with P_lk = U_l^T g_k(. - i) the projected shift tables at
+    the occupied nodes i: ``_plane_sum`` adds it into an r1 x r2 x r3 array
+    as ``shift_sum_dense`` adds the unprojected tables into an n^3 one,
+    each point on its own (points on one node are not merged first).
+    With Tucker ranks r <= n and Z <= n occupied mode-3 nodes the cost is
+    O(R n^3 + N R r^2 + R Z r^3) instead of the O(N R (n^2 + r^3)) of the
+    explicit route.
 
     Returns
     -------
@@ -305,7 +311,7 @@ def c2t_shift_sum(ref, centers, charges, eps):
 
     cw = np.abs(ref.weights) ** (1.0 / 3.0)
     zw = np.abs(charges) ** (2.0 / 3.0)
-    Us, P, bins = [], [], []
+    Us, P = [], []
     for l in range(3):
         nodes, inv = np.unique(centers[:, l], return_inverse=True)
         G = _shift_columns(ref.factors[l], nodes)
@@ -313,36 +319,14 @@ def c2t_shift_sum(ref, centers, charges, eps):
         U = _mode_basis((G * np.multiply.outer(W, cw)).reshape(G.shape[0], -1),
                         eps)
         Us.append(U)
-        P.append(np.tensordot(U, G, axes=(0, 0)))   # (r_l, nodes, R)
-        bins.append(inv)
-
-    # distinct occupied nodes with summed charges, ordered by mode-3 bin;
-    # every mode-3 bin is occupied, so plane g is mode-3 node g
-    occ, inv = np.unique(np.stack([bins[2], bins[0], bins[1]], axis=1),
-                         axis=0, return_inverse=True)
-    q = np.bincount(inv.ravel(), weights=charges, minlength=occ.shape[0])
-    i3, i1, i2 = occ.T
-    bounds = np.r_[0, np.cumsum(np.bincount(i3))]
-    R, Z = ref.rank, bounds.size - 1
-    r1, r2, r3 = (U.shape[1] for U in Us)
-    T1, T2 = P[0].transpose(2, 0, 1), P[1].transpose(2, 1, 0)
-    # E3[g*R + k] = xi_k P_3k[:, g]: the mode-3 table with the weights; the
-    # contraction reads no other mode-3 table, so the last shift table goes
-    E3 = (P.pop() * ref.weights).transpose(1, 2, 0).reshape(Z * R, r3)
+        # (R, nodes, r_l): U_l^T G_l, term-major as _plane_sum reads it
+        P.append(np.ascontiguousarray(
+            np.tensordot(U, G, axes=(0, 0)).transpose(2, 1, 0)))
     del G
-    # Y[p*R + k] is term k's r1 x r2 slice of plane p0 + p; a block holds
-    # at most max(Z, R) slices, one plane when Z < R
-    step = max(1, Z // R)
-    Y = np.empty((min(step, Z) * R, r1, r2))
-    core = np.zeros((r1 * r2, r3))
-    for p0 in range(0, Z, step):
-        B = min(step, Z - p0)
-        for p in range(B):
-            sl = slice(bounds[p0 + p], bounds[p0 + p + 1])
-            np.matmul(T1[:, :, i1[sl]] * q[sl], T2[:, i2[sl]],
-                      out=Y[p * R:(p + 1) * R])
-        core += Y[:B * R].reshape(B * R, -1).T @ E3[p0 * R:(p0 + B) * R]
-    return TuckerTensor3(core.reshape(r1, r2, r3), tuple(Us))
+    # P[l] is tabled at the sorted distinct mode-l nodes, the u of _plane_sum
+    core = np.zeros(tuple(U.shape[1] for U in Us), order="F")
+    return TuckerTensor3(_plane_sum(core, lambda l, u: P[l], ref.weights,
+                                    centers, charges), tuple(Us))
 
 
 def t2c(t, eps):

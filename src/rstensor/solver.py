@@ -10,14 +10,14 @@ faces, for the interior nodes.  The pipeline solves only with given faces
 long part has that part itself as its solution.
 ``apply_kron_laplacian`` is the same operator on canonical tensors,
 mode-wise (rank-3 Kronecker structure), and equals the stencil at every
-node.
+node.  The sine transforms are scipy's; ``dstn`` imports ``scipy.fft`` at
+its first call, so the paths that never solve load no scipy.
 """
 
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn
 
 from .errors import ConfigError, DataError, NumericError
 from .formats import CanonicalTensor3
@@ -173,6 +173,14 @@ def poisson_solve(rhs, L, bc_field=None):
         u[1:-1, 1:-1, 1:-1] = ui
     return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
                                      "kappa": L.kappa})
+
+
+def dstn(x, **kwargs):
+    """``scipy.fft.dstn``, imported at the first call.  ``_solve_spectral``
+    looks this name up at each call, so a wrapper set on ``solver.dstn``
+    sees both transforms of a solve."""
+    from scipy import fft
+    return fft.dstn(x, **kwargs)
 
 
 def _solve_spectral(f, h, kappa):

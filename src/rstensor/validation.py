@@ -6,7 +6,8 @@ Gaussian-sum kernel the tensor pipeline uses; the latter is the default
 comparison target, so reported errors isolate compression and solver terms
 from quadrature error.  The Gaussian sum adds the atoms one plane (distinct
 third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
-most n for grid-snapped charges, whatever N is.  ``compare`` reads the two
+most n for grid-snapped charges, whatever N is, and its GEMMs run on
+numpy's BLAS: neither oracle loads scipy.  ``compare`` reads the two
 fields a block of planes at a time; ``compose_and_compare`` runs the same
 loop on the sum of two fields and leaves that sum in the reference's memory.
 """

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -507,24 +504,3 @@ def test_t2c_image_memory(cluster400):
     assert image.ranks == tk.ranks and K < len(charges) * ref.rank
     bound = 8 * (3 * n * K + 4 * max(tk.ranks) * K + 2 * r1 * r2 * r3) + 2 ** 19
     assert peak <= bound, (peak, bound)
-
-
-def test_reduced_assembly_leaves_scipy_linalg_unimported():
-    # the binned reduction runs on numpy alone: a cluster whose long rank
-    # is reduced (1080 -> 795) loads no scipy.linalg
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    code = (
-        "import sys\n"
-        "import rstensor as rt\n"
-        "from rstensor.cli import RunConfig, _assemble_stage\n"
-        "m = rt.synthetic_cluster(60, 5.0, seed=7)\n"
-        "rs = _assemble_stage(RunConfig(n=33, b=10.0), m, {})[0]\n"
-        "assert rs.long_image is not None, rs.long.rank\n"
-        "assert rs.long.rank < rs.long_rank_pre, rs.long.rank\n"
-        "assert 'scipy.linalg' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr

@@ -233,9 +233,13 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
        m=st.tuples(*[st.integers(1, 12)] * 3), N=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0)
+# 40 points on 2 x 2 x 9 nodes share some, 9 planes go in blocks of 2,
+# and the 25 rows of out in tiles of 3
+@example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1)
 def test_plane_sum_matches_einsum(shape, R, m, N, seed):
     # N points on m_l coordinates per mode repeat nodes and crowd planes;
-    # up to 12 planes against max(1, n1 // R) per group block cross blocks
+    # up to 12 planes against max(1, n1 // R) per group block cross blocks,
+    # and n1 n2 // 8 rows per tile of out leave a ragged last tile
     rng = np.random.default_rng(seed)
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
     pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import rstensor as rt
 from rstensor.validation import compose_and_compare
 
 SQRT3 = np.sqrt(3.0)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _field(g, vals):
@@ -284,23 +286,84 @@ def test_gaussian_field_matches_pointwise_sum(case):
     assert np.all(np.abs(field.ravel() - ref) <= 1e-13 * scale)
 
 
-def test_oracle_alone_imports_scipy_linalg():
-    # import rstensor stays without scipy.linalg; gaussian_field loads it
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import rstensor as rt\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+def test_gaussian_oracle_memory():
+    # on clusters the oracle, not the compose pass, sets the peak of
+    # run_case, so it is bounded on its own: the output, _plane_sum's kab
+    # block of min(n // R, Z) planes of R n x n slices, the three
+    # (R, distinct, n) tables, the weighted copy of the first and the tile
+    # buffer of min(2^20 // n, n^2 // 8) rows.  The unweighted first table
+    # is gone before kab exists, which leaves room for the per-plane
+    # gathers; 2^18 bytes cover the index arrays and the mode-3 block.  A
+    # second n^3 array (7.3 MB here) breaks the bound.
+    m = rt.synthetic_cluster(400, 12.0, seed=1)
+    g = rt.Grid3(97, rt.resolve_box(rt.RunConfig(n=97), m))
+    q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
+    snapped = rt.snapped_molecule(m, g)[0]
+    rt.direct_sum_oracle(snapped, g, quad=q)  # caches filled outside
+    tracemalloc.start()
+    try:
+        rt.direct_sum_oracle(snapped, g, quad=q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, R = g.n, q.rank
+    u = [np.unique(snapped.positions[:, l]).size for l in range(3)]
+    kab = min(n // R, u[2]) * R * n * n
+    rows = min(2 ** 20 // n, n * n // 8)
+    bound = 8 * (n ** 3 + kab + R * n * (sum(u) + u[0]) + rows * n) + 2 ** 18
+    assert peak <= bound, (peak, bound)
+
+
+# each case runs in a fresh interpreter after "import rstensor as rt" and
+# "from rstensor.cli import RunConfig, _assemble_stage"
+_SCIPY_CASES = {
+    "import": "",
+    "oracle": (
         "g = rt.Grid3(9, 2.0)\n"
         "q = rt.SincQuadrature(np.array([0.5, 1.0]), np.array([1.0, 0.5]),\n"
         "                      (g.h, 1.0), 0.0)\n"
         "f = rt.gaussian_field(np.zeros((1, 3)), np.ones(1), g, q)\n"
-        "assert f[4, 4, 4] == 1.5\n"
-        "assert 'scipy.linalg' in sys.modules\n")
+        "assert f[4, 4, 4] == 1.5\n"),
+    # the default path: tabled quadrature, no solve, Gaussian-sum oracle
+    "run_case": (
+        "m = rt.parse_pqr(%r)\n"
+        "out = rt.run_case(RunConfig(n=65), m)\n"
+        "assert out['metrics']['oracle'] == 'gaussian_sum'\n"
+        % os.path.join(_ROOT, "fixtures", "ligand18.pqr")),
+    # a cluster whose long rank is reduced (1080 -> 795)
+    "reduced_assembly": (
+        "m = rt.synthetic_cluster(60, 5.0, seed=7)\n"
+        "rs = _assemble_stage(RunConfig(n=33, b=10.0), m, {})[0]\n"
+        "assert rs.long_image is not None, rs.long.rank\n"
+        "assert rs.long.rank < rs.long_rank_pre, rs.long.rank\n"),
+    # the DST solve of --bc analytic is the one user of scipy.fft
+    "analytic": (
+        "m = rt.parse_pqr(%r)\n"
+        "out = rt.run_case(RunConfig(n=33, b=8.0, bc='analytic'), m)\n"
+        "assert out['u_long'].meta['bc'] == 'trace'\n"
+        % os.path.join(_ROOT, "fixtures", "born.pqr")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCIPY_CASES))
+def test_scipy_loads_only_for_the_analytic_solve(case):
+    # numpy alone serves import, the oracle, assembly with its reduction and
+    # a homogeneous run; only the sine transforms of a solve load scipy
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import rstensor as rt\n"
+            "from rstensor.cli import RunConfig, _assemble_stage\n"
+            + _SCIPY_CASES[case] +
+            "print(' '.join(sorted(k for k in sys.modules\n"
+            "                      if k.startswith('scipy'))))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [os.path.join(_ROOT, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+    loaded = res.stdout.split()
+    if case == "analytic":
+        assert "scipy.fft" in loaded
+    else:
+        assert loaded == []
