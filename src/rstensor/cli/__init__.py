@@ -654,7 +654,9 @@ def main(argv=None):
                 "validate": _cmd_validate, "export": _cmd_export}
     try:
         return handlers[args.cmd](args)
-    except ConfigError as e:
+    except (ConfigError, MemoryError) as e:
+        # a grid too large for memory is a configuration error; numpy's
+        # message names the array shape
         print("config error: %s" % e, file=sys.stderr)
         return 2
     except NumericError as e:

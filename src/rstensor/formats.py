@@ -6,15 +6,17 @@ side matrices ``A[l]`` of shape (n_l, R); entry (i,j,k) is
 canonical -> Tucker (reduced higher-order SVD of the side matrices) ->
 canonical (two-level SVD of the Tucker core), never materializing the full
 array.  Each mode SVD runs on the small triangular factor of a QR of the
-side matrix's transpose, which has the side matrix's left singular pairs.
-A sum of shifted copies of one reference tensor (the long-range part of a
-molecule) has its own canonical -> Tucker step that bins the copies by
-node instead of stacking their columns, and adds up its core with the
-same plane-by-plane kernel that densifies such a sum.  The second step
-also returns the Tucker image of the terms it keeps, a core built from
-their core coordinates over the same factors, so a reduced tensor is
-densified by mode products of that image rather than term by term.  Every
-product here runs on numpy's own BLAS; the module imports no scipy.
+side matrix's transpose, which has the side matrix's left singular pairs,
+and the Tucker core is ``dense`` of the side matrices projected onto the
+kept bases.  A sum of shifted copies of one reference tensor (the
+long-range part of a molecule) has its own canonical -> Tucker step that
+bins the copies by node instead of stacking their columns, and builds its
+core with the same plane-by-plane kernel that densifies such a sum.  The
+second step also returns the Tucker image of the terms it keeps, a core
+built from their core coordinates over the same factors, so a reduced
+tensor is densified by mode products of that image rather than term by
+term.  Every product here runs on numpy's own BLAS; the module imports no
+scipy.
 """
 
 import os
@@ -24,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-
-# column block size for chunked Khatri-Rao contractions, ~3e7 doubles
-_CHUNK_NUMEL = 3.2e7
 
 
 @dataclass
@@ -161,11 +160,12 @@ def _mode_basis(M, eps):
 def c2t_rhosvd(t, eps):
     """Canonical -> Tucker by reduced higher-order SVD of the side matrices.
 
-    Each side matrix is scaled column-wise by ``|xi|**(1/3)`` (the sign is
-    carried in mode 1) so the three mode SVDs see the same term magnitudes;
+    Each mode SVD runs on the side matrix scaled column-wise by
+    ``|xi|**(1/3)``, so the three modes see the same term magnitudes;
     singular values with ``sigma > eps * sigma_max`` are kept per mode.  The
-    core is assembled from the projected columns without forming the dense
-    tensor.
+    core is ``dense`` of the canonical tensor with the same weights and the
+    projected side matrices ``U_l^T A_l``, so the n^3 tensor is never
+    formed and the core needs no temporary larger than an r_l x R matrix.
 
     Parameters
     ----------
@@ -184,20 +184,10 @@ def c2t_rhosvd(t, eps):
     _check_finite(t)
 
     w = np.abs(t.weights) ** (1.0 / 3.0)
-    sgn = np.sign(t.weights)
-    Us = [_mode_basis(t.factors[l] * w, eps) for l in range(3)]
-
-    P = [Us[0].T @ (t.factors[0] * (w * sgn)),
-         Us[1].T @ (t.factors[1] * w),
-         Us[2].T @ (t.factors[2] * w)]
-    r1, r2, r3 = (p.shape[0] for p in P)
-    core = np.zeros((r1, r2, r3))
-    step = max(1, int(_CHUNK_NUMEL // max(1, r1 * r2)))
-    for a in range(0, t.rank, step):
-        sl = slice(a, a + step)
-        kab = np.einsum("ak,bk->kab", P[0][:, sl], P[1][:, sl])
-        core += np.tensordot(kab, P[2][:, sl], axes=(0, 1))
-    return TuckerTensor3(core, tuple(Us))
+    Us = tuple(_mode_basis(A * w, eps) for A in t.factors)
+    core = dense(CanonicalTensor3(
+        t.weights, tuple(U.T @ A for U, A in zip(Us, t.factors))))
+    return TuckerTensor3(core, Us)
 
 
 def _shift_columns(W, nodes):
@@ -207,46 +197,54 @@ def _shift_columns(W, nodes):
     return W[n + np.arange(n)[:, None] - np.asarray(nodes)[None, :]]
 
 
-def _plane_sum(out, table, w, points, q):
-    """Add ``sum_a q[a] sum_k w[k] T1_k(x_a) x T2_k(y_a) x T3_k(z_a)`` into
-    the Fortran-ordered (n1, n2, n3) array ``out`` and return it.
+def _plane_sum(table, w, points, q):
+    """``sum_a q[a] sum_k w[k] T1_k(x_a) x T2_k(y_a) x T3_k(z_a)`` as a
+    Fortran-ordered (n1, n2, n3) array.
 
     ``table(l, u)`` is the (R, len(u), n_l) array of the terms' mode-l
     vectors at the sorted distinct mode-l coordinates u of the (N, 3)
     ``points``.  Each plane (distinct mode-3 coordinate) gets its R two-mode
-    products by one batched GEMM, and each block of about n1 (plane, term)
-    groups meets its mode-3 vectors one tile of rows of the (n1 n2, n3)
-    unfolding of ``out`` at a time: a GEMM into one reused buffer of
-    min(2^20 / n3, n1 n2 / 8) rows, added into ``out``.
+    products by one batched GEMM.  The first block of about n1 (plane,
+    term) groups meets its mode-3 vectors in one GEMM whose (n3, n1 n2)
+    product is the result; each later block adds into it one tile of
+    min(2^20 / n3, n1 n2 / 8) columns at a time, through one reused buffer.
     """
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
     T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
     T[0] = T[0] * np.reshape(w, (-1, 1, 1))
-    R, (n1, n2, n3) = T[0].shape[0], out.shape
+    R, (n1, n2, n3) = T[0].shape[0], (t.shape[2] for t in T)
     # plane p holds the points at the p-th distinct mode-3 coordinate
     order = np.argsort(idx[2], kind="stable")
     bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
     Z, step = bounds.size - 1, max(1, n1 // R)
+    # allocated first, so a grid too large for memory fails before any work
+    out = np.empty((n3, n1 * n2))
     # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
-    # has the rows of the F-ordered (n1 n2, n3) view of out as columns
+    # has the mode-1-fastest flat indices of the output as columns
     kab = np.empty((min(step, Z) * R, n2, n1))
-    # the tile buffer holds at most 2^20 floats and an eighth of out
-    rows = max(1, min(2 ** 20 // n3, n1 * n2 // 8))
-    buf = np.empty((n3, rows))
-    flat = out.reshape(n1 * n2, n3, order="F")
-    for p0 in range(0, Z, step):
+
+    def block(p0):
+        # (E3, K) of the planes p0 .. p0 + step: E3 @ K is their sum
         P = min(step, Z - p0)
         for p in range(P):
             a = order[bounds[p0 + p]:bounds[p0 + p + 1]]
             np.matmul(T[1][:, idx[1][a]].transpose(0, 2, 1),
                       T[0][:, idx[0][a]] * q[a, None], out=kab[p * R:(p + 1) * R])
-        E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
-        K = kab[:P * R].reshape(P * R, -1)
-        for r0 in range(0, n1 * n2, rows):
-            Kt = K[:, r0:r0 + rows]
-            flat[r0:r0 + rows] += np.matmul(E3, Kt, out=buf[:, :Kt.shape[1]]).T
-    return out
+        return (T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R),
+                kab[:P * R].reshape(P * R, n1 * n2))
+
+    np.matmul(*block(0), out=out)
+    if Z > step:
+        # the tile buffer holds at most 2^20 floats and an eighth of out
+        cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8))
+        buf = np.empty((n3, cols))
+        for p0 in range(step, Z, step):
+            E3, K = block(p0)
+            for c0 in range(0, n1 * n2, cols):
+                Kt = K[:, c0:c0 + cols]
+                out[:, c0:c0 + cols] += np.matmul(E3, Kt, out=buf[:, :Kt.shape[1]])
+    return out.T.reshape((n1, n2, n3), order="F")
 
 
 def shift_sum(ref, centers, charges):
@@ -270,8 +268,7 @@ def shift_sum_dense(ref, centers, charges):
     plane by plane from the shifted columns of ``ref``: O(n^3 R Z) flops
     for Z occupied mode-3 nodes against the O(n^3 R N) of ``dense``.
     """
-    out = np.zeros(tuple(A.shape[0] // 2 for A in ref.factors), order="F")
-    return _plane_sum(out, lambda l, u: _shift_columns(ref.factors[l], u).T,
+    return _plane_sum(lambda l, u: _shift_columns(ref.factors[l], u).T,
                       ref.weights, centers, charges)
 
 
@@ -288,8 +285,8 @@ def c2t_shift_sum(ref, centers, charges, eps):
     values and left singular subspaces, hence the same truncation ranks.
     The core is ``sum_a charges[a] sum_k xi_k P_1k(x_a) x P_2k(y_a) x
     P_3k(z_a)`` with P_lk = U_l^T g_k(. - i) the projected shift tables at
-    the occupied nodes i: ``_plane_sum`` adds it into an r1 x r2 x r3 array
-    as ``shift_sum_dense`` adds the unprojected tables into an n^3 one,
+    the occupied nodes i: ``_plane_sum`` sums it into an r1 x r2 x r3 array
+    as ``shift_sum_dense`` sums the unprojected tables into an n^3 one,
     each point on its own (points on one node are not merged first).
     With Tucker ranks r <= n and Z <= n occupied mode-3 nodes the cost is
     O(R n^3 + N R r^2 + R Z r^3) instead of the O(N R (n^2 + r^3)) of the
@@ -324,9 +321,8 @@ def c2t_shift_sum(ref, centers, charges, eps):
             np.tensordot(U, G, axes=(0, 0)).transpose(2, 1, 0)))
     del G
     # P[l] is tabled at the sorted distinct mode-l nodes, the u of _plane_sum
-    core = np.zeros(tuple(U.shape[1] for U in Us), order="F")
-    return TuckerTensor3(_plane_sum(core, lambda l, u: P[l], ref.weights,
-                                    centers, charges), tuple(Us))
+    return TuckerTensor3(_plane_sum(lambda l, u: P[l], ref.weights, centers,
+                                    charges), tuple(Us))
 
 
 def t2c(t, eps):

@@ -70,13 +70,13 @@ def gaussian_field(positions, charges, grid, q):
     """Dense Gaussian-sum potential of point charges at arbitrary positions.
 
     The factors ``exp(-t_k^2 (x - u)^2)`` are tabulated once per term k and
-    distinct coordinate u of each mode; ``_plane_sum`` adds them up plane
-    by plane (distinct third coordinate) into a Fortran-ordered (mode-1
-    fastest) output, so the largest temporary is one n^3 block.
+    distinct coordinate u of each mode; ``_plane_sum`` sums them plane by
+    plane (distinct third coordinate) and returns the Fortran-ordered
+    (mode-1 fastest) field, so the largest temporary besides it is one
+    block of at most n^3 two-mode products.
     """
     x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
-    out = np.zeros((grid.n,) * 3, order="F")
-    return _plane_sum(out, lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
+    return _plane_sum(lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
                       q.weights, positions, charges)
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import rstensor as rt
 from helpers import eval_entries, shift_and_window, split_by_count
 from rstensor.assembly import _columns, _template_radius
-from rstensor.formats import c2t_shift_sum, t2c_with_image, zero_canonical
+from rstensor.formats import (c2t_shift_sum, shift_sum, t2c_with_image,
+                              zero_canonical)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -485,6 +486,24 @@ def test_binned_core_memory_stays_within_old_buffer(cluster400):
     tables = (sum(r * o for r, o in zip(tk.ranks, occ)) * R
               + n * max(occ) * R + Z * R * r3 + 3 * n * max(tk.ranks))
     bound = 8 * (tables + Z * r1 * r2 + 2 * r1 * r2 * r3) + 2 ** 19
+    assert peak <= bound, (peak, bound)
+
+
+def test_rhosvd_core_memory(cluster400):
+    # the explicit sum has rank N R_L = 8,800 and full Tucker ranks 65, so
+    # a Khatri-Rao block of (r1, r2, many terms) would break the bound many
+    # times over.  The core is dense() of the projected tensor, which holds
+    # the three projected side matrices, dense's weighted mode-3 copy and
+    # C-ordered mode-1 copy and one r2 x R slab temporary: 2 (r1 + r2 + r3)
+    # R floats, plus the core and the bases.  The mode SVDs before it hold
+    # two n x R matrices, less than that here.
+    g, ref, nodes, charges = cluster400
+    t = shift_sum(ref, nodes, charges)
+    tk, peak = _traced_peak(rt.c2t_rhosvd, t, 1e-8 * g.h ** 2)
+    (r1, r2, r3), R, n = tk.ranks, t.rank, g.n
+    assert tk.ranks == (n, n, n) and R == len(charges) * ref.rank
+    bound = 8 * (2 * (r1 + r2 + r3) * R + r1 * r2 * r3
+                 + n * (r1 + r2 + r3)) + 2 ** 18
     assert peak <= bound, (peak, bound)
 
 

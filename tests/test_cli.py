@@ -291,6 +291,19 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_grid_too_large_exit_code(tmp_path, capsys):
+    # 100001^3 floats cannot be allocated: numpy's MemoryError is reported
+    # as a one-line configuration error, before any output is written
+    out = tmp_path / "out"
+    rc = rt.main(["run", "--pqr", BORN, "--n", "100001", "--b", "8",
+                  "--rank", "8", "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "100001" in err
+    assert not out.exists()
+
+
 def test_main_io_error_exit_code(tmp_path, capsys):
     rc = rt.main(["run", "--pqr", str(tmp_path / "missing.pqr"), "-o", str(tmp_path)])
     assert rc == 4

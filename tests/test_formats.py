@@ -234,24 +234,24 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
        seed=st.integers(0, 2 ** 32 - 1))
 @example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0)
 # 40 points on 2 x 2 x 9 nodes share some, 9 planes go in blocks of 2,
-# and the 25 rows of out in tiles of 3
+# and the 25 columns of the output in tiles of 3
 @example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1)
+# at most 3 planes against blocks of 6 // 2 = 3: one GEMM, no tiles
+@example(shape=(6, 4, 5), R=2, m=(3, 3, 3), N=20, seed=2)
 def test_plane_sum_matches_einsum(shape, R, m, N, seed):
     # N points on m_l coordinates per mode repeat nodes and crowd planes;
     # up to 12 planes against max(1, n1 // R) per group block cross blocks,
-    # and n1 n2 // 8 rows per tile of out leave a ragged last tile
+    # and n1 n2 // 8 columns per tile leave a ragged last tile
     rng = np.random.default_rng(seed)
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
     pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
     w, q = rng.standard_normal(R), rng.standard_normal(N)
-    out0 = np.asfortranarray(rng.standard_normal(shape))
-    out = out0.copy(order="F")
-    assert _plane_sum(out, lambda l, u: T[l][:, u], w, pts, q) is out
+    out = _plane_sum(lambda l, u: T[l][:, u], w, pts, q)
     G = [t[:, p] for t, p in zip(T, pts.T)]
-    ref = out0 + np.einsum("k,a,kai,kaj,kal->ijl", w, q, *G)
-    scale = np.abs(out0) + np.einsum("k,a,kai,kaj,kal->ijl", np.abs(w),
-                                     np.abs(q), *map(np.abs, G))
-    assert out.flags.f_contiguous
+    ref = np.einsum("k,a,kai,kaj,kal->ijl", w, q, *G)
+    scale = np.einsum("k,a,kai,kaj,kal->ijl", np.abs(w), np.abs(q),
+                      *map(np.abs, G))
+    assert out.shape == shape and out.flags.f_contiguous
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
