@@ -127,7 +127,8 @@ class RSTensor:
     compact short-range template (canonical, side length
     2*support_radius + 1) shared by all atoms; ``short_list`` holds (center
     node, weight) per atom.  Storage is 3*R_L*n + 4*N numbers plus the
-    template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.
+    template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.  ``quad_rank``
+    is the rank of the kernel's quadrature, which its oracle rebuilds.
 
     ``long_image`` is the Tucker tensor, over the binned RHOSVD factors,
     that equals ``long``'s reduced terms, and ``long_reference`` holds the
@@ -147,6 +148,7 @@ class RSTensor:
     short_reference: CanonicalTensor3
     short_list: list
     gamma: int
+    quad_rank: int
     long_rank_pre: int = 0
     long_image: TuckerTensor3 = field(default=None, repr=False)
     long_reference: CanonicalTensor3 = field(default=None, repr=False)
@@ -298,7 +300,7 @@ def assemble_collective(m, kernel, eps_reduce):
               for l in range(3)]
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
     short_list = [(tuple(c), w) for c, w in zip(nodes.tolist(), z.tolist())]
-    return RSTensor(grid, long, short_ref, short_list, gamma,
+    return RSTensor(grid, long, short_ref, short_list, gamma, kernel.rank,
                     long_rank_pre=long_pre, long_image=image,
                     long_reference=ref if image is None else None)
 

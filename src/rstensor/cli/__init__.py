@@ -15,11 +15,12 @@ add.  With homogeneous faces the solve would return its input, so it is
 not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the layout
 of the ``.bin`` dumps, so they are written without a copy.  Metrics land
 in a deterministic key=value report; wall-clock stage times go to a
-separate file.  Reruns of born, and of ligand18 and a 600-atom cluster at
-n=65, are byte-identical (tested); not every input's are (the open
-``FOUND`` line on cluster2000 seed 4 in CHANGES.md).  ``python -m
-rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
-code.
+separate file.  Dumps and bundles name their quadrature rank
+(``quad_rank``), which ``validate`` reads with the grid from the dump.
+Reruns of born, and of ligand18 and a 600-atom cluster at n=65, are
+byte-identical (tested); not every input's are (the open ``FOUND`` line
+on cluster2000 seed 4 in CHANGES.md).  ``python -m rstensor`` and
+``python -m rstensor.cli`` run ``main`` and exit with its code.
 """
 
 import argparse
@@ -46,7 +47,6 @@ from ..validation import (_coulomb_sum, compare, compose_and_compare,
 
 _SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
-_ORACLE_ATOM_CAP = 2000
 
 
 def parse_pqr(path):
@@ -268,7 +268,8 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
         values = rs.long_field()
         rs.long_image = None
     if bc_molecule is None:
-        return GridFunction3(rs.grid, values, {"bc": "homogeneous"}), None
+        return GridFunction3(rs.grid, values, {
+            "bc": "homogeneous", "quad_rank": rs.quad_rank}), None
     short = _short_stage(rs, timings) if kappa > 0 else None
     with _clock(timings, "delta"):
         rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
@@ -285,7 +286,9 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
             axes, face = [x] * 3, [slice(None)] * 3
             axes[ax], face[ax] = x[ends], ends
             rhs[tuple(face)] = _coulomb_sum(bc_molecule, *axes, kappa)[0]
-        return poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa), rhs), short
+        u = poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa), rhs)
+    u.meta["quad_rank"] = rs.quad_rank
+    return u, short
 
 
 def _short_stage(rs, timings):
@@ -293,7 +296,8 @@ def _short_stage(rs, timings):
     short part, into a Fortran-ordered zero array."""
     with _clock(timings, "compose"):
         return GridFunction3(rs.grid, scatter_short(
-            rs, np.zeros((rs.grid.n,) * 3, order="F")), {"bc": "none"})
+            rs, np.zeros((rs.grid.n,) * 3, order="F")),
+            {"bc": "none", "quad_rank": rs.quad_rank})
 
 
 def run_case(cfg, m):
@@ -302,10 +306,10 @@ def run_case(cfg, m):
     Returns a dict with the fields ``total`` = ``u_long`` + ``short`` (the
     long-range solve and the run's one short-range scatter), the assembled
     tensor (``rs``), the reference kernel, the snapped molecule, the error
-    report, deterministic ``metrics`` and wall-clock ``timings``.  The
-    report is None when the Gaussian-sum oracle was skipped: above
-    ``_ORACLE_ATOM_CAP`` atoms, and for ``kappa > 0``, where the oracle's
-    unscreened field is no reference.  With the oracle, the total is built
+    report, deterministic ``metrics`` and wall-clock ``timings``.  Every
+    field's meta names the quadrature rank (``quad_rank``).  The report is
+    None for ``kappa > 0``, where the Gaussian-sum oracle's unscreened
+    field is no reference, so it is skipped.  Otherwise the total is built
     in the oracle's memory by ``compose_and_compare``, which compares each
     block of it before writing it there; the oracle is gone afterwards.
     """
@@ -320,13 +324,12 @@ def run_case(cfg, m):
     # solve temporaries are gone, and before the short field exists: its
     # plane-sum block then meets two n^3 fields, not three
     oracle = report = None
-    if m.n_atoms <= _ORACLE_ATOM_CAP and cfg.kappa == 0:
+    if cfg.kappa == 0:
         with _clock(timings, "oracle"):
             oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                        quad=q)
     if short is None:
         short = _short_stage(rs, timings)
-    u_long.meta["quad_rank"] = short.meta["quad_rank"] = q.rank
     with _clock(timings, "compose"):
         if oracle is None:
             total = compose_total(u_long, short)
@@ -475,12 +478,8 @@ def _num_or_auto(kind):
     return conv
 
 
-def _add_common(sp):
-    # molecule, grid and quadrature: the flags every molecule subcommand reads
-    sp.add_argument("--n", type=int, help="grid points per axis")
-    sp.add_argument("--b", type=_num_or_auto(float), help="box half-width in A, or 'auto'")
-    sp.add_argument("--rank", type=_num_or_auto(int), help="quadrature rank, or 'auto'")
-    sp.add_argument("--eps-kernel", dest="eps_kernel", type=float)
+def _add_molecule(sp):
+    # the molecule and the output directory, read by every molecule subcommand
     sp.add_argument("--seed", type=int, default=0,
                     help="synthetic cluster seed (default 0)")
     sp.add_argument("-o", "--outdir", default=None)
@@ -493,6 +492,11 @@ def _add_common(sp):
 
 
 def _add_assembly(sp):
+    # grid, quadrature and split: what run and assemble build from
+    sp.add_argument("--n", type=int, help="grid points per axis")
+    sp.add_argument("--b", type=_num_or_auto(float), help="box half-width in A, or 'auto'")
+    sp.add_argument("--rank", type=_num_or_auto(int), help="quadrature rank, or 'auto'")
+    sp.add_argument("--eps-kernel", dest="eps_kernel", type=float)
     sp.add_argument("--sep-radius", dest="sep_radius", type=float,
                     help="short-range support radius in A (default 3.5)")
     sp.add_argument("--eps-support", dest="eps_support", type=float)
@@ -509,7 +513,8 @@ def _cmd_assemble(args):
     save_canonical(rs.long, os.path.join(d, "long.ct3"))
     save_canonical(rs.short_reference, os.path.join(d, "short_template.ct3"))
     side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
-            "rank_pre": rs.long_rank_pre, "rank_post": rs.long.rank,
+            "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
+            "rank_post": rs.long.rank,
             "centers": [list(c) for c, _ in rs.short_list],
             "weights": [w for _, w in rs.short_list]}
     with open(os.path.join(d, "shortlist.json"), "w") as fh:
@@ -533,7 +538,11 @@ def _load_bundle(d):
             raise ValueError("centers must be N nodes in [0, %d)^3 with N "
                              "finite weights" % grid.n)
         gamma, rank_pre = int(side["gamma"]), int(side["rank_pre"])
-    except (KeyError, TypeError, ValueError) as e:
+        quad_rank = side["quad_rank"]
+        if int(quad_rank) != quad_rank or not 1 <= quad_rank <= MAX_QUAD_RANK:
+            raise ValueError("quad_rank must be an integer in [1, %d]"
+                             % MAX_QUAD_RANK)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
     long = load_canonical(os.path.join(d, "long.ct3"))
     if long.shape != (grid.n,) * 3:
@@ -546,16 +555,15 @@ def _load_bundle(d):
                         "with an odd side" % (d, template.shape))
     short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
                           weights.tolist()))
-    return RSTensor(grid, long, template, short_list, gamma,
+    return RSTensor(grid, long, template, short_list, gamma, int(quad_rank),
                     long_rank_pre=rank_pre)
 
 
 def _cmd_solve(args):
-    d = args.indir
-    rs = _load_bundle(d)
+    rs = _load_bundle(args.indir)
     u, _ = _long_stage(rs, {})
     total = compose_total(u, _short_stage(rs, {}))
-    out = args.outdir or d
+    out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)
     save_field(u, os.path.join(out, "ulong.bin"))
     save_field(total, os.path.join(out, "total.bin"))
@@ -574,26 +582,16 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    cfg = _config_from_args(args)
-    cfg.validate()
+    # grid and quadrature rank are the dump's own, from its sidecar
     m = _molecule_from_args(args)
     f = load_field(args.field)
-    grid = f.grid
-    if args.n is not None and args.n != grid.n:
-        raise ConfigError("--n %d does not match n=%d of %s"
-                          % (args.n, grid.n, args.field))
-    if args.b not in (None, "auto") and abs(args.b - grid.b) > 1e-12 * grid.b:
-        raise ConfigError("--b %.17g does not match b=%.17g of %s"
-                          % (args.b, grid.b, args.field))
-    quad_rank = f.meta.get("quad_rank")
-    if quad_rank is not None:
-        if args.rank not in (None, "auto") and args.rank != quad_rank:
-            raise ConfigError("--rank %d does not match quad_rank=%d of %s"
-                              % (args.rank, quad_rank, args.field))
-        cfg.rank = quad_rank
+    grid, q = f.grid, None
+    if args.oracle_kernel == "gaussian_sum":
+        if "quad_rank" not in f.meta:
+            raise DataError("%s.info names no quad_rank, the rank the "
+                            "gaussian_sum oracle needs" % args.field)
+        q = build_quadrature(f.meta["quad_rank"], grid.h, 2 * _SQRT3 * grid.b)
     snapped, (nodes, _) = snapped_molecule(m, grid)
-    q = (_resolve_quadrature(cfg, grid)
-         if args.oracle_kernel == "gaussian_sum" else None)
     oracle = direct_sum_oracle(snapped, grid, args.oracle_kernel, q)
     rep = compare(f, oracle, exclude_centers=nodes.tolist(),
                   config={"oracle": args.oracle_kernel, "field": args.field})
@@ -621,7 +619,7 @@ def main(argv=None):
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("assemble", help="assemble a molecule's potential")
-    _add_common(sp)
+    _add_molecule(sp)
     _add_assembly(sp)
 
     sp = sub.add_parser("solve", help="compose the fields of an assembled bundle")
@@ -629,14 +627,14 @@ def main(argv=None):
     sp.add_argument("-o", "--outdir", default=None)
 
     sp = sub.add_parser("run", help="full pipeline with reports")
-    _add_common(sp)
+    _add_molecule(sp)
     _add_assembly(sp)
     sp.add_argument("--bc", choices=("homogeneous", "analytic"))
     sp.add_argument("--kappa", type=float,
                     help="screening in 1/A; needs --bc analytic")
 
     sp = sub.add_parser("validate", help="compare a field dump to an oracle")
-    _add_common(sp)
+    _add_molecule(sp)
     sp.add_argument("--field", required=True, help="field dump path")
     sp.add_argument("--oracle-kernel", dest="oracle_kernel",
                     choices=("gaussian_sum", "exact_newton"),

@@ -118,15 +118,14 @@ def eval_entry(t, i):
 def dense(t):
     """Materialize a canonical tensor as a Fortran-ordered dense array.
 
-    Each i3-slab is one GEMM of the weighted mode-2 side matrix with the
-    mode-1 one, written straight into the output, so the only temporary is
-    an n2 x R matrix.
+    Each i3-slab is one GEMM of the mode-2 side matrix, scaled by that
+    slab's weighted mode-3 row, with the mode-1 one, written straight into
+    the output, so the only temporary is an n2 x R matrix.
     """
     out = np.empty(t.shape, order="F")
-    W3 = t.factors[2] * t.weights
-    B, C = t.factors[1], np.ascontiguousarray(t.factors[0].T)
+    A1, B, A3 = t.factors
     for k in range(t.shape[2]):
-        np.matmul(B * W3[k], C, out=out[:, :, k].T)
+        np.matmul(B * (A3[k] * t.weights), A1.T, out=out[:, :, k].T)
     return out
 
 

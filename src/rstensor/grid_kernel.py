@@ -38,8 +38,8 @@ class Grid3:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ConfigError("grid needs n >= 3 points per axis")
-        if not (self.b > 0):
-            raise ConfigError("box half-width must be positive")
+        if not (0 < self.b < np.inf):
+            raise ConfigError("box half-width must be positive and finite")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "b", float(self.b))
 

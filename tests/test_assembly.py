@@ -261,7 +261,7 @@ def _index_case(n, gamma, centres, weights):
                                     for _ in range(3)))
     short_list = [(tuple(c), float(w)) for c, w in zip(centres, weights)]
     return rt.RSTensor(rt.Grid3(n, 4.0), zero_canonical((n, n, n)), ref,
-                       short_list, gamma)
+                       short_list, gamma, 2)
 
 
 def _scan_nearby(rs, i):
@@ -493,16 +493,15 @@ def test_rhosvd_core_memory(cluster400):
     # the explicit sum has rank N R_L = 8,800 and full Tucker ranks 65, so
     # a Khatri-Rao block of (r1, r2, many terms) would break the bound many
     # times over.  The core is dense() of the projected tensor, which holds
-    # the three projected side matrices, dense's weighted mode-3 copy and
-    # C-ordered mode-1 copy and one r2 x R slab temporary: 2 (r1 + r2 + r3)
-    # R floats, plus the core and the bases.  The mode SVDs before it hold
-    # two n x R matrices, less than that here.
+    # the three projected side matrices and one r2 x R slab temporary:
+    # (r1 + r2 + r3) R + r2 R floats, plus the core and the bases.  The
+    # mode SVDs before it hold two n x R matrices, less than that here.
     g, ref, nodes, charges = cluster400
     t = shift_sum(ref, nodes, charges)
     tk, peak = _traced_peak(rt.c2t_rhosvd, t, 1e-8 * g.h ** 2)
     (r1, r2, r3), R, n = tk.ranks, t.rank, g.n
     assert tk.ranks == (n, n, n) and R == len(charges) * ref.rank
-    bound = 8 * (2 * (r1 + r2 + r3) * R + r1 * r2 * r3
+    bound = 8 * ((r1 + r2 + r3) * R + r2 * R + r1 * r2 * r3
                  + n * (r1 + r2 + r3)) + 2 ** 18
     assert peak <= bound, (peak, bound)
 

@@ -318,7 +318,7 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
     assert rc == 0
     p = tmp_path / "null.pqr"
     p.write_text("ATOM 1 Q ION 1 0.000 0.000 0.000 0.0000 1.0000\n")
-    rc = rt.main(["validate", "--pqr", str(p), "--n", "33", "--b", "8",
+    rc = rt.main(["validate", "--pqr", str(p),
                   "--field", str(tmp_path / "total.bin"), "-o", str(tmp_path)])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
@@ -340,7 +340,7 @@ def test_main_run_and_validate(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "l2_weighted=" in out
-    rc = rt.main(["validate", "--pqr", BORN, "--n", "33", "--b", "8",
+    rc = rt.main(["validate", "--pqr", BORN,
                   "--field", os.path.join(d, "total.bin"), "-o", d])
     assert rc == 0
     assert "discrete L2" in capsys.readouterr().out
@@ -529,7 +529,7 @@ def test_solve_malformed_ct3_exit_code(born_bundle, tmp_path, capsys, name,
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["gamma", "centers", "n"])
+@pytest.mark.parametrize("key", ["gamma", "centers", "n", "quad_rank"])
 def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
                                               key):
     d = _bundle_copy(born_bundle, tmp_path)
@@ -545,11 +545,16 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
 @pytest.mark.parametrize("edit,name", [
     ({"centers": [[16, 16]]}, "shortlist.json"),
     ({"centers": [[16, 16, 99]]}, "shortlist.json"),
-    ({"n": 65}, "long.ct3")], ids=["two_coordinates", "off_grid", "n"])
+    ({"quad_rank": 0}, "shortlist.json"),
+    ({"b": float("inf")}, "shortlist.json"),
+    ({"gamma": float("inf")}, "shortlist.json"),
+    ({"n": 65}, "long.ct3")],
+    ids=["two_coordinates", "off_grid", "quad_rank_zero", "b_infinity",
+         "gamma_infinity", "n"])
 def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
                                           name):
-    # each of these crashed, dropped the atom or exited 2 before the bundle
-    # reader checked the centres and the long part's shape
+    # each of these crashed, dropped the atom, exited 2 or was solved
+    # without complaint before the bundle reader checked it
     d = _bundle_copy(born_bundle, tmp_path)
     side = json.loads((d / "shortlist.json").read_text())
     side.update(edit)
@@ -583,11 +588,12 @@ def test_export_wrong_size_dump_exit_code(tmp_path, capsys, damage):
     lambda info: info.replace("b=1\n", ""),
     lambda info: info.replace("n=5", "n=five"),
     lambda info: info.replace("b=1", "b=one"),
+    lambda info: info.replace("b=1\n", "b=inf\n"),
     lambda info: info.replace("n=5", "n=2"),
     lambda info: info + "quad_rank=eight\n",
     lambda info: info + "quad_rank=0\n",
     lambda info: info + "quad_rank=100000000\n"],
-    ids=["no-n", "no-b", "bad-n", "bad-b", "tiny-n", "bad-quad-rank",
+    ids=["no-n", "no-b", "bad-n", "bad-b", "inf-b", "tiny-n", "bad-quad-rank",
          "zero-quad-rank", "huge-quad-rank"])
 def test_export_malformed_info_exit_code(tmp_path, capsys, edit):
     p = _field_dump(tmp_path)
@@ -652,12 +658,14 @@ def test_screened_total_is_debye_hueckel(born_mol):
     ("validate", "--eps-scaling", "fixed"), ("validate", "--bc", "analytic"),
     ("validate", "--kappa", "0.5"), ("assemble", "--bc", "analytic"),
     ("assemble", "--kappa", "0.5"), ("run", "--eps-scaling", "mesh"),
-    ("assemble", "--eps-scaling", "mesh")])
+    ("assemble", "--eps-scaling", "mesh"), ("validate", "--n", "33"),
+    ("validate", "--b", "8"), ("validate", "--rank", "12"),
+    ("validate", "--eps-kernel", "1e-6")])
 def test_subcommand_rejects_unread_flag(tmp_path, capsys, cmd, flag, value):
-    argv = [cmd, "--pqr", BORN, "--n", "33", "--b", "8", flag, value,
-            "-o", str(tmp_path)]
-    if cmd == "validate":
-        argv += ["--field", str(tmp_path / "total.bin")]
+    # validate reads grid and quadrature rank from the dump's sidecar
+    argv = [cmd, "--pqr", BORN, flag, value, "-o", str(tmp_path)]
+    argv += (["--field", str(tmp_path / "total.bin")] if cmd == "validate"
+             else ["--n", "33", "--b", "8"])
     with pytest.raises(SystemExit) as e:
         rt.main(argv)
     assert e.value.code == 2
@@ -729,17 +737,17 @@ def _kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
-@pytest.mark.parametrize("args", [["--pqr", BORN, "--n", "65", "--b", "8"],
-                                  ["--pqr", LIGAND, "--n", "65"]],
+@pytest.mark.parametrize("mol,grid", [(["--pqr", BORN], ["--b", "8"]),
+                                      (["--pqr", LIGAND], [])],
                          ids=["born", "ligand18"])
-def test_validate_exact_oracle_leaves_out_atom_nodes(tmp_path, args):
+def test_validate_exact_oracle_leaves_out_atom_nodes(tmp_path, mol, grid):
     # 1/r is undefined at an atom node, where the exact oracle stores 0;
     # counting those nodes read relative L2 0.186 (born) and 0.909
     # (ligand18), the defined nodes about 1e-8
     d = str(tmp_path)
-    assert rt.main(["run", "-o", d] + args) == 0
+    assert rt.main(["run", "-o", d, "--n", "65"] + mol + grid) == 0
     assert rt.main(["validate", "--field", os.path.join(d, "total.bin"),
-                    "--oracle-kernel", "exact_newton", "-o", d] + args) == 0
+                    "--oracle-kernel", "exact_newton", "-o", d] + mol) == 0
     kv = _kv(tmp_path / "report.txt.kv")
     assert kv["oracle"] == "exact_newton"
     assert float(kv["relative_l2"]) <= 1e-6
@@ -911,34 +919,6 @@ def test_assemble_solve_matches_run(tmp_path):
     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("flags", [["--n", "65"], ["--b", "9"],
-                                   ["--n", "65", "--b", "auto"]],
-                         ids=["n", "b", "n-auto-b"])
-def test_validate_rejects_grid_mismatch(tmp_path, capsys, born_total,
-                                        flags):
-    p = tmp_path / "total.bin"
-    rt.save_field(born_total, p)
-    rc = rt.main(["validate", "--pqr", BORN, "--field", str(p),
-                  "-o", str(tmp_path)] + flags)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error: %s %s does not match" % tuple(flags[:2]) in err
-    assert not (tmp_path / "report.txt").exists()
-
-
-@pytest.mark.parametrize("eps", ["nan", "0", "-1", "2"])
-def test_validate_checks_config(tmp_path, capsys, born_total, eps):
-    # a dump without quad_rank, as solve writes it, takes the oracle rank
-    # from eps_kernel, which validate checks as run does
-    p = tmp_path / "total.bin"
-    rt.save_field(rt.GridFunction3(born_total.grid, born_total.values), p)
-    assert rt.main(["validate", "--pqr", BORN, "--field", str(p),
-                    "--eps-kernel=" + eps, "-o", str(tmp_path)]) == 2
-    assert "config error: config: eps_kernel must lie in (0, 1)" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "report.txt").exists()
-
-
 @pytest.mark.parametrize("flags", [
     ["--half-extent", "nan"], ["--half-extent", "inf"], ["--half-extent=-3"],
     ["--half-extent", "3", "--min-sep", "nan"],
@@ -953,7 +933,7 @@ def test_synthetic_rejects_bad_extent(tmp_path, capsys, flags):
     assert not (tmp_path / "metrics.txt").exists()
 
 
-def test_validate_rank_against_dump(tmp_path, capsys, born_total):
+def test_validate_rank_against_dump(tmp_path, born_total):
     # born's auto rank is 24 at n=33; an oracle of another rank reported a
     # discrete L2 of 1.73 against this dump
     rank = born_total.meta["quad_rank"]
@@ -961,37 +941,22 @@ def test_validate_rank_against_dump(tmp_path, capsys, born_total):
     p = tmp_path / "total.bin"
     rt.save_field(born_total, p)
     assert "quad_rank=%d\n" % rank in (tmp_path / "total.bin.info").read_text()
-    base = ["validate", "--pqr", BORN, "--field", str(p), "-o", str(tmp_path)]
-    assert rt.main(base + ["--rank", "8"]) == 2
-    assert "config error: --rank 8 does not match quad_rank=%d" % rank \
-        in capsys.readouterr().err
-    assert not (tmp_path / "report.txt").exists()
-    for flags in ([], ["--rank", "auto"], ["--rank", str(rank)]):
-        assert rt.main(base + flags) == 0
-        kv = dict(line.split("=", 1) for line in
-                  (tmp_path / "report.txt.kv").read_text().splitlines())
-        assert float(kv["relative_l2"]) <= 1e-12
+    assert rt.main(["validate", "--pqr", BORN, "--field", str(p),
+                    "-o", str(tmp_path)]) == 0
+    assert float(_kv(tmp_path / "report.txt.kv")["relative_l2"]) <= 1e-12
 
 
 def _no_quadrature(*args):
     raise AssertionError("a quadrature was built")
 
 
-@pytest.mark.parametrize("cmd", ["run", "assemble", "validate"])
-def test_rank_above_cap_is_config_error(tmp_path, capsys, monkeypatch,
-                                        born_total, cmd):
+@pytest.mark.parametrize("cmd", ["run", "assemble"])
+def test_rank_above_cap_is_config_error(tmp_path, capsys, monkeypatch, cmd):
     # refused before any quadrature is built: a rank-1e8 tune died in a
-    # 763 MiB MemoryError; validate reads --rank from a dump without
-    # quad_rank
+    # 763 MiB MemoryError
     monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
-    args = [cmd, "--pqr", BORN, "--rank", "100000000", "-o", str(tmp_path)]
-    if cmd == "validate":
-        p = tmp_path / "total.bin"
-        rt.save_field(rt.GridFunction3(born_total.grid, born_total.values), p)
-        args += ["--field", str(p)]
-    else:
-        args += ["--n", "33", "--b", "8"]
-    assert rt.main(args) == 2
+    assert rt.main([cmd, "--pqr", BORN, "--rank", "100000000", "--n", "33",
+                    "--b", "8", "-o", str(tmp_path)]) == 2
     assert "config error: config: rank 100000000 exceeds the cap of %d" \
         % rt.grid_kernel.MAX_QUAD_RANK in capsys.readouterr().err
 
@@ -1024,8 +989,8 @@ def test_validate_dump_rank_above_cap_is_io_error(tmp_path, capsys,
 
 
 def test_validate_takes_rank_from_dump(tmp_path):
-    # a --rank 10 run: validate without --rank builds the rank-10 oracle,
-    # not the auto ladder's choice for the default eps_kernel
+    # a --rank 10 run: validate builds the rank-10 oracle from the dump's
+    # sidecar, not the auto ladder's choice for the default eps_kernel
     d = str(tmp_path)
     assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8",
                     "--rank", "10", "-o", d]) == 0
@@ -1034,6 +999,51 @@ def test_validate_takes_rank_from_dump(tmp_path):
     kv = dict(line.split("=", 1) for line in
               (tmp_path / "report.txt.kv").read_text().splitlines())
     assert float(kv["relative_l2"]) <= 1e-12
+
+
+def test_validate_takes_rank_from_bundle(tmp_path):
+    # the bundle names its quadrature rank, and so do solve's dumps: a
+    # validate that guessed the rank from the eps_kernel ladder (24 at
+    # n=33) read relative L2 1.1e-1 against this rank-12 field
+    d = str(tmp_path)
+    assert rt.main(["assemble", "--pqr", BORN, "--n", "33", "--b", "8",
+                    "--rank", "12", "-o", d]) == 0
+    side = json.loads((tmp_path / "shortlist.json").read_text())
+    assert side["quad_rank"] == 12
+    assert rt.main(["solve", "-i", d]) == 0
+    for name in ("ulong.bin.info", "total.bin.info"):
+        assert _kv(tmp_path / name)["quad_rank"] == "12"
+    assert rt.main(["validate", "--pqr", BORN, "--field",
+                    os.path.join(d, "total.bin"), "-o", d]) == 0
+    assert float(_kv(tmp_path / "report.txt.kv")["relative_l2"]) <= 1e-12
+
+
+def test_validate_rankless_dump(tmp_path, capsys, born_total):
+    # the Gaussian-sum oracle rebuilds the quadrature of the field, so a
+    # sidecar without its rank is refused; the exact oracle needs none
+    p = tmp_path / "total.bin"
+    rt.save_field(rt.GridFunction3(born_total.grid, born_total.values), p)
+    assert "quad_rank" not in (tmp_path / "total.bin.info").read_text()
+    base = ["validate", "--pqr", BORN, "--field", str(p), "-o", str(tmp_path)]
+    assert rt.main(base) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "total.bin.info" in err
+    assert "quad_rank" in err
+    assert not (tmp_path / "report.txt").exists()
+    assert rt.main(base + ["--oracle-kernel", "exact_newton"]) == 0
+    kv = _kv(tmp_path / "report.txt.kv")
+    assert kv["oracle"] == "exact_newton"
+    assert float(kv["relative_l2"]) <= 1e-6
+
+
+def test_run_compares_every_cluster_with_oracle():
+    # the plane-sum oracle costs O(N R n^2 + R Z n^3), so a run of any
+    # size compares against it; 2001 atoms were above a former atom cap
+    # that skipped it
+    m = rt.synthetic_cluster(2001, 20.5, seed=1)
+    met = rt.run_case(rt.RunConfig(n=33), m)["metrics"]
+    assert met["atoms"] == 2001 and met["oracle"] == "gaussian_sum"
+    assert float(met["l2_relative"]) <= 1e-6
 
 
 def _rerun_twice(tmp_path, args):
