@@ -17,9 +17,12 @@ of the ``.bin`` dumps, so they are written without a copy.  Metrics land
 in a deterministic key=value report; wall-clock stage times go to a
 separate file.  Dumps and bundles name their quadrature rank
 (``quad_rank``), which ``validate`` reads with the grid from the dump.
-Reruns of born, and of ligand18 and a 600-atom cluster at n=65, are
-byte-identical (tested); not every input's are (the open ``FOUND`` line
-on cluster2000 seed 4 in CHANGES.md).  ``python -m rstensor`` and
+Reruns at one BLAS thread count of born, and of ligand18 and a 600-atom
+cluster at n=65, are byte-identical (tested).  Across thread counts the
+BLAS splits its sums differently: the 600-atom cluster at one and at two
+threads has the same ranks and a byte-identical ``short.bin``, but its
+long part, total and metrics differ in the last bits, the total by at
+most 1e-13 of its max (tested).  ``python -m rstensor`` and
 ``python -m rstensor.cli`` run ``main`` and exit with its code.
 """
 
@@ -537,8 +540,11 @@ def _load_bundle(d):
                     (nodes != np.round(nodes)) | (nodes < 0) | (nodes >= grid.n))):
             raise ValueError("centers must be N nodes in [0, %d)^3 with N "
                              "finite weights" % grid.n)
-        gamma, rank_pre = int(side["gamma"]), int(side["rank_pre"])
-        quad_rank = side["quad_rank"]
+        gamma, rank_pre, quad_rank = (side[k] for k in
+                                      ("gamma", "rank_pre", "quad_rank"))
+        for key, v in (("gamma", gamma), ("rank_pre", rank_pre)):
+            if int(v) != v:
+                raise ValueError("%s must be an integer, not %r" % (key, v))
         if int(quad_rank) != quad_rank or not 1 <= quad_rank <= MAX_QUAD_RANK:
             raise ValueError("quad_rank must be an integer in [1, %d]"
                              % MAX_QUAD_RANK)
@@ -555,8 +561,8 @@ def _load_bundle(d):
                         "with an odd side" % (d, template.shape))
     short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
                           weights.tolist()))
-    return RSTensor(grid, long, template, short_list, gamma, int(quad_rank),
-                    long_rank_pre=rank_pre)
+    return RSTensor(grid, long, template, short_list, int(gamma),
+                    int(quad_rank), long_rank_pre=int(rank_pre))
 
 
 def _cmd_solve(args):

@@ -16,11 +16,20 @@ second step also returns the Tucker image of the terms it keeps, a core
 built from their core coordinates over the same factors, so a reduced
 tensor is densified by mode products of that image rather than term by
 term.  Every product here runs on numpy's own BLAS; the module imports no
-scipy.
+scipy.  Two steps made of many small products, the second-level SVDs of
+``t2c_with_image`` and the plane sum, split their work over W threads
+with that BLAS pinned to one thread, W being its thread count at the
+call: W single-threaded BLAS calls at once are faster on such small
+matrices than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1``
+makes them serial.
 """
 
+import ctypes
+import functools
+import glob
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +147,54 @@ def tucker_dense(t):
     return np.matmul(t.factors[1], X).T
 
 
+@functools.cache
+def _openblas():
+    # (get, set, stop) of numpy's bundled OpenBLAS, the BLAS every product
+    # here runs on: its thread-count getter and setter and the call that
+    # stops its idle threads; None when numpy was built against another BLAS
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_,
+                    getattr(lib, "blas_thread_shutdown_", lambda: None))
+    return None
+
+
+def _blas_threads():
+    blas = _openblas()
+    return blas[0]() if blas else 1
+
+
+def _on_threads(fn, n):
+    # fn(0), ..., fn(n - 1) in W contiguous shares on W = min(n, BLAS
+    # threads) threads, the caller taking the first, with the BLAS pinned
+    # to one thread until the last share is done.  Its idle threads spin
+    # for a while after a multi-threaded call, on the cores the shares
+    # need, so they are stopped first; its next such call starts them.
+    blas, threads = _openblas(), _blas_threads()
+    W = min(n, threads)
+    edges = [n * k // W for k in range(W + 1)]
+
+    def share(k):
+        for i in range(edges[k], edges[k + 1]):
+            fn(i)
+
+    if blas:
+        blas[1](1)
+        blas[2]()
+    try:
+        with ThreadPoolExecutor(max(1, W - 1)) as pool:
+            rest = [pool.submit(share, k) for k in range(1, W)]
+            share(0)
+            for f in rest:
+                f.result()
+    finally:
+        if blas:
+            blas[1](threads)
+
+
 def _check_finite(t):
     for A in t.factors:
         if not np.all(np.isfinite(A)):
@@ -206,43 +263,56 @@ def _plane_sum(table, w, points, q):
     products by one batched GEMM.  The first block of about n1 (plane,
     term) groups meets its mode-3 vectors in one GEMM whose (n3, n1 n2)
     product is the result; each later block adds into it one tile of
-    min(2^20 / n3, n1 n2 / 8) columns at a time, through one reused buffer.
+    min(2^20 / n3, n1 n2 / 8) / W columns at a time.  The W workers of
+    ``_on_threads`` each take a contiguous range of mode-2 rows, so their
+    two-mode products, GEMMs and tiles touch disjoint columns of the
+    result; the blocks and tile buffers they share are allocated first.
     """
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
     T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
     T[0] = T[0] * np.reshape(w, (-1, 1, 1))
     R, (n1, n2, n3) = T[0].shape[0], (t.shape[2] for t in T)
-    # plane p holds the points at the p-th distinct mode-3 coordinate
+    # plane p holds the points bounds[p] .. bounds[p + 1] of the points
+    # sorted by their mode-3 coordinate, whose mode-1 and mode-2 table
+    # rows are i0 and i1 and whose weights are q
     order = np.argsort(idx[2], kind="stable")
     bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
+    i0, i1, q = idx[0][order], idx[1][order], q[order, None]
     Z, step = bounds.size - 1, max(1, n1 // R)
+    W = min(n2, _blas_threads())
+    rows = [n2 * k // W for k in range(W + 1)]
     # allocated first, so a grid too large for memory fails before any work
     out = np.empty((n3, n1 * n2))
     # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
     # has the mode-1-fastest flat indices of the output as columns
     kab = np.empty((min(step, Z) * R, n2, n1))
+    # the tile buffers hold at most 2^20 floats and an eighth of out
+    cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8) // W)
+    buf = np.empty((W, n3, cols)) if Z > step else None
 
-    def block(p0):
-        # (E3, K) of the planes p0 .. p0 + step: E3 @ K is their sum
-        P = min(step, Z - p0)
-        for p in range(P):
-            a = order[bounds[p0 + p]:bounds[p0 + p + 1]]
-            np.matmul(T[1][:, idx[1][a]].transpose(0, 2, 1),
-                      T[0][:, idx[0][a]] * q[a, None], out=kab[p * R:(p + 1) * R])
-        return (T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R),
-                kab[:P * R].reshape(P * R, n1 * n2))
+    def work(k):
+        # mode-2 rows j0 .. j1, which are output columns c0 .. c1
+        j0, j1 = rows[k], rows[k + 1]
+        c0, c1 = j0 * n1, j1 * n1
+        for p0 in range(0, Z, step):
+            P = min(step, Z - p0)
+            for p in range(P):
+                a = slice(bounds[p0 + p], bounds[p0 + p + 1])
+                np.matmul((T[1][:, i1[a], j0:j1] * q[a]).transpose(0, 2, 1),
+                          T[0][:, i0[a]], out=kab[p * R:(p + 1) * R, j0:j1])
+            # (E3, K) of the planes p0 .. p0 + P: E3 @ K is their sum
+            E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
+            K = kab[:P * R, j0:j1].reshape(P * R, c1 - c0)
+            if p0 == 0:
+                np.matmul(E3, K, out=out[:, c0:c1])
+                continue
+            for c in range(0, c1 - c0, cols):
+                Kt = K[:, c:c + cols]
+                out[:, c0 + c:c0 + c + Kt.shape[1]] += np.matmul(
+                    E3, Kt, out=buf[k, :, :Kt.shape[1]])
 
-    np.matmul(*block(0), out=out)
-    if Z > step:
-        # the tile buffer holds at most 2^20 floats and an eighth of out
-        cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8))
-        buf = np.empty((n3, cols))
-        for p0 in range(step, Z, step):
-            E3, K = block(p0)
-            for c0 in range(0, n1 * n2, cols):
-                Kt = K[:, c0:c0 + cols]
-                out[:, c0:c0 + cols] += np.matmul(E3, Kt, out=buf[:, :Kt.shape[1]])
+    _on_threads(work, W)
     return out.T.reshape((n1, n2, n3), order="F")
 
 
@@ -346,13 +416,14 @@ def t2c_with_image(t, eps):
     """``t2c(t, eps)`` together with the Tucker image of its terms.
 
     The first-level SVD is taken of the transpose of the core unfolding,
-    which is tall, and the second level is one batched SVD of all its
-    singular vectors reshaped to matrices.  The image has ``t``'s factors
-    and the core ``sum_k w_k c_1k x c_2k x c_3k`` of the kept terms' core
-    coordinates c_lk.  The terms of first-level vector j share their
-    mode-m coordinates, so each j sums its terms' other two modes into one
-    r_a x r_b matrix Y_j, and one GEMM of the mode-m coordinates with the
-    stacked Y_j gives the core: O(r^2 K + r^4) flops for K kept terms.
+    which is tall, and the second level is one SVD of each of its singular
+    vectors reshaped to a matrix, on the workers of ``_on_threads``.  The
+    image has ``t``'s factors and the core ``sum_k w_k c_1k x c_2k x c_3k``
+    of the kept terms' core coordinates c_lk.  The terms of first-level
+    vector j share their mode-m coordinates, so each j sums its terms' other
+    two modes into one r_a x r_b matrix Y_j, and one GEMM of the mode-m
+    coordinates with the stacked Y_j gives the core: O(r^2 K + r^4) flops
+    for K kept terms.
 
     Returns
     -------
@@ -375,8 +446,15 @@ def t2c_with_image(t, eps):
     V, tau, Ut = np.linalg.svd(np.moveaxis(G, m, 0).reshape(r[m], -1).T,
                                full_matrices=False)
     # every right singular vector of the unfolding, as an r_a x r_b matrix,
-    # in one batched SVD; term (j, i) has weight tau_j s_ji
-    P, s, Q = np.linalg.svd(V.T.reshape(-1, r[a], r[b]), full_matrices=False)
+    # SVD-factored on its own; term (j, i) has weight tau_j s_ji
+    J, k = V.shape[1], min(r[a], r[b])
+    P, s, Q = np.empty((J, r[a], k)), np.empty((J, k)), np.empty((J, k, r[b]))
+
+    def second_level(j):
+        P[j], s[j], Q[j] = np.linalg.svd(V[:, j].reshape(r[a], r[b]),
+                                         full_matrices=False)
+
+    _on_threads(second_level, J)
     del V
     w = (tau[:, None] * s).ravel()
 

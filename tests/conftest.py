@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import rstensor as rt
+from rstensor.formats import _openblas
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -18,6 +19,18 @@ def born_mol():
 @pytest.fixture(scope="session")
 def ligand_mol():
     return rt.parse_pqr(os.path.join(FIXTURES, "ligand18.pqr"))
+
+
+@pytest.fixture
+def set_blas_threads():
+    # the setter of numpy's OpenBLAS thread count; the count it had is
+    # put back after the test
+    if _openblas() is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    get, put = _openblas()[:2]
+    was = get()
+    yield put
+    put(was)
 
 
 def rand_canonical(rng, n, r):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
+from conftest import same_bits
 from helpers import eval_entries, shift_and_window, split_by_count
+from rstensor import formats
 from rstensor.assembly import _columns, _template_radius
 from rstensor.formats import (c2t_shift_sum, shift_sum, t2c_with_image,
                               zero_canonical)
@@ -504,6 +506,24 @@ def test_rhosvd_core_memory(cluster400):
     bound = 8 * ((r1 + r2 + r3) * R + r2 * R + r1 * r2 * r3
                  + n * (r1 + r2 + r3)) + 2 ** 18
     assert peak <= bound, (peak, bound)
+
+
+def test_t2c_image_same_bits_on_one_and_two_workers(cluster400,
+                                                   set_blas_threads,
+                                                   monkeypatch):
+    # the second-level SVDs run one per matrix: spread over two workers
+    # with the BLAS pinned to one thread, or all in the caller when the
+    # thread-count setter is missing, they give the same bits
+    g, ref, nodes, charges = cluster400
+    eps = 1e-8 * g.h ** 2
+    tk = c2t_shift_sum(ref, nodes, charges, eps)
+    set_blas_threads(2)
+    got = [t2c_with_image(tk, eps)]
+    monkeypatch.setattr(formats, "_openblas", lambda: None)
+    got.append(t2c_with_image(tk, eps))
+    (c2, im2), (c1, im1) = got
+    assert all(same_bits(a, b) for a, b in zip(
+        (c2.weights, *c2.factors, im2.core), (c1.weights, *c1.factors, im1.core)))
 
 
 def test_t2c_image_memory(cluster400):

@@ -548,13 +548,16 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     ({"quad_rank": 0}, "shortlist.json"),
     ({"b": float("inf")}, "shortlist.json"),
     ({"gamma": float("inf")}, "shortlist.json"),
+    ({"gamma": 14.7}, "shortlist.json"),
+    ({"rank_pre": 3.5}, "shortlist.json"),
     ({"n": 65}, "long.ct3")],
     ids=["two_coordinates", "off_grid", "quad_rank_zero", "b_infinity",
-         "gamma_infinity", "n"])
+         "gamma_infinity", "gamma_fraction", "rank_pre_fraction", "n"])
 def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
                                           name):
     # each of these crashed, dropped the atom, exited 2 or was solved
-    # without complaint before the bundle reader checked it
+    # without complaint before the bundle reader checked it; a fractional
+    # gamma or rank_pre was truncated to an integer
     d = _bundle_copy(born_bundle, tmp_path)
     side = json.loads((d / "shortlist.json").read_text())
     side.update(edit)
@@ -1046,30 +1049,54 @@ def test_run_compares_every_cluster_with_oracle():
     assert float(met["l2_relative"]) <= 1e-6
 
 
+def _run_fresh(out, args, **env):
+    # "rstensor run ARGS -o OUT" in a fresh process, ENV added to its
+    # environment; returns the metrics it wrote
+    src = os.path.dirname(os.path.dirname(rt.__file__))
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from rstensor.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", "run", *args, "-o", str(out)],
+                   env=dict(os.environ, PYTHONPATH=src, **env), check=True,
+                   capture_output=True)
+    return dict(line.split("=", 1) for line in
+                (out / "metrics.txt").read_text().splitlines())
+
+
 def _rerun_twice(tmp_path, args):
     # the metrics of the first of two fresh-process runs, after checking
     # that both wrote the same bytes
-    src = os.path.dirname(os.path.dirname(rt.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    for sub in ("a", "b"):
-        subprocess.run([sys.executable, "-c",
-                        "import sys; from rstensor.cli import main; "
-                        "sys.exit(main(sys.argv[1:]))",
-                        "run", *args, "-o", str(tmp_path / sub)],
-                       env=env, check=True, capture_output=True)
+    met = _run_fresh(tmp_path / "a", args)
+    _run_fresh(tmp_path / "b", args)
     for name in ("metrics.txt", "total.bin", "ulong.bin", "short.bin"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes(), name
-    return dict(line.split("=", 1) for line in
-                (tmp_path / "a" / "metrics.txt").read_text().splitlines())
+    return met
+
+
+_CLUSTER600 = ["--synthetic", "600", "--half-extent", "10", "--seed", "3",
+               "--n", "65"]
 
 
 def test_rerun_byte_identical_with_reduction(tmp_path):
     # a cluster whose long rank is reduced (13200 -> 2891 on a 2-vCPU x86
     # host)
-    met = _rerun_twice(tmp_path, ["--synthetic", "600", "--half-extent", "10",
-                                  "--seed", "3", "--n", "65"])
+    met = _rerun_twice(tmp_path, _CLUSTER600)
     assert int(met["rank_post"]) < int(met["rank_pre"]) == 13200
+
+
+def test_rerun_across_blas_thread_counts(tmp_path):
+    # one and two BLAS threads split the GEMMs and SVDs of the reduction
+    # and the densify differently, so ulong.bin, total.bin and metrics.txt
+    # differ in their last bits; the short part, a scatter of one template,
+    # and the ranks do not
+    one = _run_fresh(tmp_path / "one", _CLUSTER600, OPENBLAS_NUM_THREADS="1")
+    two = _run_fresh(tmp_path / "two", _CLUSTER600, OPENBLAS_NUM_THREADS="2")
+    assert (tmp_path / "one" / "short.bin").read_bytes() \
+        == (tmp_path / "two" / "short.bin").read_bytes()
+    assert (one["rank_pre"], one["rank_post"]) \
+        == (two["rank_pre"], two["rank_post"])
+    a, b = (np.fromfile(tmp_path / d / "total.bin") for d in ("one", "two"))
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_rerun_byte_identical_explicit_long(tmp_path):

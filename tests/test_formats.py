@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
-from rstensor.formats import (_mode_basis, _plane_sum, c2t_shift_sum,
-                              shift_sum, t2c_with_image, tucker_dense)
+from rstensor import formats
+from rstensor.formats import (_mode_basis, _on_threads, _openblas, _plane_sum,
+                              c2t_shift_sum, shift_sum, t2c_with_image,
+                              tucker_dense)
 
 
 def test_eval_entry_zero_tensor():
@@ -239,6 +242,8 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
 @example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1)
 # at most 3 planes against blocks of 6 // 2 = 3: one GEMM, no tiles
 @example(shape=(6, 4, 5), R=2, m=(3, 3, 3), N=20, seed=2)
+# one mode-2 row, fewer than the workers of a multi-threaded BLAS
+@example(shape=(4, 1, 5), R=2, m=(3, 1, 9), N=30, seed=3)
 def test_plane_sum_matches_einsum(shape, R, m, N, seed):
     # N points on m_l coordinates per mode repeat nodes and crowd planes;
     # up to 12 planes against max(1, n1 // R) per group block cross blocks,
@@ -254,6 +259,48 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed):
                       *map(np.abs, G))
     assert out.shape == shape and out.flags.f_contiguous
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+
+
+def _svd_batch(out, M, ran):
+    # fn for _on_threads: the SVD of M[i] into out[i], each i once, with
+    # the thread that ran it added to ran
+    def fn(i):
+        assert np.all(np.isnan(out[i]))
+        ran.add(threading.get_ident())
+        out[i] = np.linalg.svd(M[i], compute_uv=False)
+    return fn
+
+
+@pytest.mark.parametrize("bad", [0, 6], ids=["caller_share", "worker_share"])
+def test_on_threads_restores_blas_threads_after_raise(set_blas_threads, bad):
+    set_blas_threads(2)
+    M = np.random.default_rng(0).standard_normal((7, 30, 20))
+    svd = _svd_batch(np.full((7, 20), np.nan), M, set())
+
+    def fn(i):
+        if i == bad:
+            raise ValueError("item %d" % i)
+        svd(i)
+
+    with pytest.raises(ValueError, match="item %d" % bad):
+        _on_threads(fn, 7)
+    assert _openblas()[0]() == 2
+
+
+def test_on_threads_without_setter_matches_threaded(set_blas_threads,
+                                                    monkeypatch):
+    # two threads, the caller one of them; without the setter the same
+    # items run in the caller alone, with the same results
+    M = np.random.default_rng(1).standard_normal((9, 40, 25))
+    threaded, serial = np.full((2, 9, 25), np.nan)
+    ran = [set(), set()]
+    set_blas_threads(2)
+    _on_threads(_svd_batch(threaded, M, ran[0]), 9)
+    monkeypatch.setattr(formats, "_openblas", lambda: None)
+    _on_threads(_svd_batch(serial, M, ran[1]), 9)
+    assert same_bits(serial, threaded)
+    me = threading.get_ident()
+    assert len(ran[0]) == 2 and me in ran[0] and ran[1] == {me}
 
 
 @settings(max_examples=80, deadline=None)
