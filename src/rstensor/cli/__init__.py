@@ -7,23 +7,25 @@ the long field, less kappa^2 times the short part when kappa > 0 (then
 scattered right after the densify), the delta's face layers set to the
 exact oracle's screened-Coulomb values, and a Poisson solve that keeps them
 -> oracle field (kappa = 0 only: it is unscreened)
--> short part scattered once -> total and oracle comparison in one pass
-over blocks of planes, each block of the total written over the oracle's,
-so the total takes over the oracle's memory and that pass holds three n^3
-fields, not four.  Without an oracle the total is long plus short in one
-add.  With homogeneous faces the solve would return its input, so it is
-not run.  Every n^3 field is Fortran-ordered (mode-1 fastest), the layout
-of the ``.bin`` dumps, so they are written without a copy.  Metrics land
-in a deterministic key=value report; wall-clock stage times go to a
-separate file.  Dumps and bundles name their quadrature rank
-(``quad_rank``), which ``validate`` reads with the grid from the dump.
-Reruns at one BLAS thread count of born, and of ligand18 and a 600-atom
-cluster at n=65, are byte-identical (tested).  Across thread counts the
-BLAS splits its sums differently: the 600-atom cluster at one and at two
-threads has the same ranks and a byte-identical ``short.bin``, but its
-long part, total and metrics differ in the last bits, the total by at
-most 1e-13 of its max (tested).  ``python -m rstensor`` and
-``python -m rstensor.cli`` run ``main`` and exit with its code.
+-> short part scattered once -> the pair (long, short) compared against
+the oracle a block of planes at a time, and the oracle dropped -> total,
+long plus short in one add.  The total is allocated only once the oracle
+is gone, so a run holds three n^3 fields at its peak, not four.  With
+homogeneous faces the solve would return its input, so it is not run.
+Every n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
+``.bin`` dumps, so they are written without a copy.  Metrics land in a
+deterministic key=value file and the oracle comparison in ``report.txt``,
+which a run without an oracle removes from its output directory;
+wall-clock stage times go to a separate file.  Dumps and bundles name
+their quadrature rank (``quad_rank``), which ``validate`` reads with the
+grid from the dump.  Reruns at one BLAS thread count of born, and of
+ligand18 and a 600-atom cluster at n=65, are byte-identical (tested).
+Across thread counts the BLAS splits its sums differently: the 600-atom
+cluster at one and at two threads has the same ranks and a byte-identical
+``short.bin``, but its long part, total and metrics differ in the last
+bits, the total by at most 1e-13 of its max (tested).  ``python -m
+rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
+code.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,8 +47,7 @@ from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
 from ..formats import load_canonical, save_canonical
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
-from ..validation import (_coulomb_sum, compare, compose_and_compare,
-                          direct_sum_oracle, write_report)
+from ..validation import _coulomb_sum, compare, direct_sum_oracle, write_report
 
 _SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
@@ -312,9 +313,9 @@ def run_case(cfg, m):
     report, deterministic ``metrics`` and wall-clock ``timings``.  Every
     field's meta names the quadrature rank (``quad_rank``).  The report is
     None for ``kappa > 0``, where the Gaussian-sum oracle's unscreened
-    field is no reference, so it is skipped.  Otherwise the total is built
-    in the oracle's memory by ``compose_and_compare``, which compares each
-    block of it before writing it there; the oracle is gone afterwards.
+    field is no reference, so it is skipped.  Otherwise ``compare`` reads
+    the pair ``(u_long, short)`` against the oracle, and the oracle is
+    dropped before ``compose_total`` builds the total.
     """
     timings = {}
     t_all = time.perf_counter()
@@ -334,15 +335,14 @@ def run_case(cfg, m):
     if short is None:
         short = _short_stage(rs, timings)
     with _clock(timings, "compose"):
-        if oracle is None:
-            total = compose_total(u_long, short)
-        else:
-            # three n^3 fields at the peak: the total overwrites the oracle
-            total, report = compose_and_compare(
-                u_long, short, oracle,
-                exclude_centers=[c for c, _ in rs.short_list],
-                config={"oracle": "gaussian_sum"})
-            del oracle
+        if oracle is not None:
+            # three n^3 fields at the peak: the oracle goes before the
+            # total is allocated
+            report = compare((u_long, short), oracle,
+                             exclude_centers=[c for c, _ in rs.short_list],
+                             config={"oracle": "gaussian_sum"})
+            oracle = None
+        total = compose_total(u_long, short)
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {
@@ -410,6 +410,11 @@ def run_pipeline(cfg, m):
             fh.write("%s=%.3f\n" % (k, out["timings"][k]))
     if out["report"] is not None:
         write_report(out["report"], _p("report.txt"))
+    else:
+        # an earlier run's report would pass for this run's
+        for name in ("report.txt", "report.txt.kv"):
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(cfg.outdir, name))
     out["paths"] = paths
     return out
 
@@ -420,7 +425,7 @@ def export_slice(f, axis=None, index=None, fmt="csv", path="slice.csv"):
     CSV: one ``# axis=.. index=..`` header line, then n rows of n
     comma-separated ``%.17e`` values (exact float64 round-trip).  VTK
     (``fmt="vtk"``): STRUCTURED_POINTS scalar volume, written only when
-    ``axis`` is omitted.
+    ``axis`` and ``index`` are omitted.
     """
     n = f.grid.n
     if fmt == "csv":
@@ -438,8 +443,9 @@ def export_slice(f, axis=None, index=None, fmt="csv", path="slice.csv"):
                 fh.write(",".join("%.17e" % v for v in row) + "\n")
         return path
     if fmt == "vtk":
-        if axis is not None:
-            raise ConfigError("vtk export writes the full volume; omit axis")
+        if axis is not None or index is not None:
+            raise ConfigError("vtk export writes the full volume; omit axis "
+                              "and index")
         g = f.grid
         with open(path, "w") as fh:
             fh.write("# vtk DataFile Version 3.0\npotential field\nASCII\n")

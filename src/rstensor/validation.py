@@ -8,8 +8,9 @@ from quadrature error.  The Gaussian sum adds the atoms one plane (distinct
 third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
 most n for grid-snapped charges, whatever N is, and its GEMMs run on
 numpy's BLAS: neither oracle loads scipy.  ``compare`` reads the two
-fields a block of planes at a time; ``compose_and_compare`` runs the same
-loop on the sum of two fields and leaves that sum in the reference's memory.
+fields a block of planes at a time; given the pair ``(u_long, short)`` in
+place of one field, it adds each block of the pair first, so a run checks
+its total against the oracle before the total exists.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -143,49 +144,20 @@ def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
 def compare(a, b, exclude_centers=None, config=None):
     """Error metrics of field ``a`` against reference ``b``.
 
-    Nodes the reference lists as undefined in ``b.meta["excluded_nodes"]``
-    (the exact oracle's atom nodes, stored as 0) drop out of every metric.
-    ``exclude_centers`` lists node index triples (atom centers); the nodes
-    within one grid unit (Chebyshev) of any of them, the singular cores,
-    drop out of ``max_abs_excluding_cores`` only.
+    ``a`` may also be the pair ``(u_long, short)``, compared as their sum,
+    which is bit for bit ``compose_total(u_long, short)``: each block of i3
+    planes of it is added in the loop's one buffer, so no n^3 total is
+    allocated.  Nodes the reference lists as undefined in
+    ``b.meta["excluded_nodes"]`` (the exact oracle's atom nodes, stored as
+    0) drop out of every metric.  ``exclude_centers`` lists node index
+    triples (atom centers); the nodes within one grid unit (Chebyshev) of
+    any of them, the singular cores, drop out of
+    ``max_abs_excluding_cores`` only.
     """
-    _check_grids(a, b)
-    return _compare_blocks(a.grid, b, lambda sl, buf: a.values[sl],
-                           exclude_centers, config)
-
-
-def compose_and_compare(u_long, short, oracle, exclude_centers=None,
-                        config=None):
-    """``compose_total`` and ``compare`` against ``oracle`` in one pass,
-    the total written over the oracle.
-
-    Each of ``compare``'s blocks of i3 planes of ``u_long + short`` is
-    formed, compared with the oracle's block as ``compare`` does, and then
-    written over that block, so the total takes over the oracle's memory
-    and no further n^3 array is allocated; ``oracle`` holds the total
-    afterwards.  Returns ``(total, report)``, bit for bit
-    ``compose_total(u_long, short)`` and ``compare`` of it against the
-    oracle.
-    """
-    if u_long.grid != short.grid:
-        raise ConfigError("long and short field grids differ")
-    _check_grids(u_long, oracle)
-    u, s = u_long.values, short.values
-    report = _compare_blocks(
-        u_long.grid, oracle, lambda sl, buf: np.add(u[sl], s[sl], out=buf),
-        exclude_centers, config, overwrite=True)
-    return GridFunction3(u_long.grid, oracle.values,
-                         dict(u_long.meta, composed=True)), report
-
-
-def _check_grids(a, b):
-    if a.grid != b.grid:
+    parts = a if isinstance(a, tuple) else (a,)
+    if any(p.grid != b.grid for p in parts):
         raise ConfigError("fields live on different grids")
-
-
-def _compare_blocks(g, b, block, exclude_centers, config, overwrite=False):
-    # the loop of compare: block(sl, buf) is the compared field's block of
-    # i3 planes sl, which it may build in buf
+    g = b.grid
     mask = np.zeros((g.n,) * 3, dtype=bool, order="F")
     for c in exclude_centers or []:
         lo = [max(ci - 1, 0) for ci in c]
@@ -195,19 +167,19 @@ def _compare_blocks(g, b, block, exclude_centers, config, overwrite=False):
     if b.meta.get("excluded_nodes"):
         undefined = np.zeros((g.n,) * 3, dtype=bool, order="F")
         undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
-    # |a - b| goes through one 2 MiB buffer, or with ``overwrite`` through
-    # the block of b, which a's block replaces once read; its undefined
-    # nodes are zeroed first, its core nodes once the block's sums and
-    # full-grid max are taken
+    # the block of a and then |a - b| go through one 2 MiB buffer; its
+    # undefined nodes are zeroed first, its core nodes once the block's
+    # sums and full-grid max are taken
     k = max(1, 2 ** 18 // g.n ** 2)
     buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
     max_abs = max_excl = ss = ref_ss = 0.0
     for i3 in range(0, g.n, k):
         sl = np.s_[:, :, i3:i3 + k]
         ref = b.values[sl]
-        blk = buf[:, :, :ref.shape[2]]
-        x = block(sl, blk)
-        d = ref if overwrite else blk
+        d = buf[:, :, :ref.shape[2]]
+        x = parts[0].values[sl]
+        for p in parts[1:]:
+            x = np.add(x, p.values[sl], out=d)
         ref_ss += _sumsq(ref if undefined is None else ref[~undefined[sl]])
         np.abs(np.subtract(x, ref, out=d), out=d)
         if undefined is not None:
@@ -216,8 +188,6 @@ def _compare_blocks(g, b, block, exclude_centers, config, overwrite=False):
         ss += _sumsq(d)
         d[mask[sl]] = 0.0
         max_excl = max(max_excl, float(d.max()))
-        if overwrite:
-            ref[...] = x
     l2 = np.sqrt(g.h ** 3 * ss)
     rel = np.sqrt(ss / ref_ss) if ref_ss > 0 else (0.0 if ss == 0 else np.inf)
     if not np.isfinite(rel):

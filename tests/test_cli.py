@@ -281,6 +281,13 @@ def test_export_errors(tmp_path):
         rt.export_slice(f, axis=1, index=9, fmt="csv", path=str(tmp_path / "x"))
     with pytest.raises(rt.ConfigError):
         rt.export_slice(f, axis=1, index=0, fmt="vtk", path=str(tmp_path / "x"))
+    # the volume has no slice: an index is an error, not ignored
+    with pytest.raises(rt.ConfigError):
+        rt.export_slice(f, index=5, fmt="vtk", path=str(tmp_path / "x"))
+    rt.save_field(f, str(tmp_path / "f.bin"))
+    assert rt.main(["export", "--field", str(tmp_path / "f.bin"), "--format",
+                    "vtk", "--index", "5", "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
     with pytest.raises(rt.ConfigError):
         rt.export_slice(f, fmt="hdf", path=str(tmp_path / "x"))
 
@@ -399,11 +406,11 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 
 @pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
 @pytest.mark.parametrize("case", ["born97", "cluster60"])
-def test_total_over_oracle_matches_compose_and_compare(born_mol, cluster60,
-                                                       case, bc):
-    # run_case composes the total over the oracle in one pass over compare's
-    # blocks of i3 planes; born at n=97 has 27 planes per block, three full
-    # blocks and a ragged one of 16
+def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
+    # run_case compares the pair (u_long, short) with the oracle, summed
+    # over compare's blocks of i3 planes, before compose_total builds the
+    # total; born at n=97 has 27 planes per block, three full blocks and a
+    # ragged one of 16
     m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
               "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
     out = rt.run_case(cfg, m)
@@ -419,18 +426,19 @@ def test_total_over_oracle_matches_compose_and_compare(born_mol, cluster60,
 
 @pytest.mark.parametrize("case", ["ligand18", "cluster100"])
 def test_run_case_peak_holds_three_fields(ligand_mol, case):
-    # The peak of a run with the oracle is the pass that composes the total
-    # over it: three n^3 float fields (u_long, short, and the oracle that
-    # becomes the total), compare's n^3 bool core mask and its one buffer of
-    # k = 2^18 // n^2 planes, and what the result keeps besides the fields
-    # (the long factors, the long and short reference columns, the short
-    # template, the kernel), plus 256 KiB of slack.  The oracle is built
-    # before the short field exists: two fields and its (planes x R, n, n)
-    # plane-sum block, under one field here (2 x 29 x 65^2 floats), stay
-    # below that.  A separate total array is a fourth field, 2.1 MiB here,
-    # and breaks the bound.  cluster100's long part is reduced (2100 ->
-    # 2028): the core of its Tucker image, not counted, is dropped once
-    # densified (kept, it broke the bound by 1.7 MB)
+    # The peak of a run with the oracle is its compare pass: three n^3
+    # float fields (u_long, short and the oracle, which goes before the
+    # total is allocated), compare's n^3 bool core mask and its one buffer
+    # of k = 2^18 // n^2 planes, and what the result keeps besides the
+    # fields (the long factors, the long and short reference columns, the
+    # short template, the kernel), plus 256 KiB of slack.  The oracle is
+    # built before the short field exists: two fields and its (planes x R,
+    # n, n) plane-sum block, under one field here (2 x 29 x 65^2 floats),
+    # stay below that.  A total allocated while the oracle lives, or an n^3
+    # sum inside compare, is a fourth field, 2.1 MiB here, and breaks the
+    # bound.  cluster100's long part is reduced (2100 -> 2028): the core of
+    # its Tucker image, not counted, is dropped once densified (kept, it
+    # broke the bound by 1.7 MB)
     m = ligand_mol if case == "ligand18" else rt.synthetic_cluster(100, 8.0,
                                                                    seed=1)
     cfg = rt.RunConfig(n=65)
@@ -706,6 +714,21 @@ def test_screened_run_skips_oracle(tmp_path):
     assert not {"l2_weighted", "l2_relative", "rss", "max_abs",
                 "max_abs_excl"} & set(met)
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_screened_rerun_drops_stale_report(tmp_path):
+    # a kappa > 0 run into the directory of a run with the oracle leaves
+    # no report beside its oracle=skipped metrics
+    base = ["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o", str(tmp_path)]
+    assert rt.main(base) == 0
+    assert (tmp_path / "report.txt").exists()
+    assert (tmp_path / "report.txt.kv").exists()
+    assert rt.main(base + ["--bc", "analytic", "--kappa", "0.5"]) == 0
+    met = dict(line.split("=", 1)
+               for line in (tmp_path / "metrics.txt").read_text().splitlines())
+    assert met["oracle"] == "skipped"
+    assert not (tmp_path / "report.txt").exists()
+    assert not (tmp_path / "report.txt.kv").exists()
 
 
 @pytest.mark.parametrize("cmd", ["run", "assemble"])

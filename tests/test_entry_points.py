@@ -48,6 +48,28 @@ def test_traced_targets_resolve(monkeypatch):
             assert fn.__module__.startswith("rstensor."), (name, fn.__module__)
 
 
+def test_traced_run_compares_and_composes_once(monkeypatch):
+    # a traced run reaches compare and compose_total through the names the
+    # tracer wraps, once each, and the compare hook reads the figure that
+    # metrics.txt reports
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    m = rt.parse_pqr(BORN)
+    tracer = tracing.Tracer()
+    tracer.install(tracing.targets(rt))
+    try:
+        out = rt.run_case(rt.RunConfig(n=33, b=8.0), m)
+    finally:
+        tracer.restore()
+    spans = tracer.take()
+    top = [i for i, s in enumerate(spans) if s[0] == "cli.run_case"]
+    assert len(top) == 1
+    for name in ("validation.compare", "solver.compose_total"):
+        assert [s[3] for s in spans if s[0] == name] == top, name
+    assert tracer.counts["validation.l2_relative"] == float(
+        out["metrics"]["l2_relative"])
+
+
 def test_solver_dstn_takes_the_solve_transforms(monkeypatch):
     # the tracer wraps solver.dstn by name, so poisson_solve must reach
     # both of its sine transforms through that module attribute

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
-from rstensor.validation import compose_and_compare
 
 SQRT3 = np.sqrt(3.0)
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -50,8 +50,8 @@ def test_compare_rejects_grid_mismatch():
 _ONE_ULP = {
     "compare": rt.compare,
     "compose_total": rt.compose_total,
-    "compose_and_compare-short": lambda a, b: compose_and_compare(a, b, a),
-    "compose_and_compare-oracle": lambda a, b: compose_and_compare(a, a, b),
+    "compare-pair-short": lambda a, b: rt.compare((a, b), a),
+    "compare-pair-reference": lambda a, b: rt.compare((a, a), b),
 }
 
 
@@ -215,6 +215,33 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
     for k, v in ref.items():
         assert getattr(rep, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
     assert np.array_equal(fb.values, b)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_compare_pair_is_compare_of_total(order):
+    # the pair is added a block of planes at a time: at n=65 compare reads
+    # blocks of 62 planes, so the last is a ragged one of 3, which holds
+    # the third atom's node; the exact oracle leaves the atom nodes
+    # undefined, and their cores leave the core-excluding max
+    g = rt.Grid3(65, 4.0)
+    m = rt.Molecule([(0.0, 0.0, 0.0), (1.0, -0.5, 2.0), (0.5, 0.5, 3.875)],
+                    [1.0, -1.0, 0.5])
+    sm, (nodes, _) = rt.snapped_molecule(m, g)
+    oracle = rt.direct_sum_oracle(sm, g, kernel="exact_newton")
+    assert len(oracle.meta["excluded_nodes"]) == 3
+    assert max(c[2] for c in oracle.meta["excluded_nodes"]) >= 62
+    rng = np.random.default_rng(7)
+    u, s = (rt.GridFunction3(g, np.asarray(
+        w * oracle.values + 1e-3 * rng.standard_normal(oracle.values.shape),
+        order=order)) for w in (0.7, 0.3))
+    kw = {"exclude_centers": nodes.tolist(), "config": {"case": "pair"}}
+    pair = rt.compare((u, s), oracle, **kw)
+    assert dataclasses.asdict(pair) == dataclasses.asdict(
+        rt.compare(rt.compose_total(u, s), oracle, **kw))
+    ref = _compare_reference(u.values + s.values, oracle.values,
+                             nodes.tolist(), oracle.meta["excluded_nodes"], g.h)
+    for k, v in ref.items():
+        assert getattr(pair, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
 
 
 def test_compare_all_nodes_excluded():
