@@ -18,7 +18,7 @@ from .formats import (CanonicalTensor3, TuckerTensor3, c2t_rhosvd, dense,
                       t2c, zero_canonical)
 from .grid_kernel import (Grid3, ReferenceKernel, SincQuadrature,
                           assemble_reference_tensor, build_quadrature,
-                          gamma_for_separation, gaussian_sum, split_reference)
+                          gamma_for_separation, split_reference)
 from .assembly import (Molecule, RSTensor, assemble_collective, rs_eval_entry,
                        scatter_short, snap_to_grid, snapped_molecule)
 from .solver import (DiscreteLaplacian, GridFunction3, apply_kron_laplacian,
@@ -39,7 +39,7 @@ __all__ = [
     "apply_stencil_dense", "assemble_collective", "assemble_reference_tensor",
     "build_quadrature", "c2t_rhosvd", "compare", "compose_total", "dense",
     "direct_sum_oracle", "eval_entry", "export_slice",
-    "gamma_for_separation", "gaussian_field", "gaussian_sum",
+    "gamma_for_separation", "gaussian_field",
     "load_canonical", "load_field", "main", "parse_pqr",
     "poisson_solve", "reduce_rank", "resolve_box", "rs_eval_entry",
     "run_case", "run_pipeline", "save_canonical", "save_field",

@@ -134,9 +134,9 @@ class RSTensor:
     that equals ``long``'s reduced terms, and ``long_reference`` holds the
     R_L reference columns of an explicit per-atom sum; both are None when
     ``long`` was read from a bundle.  ``long_field`` picks the densify
-    route from them.  ``cli._long_stage`` drops ``long_image`` once it is
-    densified; a later ``long_field`` reads ``long``.  Every dense array the
-    tensor builds is Fortran-ordered, like every n^3 field.
+    route from them and drops ``long_image`` once it is densified; a later
+    ``long_field`` reads ``long``.  Every dense array the tensor builds is
+    Fortran-ordered, like every n^3 field.
 
     Entry queries read a cell index built on first use (``cell_index``):
     the grid is cut into cells of side gamma nodes, and each cell's row in
@@ -168,9 +168,11 @@ class RSTensor:
     def long_field(self):
         """The long part on the full grid: three mode products of its Tucker
         image when it was reduced, a plane sum over the reference columns
-        when it is the explicit per-atom sum, else term by term."""
+        when it is the explicit per-atom sum, else term by term.  The image
+        is dropped once densified; a later call reads ``long``."""
         if self.long_image is not None:
-            return tucker_dense(self.long_image)
+            image, self.long_image = self.long_image, None
+            return tucker_dense(image)
         if self.long_reference is not None:
             return shift_sum_dense(self.long_reference, *zip(*self.short_list))
         return dense(self.long)
@@ -326,12 +328,12 @@ def rs_eval_entry(t, i):
     return float(val + np.dot(weights[hits], T.ravel(order="F")[flat]))
 
 
-def scatter_short(t, out):
-    """Add the short-range field into dense array ``out`` (shape n^3) in place.
-
-    The template shares the fields' Fortran order, so each add of a
-    Fortran-ordered ``out`` walks both operands in memory order.
-    """
+def scatter_short(t, out, scale=1.0):
+    """Add ``scale`` times the short-range field into dense n^3 ``out`` in
+    place and return it; each window's weight is multiplied by ``scale``,
+    so the default adds the field bit for bit.  The template shares the
+    fields' Fortran order, so each add of a Fortran-ordered ``out`` walks
+    both operands in memory order."""
     n = t.grid.n
     if out.shape != (n, n, n):
         raise ConfigError("output array does not match the grid")
@@ -345,5 +347,6 @@ def scatter_short(t, out):
             b = min(lo[l] + 2 * r + 1, n)
             sl_out.append(slice(a, b))
             sl_t.append(slice(a - lo[l], b - lo[l]))
-        out[sl_out[0], sl_out[1], sl_out[2]] += w * T[sl_t[0], sl_t[1], sl_t[2]]
+        out[sl_out[0], sl_out[1], sl_out[2]] += \
+            (scale * w) * T[sl_t[0], sl_t[1], sl_t[2]]
     return out

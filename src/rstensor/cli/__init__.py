@@ -1,19 +1,20 @@
 """Run configuration, molecule ingestion, pipeline orchestration, export.
 
-The pipeline stages are: quadrature -> reference kernel -> long/short split
--> molecule snap -> collective assembly -> long part densified on the grid
-(``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil of
-the long field, less kappa^2 times the short part when kappa > 0 (then
-scattered right after the densify), the delta's face layers set to the
-exact oracle's screened-Coulomb values, and a Poisson solve that keeps them
--> oracle field (kappa = 0 only: it is unscreened)
--> short part scattered once -> the pair (long, short) compared against
-the oracle a block of planes at a time, and the oracle dropped -> total,
-long plus short in one add.  The total is allocated only once the oracle
-is gone, so a run holds three n^3 fields at its peak, not four.  With
-homogeneous faces the solve would return its input, so it is not run.
-Every n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
-``.bin`` dumps, so they are written without a copy.  Metrics land in a
+The pipeline stages run in this order at every kappa, each timed under
+its own key: quadrature -> reference kernel -> long/short split ->
+molecule snap -> collective assembly -> long part densified on the grid
+(``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil
+of the long field with -kappa^2 times the short part scattered into it,
+its face layers set to the exact oracle's screened-Coulomb values, and a
+Poisson solve that keeps them -> oracle field (kappa = 0 only: it is
+unscreened) -> short part scattered once -> (kappa = 0 only) the pair
+(long, short) compared against the oracle a block of planes at a time,
+and the oracle dropped -> total, long plus short in one add.  The total
+is allocated only once the oracle is gone, so a run holds three n^3
+fields at its peak, not four.  With homogeneous faces the solve would
+return its input, so it is not run.  Every n^3 field is Fortran-ordered
+(mode-1 fastest), the layout of the ``.bin`` dumps, so they are written
+without a copy.  Metrics land in a
 deterministic key=value file and the oracle comparison in ``report.txt``,
 which a run without an oracle removes from its output directory;
 wall-clock stage times go to a separate file.  Dumps and bundles name
@@ -254,33 +255,29 @@ def _assemble_stage(cfg, m, timings):
 
 
 def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
-    """Long-range potential on the grid, and the short field if it read it.
+    """Long-range potential on the grid.
 
     The long part is densified by ``rs.long_field()`` into a Fortran-ordered
-    (mode-1 fastest) array, and ``rs.long_image`` is dropped.  With
-    homogeneous faces that is the result (it solves ``-lap u = -lap
-    rs.long``).  With ``bc_molecule`` the face layers of ``rhs``, unread
-    by the trace solve, take the molecule's screened-Coulomb values, and
-    ``poisson_solve(rhs, L, rhs)`` keeps them and solves for the interior
-    (four n^3 arrays at its peak): the regular part u_r of the total
-    ``U_short + u_r`` solves ``(-lap + kappa^2) u_r = -lap U_long -
-    kappa^2 U_short``.  Returns ``(u_long, short)``; ``short`` is None
-    unless ``kappa > 0``, where the right-hand side reads it, so it is
-    scattered right after the densify.
+    (mode-1 fastest) array.  With homogeneous faces that is the result (it
+    solves ``-lap u = -lap rs.long``).  With ``bc_molecule`` the face
+    layers of ``rhs``, unread by the trace solve, take the molecule's
+    screened-Coulomb values, and ``poisson_solve(rhs, L, rhs)`` keeps them
+    and solves for the interior (four n^3 arrays at its peak): the regular
+    part u_r of the total ``U_short + u_r`` solves ``(-lap + kappa^2) u_r
+    = -lap U_long - kappa^2 U_short``, whose last term is scattered
+    straight into ``rhs`` with weights scaled by ``-kappa^2``.
     """
     with _clock(timings, "dense"):
         values = rs.long_field()
-        rs.long_image = None
     if bc_molecule is None:
         return GridFunction3(rs.grid, values, {
-            "bc": "homogeneous", "quad_rank": rs.quad_rank}), None
-    short = _short_stage(rs, timings) if kappa > 0 else None
+            "bc": "homogeneous", "quad_rank": rs.quad_rank})
     with _clock(timings, "delta"):
         rhs = apply_stencil_dense(DiscreteLaplacian(rs.grid), values)
         del values  # read no more: the solve's arrays take its place
         np.negative(rhs, out=rhs)
         if kappa > 0:
-            rhs -= kappa * kappa * short.values
+            scatter_short(rs, rhs, -kappa * kappa)
     with _clock(timings, "solve"):
         # screened-Coulomb boundary data, in O(6 N n^2) arithmetic: exact
         # (screened) 1/r, while the interior and the oracle use the
@@ -292,13 +289,13 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
             rhs[tuple(face)] = _coulomb_sum(bc_molecule, *axes, kappa)[0]
         u = poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa), rhs)
     u.meta["quad_rank"] = rs.quad_rank
-    return u, short
+    return u
 
 
 def _short_stage(rs, timings):
     """The short-range field (``bc=none``): the run's one scatter of the
     short part, into a Fortran-ordered zero array."""
-    with _clock(timings, "compose"):
+    with _clock(timings, "scatter"):
         return GridFunction3(rs.grid, scatter_short(
             rs, np.zeros((rs.grid.n,) * 3, order="F")),
             {"bc": "none", "quad_rank": rs.quad_rank})
@@ -310,38 +307,41 @@ def run_case(cfg, m):
     Returns a dict with the fields ``total`` = ``u_long`` + ``short`` (the
     long-range solve and the run's one short-range scatter), the assembled
     tensor (``rs``), the reference kernel, the snapped molecule, the error
-    report, deterministic ``metrics`` and wall-clock ``timings``.  Every
-    field's meta names the quadrature rank (``quad_rank``).  The report is
-    None for ``kappa > 0``, where the Gaussian-sum oracle's unscreened
-    field is no reference, so it is skipped.  Otherwise ``compare`` reads
-    the pair ``(u_long, short)`` against the oracle, and the oracle is
-    dropped before ``compose_total`` builds the total.
+    report, deterministic ``metrics`` and wall-clock ``timings``, one key
+    per stage.  Every field's meta names the quadrature rank.  The report
+    is None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is
+    no reference.  Otherwise ``compare`` reads the pair ``(u_long, short)``
+    against the oracle, which is dropped before ``compose_total`` builds
+    the total.  A grid on which one n^3 field cannot be allocated raises
+    ``MemoryError`` before the quadrature is built.
     """
     timings = {}
     t_all = time.perf_counter()
+    cfg.validate()
+    np.empty((cfg.n,) * 3, order="F")  # untouched, so no page is written
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 
-    u_long, short = _long_stage(rs, timings, cfg.kappa,
-                                snapped if cfg.bc == "analytic" else None)
+    u_long = _long_stage(rs, timings, cfg.kappa,
+                         snapped if cfg.bc == "analytic" else None)
     # the oracle comes once the long field is final and its densify or
     # solve temporaries are gone, and before the short field exists: its
     # plane-sum block then meets two n^3 fields, not three
-    oracle = report = None
+    report = None
     if cfg.kappa == 0:
         with _clock(timings, "oracle"):
             oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                        quad=q)
-    if short is None:
-        short = _short_stage(rs, timings)
-    with _clock(timings, "compose"):
-        if oracle is not None:
+    short = _short_stage(rs, timings)
+    if cfg.kappa == 0:
+        with _clock(timings, "compare"):
             # three n^3 fields at the peak: the oracle goes before the
             # total is allocated
             report = compare((u_long, short), oracle,
                              exclude_centers=[c for c, _ in rs.short_list],
                              config={"oracle": "gaussian_sum"})
-            oracle = None
+            del oracle
+    with _clock(timings, "compose"):
         total = compose_total(u_long, short)
     timings["total"] = time.perf_counter() - t_all
 
@@ -573,7 +573,7 @@ def _load_bundle(d):
 
 def _cmd_solve(args):
     rs = _load_bundle(args.indir)
-    u, _ = _long_stage(rs, {})
+    u = _long_stage(rs, {})
     total = compose_total(u, _short_stage(rs, {}))
     out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)

@@ -87,15 +87,10 @@ class SincQuadrature:
         return self.nodes.shape[0]
 
 
-def gaussian_sum(q, rho):
-    """Evaluate sum_k c_k exp(-t_k^2 rho^2) at scalar or array rho."""
-    return _gauss(q.nodes, q.weights, np.asarray(rho, dtype=float))
-
-
 def _gauss(t, c, rho):
-    # the one evaluator of sum_k c_k exp(-t_k^2 rho^2), for gaussian_sum and
-    # the quadrature's error profile rho * _gauss - 1; exponents are clipped
-    # where exp underflows
+    # the one evaluator of sum_k c_k exp(-t_k^2 rho^2), for the quadrature's
+    # error profile rho * _gauss - 1 (and the tests' gaussian_sum); exponents
+    # are clipped where exp underflows
     X = np.multiply.outer(rho * rho, t * t)
     np.clip(X, None, 700.0, out=X)
     return np.exp(-X) @ c

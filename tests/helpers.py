@@ -1,10 +1,11 @@
 """Reference arithmetic that only the tests use.
 
 Each helper is a plain, slow or dense counterpart of something the package
-does in compressed form: batch and slice evaluation of canonical tensors,
-the explicit delta of the short-range part, the O(n^2)-per-line sine
-transform, single shifted kernel windows, a split at a fixed long-range
-count, and reading back an exported CSV slice.
+does in compressed form: the pointwise Gaussian sum of a quadrature, batch
+and slice evaluation of canonical tensors, the explicit delta of the
+short-range part, the O(n^2)-per-line sine transform, single shifted kernel
+windows, a split at a fixed long-range count, and reading back an exported
+CSV slice.
 """
 
 import dataclasses
@@ -15,6 +16,12 @@ import numpy as np
 from rstensor import (CanonicalTensor3, ConfigError, apply_kron_laplacian,
                       zero_canonical)
 from rstensor.formats import shift_sum
+from rstensor.grid_kernel import _gauss
+
+
+def gaussian_sum(q, rho):
+    """Evaluate sum_k c_k exp(-t_k^2 rho^2) at scalar or array rho."""
+    return _gauss(q.nodes, q.weights, np.asarray(rho, dtype=float))
 
 
 def negate(t):

@@ -209,6 +209,14 @@ def test_rs_additivity_dense():
     rt.scatter_short(rs, ref)
     for i in np.ndindex(17, 17, 17):
         assert abs(rt.rs_eval_entry(rs, i) - ref[i]) <= 1e-10
+    # a weight factor of 1.0 is the default bit for bit; another scales each
+    # window's weight, so where windows overlap the sum rounds in another
+    # order than the scaled field
+    short = rt.scatter_short(rs, np.zeros((17, 17, 17)))
+    assert same_bits(rt.scatter_short(rs, np.zeros((17, 17, 17)), 1.0), short)
+    scaled = rt.scatter_short(rs, np.zeros((17, 17, 17)), -0.37)
+    assert np.max(np.abs(scaled + 0.37 * short)) \
+        <= 4 * np.spacing(0.37 * np.max(np.abs(short)))
 
 
 @pytest.fixture(scope="module")

@@ -182,12 +182,12 @@ def test_short_dump_is_short_field(tmp_path, born_mol):
 
 def _count_scatters(monkeypatch):
     # rebinds every module name holding scatter_short, so no caller is missed;
-    # returns the list of the arrays scattered into
+    # returns the list of (scale, array scattered into) pairs
     orig, made = rt.scatter_short, []
 
-    def counted(rs, out):
-        made.append(orig(rs, out))
-        return made[-1]
+    def counted(rs, out, scale=1.0):
+        made.append((scale, orig(rs, out, scale)))
+        return made[-1][1]
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "rstensor":
             for attr, v in list(vars(mod).items()):
@@ -204,16 +204,35 @@ def _dumps(d, *names):
     [], ["--bc", "analytic"], ["--bc", "analytic", "--kappa", "0.5"]],
     ids=["homogeneous", "analytic", "kappa"])
 def test_run_scatters_short_once(tmp_path, monkeypatch, flags):
-    # every consumer reads the one short field: the dump, the total and,
-    # at kappa > 0, the right-hand side
+    # the dump and the total read the one short field; at kappa > 0 the
+    # right-hand side gets its own scatter, scaled by -kappa^2, and no n^3
+    # short field of its own
     made = _count_scatters(monkeypatch)
     assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "-o", str(tmp_path)]
                    + flags) == 0
-    assert len(made) == 1
     total, u_long, short = _dumps(tmp_path, "total.bin", "ulong.bin",
                                   "short.bin")
-    assert np.array_equal(short, made[0])
+    field = [out for scale, out in made if scale == 1.0]
+    assert len(field) == 1
+    assert np.array_equal(short, field[0])
     assert np.array_equal(total, u_long + short)
+    kappa = float(flags[-1]) if "--kappa" in flags else 0.0
+    assert len(made) == 1 + (kappa > 0)
+    if kappa > 0:
+        (scale, rhs), = [m for m in made if m[0] != 1.0]
+        assert scale == -kappa * kappa
+        # the solve kept the faces of its right-hand side and solved for
+        # the interior: (-lap + kappa^2) u_long = rhs there
+        for ax in range(3):
+            for end in (0, -1):
+                assert np.array_equal(np.moveaxis(rhs, ax, 0)[end],
+                                      np.moveaxis(u_long, ax, 0)[end])
+        grid = rt.load_field(tmp_path / "ulong.bin").grid
+        lhs = -rt.apply_stencil_dense(rt.DiscreteLaplacian(grid, kappa),
+                                      u_long)
+        inner = (slice(1, -1),) * 3
+        assert np.max(np.abs(lhs[inner] - rhs[inner])) \
+            <= 1e-10 * np.max(np.abs(rhs[inner]))
 
 
 def test_solve_scatters_short_once(tmp_path, monkeypatch):
@@ -221,9 +240,10 @@ def test_solve_scatters_short_once(tmp_path, monkeypatch):
                     str(tmp_path)]) == 0
     made = _count_scatters(monkeypatch)
     assert rt.main(["solve", "-i", str(tmp_path)]) == 0
-    assert len(made) == 1
+    (scale, short), = made
+    assert scale == 1.0
     total, u_long = _dumps(tmp_path, "total.bin", "ulong.bin")
-    assert np.array_equal(total, u_long + made[0])
+    assert np.array_equal(total, u_long + short)
 
 
 def test_export_zero_field_csv(tmp_path):
@@ -298,17 +318,31 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_grid_too_large_exit_code(tmp_path, capsys):
+def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
     # 100001^3 floats cannot be allocated: numpy's MemoryError is reported
-    # as a one-line configuration error, before any output is written
+    # as a one-line configuration error, before any output is written and
+    # before the quadrature, as one untouched n^3 field is tried first
+    monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
     out = tmp_path / "out"
     rc = rt.main(["run", "--pqr", BORN, "--n", "100001", "--b", "8",
-                  "--rank", "8", "-o", str(out)])
+                  "-o", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "100001" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, keys", [
+    ([], ["assemble", "compare", "compose", "dense", "kernel", "oracle",
+          "quadrature", "scatter", "total"]),
+    (["--bc", "analytic", "--kappa", "0.5"],
+     ["assemble", "compose", "delta", "dense", "kernel", "quadrature",
+      "scatter", "solve", "total"])], ids=["homogeneous", "kappa"])
+def test_timings_have_one_key_per_stage(tmp_path, flags, keys):
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8",
+                    "-o", str(tmp_path)] + flags) == 0
+    assert sorted(_kv(tmp_path / "timings.txt")) == keys
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):
@@ -384,7 +418,7 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
     rs = rt.cli._load_bundle(str(born_bundle))
-    u, _ = rt.cli._long_stage(rs, {})
+    u = rt.cli._long_stage(rs, {})
     short = rt.cli._short_stage(rs, {})
     total = rt.compose_total(u, short)
     assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
@@ -465,20 +499,21 @@ def test_long_stage_analytic_peak(ligand_mol, kappa):
     # the faces go into the face layers of the right-hand side, which is
     # also the solve's bc_field: at the DST the right-hand side, the
     # interior copy, its transform and the inverse transform (four n^3
-    # arrays), and at kappa > 0 the short field.  A separate n^3 face
-    # array was a fifth (sixth) array here
+    # arrays).  At kappa > 0 the short part is scattered into the
+    # right-hand side, so no n^3 short field is held.  A separate n^3 face
+    # array was a fifth array here
     rs, _, _, snapped, _ = rt.cli._assemble_stage(rt.RunConfig(n=65),
                                                   ligand_mol, {})
     rt.cli._long_stage(rs, {}, kappa, snapped)  # caches filled outside
     tracemalloc.start()
     try:
-        u, short = rt.cli._long_stage(rs, {}, kappa, snapped)
+        u = rt.cli._long_stage(rs, {}, kappa, snapped)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert u.meta["bc"] == "trace" and (short is None) == (kappa == 0)
+    assert u.meta["bc"] == "trace"
     n = rs.grid.n
-    bound = (4 + (kappa > 0)) * 8 * n ** 3 + 2 ** 19
+    bound = 4 * 8 * n ** 3 + 2 ** 19
     assert peak <= bound, (peak, bound)
 
 
@@ -883,7 +918,7 @@ def densify_cases(cluster60, ligand_mol):
 
 @pytest.mark.parametrize("case", ["cluster60", "ligand18"])
 def test_u_long_is_dense_long(densify_cases, cluster60, ligand_mol, case):
-    # the route is read off the tensor as assembled; run_case drops the
+    # the route is read off the tensor as assembled; long_field drops the
     # Tucker image once it is densified
     m, cfg = {"cluster60": (cluster60, rt.RunConfig(n=33, b=10.0)),
               "ligand18": (ligand_mol, rt.RunConfig(n=33))}[case]
