@@ -168,8 +168,7 @@ class RSTensor:
     def long_field(self):
         """The long part on the full grid: three mode products of its Tucker
         image when it was reduced, a plane sum over the reference columns
-        when it is the explicit per-atom sum, else term by term.  The image
-        is dropped once densified; a later call reads ``long``."""
+        when it is the explicit per-atom sum, else term by term."""
         if self.long_image is not None:
             image, self.long_image = self.long_image, None
             return tucker_dense(image)

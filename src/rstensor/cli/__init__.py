@@ -14,23 +14,23 @@ is allocated only once the oracle is gone, so a run holds three n^3
 fields at its peak, not four.  With homogeneous faces the solve would
 return its input, so it is not run.  Every n^3 field is Fortran-ordered
 (mode-1 fastest), the layout of the ``.bin`` dumps, so they are written
-without a copy.  Metrics land in a
-deterministic key=value file and the oracle comparison in ``report.txt``,
-which a run without an oracle removes from its output directory;
-wall-clock stage times go to a separate file.  Dumps and bundles name
-their quadrature rank (``quad_rank``), which ``validate`` reads with the
-grid from the dump.  Reruns at one BLAS thread count of born, and of
-ligand18 and a 600-atom cluster at n=65, are byte-identical (tested).
-Across thread counts the BLAS splits its sums differently: the 600-atom
-cluster at one and at two threads has the same ranks and a byte-identical
-``short.bin``, but its long part, total and metrics differ in the last
-bits, the total by at most 1e-13 of its max (tested).  ``python -m
-rstensor`` and ``python -m rstensor.cli`` run ``main`` and exit with its
-code.
+without a copy.  Metrics land in a deterministic key=value file and the
+oracle comparison in ``report.txt``, which a run without an oracle
+removes from its output directory; the stage times go to a separate
+file.  Dumps and bundles name their quadrature rank (``quad_rank``),
+which ``validate`` reads with the grid from the dump.  Reruns at one BLAS
+thread count of born, and of ligand18 and a 600-atom cluster at n=65, are
+byte-identical (tested).  Across thread counts the BLAS splits its sums
+differently: the 600-atom cluster at one and at two threads has the same
+ranks and a byte-identical ``short.bin``, but its long part, total and
+metrics differ in the last bits, the total by at most 1e-13 of its max
+(tested).  ``python -m rstensor`` and ``python -m rstensor.cli`` run
+``main`` and exit with its code.
 """
 
 import argparse
 import json
+import mmap
 import os
 import sys
 import time
@@ -264,8 +264,7 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
     screened-Coulomb values, and ``poisson_solve(rhs, L, rhs)`` keeps them
     and solves for the interior (four n^3 arrays at its peak): the regular
     part u_r of the total ``U_short + u_r`` solves ``(-lap + kappa^2) u_r
-    = -lap U_long - kappa^2 U_short``, whose last term is scattered
-    straight into ``rhs`` with weights scaled by ``-kappa^2``.
+    = -lap U_long - kappa^2 U_short``, the last term scattered into ``rhs``.
     """
     with _clock(timings, "dense"):
         values = rs.long_field()
@@ -310,15 +309,20 @@ def run_case(cfg, m):
     report, deterministic ``metrics`` and wall-clock ``timings``, one key
     per stage.  Every field's meta names the quadrature rank.  The report
     is None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is
-    no reference.  Otherwise ``compare`` reads the pair ``(u_long, short)``
-    against the oracle, which is dropped before ``compose_total`` builds
-    the total.  A grid on which one n^3 field cannot be allocated raises
-    ``MemoryError`` before the quadrature is built.
+    no reference; else ``compare`` reads the pair ``(u_long, short)``
+    against the oracle, dropped before ``compose_total`` builds the total.
+    A grid too large for one n^3 field is a ``MemoryError`` at once.
     """
     timings = {}
     t_all = time.perf_counter()
     cfg.validate()
-    np.empty((cfg.n,) * 3, order="F")  # untouched, so no page is written
+    # mapped unwritten, not malloc'ed: freeing a malloc'ed field would raise
+    # glibc's mmap threshold and keep more of the run's heap resident
+    try:
+        mmap.mmap(-1, 8 * cfg.n ** 3, flags=mmap.MAP_PRIVATE).close()
+    except (OSError, OverflowError):
+        raise MemoryError("cannot allocate one %d^3 float64 field (%.3g GiB)"
+                          % (cfg.n, 8 * cfg.n ** 3 / 2 ** 30)) from None
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 
@@ -665,8 +669,7 @@ def main(argv=None):
     try:
         return handlers[args.cmd](args)
     except (ConfigError, MemoryError) as e:
-        # a grid too large for memory is a configuration error; numpy's
-        # message names the array shape
+        # a grid too large for memory is a configuration error
         print("config error: %s" % e, file=sys.stderr)
         return 2
     except NumericError as e:
