@@ -319,9 +319,9 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
-    # 100001^3 floats cannot be allocated: numpy's MemoryError is reported
-    # as a one-line configuration error, before any output is written and
-    # before the quadrature, as one untouched n^3 field is tried first
+    # 100001^3 floats cannot be allocated: the MemoryError is reported as
+    # a one-line configuration error, before any output is written and
+    # before the quadrature, as one unwritten n^3 field is mapped first
     monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
     out = tmp_path / "out"
     rc = rt.main(["run", "--pqr", BORN, "--n", "100001", "--b", "8",
