@@ -260,9 +260,9 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
     The long part is densified by ``rs.long_field()`` into a Fortran-ordered
     (mode-1 fastest) array.  With homogeneous faces that is the result (it
     solves ``-lap u = -lap rs.long``).  With ``bc_molecule`` the face
-    layers of ``rhs``, unread by the trace solve, take the molecule's
-    screened-Coulomb values, and ``poisson_solve(rhs, L, rhs)`` keeps them
-    and solves for the interior (four n^3 arrays at its peak): the regular
+    layers of ``rhs`` take the molecule's screened-Coulomb values, and
+    ``poisson_solve(rhs, L)`` keeps them as the Dirichlet values and
+    solves for the interior (four n^3 arrays at its peak): the regular
     part u_r of the total ``U_short + u_r`` solves ``(-lap + kappa^2) u_r
     = -lap U_long - kappa^2 U_short``, the last term scattered into ``rhs``.
     """
@@ -286,7 +286,7 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
             axes, face = [x] * 3, [slice(None)] * 3
             axes[ax], face[ax] = x[ends], ends
             rhs[tuple(face)] = _coulomb_sum(bc_molecule, *axes, kappa)[0]
-        u = poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa), rhs)
+        u = poisson_solve(rhs, DiscreteLaplacian(rs.grid, kappa))
     u.meta["quad_rank"] = rs.quad_rank
     return u
 
@@ -311,18 +311,21 @@ def run_case(cfg, m):
     is None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is
     no reference; else ``compare`` reads the pair ``(u_long, short)``
     against the oracle, dropped before ``compose_total`` builds the total.
-    A grid too large for one n^3 field is a ``MemoryError`` at once.
+    A grid too large for the run's peak of n^3 fields, three or with a
+    solve four, is a ``MemoryError`` at once.
     """
     timings = {}
     t_all = time.perf_counter()
     cfg.validate()
     # mapped unwritten, not malloc'ed: freeing a malloc'ed field would raise
     # glibc's mmap threshold and keep more of the run's heap resident
+    k, size = (4 if cfg.bc == "analytic" else 3), 8 * cfg.n ** 3
     try:
-        mmap.mmap(-1, 8 * cfg.n ** 3, flags=mmap.MAP_PRIVATE).close()
+        mmap.mmap(-1, k * size, flags=mmap.MAP_PRIVATE).close()
     except (OSError, OverflowError):
-        raise MemoryError("cannot allocate one %d^3 float64 field (%.3g GiB)"
-                          % (cfg.n, 8 * cfg.n ** 3 / 2 ** 30)) from None
+        raise MemoryError("cannot allocate the %d %d^3 float64 fields of the "
+                          "run's peak (%.3g GiB)"
+                          % (k, cfg.n, k * size / 2 ** 30)) from None
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 

@@ -3,15 +3,17 @@
 The 3D finite-difference Laplacian with homogeneous Dirichlet closure turns
 the assembled potential into a discretized delta: ``delta = -A_lap P``.
 ``apply_stencil_dense`` is the dense 7-point stencil, and ``poisson_solve``
-solves ``(-A_lap + kappa^2) U = f`` directly by diagonalization in the 3D
-discrete sine basis, for all nodes with zero ghosts or, given a field's
-faces, for the interior nodes.  The pipeline solves only with given faces
-(``--bc analytic``): with zero faces the stencil image of the densified
-long part has that part itself as its solution.
+solves ``(-A_lap + kappa^2) U = f`` on the interior nodes directly by
+diagonalization in the 3D discrete sine basis, the face layers of its
+right-hand side being the Dirichlet values.  The pipeline solves only
+with the exact faces of ``--bc analytic``: with zero faces the stencil
+image of the densified long part has that part itself as its solution.
 ``apply_kron_laplacian`` is the same operator on canonical tensors,
 mode-wise (rank-3 Kronecker structure), and equals the stencil at every
-node.  The sine transforms are scipy's; ``dstn`` imports ``scipy.fft`` at
-its first call, so the paths that never solve load no scipy.
+node.  The sine transforms are scipy's, on as many threads as numpy's
+BLAS (so ``OPENBLAS_NUM_THREADS=1`` makes them serial); ``dstn`` imports
+``scipy.fft`` at its first call, so the paths that never solve load no
+scipy.
 """
 
 import os
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .formats import CanonicalTensor3
+from .formats import CanonicalTensor3, _blas_threads
 
 _F64 = "<f8"
 
@@ -132,47 +134,36 @@ def _all_finite(a):
                for i in range(0, flat.size, 2 ** 18))
 
 
-def poisson_solve(rhs, L, bc_field=None):
-    """Solve ``(-lap + kappa^2) u = rhs`` by diagonalization in the 3D
-    discrete sine basis; ``rhs`` and ``bc_field`` are dense (n, n, n).
+def poisson_solve(rhs, L):
+    """Solve ``(-lap + kappa^2) u = f`` for the interior of a dense (n, n, n)
+    ``rhs`` by diagonalization in the 3D discrete sine basis.
 
-    Without ``bc_field`` the unknowns are all n^3 nodes, with zero ghosts
-    (``meta["bc"]`` "homogeneous").  With it they are the (n-2)^3 interior
-    nodes, and its six faces, all that is read of it, are kept and lifted
-    into the right-hand side (``meta["bc"]`` "trace").  ``bc_field`` may
-    be ``rhs`` itself: only the interior of ``rhs`` is read.  Returns a
-    GridFunction3 whose ``meta["residual"]`` is ``||stencil(u_i) + f_i||
-    / ||f_i||`` over the system solved, u_i its unknowns and f_i its
-    right-hand side.
+    The six face layers of ``rhs`` are the Dirichlet values: the result
+    keeps them bit for bit, and they are lifted into its interior, the
+    right-hand side f of the (n-2)^3 system.  Returns a GridFunction3 in
+    the layout of ``rhs``, with ``meta["bc"]`` "trace" and
+    ``meta["residual"]`` = ``||stencil(u_i) + f_i|| / ||f_i||``, u_i the
+    interior solution and f_i the lifted right-hand side.
     """
     n, h = L.grid.n, L.grid.h
-    f = np.asarray(rhs, dtype=float)
-    if f.shape != (n, n, n):
+    g = np.asarray(rhs, dtype=float)
+    if g.shape != (n, n, n):
         raise ConfigError("right-hand side shape does not match the grid")
-    if bc_field is None:
-        fi, bc = f, "homogeneous"
-    else:
-        g = np.asarray(bc_field, dtype=float)
-        if g.shape != (n, n, n):
-            raise ConfigError("boundary field shape does not match the grid")
-        fi, bc = f[1:-1, 1:-1, 1:-1].copy(order="K"), "trace"
-        for ax in range(3):
-            fa, ga = np.moveaxis(fi, ax, 0), np.moveaxis(g, ax, 0)
-            for end in (0, -1):
-                fa[end] += ga[end, 1:-1, 1:-1] / (h * h)
+    fi = g[1:-1, 1:-1, 1:-1].copy(order="K")
+    for ax in range(3):
+        fa, ga = np.moveaxis(fi, ax, 0), np.moveaxis(g, ax, 0)
+        for end in (0, -1):
+            fa[end] += ga[end, 1:-1, 1:-1] / (h * h)
     ui = _solve_spectral(fi, h, L.kappa)
-    # the stencil with zero ghosts is the operator of either system
+    # the stencil with zero ghosts is the operator of the lifted system
     r = apply_stencil_dense(L, ui)
     r += fi
     den = np.linalg.norm(fi)
     res = float(np.linalg.norm(r) / den) if den > 0 else 0.0
     del r, fi  # before the n^3 result is allocated
-    u = ui
-    if bc_field is not None:
-        u = g.copy(order="K")
-        u[1:-1, 1:-1, 1:-1] = ui
-    return GridFunction3(L.grid, u, {"residual": res, "bc": bc,
-                                     "kappa": L.kappa})
+    u = g.copy(order="K")
+    u[1:-1, 1:-1, 1:-1] = ui
+    return GridFunction3(L.grid, u, {"residual": res, "bc": "trace"})
 
 
 def dstn(x, **kwargs):
@@ -184,13 +175,14 @@ def dstn(x, **kwargs):
 
 
 def _solve_spectral(f, h, kappa):
-    if f.flags.f_contiguous:
+    if f.flags.f_contiguous and not f.flags.c_contiguous:
         # the operator is the same along every axis: solve the C-ordered
-        # transpose, and the result keeps the layout of f
+        # transpose of an F-ordered f, and the result keeps its layout (a
+        # single unknown is both, and is solved as it is)
         return _solve_spectral(f.T, h, kappa).T
     n = f.shape[0]
     lam = eigenvalues_1d(n, h)
-    workers = len(os.sched_getaffinity(0))
+    workers = _blas_threads()
     F = dstn(f, type=1, norm="ortho", workers=workers)
     plane = lam[:, None] + lam[None, :] + kappa * kappa
     for i in range(n):

@@ -3,9 +3,9 @@
 Each helper is a plain, slow or dense counterpart of something the package
 does in compressed form: the pointwise Gaussian sum of a quadrature, batch
 and slice evaluation of canonical tensors, the explicit delta of the
-short-range part, the O(n^2)-per-line sine transform, single shifted kernel
-windows, a split at a fixed long-range count, and reading back an exported
-CSV slice.
+short-range part, the O(n^2)-per-line sine transform, the Poisson solve
+on all nodes with zero ghosts, single shifted kernel windows, a split at a
+fixed long-range count, and reading back an exported CSV slice.
 """
 
 import dataclasses
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rstensor import (CanonicalTensor3, ConfigError, apply_kron_laplacian,
-                      zero_canonical)
+from rstensor import (CanonicalTensor3, ConfigError, DiscreteLaplacian,
+                      Grid3, GridFunction3, apply_kron_laplacian,
+                      poisson_solve, zero_canonical)
 from rstensor.formats import shift_sum
 from rstensor.grid_kernel import _gauss
 
@@ -135,6 +136,24 @@ def dst1_direct(v):
     out = np.tensordot(S, v, axes=(1, 0))
     out = np.moveaxis(np.tensordot(S, np.moveaxis(out, 1, 0), axes=(1, 0)), 0, 1)
     return np.moveaxis(np.tensordot(S, np.moveaxis(out, 2, 0), axes=(1, 0)), 0, 2)
+
+
+def zero_ghost_solve(f, L):
+    """Solve ``(-lap + kappa^2) u = f`` on all n^3 nodes of ``L.grid`` with
+    zero ghosts: ``poisson_solve`` on the grid one node wider on each
+    side, ``f`` padded with zero faces.  The operator is the same, but the
+    padded grid's h, ``2 (b + h) / (n + 1)``, may differ from ``L.grid.h``
+    in the last bit.  Returns the interior, in the layout of ``f``, with
+    the solve's meta.
+    """
+    n, g = L.grid.n, L.grid
+    f = np.asarray(f, dtype=float)
+    order = "F" if f.flags.f_contiguous and not f.flags.c_contiguous else "C"
+    F = np.zeros((n + 2,) * 3, order=order)
+    F[1:-1, 1:-1, 1:-1] = f
+    u = poisson_solve(F, DiscreteLaplacian(Grid3(n + 2, g.b + g.h), L.kappa))
+    return GridFunction3(g, u.values[1:-1, 1:-1, 1:-1].copy(order="K"),
+                         u.meta)
 
 
 def shift_and_window(kernel, center, part="both"):

@@ -11,7 +11,7 @@ import pytest
 
 import rstensor as rt
 from conftest import FIXTURES, same_bits
-from helpers import import_slice, negate
+from helpers import import_slice, negate, zero_ghost_solve
 from rstensor.cli import _resolve_quadrature
 
 BORN = os.path.join(FIXTURES, "born.pqr")
@@ -319,18 +319,33 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
-    # 100001^3 floats cannot be allocated: the MemoryError is reported as
-    # a one-line configuration error, before any output is written and
-    # before the quadrature, as one unwritten n^3 field is mapped first
+    # a grid whose peak of k n^3 fields (three, four with a solve) cannot
+    # be mapped is reported as a one-line configuration error, before any
+    # output is written and before the quadrature, as k unwritten fields
+    # are mapped first.  100001^3 floats cannot be mapped at all; at
+    # n = 33 every mapping above one field's bytes is made to fail, which
+    # a probe of one field would pass
     monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
-    out = tmp_path / "out"
-    rc = rt.main(["run", "--pqr", BORN, "--n", "100001", "--b", "8",
-                  "-o", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1, err
-    assert "100001" in err
-    assert not out.exists()
+    field, mapped = 8 * 33 ** 3, rt.cli.mmap.mmap
+
+    def small_mmap(fileno, length, **kwargs):
+        if length > field:
+            raise OSError(12, "Cannot allocate memory")
+        return mapped(fileno, length, **kwargs)
+
+    for n in (100001, 33):
+        if n == 33:
+            monkeypatch.setattr(rt.cli.mmap, "mmap", small_mmap)
+        for bc, k in (("homogeneous", 3), ("analytic", 4)):
+            out = tmp_path / ("%s-%d" % (bc, n))
+            rc = rt.main(["run", "--pqr", BORN, "--n", str(n), "--b", "8",
+                          "--bc", bc, "-o", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") \
+                and err.count("\n") == 1, err
+            assert "the %d %d^3 float64 fields" % (k, n) in err, err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, keys", [
@@ -494,14 +509,24 @@ def test_run_case_peak_holds_three_fields(ligand_mol, case):
     assert peak <= bound, (peak, bound)
 
 
+def test_analytic_run_without_sched_getaffinity(born_mol, monkeypatch):
+    # the solve's transforms take the BLAS thread count, so a platform
+    # without os.sched_getaffinity runs it too, to the same bits
+    cfg = rt.RunConfig(n=33, b=8.0, bc="analytic")
+    ref = rt.run_case(cfg, born_mol)["u_long"]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    u = rt.run_case(cfg, born_mol)["u_long"]
+    assert u.meta["bc"] == "trace"
+    assert same_bits(u.values, ref.values)
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_long_stage_analytic_peak(ligand_mol, kappa):
-    # the faces go into the face layers of the right-hand side, which is
-    # also the solve's bc_field: at the DST the right-hand side, the
-    # interior copy, its transform and the inverse transform (four n^3
+    # the faces go into the face layers of the right-hand side, which the
+    # solve keeps as its Dirichlet values: at the DST the right-hand side,
+    # the interior copy, its transform and the inverse transform (four n^3
     # arrays).  At kappa > 0 the short part is scattered into the
-    # right-hand side, so no n^3 short field is held.  A separate n^3 face
-    # array was a fifth array here
+    # right-hand side, so no n^3 short field is held
     rs, _, _, snapped, _ = rt.cli._assemble_stage(rt.RunConfig(n=65),
                                                   ligand_mol, {})
     rt.cli._long_stage(rs, {}, kappa, snapped)  # caches filled outside
@@ -846,7 +871,7 @@ def cluster60():
 
 @pytest.mark.parametrize("kappa", [0.0])
 def test_u_long_matches_kronecker_route(cluster60, kappa):
-    # the pipeline's long-range potential against the homogeneous solve
+    # the pipeline's long-range potential against the zero-ghost solve
     # of the dense image of the Kronecker form; kappa > 0 needs analytic
     # faces, whose u_long is not this solve
     out = rt.run_case(rt.RunConfig(n=33, b=10.0, kappa=kappa), cluster60)
@@ -854,7 +879,7 @@ def test_u_long_matches_kronecker_route(cluster60, kappa):
     assert 0 < rs.long.rank < rs.long_rank_pre
     L = rt.DiscreteLaplacian(rs.grid, kappa)
     rhs = rt.dense(negate(rt.apply_kron_laplacian(rs.long, L)))
-    ref = rt.poisson_solve(rhs, L).values
+    ref = zero_ghost_solve(rhs, L).values
     u = out["u_long"].values
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits
-from helpers import build_delta_split, dst1_direct, negate
+from helpers import build_delta_split, dst1_direct, negate, zero_ghost_solve
 
 SQRT3 = np.sqrt(3.0)
 
@@ -126,15 +126,11 @@ def test_poisson_round_trip_random_field():
     f = -rt.apply_stencil_dense(L, u_star)
     # an F-ordered right-hand side is solved as its C-ordered transpose
     for order in "CF":
-        fo = np.asarray(f, order=order)
-        u = rt.poisson_solve(fo, L)
+        u = zero_ghost_solve(np.asarray(f, order=order), L)
         assert u.values.flags.f_contiguous == (order == "F")
         err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
         assert err <= 1e-10
         assert u.meta["residual"] <= 1e-12
-        # ||stencil(u) + f|| is ||-stencil(u) - f||, bit for bit
-        ref = np.linalg.norm(-rt.apply_stencil_dense(L, u.values) - fo)
-        assert same_bits(u.meta["residual"], ref / np.linalg.norm(fo))
 
 
 def test_poisson_separable_sine_rhs():
@@ -145,7 +141,7 @@ def test_poisson_separable_sine_rhs():
     f = np.einsum("i,j,k->ijk", s, s, s)
     lam = 3.0 * (2.0 / g.h ** 2) * (1.0 - np.cos(np.pi / (n + 1)))
     for kappa in (0.0, 0.1):
-        u = rt.poisson_solve(f, rt.DiscreteLaplacian(g, kappa))
+        u = zero_ghost_solve(f, rt.DiscreteLaplacian(g, kappa))
         ref = f / (lam + kappa ** 2)
         assert np.max(np.abs(u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -157,7 +153,7 @@ def test_poisson_spectral_vs_cg_screened():
     g = rt.Grid3(n, 2.0)
     L = rt.DiscreteLaplacian(g, kappa=0.1)
     f = np.ones((n, n, n))
-    us = rt.poisson_solve(f, L)
+    us = zero_ghost_solve(f, L)
     A = LinearOperator(
         (n ** 3, n ** 3), dtype=float,
         matvec=lambda x: -rt.apply_stencil_dense(L, x.reshape(n, n, n)).ravel())
@@ -167,44 +163,42 @@ def test_poisson_spectral_vs_cg_screened():
     assert err <= 1e-8
 
 
-def test_poisson_trace_boundary_lifting():
-    rng = np.random.default_rng(3)
-    n = 17
+def _faces(a):
+    # the six face layers of a, in the order poisson_solve lifts them
+    return [np.moveaxis(a, ax, 0)[end] for ax in range(3) for end in (0, -1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), kappa=st.sampled_from([0.0, 0.5]),
+       order=st.sampled_from("CF"), seed=st.integers(0, 2 ** 32 - 1))
+def test_poisson_trace_boundary_lifting(n, kappa, order, seed):
+    # the one Dirichlet contract: rhs = -stencil(u*) on the interior and
+    # u*'s values on its faces gives back u*, faces bit for bit (n = 3 has
+    # one unknown)
     g = rt.Grid3(n, 2.0)
-    L = rt.DiscreteLaplacian(g)
-    u_star = rng.standard_normal((n, n, n))
-    f = -rt.apply_stencil_dense(L, u_star)
-    for order in "CF":
-        u = rt.poisson_solve(np.asarray(f, order=order), L,
-                             np.asarray(u_star, order=order))
-        assert u.values.flags.f_contiguous == (order == "F")
-        assert u.meta["bc"] == "trace"
-        err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
-        assert err <= 1e-10
-        assert u.meta["residual"] <= 1e-12
-        for ax in range(3):
-            for end in (0, -1):
-                assert same_bits(np.moveaxis(u.values, ax, 0)[end],
-                                 np.moveaxis(u_star, ax, 0)[end])
-
-
-@pytest.mark.parametrize("kappa", [0.0, 0.5])
-def test_poisson_trace_solve_reads_rhs_faces_as_bc(kappa):
-    # the trace solve reads only the interior of rhs and the faces of
-    # bc_field, so one array can be both: the --bc analytic solve passes
-    # its right-hand side with the faces written into its face layers
-    n = 17
-    L = rt.DiscreteLaplacian(rt.Grid3(n, 2.0), kappa)
-    rng = np.random.default_rng(4)
-    f = np.asfortranarray(rng.standard_normal((n, n, n)))
-    g = np.zeros_like(f)
-    for ax in range(3):
-        for end in (0, -1):
-            np.moveaxis(g, ax, 0)[end] = np.moveaxis(f, ax, 0)[end]
-    ref = rt.poisson_solve(f.copy(order="F"), L, g)
-    u = rt.poisson_solve(f, L, f)
-    assert same_bits(u.values, ref.values)
-    assert u.meta == ref.meta
+    L = rt.DiscreteLaplacian(g, kappa)
+    u_star = np.asarray(np.random.default_rng(seed).standard_normal((n,) * 3),
+                        order=order)
+    rhs = -rt.apply_stencil_dense(L, u_star)
+    for a, b in zip(_faces(rhs), _faces(u_star)):
+        a[...] = b
+    u = rt.poisson_solve(rhs, L)
+    assert u.values.flags.f_contiguous == (order == "F")
+    assert u.values.flags.c_contiguous == (order == "C")
+    assert sorted(u.meta) == ["bc", "residual"] and u.meta["bc"] == "trace"
+    assert all(same_bits(a, b) for a, b in zip(_faces(u.values),
+                                                 _faces(u_star)))
+    err = np.linalg.norm(u.values - u_star) / np.linalg.norm(u_star)
+    assert err <= 1e-10
+    assert u.meta["residual"] <= 1e-12
+    # the residual is over the lifted interior system: ||stencil(u_i) +
+    # f_i|| is ||-stencil(u_i) - f_i||, bit for bit
+    fi = rhs[1:-1, 1:-1, 1:-1].copy(order="K")
+    for a, b in zip(_faces(fi), _faces(rhs)):
+        a += b[1:-1, 1:-1] / (g.h * g.h)
+    ui = u.values[1:-1, 1:-1, 1:-1]
+    ref = np.linalg.norm(-rt.apply_stencil_dense(L, ui) - fi)
+    assert same_bits(u.meta["residual"], ref / np.linalg.norm(fi))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
@@ -219,9 +213,11 @@ def test_poisson_trace_solve_memory(kappa):
     rng = np.random.default_rng(9)
     u_star = np.asfortranarray(rng.standard_normal((n, n, n)))
     f = -rt.apply_stencil_dense(L, u_star)
+    for a, b in zip(_faces(f), _faces(u_star)):
+        a[...] = b
     tracemalloc.start()
     try:
-        u = rt.poisson_solve(f, L, bc_field=u_star)
+        u = rt.poisson_solve(f, L)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -253,16 +249,15 @@ def test_screened_stencil_memory(order):
 def test_poisson_rejects_bad_options():
     g = rt.Grid3(9, 1.0)
     L = rt.DiscreteLaplacian(g)
-    f = np.zeros((9, 9, 9))
     with pytest.raises(rt.ConfigError):
         rt.poisson_solve(np.zeros((3, 3, 3)), L)
     with pytest.raises(rt.ConfigError):
-        rt.poisson_solve(f, L, np.zeros((3, 3, 3)))
+        rt.poisson_solve(np.zeros((9, 9, 7)), L)
 
 
 def test_keystone_round_trip_small():
     # the long-range delta is the stencil image of the long-range kernel, so
-    # the homogeneous solve must reproduce it
+    # the zero-ghost solve must reproduce it
     g = rt.Grid3(33, 4.0)
     q = rt.build_quadrature(10, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 8, 1e-8)
@@ -271,7 +266,7 @@ def test_keystone_round_trip_small():
     rs = rt.assemble_collective(sm, k, None)
     L = rt.DiscreteLaplacian(g)
     ds = build_delta_split(rs, L)
-    u = rt.poisson_solve(rt.dense(ds.delta_long), L)
+    u = zero_ghost_solve(rt.dense(ds.delta_long), L)
     ref = rt.dense(rs.long)
     err = np.linalg.norm(u.values - ref) / np.linalg.norm(ref)
     assert err <= 1e-10
