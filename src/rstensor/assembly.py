@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import (CanonicalTensor3, TuckerTensor3, c2t_shift_sum, dense,
-                      eval_entry, shift_sum, shift_sum_dense, t2c_with_image,
-                      tucker_dense, zero_canonical)
+from .formats import (CanonicalTensor3, TuckerTensor3, _on_slabs, c2t_shift_sum,
+                      dense, eval_entry, shift_sum, shift_sum_dense,
+                      t2c_with_image, tucker_dense, zero_canonical)
 
 _TIE = 1e-9
 _EMPTY = slice(0, 0)  # the row of a cell no window reaches
@@ -332,20 +332,32 @@ def scatter_short(t, out, scale=1.0):
     place and return it; each window's weight is multiplied by ``scale``,
     so the default adds the field bit for bit.  The template shares the
     fields' Fortran order, so each add of a Fortran-ordered ``out`` walks
-    both operands in memory order."""
+    both operands in memory order.
+
+    The workers of ``_on_slabs`` each take a slab of mode-3 planes and add
+    the windows that reach into it, clipped to it, in short_list order, so
+    every node gets its adds in that order and the result has the same
+    bits at any worker count.
+    """
     n = t.grid.n
     if out.shape != (n, n, n):
         raise ConfigError("output array does not match the grid")
-    T = t.template_dense()
+    T = t.template_dense()  # once, before the workers start
     r = t.support_radius
-    for c, w in t.short_list:
-        lo = [ci - r for ci in c]
-        sl_out, sl_t = [], []
-        for l in range(3):
-            a = max(lo[l], 0)
-            b = min(lo[l] + 2 * r + 1, n)
-            sl_out.append(slice(a, b))
-            sl_t.append(slice(a - lo[l], b - lo[l]))
-        out[sl_out[0], sl_out[1], sl_out[2]] += \
-            (scale * w) * T[sl_t[0], sl_t[1], sl_t[2]]
+    lo = np.array([c for c, _ in t.short_list], dtype=int).reshape(-1, 3) - r
+    # window [lo, lo + 2r] clipped to the grid: out[a:b] += w T[a-lo:b-lo]
+    a, b = np.maximum(lo, 0), np.minimum(lo + 2 * r + 1, n)
+    za, zb = a[:, 2], b[:, 2]
+    win = list(zip(a.tolist(), b.tolist(), lo.tolist(),
+                   [scale * w for _, w in t.short_list]))
+
+    def slab(z0, z1):
+        for i in np.flatnonzero((zb > z0) & (za < z1)).tolist():
+            (a0, a1, a2), (b0, b1, b2), (l0, l1, l2), w = win[i]
+            a2, b2 = max(a2, z0), min(b2, z1)
+            out[a0:b0, a1:b1, a2:b2] += w * T[a0 - l0:b0 - l0,
+                                              a1 - l1:b1 - l1,
+                                              a2 - l2:b2 - l2]
+
+    _on_slabs(slab, n)
     return out

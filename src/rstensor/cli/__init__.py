@@ -12,13 +12,20 @@ unscreened) -> short part scattered once -> (kappa = 0 only) the pair
 and the oracle dropped -> total, long plus short in one add.  The total
 is allocated only once the oracle is gone, so a run holds three n^3
 fields at its peak, not four.  With homogeneous faces the solve would
-return its input, so it is not run.  Every n^3 field is Fortran-ordered
-(mode-1 fastest), the layout of the ``.bin`` dumps, so they are written
-without a copy.  Metrics land in a deterministic key=value file and the
-oracle comparison in ``report.txt``, which a run without an oracle
-removes from its output directory; the stage times go to a separate
-file.  Dumps and bundles name their quadrature rank (``quad_rank``),
-which ``validate`` reads with the grid from the dump.  Reruns at one BLAS
+return its input, so it is not run.  The scatter, the comparison, the
+total and the finiteness check of every field run on a slab of planes
+per BLAS thread, with results independent of the thread count.  Every
+n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
+``.bin`` dumps, so they are written without a copy.  ``run`` and
+``solve`` write one n^3 dump, ``total.bin``, and the parts ``ulong.bin``
+and ``short.bin`` only with ``--parts``; without it they remove the
+parts an earlier command left.  ``run`` also writes the RS bundle that
+``assemble`` writes, and ``solve`` copies the bundle it reads into
+another output directory.  Metrics land in a deterministic key=value
+file and the oracle comparison in ``report.txt``, which a run without an
+oracle removes from its output directory; the stage times go to a
+separate file.  Dumps and bundles name their quadrature rank
+(``quad_rank``), which ``validate`` reads with the grid from the dump.  Reruns at one BLAS
 thread count of born, and of ligand18 and a 600-atom cluster at n=65, are
 byte-identical (tested).  Across thread counts the BLAS splits its sums
 differently: the 600-atom cluster at one and at two threads has the same
@@ -391,24 +398,30 @@ def _fmt(v):
     return "%.17g" % float(v)
 
 
-def run_pipeline(cfg, m):
+def run_pipeline(cfg, m, parts=False):
     """Run the pipeline and write the artifact bundle into ``cfg.outdir``.
 
-    Writes total/long/short field dumps, a deterministic ``metrics.txt``
-    (key=value, sorted) and the stage wall times in ``timings.txt``.
-    Returns the in-memory bundle with a ``paths`` entry added.
+    Writes the total field dump ``total.bin``, the RS bundle that
+    ``assemble`` writes (``long.ct3``, ``short_template.ct3``,
+    ``shortlist.json``), a deterministic ``metrics.txt`` (key=value,
+    sorted), the stage wall times in ``timings.txt`` and, with an oracle,
+    ``report.txt``.  The parts ``ulong.bin`` and ``short.bin`` are written
+    only with ``parts=True``; without it an earlier run's parts are
+    removed from the directory, as an earlier run's report is when this
+    run has none.  Returns the in-memory bundle with a ``paths`` entry
+    added.
     """
     out = run_case(cfg, m)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    paths = {}
+    d = cfg.outdir
+    os.makedirs(d, exist_ok=True)
+    paths = _write_fields(d, out["total"],
+                          (out["u_long"], out["short"]) if parts else None)
+    paths.update(_write_bundle(out["rs"], d))
 
     def _p(name):
-        paths[name] = os.path.join(cfg.outdir, name)
+        paths[name] = os.path.join(d, name)
         return paths[name]
 
-    save_field(out["total"], _p("total.bin"))
-    save_field(out["u_long"], _p("ulong.bin"))
-    save_field(out["short"], _p("short.bin"))
     with open(_p("metrics.txt"), "w") as fh:
         for k in sorted(out["metrics"]):
             fh.write("%s=%s\n" % (k, out["metrics"][k]))
@@ -419,11 +432,45 @@ def run_pipeline(cfg, m):
         write_report(out["report"], _p("report.txt"))
     else:
         # an earlier run's report would pass for this run's
-        for name in ("report.txt", "report.txt.kv"):
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(cfg.outdir, name))
+        _remove(d, "report.txt", "report.txt.kv")
     out["paths"] = paths
     return out
+
+
+def _remove(d, *names):
+    for name in names:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(d, name))
+
+
+def _write_fields(d, total, parts=None):
+    # total.bin, and ulong.bin and short.bin when parts = (u_long, short);
+    # without parts an earlier run's would pass for this run's, so they go
+    paths = {"total.bin": os.path.join(d, "total.bin")}
+    save_field(total, paths["total.bin"])
+    for name, f in zip(("ulong.bin", "short.bin"), parts or (None, None)):
+        if f is None:
+            _remove(d, name, name + ".info")
+        else:
+            paths[name] = os.path.join(d, name)
+            save_field(f, paths[name])
+    return paths
+
+
+def _write_bundle(rs, d):
+    # the RS format of rs as assemble writes it and _load_bundle reads it
+    paths = {name: os.path.join(d, name) for name in
+             ("long.ct3", "short_template.ct3", "shortlist.json")}
+    save_canonical(rs.long, paths["long.ct3"])
+    save_canonical(rs.short_reference, paths["short_template.ct3"])
+    side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
+            "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
+            "rank_post": rs.long.rank,
+            "centers": [list(c) for c, _ in rs.short_list],
+            "weights": [w for _, w in rs.short_list]}
+    with open(paths["shortlist.json"], "w") as fh:
+        json.dump(side, fh, sort_keys=True)
+    return paths
 
 
 def export_slice(f, axis=None, index=None, fmt="csv", path="slice.csv"):
@@ -520,21 +567,18 @@ def _add_assembly(sp):
                     help="rank-reduction tolerance in units of h^2")
 
 
+def _add_parts(sp):
+    sp.add_argument("--parts", action="store_true",
+                    help="also write the long and short parts, ulong.bin "
+                         "and short.bin")
+
+
 def _cmd_assemble(args):
     cfg = _config_from_args(args)
     m = _molecule_from_args(args)
     rs = _assemble_stage(cfg, m, {})[0]
-    d = cfg.outdir
-    os.makedirs(d, exist_ok=True)
-    save_canonical(rs.long, os.path.join(d, "long.ct3"))
-    save_canonical(rs.short_reference, os.path.join(d, "short_template.ct3"))
-    side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
-            "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
-            "rank_post": rs.long.rank,
-            "centers": [list(c) for c, _ in rs.short_list],
-            "weights": [w for _, w in rs.short_list]}
-    with open(os.path.join(d, "shortlist.json"), "w") as fh:
-        json.dump(side, fh, sort_keys=True)
+    os.makedirs(cfg.outdir, exist_ok=True)
+    _write_bundle(rs, cfg.outdir)
     print("assembled %s: long rank %d -> %d, %d short contributions"
           % (m.name, rs.long_rank_pre, rs.long.rank, len(rs.short_list)))
     return 0
@@ -581,19 +625,22 @@ def _load_bundle(d):
 def _cmd_solve(args):
     rs = _load_bundle(args.indir)
     u = _long_stage(rs, {})
-    total = compose_total(u, _short_stage(rs, {}))
+    short = _short_stage(rs, {})
+    total = compose_total(u, short)
     out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)
-    save_field(u, os.path.join(out, "ulong.bin"))
-    save_field(total, os.path.join(out, "total.bin"))
-    print("wrote ulong.bin and total.bin in %s" % out)
+    _write_fields(out, total, (u, short) if args.parts else None)
+    if not os.path.samefile(out, args.indir):
+        _write_bundle(rs, out)
+    print("wrote %s in %s" % ("total.bin, ulong.bin and short.bin"
+                              if args.parts else "total.bin", out))
     return 0
 
 
 def _cmd_run(args):
     cfg = _config_from_args(args)
     m = _molecule_from_args(args)
-    out = run_pipeline(cfg, m)
+    out = run_pipeline(cfg, m, parts=args.parts)
     for k in sorted(out["metrics"]):
         print("%s=%s" % (k, out["metrics"][k]))
     print("artifacts in %s" % cfg.outdir)
@@ -644,6 +691,7 @@ def main(argv=None):
     sp = sub.add_parser("solve", help="compose the fields of an assembled bundle")
     sp.add_argument("-i", "--indir", required=True)
     sp.add_argument("-o", "--outdir", default=None)
+    _add_parts(sp)
 
     sp = sub.add_parser("run", help="full pipeline with reports")
     _add_molecule(sp)
@@ -651,6 +699,7 @@ def main(argv=None):
     sp.add_argument("--bc", choices=("homogeneous", "analytic"))
     sp.add_argument("--kappa", type=float,
                     help="screening in 1/A; needs --bc analytic")
+    _add_parts(sp)
 
     sp = sub.add_parser("validate", help="compare a field dump to an oracle")
     _add_molecule(sp)

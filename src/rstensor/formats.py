@@ -21,7 +21,8 @@ scipy.  Two steps made of many small products, the second-level SVDs of
 with that BLAS pinned to one thread, W being its thread count at the
 call: W single-threaded BLAS calls at once are faster on such small
 matrices than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1``
-makes them serial.
+makes them serial.  The n^3 passes of the other modules run on the same
+threads through ``_on_slabs``, a contiguous slab of planes each.
 """
 
 import ctypes
@@ -193,6 +194,29 @@ def _on_threads(fn, n):
     finally:
         if blas:
             blas[1](threads)
+
+
+def _slab_workers():
+    # how many slabs _on_slabs cuts its range into: one per BLAS thread
+    return _blas_threads()
+
+
+def _on_slabs(fn, n):
+    # fn(z0, z1) for the W contiguous ranges [z0, z1) that cut range(n),
+    # W = min(n, _slab_workers()), on the threads of _on_threads; the n^3
+    # passes give each worker a slab of planes.  A strided ufunc call goes
+    # through three buffers of numpy's bufsize, 8192 values by default, so
+    # each worker gets 1/W of that (a multiple of 16, as numpy needs):
+    # together they hold what one serial call's buffers hold
+    W = max(1, min(n, _slab_workers()))
+    edges = [n * k // W for k in range(W + 1)]
+
+    def share(k):
+        with np.errstate():  # restores the bufsize of the calling thread
+            np.setbufsize(max(16, 512 // W * 16))
+            fn(edges[k], edges[k + 1])
+
+    _on_threads(share, W)
 
 
 def _check_finite(t):
@@ -504,6 +528,8 @@ def save_canonical(t, path):
     Byte layout: 4-byte magic ``b"CT3\\x00"``, four little-endian uint64
     (n1, n2, n3, R), then little-endian float64 arrays back to back: xi
     (R values), A1, A2, A3 each written column-major (n_l * R values).
+    A Fortran-ordered side matrix is written from its own memory; any
+    other is copied a block of at most 2^16 values at a time.
     """
     n1, n2, n3 = t.shape
     with open(path, "wb") as f:
@@ -511,7 +537,11 @@ def save_canonical(t, path):
         f.write(struct.pack("<4Q", n1, n2, n3, t.rank))
         f.write(np.ascontiguousarray(t.weights, dtype="<f8").tobytes())
         for A in t.factors:
-            f.write(np.asarray(A, dtype="<f8").tobytes(order="F"))
+            # the rows of A^T in C order are A's columns
+            At = np.asarray(A, dtype="<f8").T
+            step = max(1, 2 ** 16 // max(1, At.shape[1]))
+            for c in range(0, At.shape[0], step):
+                f.write(np.ascontiguousarray(At[c:c + step]))
 
 
 def load_canonical(path):

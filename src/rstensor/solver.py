@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .formats import CanonicalTensor3, _blas_threads
+from .formats import CanonicalTensor3, _blas_threads, _on_slabs
 
 _F64 = "<f8"
 
@@ -59,20 +59,39 @@ def _d1(V, h):
 
 
 def apply_stencil_dense(L, v):
-    """Dense action of the screened Laplacian, ``lap v - kappa^2 v``."""
-    h2 = L.grid.h ** 2
-    w = -6.0 * v
-    w[:-1] += v[1:]
-    w[1:] += v[:-1]
-    w[:, :-1] += v[:, 1:]
-    w[:, 1:] += v[:, :-1]
-    w[:, :, :-1] += v[:, :, 1:]
-    w[:, :, 1:] += v[:, :, :-1]
-    w /= h2
-    if L.kappa > 0:
-        # one i3-plane at a time: no temporary of the input's size
-        for i3 in range(w.shape[2]):
-            w[:, :, i3] -= (L.kappa ** 2) * v[:, :, i3]
+    """Dense action of the screened Laplacian, ``lap v - kappa^2 v``, in the
+    layout of ``v``.  The workers of ``_on_slabs`` each take a slab of the
+    planes that lie apart in memory (mode-3 planes of a Fortran-ordered
+    ``v``, mode-1 planes of any other), with the same operations at every
+    node in the same order at any worker count."""
+    h2, k2 = L.grid.h ** 2, L.kappa ** 2
+    w = np.empty_like(v)
+    ax = 2 if v.flags.f_contiguous else 0
+    n = v.shape[ax]
+
+    def at(a, s):
+        # index of v with s on axis a
+        return (slice(None),) * a + (s,)
+
+    def slab(z0, z1):
+        ws, vs = w[at(ax, slice(z0, z1))], v[at(ax, slice(z0, z1))]
+        np.multiply(vs, -6.0, out=ws)
+        for a in range(3):
+            if a != ax:
+                ws[at(a, np.s_[:-1])] += vs[at(a, np.s_[1:])]
+                ws[at(a, np.s_[1:])] += vs[at(a, np.s_[:-1])]
+                continue
+            # the neighbours across the slab's edges too
+            hi, lo = min(z1, n - 1), max(z0, 1)
+            ws[at(a, np.s_[:hi - z0])] += v[at(a, np.s_[z0 + 1:hi + 1])]
+            ws[at(a, np.s_[lo - z0:])] += v[at(a, np.s_[lo - 1:z1 - 1])]
+        ws /= h2
+        if L.kappa > 0:
+            # one plane at a time: no temporary of the slab's size
+            for i in range(z1 - z0):
+                ws[at(ax, i)] -= k2 * vs[at(ax, i)]
+
+    _on_slabs(slab, n)
     return w
 
 
@@ -127,11 +146,17 @@ class GridFunction3:
 
 
 def _all_finite(a):
-    # in blocks of 2^18 values in memory order: np.isfinite of the whole
-    # field would be an n^3 bool temporary
-    flat = a.ravel(order="K")
-    return all(np.isfinite(flat[i:i + 2 ** 18]).all()
-               for i in range(0, flat.size, 2 ** 18))
+    # in blocks of 2^16 values in memory order, shared out by _on_slabs:
+    # np.isfinite of the whole field would be an n^3 bool temporary
+    flat, k = a.ravel(order="K"), 2 ** 16
+    ok = np.ones(-(-flat.size // k), dtype=bool)
+
+    def blocks(j0, j1):
+        for j in range(j0, j1):
+            ok[j] = np.isfinite(flat[j * k:(j + 1) * k]).all()
+
+    _on_slabs(blocks, ok.size)
+    return bool(ok.all())
 
 
 def poisson_solve(rhs, L):
@@ -191,10 +216,14 @@ def _solve_spectral(f, h, kappa):
 
 
 def compose_total(u_long, short):
-    """Total potential ``u_long + short``: one add, in their memory layout."""
+    """Total potential ``u_long + short``: one add, in the layout of
+    ``u_long``, a slab of mode-3 planes per worker of ``_on_slabs``."""
     if u_long.grid != short.grid:
         raise ConfigError("long and short field grids differ")
-    total = np.add(u_long.values, short.values, order="K")
+    a, b = u_long.values, short.values
+    total = np.empty_like(a)
+    _on_slabs(lambda z0, z1: np.add(a[:, :, z0:z1], b[:, :, z0:z1],
+                                    out=total[:, :, z0:z1]), a.shape[2])
     return GridFunction3(u_long.grid, total, dict(u_long.meta, composed=True))
 
 

@@ -8,7 +8,8 @@ from quadrature error.  The Gaussian sum adds the atoms one plane (distinct
 third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
 most n for grid-snapped charges, whatever N is, and its GEMMs run on
 numpy's BLAS: neither oracle loads scipy.  ``compare`` reads the two
-fields a block of planes at a time; given the pair ``(u_long, short)`` in
+fields a block of planes at a time, the blocks shared out among the
+threads of ``_on_slabs``; given the pair ``(u_long, short)`` in
 place of one field, it adds each block of the pair first, so a run checks
 its total against the oracle before the total exists.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .formats import _plane_sum
+from .formats import _on_slabs, _plane_sum
 from .solver import GridFunction3
 
 
@@ -146,7 +147,7 @@ def compare(a, b, exclude_centers=None, config=None):
 
     ``a`` may also be the pair ``(u_long, short)``, compared as their sum,
     which is bit for bit ``compose_total(u_long, short)``: each block of i3
-    planes of it is added in the loop's one buffer, so no n^3 total is
+    planes of it is added in its worker's buffer, so no n^3 total is
     allocated.  Nodes the reference lists as undefined in
     ``b.meta["excluded_nodes"]`` (the exact oracle's atom nodes, stored as
     0) drop out of every metric.  ``exclude_centers`` lists node index
@@ -167,27 +168,41 @@ def compare(a, b, exclude_centers=None, config=None):
     if b.meta.get("excluded_nodes"):
         undefined = np.zeros((g.n,) * 3, dtype=bool, order="F")
         undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
-    # the block of a and then |a - b| go through one 2 MiB buffer; its
+    # blocks of k planes, k set by n alone, shared out by _on_slabs: each
+    # block of a and then |a - b| goes through its worker's buffer of 2^15
+    # values (256 KiB), or of one plane when a plane is larger; its
     # undefined nodes are zeroed first, its core nodes once the block's
-    # sums and full-grid max are taken
-    k = max(1, 2 ** 18 // g.n ** 2)
-    buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
-    max_abs = max_excl = ss = ref_ss = 0.0
-    for i3 in range(0, g.n, k):
-        sl = np.s_[:, :, i3:i3 + k]
-        ref = b.values[sl]
-        d = buf[:, :, :ref.shape[2]]
-        x = parts[0].values[sl]
-        for p in parts[1:]:
-            x = np.add(x, p.values[sl], out=d)
-        ref_ss += _sumsq(ref if undefined is None else ref[~undefined[sl]])
-        np.abs(np.subtract(x, ref, out=d), out=d)
-        if undefined is not None:
-            d[undefined[sl]] = 0.0
-        max_abs = max(max_abs, float(d.max()))
-        ss += _sumsq(d)
-        d[mask[sl]] = 0.0
-        max_excl = max(max_excl, float(d.max()))
+    # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
+    # ss, max_abs, max_excl), combined in block order below, so the
+    # report has the same bits at any worker count
+    k = max(1, 2 ** 15 // g.n ** 2)
+    part = np.empty((-(-g.n // k), 4))
+
+    def blocks(j0, j1):
+        buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
+        for j in range(j0, j1):
+            sl = np.s_[:, :, j * k:(j + 1) * k]
+            ref = b.values[sl]
+            d = buf[:, :, :ref.shape[2]]
+            x = parts[0].values[sl]
+            for p in parts[1:]:
+                x = np.add(x, p.values[sl], out=d)
+            part[j, 0] = _sumsq(ref if undefined is None
+                                else ref[~undefined[sl]])
+            np.abs(np.subtract(x, ref, out=d), out=d)
+            if undefined is not None:
+                d[undefined[sl]] = 0.0
+            part[j, 2] = d.max()
+            part[j, 1] = _sumsq(d)
+            d[mask[sl]] = 0.0
+            part[j, 3] = d.max()
+
+    _on_slabs(blocks, len(part))
+    ref_ss = ss = 0.0
+    for r_j, s_j in part[:, :2].tolist():
+        ref_ss += r_j
+        ss += s_j
+    max_abs, max_excl = (float(v) for v in part[:, 2:].max(axis=0))
     l2 = np.sqrt(g.h ** 3 * ss)
     rel = np.sqrt(ss / ref_ss) if ref_ss > 0 else (0.0 if ss == 0 else np.inf)
     if not np.isfinite(rel):

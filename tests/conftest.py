@@ -1,10 +1,12 @@
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import rstensor as rt
+from rstensor import formats
 from rstensor.formats import _openblas
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -51,3 +53,12 @@ def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
+
+
+@contextmanager
+def slab_workers(W):
+    """The n^3 passes cut their planes into W slabs, whatever the BLAS
+    thread count is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_slab_workers", lambda: W)
+        yield

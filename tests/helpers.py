@@ -5,7 +5,9 @@ does in compressed form: the pointwise Gaussian sum of a quadrature, batch
 and slice evaluation of canonical tensors, the explicit delta of the
 short-range part, the O(n^2)-per-line sine transform, the Poisson solve
 on all nodes with zero ghosts, single shifted kernel windows, a split at a
-fixed long-range count, and reading back an exported CSV slice.
+fixed long-range count, reading back an exported CSV slice, and serial
+whole-grid counterparts of the passes that run on slabs of planes: the
+short-range scatter, the dense stencil and the error metrics of compare.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import numpy as np
 from rstensor import (CanonicalTensor3, ConfigError, DiscreteLaplacian,
                       Grid3, GridFunction3, apply_kron_laplacian,
                       poisson_solve, zero_canonical)
-from rstensor.formats import shift_sum
+from rstensor.formats import dense, shift_sum
 from rstensor.grid_kernel import _gauss
 
 
@@ -208,3 +210,54 @@ def split_by_count(kernel, n_long, gamma):
 def import_slice(path):
     """Read back a CSV slice written by ``rstensor.export_slice``."""
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def scatter_short_serial(t, out, scale=1.0):
+    """``scatter_short`` as one loop over the windows, each clipped to the
+    grid only."""
+    n, r = t.grid.n, t.support_radius
+    T = dense(t.short_reference)
+    for c, w in t.short_list:
+        lo = [ci - r for ci in c]
+        a = [max(l, 0) for l in lo]
+        b = [min(l + 2 * r + 1, n) for l in lo]
+        out[a[0]:b[0], a[1]:b[1], a[2]:b[2]] += (scale * w) * T[
+            a[0] - lo[0]:b[0] - lo[0], a[1] - lo[1]:b[1] - lo[1],
+            a[2] - lo[2]:b[2] - lo[2]]
+    return out
+
+
+def stencil_serial(v, h, kappa=0.0):
+    """``apply_stencil_dense`` as whole-array adds in the same order."""
+    w = -6.0 * v
+    w[:-1] += v[1:]
+    w[1:] += v[:-1]
+    w[:, :-1] += v[:, 1:]
+    w[:, 1:] += v[:, :-1]
+    w[:, :, :-1] += v[:, :, 1:]
+    w[:, :, 1:] += v[:, :, :-1]
+    w /= h * h
+    if kappa > 0:
+        w -= (kappa ** 2) * v
+    return w
+
+
+def compare_reference(a, b, centers, listed, h):
+    """The metrics of ``compare(a, b)`` on a grid of spacing h, keyed like
+    ``ErrorReport``, in plain whole-grid numpy: the ``listed`` nodes leave
+    every metric, the radius-1 cores of the ``centers`` only the
+    core-excluding max."""
+    core = np.zeros(a.shape, dtype=bool)
+    for c in centers:
+        core[tuple(slice(max(ci - 1, 0), ci + 2) for ci in c)] = True
+    keep = np.ones(a.shape, dtype=bool)
+    for c in listed:
+        keep[c] = False
+    diff = a - b
+    ss = np.sum(diff[keep] ** 2)
+    ref_ss = np.sum(b[keep] ** 2)
+    return {"discrete_l2": np.sqrt(h ** 3 * ss), "rss": np.sqrt(ss),
+            "relative_l2": np.sqrt(ss / ref_ss) if ref_ss > 0 else 0.0,
+            "max_abs": np.max(np.abs(diff[keep]), initial=0.0),
+            "max_abs_excluding_cores": np.max(np.abs(diff[keep & ~core]),
+                                              initial=0.0)}

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
-from conftest import same_bits
-from helpers import eval_entries, shift_and_window, split_by_count
+from conftest import rand_canonical, same_bits, slab_workers
+from helpers import (eval_entries, scatter_short_serial, shift_and_window,
+                     split_by_count)
 from rstensor import formats
 from rstensor.assembly import _columns, _template_radius
 from rstensor.formats import (c2t_shift_sum, shift_sum, t2c_with_image,
@@ -217,6 +218,30 @@ def test_rs_additivity_dense():
     scaled = rt.scatter_short(rs, np.zeros((17, 17, 17)), -0.37)
     assert np.max(np.abs(scaled + 0.37 * short)) \
         <= 4 * np.spacing(0.37 * np.max(np.abs(short)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), r=st.integers(0, 4), n_atoms=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+           [-0.0, 5e-324, -1.5e-310])), order=st.sampled_from("FC"))
+def test_scatter_short_slabs_match_serial(n, r, n_atoms, seed, scale, order):
+    # windows up to 9 nodes wide on grids of 3 to 12, centred anywhere, so
+    # the faces clip them, and so do the slab edges of 2 and 3 workers:
+    # each node gets its adds in short_list order at any worker count
+    rng = np.random.default_rng(seed)
+    short_list = [(tuple(c), w) for c, w in zip(
+        rng.integers(0, n, (n_atoms, 3)).tolist(),
+        rng.standard_normal(n_atoms).tolist())]
+    rs = rt.RSTensor(rt.Grid3(n, 1.0), rt.zero_canonical((n,) * 3),
+                     rand_canonical(rng, 2 * r + 1, 3), short_list,
+                     gamma=2 * r + 2, quad_rank=1)
+    base = np.asarray(rng.standard_normal((n, n, n)), order=order)
+    want = scatter_short_serial(rs, base.copy(order=order), scale)
+    for W in (1, 2, 3):
+        with slab_workers(W):
+            assert same_bits(rt.scatter_short(rs, base.copy(order=order),
+                                              scale), want), W
 
 
 @pytest.fixture(scope="module")

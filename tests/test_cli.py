@@ -11,7 +11,8 @@ import pytest
 
 import rstensor as rt
 from conftest import FIXTURES, same_bits
-from helpers import import_slice, negate, zero_ghost_solve
+from helpers import (import_slice, negate, scatter_short_serial,
+                     zero_ghost_solve)
 from rstensor.cli import _resolve_quadrature
 
 BORN = os.path.join(FIXTURES, "born.pqr")
@@ -154,7 +155,7 @@ def test_pipeline_deterministic(tmp_path, born_mol):
 
 def test_pipeline_metrics_content(tmp_path, born_mol):
     cfg = rt.RunConfig(n=33, b=8.0, outdir=str(tmp_path))
-    out = rt.run_pipeline(cfg, born_mol)
+    out = rt.run_pipeline(cfg, born_mol, parts=True)
     met = dict(line.split("=", 1)
                for line in (tmp_path / "metrics.txt").read_text().splitlines())
     assert met["molecule"] == "born"
@@ -172,7 +173,7 @@ def test_pipeline_metrics_content(tmp_path, born_mol):
 
 def test_short_dump_is_short_field(tmp_path, born_mol):
     cfg = rt.RunConfig(n=33, b=8.0, outdir=str(tmp_path))
-    out = rt.run_pipeline(cfg, born_mol)
+    out = rt.run_pipeline(cfg, born_mol, parts=True)
     short = rt.load_field(tmp_path / "short.bin")
     ref = rt.scatter_short(out["rs"], np.zeros((33, 33, 33)))
     assert np.array_equal(short.values, ref)
@@ -208,8 +209,8 @@ def test_run_scatters_short_once(tmp_path, monkeypatch, flags):
     # right-hand side gets its own scatter, scaled by -kappa^2, and no n^3
     # short field of its own
     made = _count_scatters(monkeypatch)
-    assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "-o", str(tmp_path)]
-                   + flags) == 0
+    assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "--parts", "-o",
+                    str(tmp_path)] + flags) == 0
     total, u_long, short = _dumps(tmp_path, "total.bin", "ulong.bin",
                                   "short.bin")
     field = [out for scale, out in made if scale == 1.0]
@@ -239,11 +240,51 @@ def test_solve_scatters_short_once(tmp_path, monkeypatch):
     assert rt.main(["assemble", "--pqr", LIGAND, "--n", "33", "-o",
                     str(tmp_path)]) == 0
     made = _count_scatters(monkeypatch)
-    assert rt.main(["solve", "-i", str(tmp_path)]) == 0
+    assert rt.main(["solve", "-i", str(tmp_path), "--parts"]) == 0
     (scale, short), = made
     assert scale == 1.0
     total, u_long = _dumps(tmp_path, "total.bin", "ulong.bin")
     assert np.array_equal(total, u_long + short)
+
+
+_BUNDLE = ["long.ct3", "short_template.ct3", "shortlist.json"]
+
+
+def test_run_directory(tmp_path):
+    # --parts adds the two part dumps, the run's own fields; a default
+    # rerun writes the total, the RS bundle and the reports, and removes
+    # the parts an earlier run left
+    d = tmp_path / "run"
+    cfg = rt.RunConfig(n=33, outdir=str(d))
+    out = rt.run_pipeline(cfg, rt.parse_pqr(LIGAND), parts=True)
+    parts = {name: (d / name).read_bytes() for name in ("ulong.bin",
+                                                        "short.bin")}
+    assert parts["ulong.bin"] == out["u_long"].values.tobytes(order="F")
+    assert parts["short.bin"] == scatter_short_serial(
+        out["rs"], np.zeros((33,) * 3, order="F")).tobytes(order="F")
+    assert sorted(out["paths"]) == sorted(
+        ["total.bin", "ulong.bin", "short.bin", "metrics.txt", "timings.txt",
+         "report.txt"] + _BUNDLE)
+    assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "-o", str(d)]) == 0
+    assert sorted(os.listdir(d)) == sorted(
+        ["total.bin", "total.bin.info", "metrics.txt", "timings.txt",
+         "report.txt", "report.txt.kv"] + _BUNDLE)
+    assert (d / "total.bin").read_bytes() \
+        == out["total"].values.tobytes(order="F")
+    # solve reads the run's bundle: the same short part, and the long part
+    # densified from the canonical terms to roundoff
+    x = tmp_path / "solved"
+    assert rt.main(["solve", "-i", str(d), "--parts", "-o", str(x)]) == 0
+    assert sorted(os.listdir(x)) == sorted(
+        ["total.bin", "ulong.bin", "short.bin", "total.bin.info",
+         "ulong.bin.info", "short.bin.info"] + _BUNDLE)
+    assert (x / "short.bin").read_bytes() == parts["short.bin"]
+    a, b = np.frombuffer(parts["ulong.bin"]), np.fromfile(x / "ulong.bin")
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    assert all((x / f).read_bytes() == (d / f).read_bytes() for f in _BUNDLE)
+    assert rt.main(["solve", "-i", str(x)]) == 0
+    assert sorted(os.listdir(x)) == sorted(["total.bin", "total.bin.info"]
+                                           + _BUNDLE)
 
 
 def test_export_zero_field_csv(tmp_path):
@@ -1096,7 +1137,7 @@ def test_validate_takes_rank_from_bundle(tmp_path):
                     "--rank", "12", "-o", d]) == 0
     side = json.loads((tmp_path / "shortlist.json").read_text())
     assert side["quad_rank"] == 12
-    assert rt.main(["solve", "-i", d]) == 0
+    assert rt.main(["solve", "-i", d, "--parts"]) == 0
     for name in ("ulong.bin.info", "total.bin.info"):
         assert _kv(tmp_path / name)["quad_rank"] == "12"
     assert rt.main(["validate", "--pqr", BORN, "--field",
@@ -1146,10 +1187,10 @@ def _run_fresh(out, args, **env):
 
 
 def _rerun_twice(tmp_path, args):
-    # the metrics of the first of two fresh-process runs, after checking
-    # that both wrote the same bytes
-    met = _run_fresh(tmp_path / "a", args)
-    _run_fresh(tmp_path / "b", args)
+    # the metrics of the first of two fresh-process runs with --parts,
+    # after checking that both wrote the same bytes
+    met = _run_fresh(tmp_path / "a", args + ["--parts"])
+    _run_fresh(tmp_path / "b", args + ["--parts"])
     for name in ("metrics.txt", "total.bin", "ulong.bin", "short.bin"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes(), name
@@ -1172,8 +1213,10 @@ def test_rerun_across_blas_thread_counts(tmp_path):
     # and the densify differently, so ulong.bin, total.bin and metrics.txt
     # differ in their last bits; the short part, a scatter of one template,
     # and the ranks do not
-    one = _run_fresh(tmp_path / "one", _CLUSTER600, OPENBLAS_NUM_THREADS="1")
-    two = _run_fresh(tmp_path / "two", _CLUSTER600, OPENBLAS_NUM_THREADS="2")
+    one = _run_fresh(tmp_path / "one", _CLUSTER600 + ["--parts"],
+                     OPENBLAS_NUM_THREADS="1")
+    two = _run_fresh(tmp_path / "two", _CLUSTER600 + ["--parts"],
+                     OPENBLAS_NUM_THREADS="2")
     assert (tmp_path / "one" / "short.bin").read_bytes() \
         == (tmp_path / "two" / "short.bin").read_bytes()
     assert (one["rank_pre"], one["rank_post"]) \

@@ -1,6 +1,8 @@
 import os
+import struct
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +513,45 @@ def test_save_load_round_trip_is_exact(data, shape, R):
     assert u.shape == tuple(shape) and u.rank == R
     assert same_bits(u.weights, w)
     assert all(same_bits(a, b) for a, b in zip(u.factors, fac))
+
+
+def _full_copy_bytes(t):
+    # the former writer's bytes: each side matrix copied whole, in
+    # column-major order
+    return (b"CT3\x00" + struct.pack("<4Q", *t.shape, t.rank)
+            + np.asarray(t.weights, dtype="<f8").tobytes()
+            + b"".join(np.asarray(A, dtype="<f8").tobytes(order="F")
+                       for A in t.factors))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape, R", [((9, 1, 4), 5), ((3, 2, 5), 0),
+                                      ((300, 7, 257), 301)])
+def test_save_canonical_bytes_match_full_copy(tmp_path, order, shape, R):
+    # 300 x 301 side matrices are written in two blocks of 2^16 values
+    # or fewer, with a ragged last one
+    rng = np.random.default_rng(17)
+    t = rt.CanonicalTensor3(rng.standard_normal(R), tuple(
+        np.asarray(rng.standard_normal((n, R)), order=order) for n in shape))
+    assert all(A.flags[order + "_CONTIGUOUS"] for A in t.factors)
+    rt.save_canonical(t, tmp_path / "t.ct3")
+    assert (tmp_path / "t.ct3").read_bytes() == _full_copy_bytes(t)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_save_canonical_memory(tmp_path, order):
+    # no copy of a whole side matrix (3.1 MB here): at most one block of
+    # 2^16 values, for a C-ordered one
+    n, R = 129, 3000
+    t = rt.CanonicalTensor3(np.ones(R), tuple(
+        np.ones((n, R), order=order) for _ in range(3)))
+    tracemalloc.start()
+    try:
+        rt.save_canonical(t, tmp_path / "t.ct3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 16 + 2 ** 16, peak
 
 
 def test_load_rejects_bad_magic(tmp_path):

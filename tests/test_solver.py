@@ -10,8 +10,9 @@ from scipy.fft import dstn
 from scipy.sparse.linalg import LinearOperator, cg
 
 import rstensor as rt
-from conftest import EDGE_FLOATS, rand_canonical, same_bits
-from helpers import build_delta_split, dst1_direct, negate, zero_ghost_solve
+from conftest import EDGE_FLOATS, rand_canonical, same_bits, slab_workers
+from helpers import (build_delta_split, dst1_direct, negate, stencil_serial,
+                     zero_ghost_solve)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -286,6 +287,42 @@ def test_compose_total_adds_short_field():
     assert tot.meta["composed"] is True
     with pytest.raises(rt.ConfigError):
         rt.compose_total(zero, rt.GridFunction3(rt.Grid3(17, 3.0), ref))
+
+
+# finite sums: the values stay below 2^1022 in magnitude
+_HALF_FLOATS = EDGE_FLOATS.filter(lambda x: abs(x) < 2.0 ** 1022)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(3, 6), order=st.sampled_from("FC"))
+def test_compose_total_slabs_match_add(data, n, order):
+    # one add per node at any worker count: the bits of u + s, signed
+    # zeros and subnormals included, in the layout of u
+    g = rt.Grid3(n, 1.0)
+    u, s = (np.asarray(data.draw(arrays(np.float64, (n, n, n),
+                                        elements=_HALF_FLOATS)), order=order)
+            for _ in range(2))
+    for W in (1, 2, 3):
+        with slab_workers(W):
+            tot = rt.compose_total(rt.GridFunction3(g, u),
+                                   rt.GridFunction3(g, s)).values
+        assert same_bits(tot, u + s), W
+        assert tot.flags.f_contiguous == (order == "F")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1),
+       kappa=st.sampled_from([0.0, 0.5]), order=st.sampled_from("FC"))
+def test_stencil_slabs_match_serial(n, seed, kappa, order):
+    # the neighbours across slab edges are read from the input, so 2 and
+    # 3 workers give the bits of whole-array adds in the same order
+    L = rt.DiscreteLaplacian(rt.Grid3(n, 1.3), kappa)
+    v = np.asarray(np.random.default_rng(seed).standard_normal((n, n, n)),
+                   order=order)
+    want = stencil_serial(v, L.grid.h, kappa)
+    for W in (1, 2, 3):
+        with slab_workers(W):
+            assert same_bits(rt.apply_stencil_dense(L, v), want), W
 
 
 def test_dst1_direct_matches_fft_version():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
+from conftest import slab_workers
+from helpers import compare_reference
 
 SQRT3 = np.sqrt(3.0)
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,25 +173,6 @@ def test_core_exclusion_mask():
     assert rep2.max_abs == rep2.max_abs_excluding_cores == 0.0
 
 
-def _compare_reference(a, b, centers, listed, h):
-    # plain numpy: the listed nodes leave every metric, the radius-1 cores
-    # of the centers only the core-excluding max
-    core = np.zeros(a.shape, dtype=bool)
-    for c in centers:
-        core[tuple(slice(max(ci - 1, 0), ci + 2) for ci in c)] = True
-    keep = np.ones(a.shape, dtype=bool)
-    for c in listed:
-        keep[c] = False
-    diff = a - b
-    ss = np.sum(diff[keep] ** 2)
-    ref_ss = np.sum(b[keep] ** 2)
-    return {"discrete_l2": np.sqrt(h ** 3 * ss), "rss": np.sqrt(ss),
-            "relative_l2": np.sqrt(ss / ref_ss) if ref_ss > 0 else 0.0,
-            "max_abs": np.max(np.abs(diff[keep]), initial=0.0),
-            "max_abs_excluding_cores": np.max(np.abs(diff[keep & ~core]),
-                                              initial=0.0)}
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 10), seed=st.integers(0, 2 ** 32 - 1),
        n_centers=st.integers(0, 4), n_listed=st.integers(0, 3),
@@ -211,7 +194,7 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
               for _ in range(n_listed)]
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
     rep = rt.compare(_field(g, a), fb, exclude_centers=centers)
-    ref = _compare_reference(a, b, centers, listed, g.h)
+    ref = compare_reference(a, b, centers, listed, g.h)
     for k, v in ref.items():
         assert getattr(rep, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
     assert np.array_equal(fb.values, b)
@@ -220,7 +203,7 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_compare_pair_is_compare_of_total(order):
     # the pair is added a block of planes at a time: at n=65 compare reads
-    # blocks of 62 planes, so the last is a ragged one of 3, which holds
+    # blocks of 7 planes, so the last is a ragged one of 2, which holds
     # the third atom's node; the exact oracle leaves the atom nodes
     # undefined, and their cores leave the core-excluding max
     g = rt.Grid3(65, 4.0)
@@ -238,10 +221,65 @@ def test_compare_pair_is_compare_of_total(order):
     pair = rt.compare((u, s), oracle, **kw)
     assert dataclasses.asdict(pair) == dataclasses.asdict(
         rt.compare(rt.compose_total(u, s), oracle, **kw))
-    ref = _compare_reference(u.values + s.values, oracle.values,
-                             nodes.tolist(), oracle.meta["excluded_nodes"], g.h)
+    ref = compare_reference(u.values + s.values, oracle.values,
+                            nodes.tolist(), oracle.meta["excluded_nodes"], g.h)
     for k, v in ref.items():
         assert getattr(pair, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(40, 64), seed=st.integers(0, 2 ** 32 - 1),
+       pair=st.booleans(), n_centers=st.integers(0, 4),
+       n_listed=st.integers(0, 3))
+def test_compare_slabs_match_reference(n, seed, pair, n_centers, n_listed):
+    # 2 to 7 blocks of planes on 1, 2 and 3 workers.  The values are
+    # multiples of 2^-8 below 8 in magnitude, so every sum, difference and
+    # sum of squares here is exact in any order: each worker count gives
+    # the reference's metrics, and a block missed or counted twice would
+    # show in full
+    rng = np.random.default_rng(seed)
+    g = rt.Grid3(n, rng.uniform(0.5, 5.0))
+    u, s, b = (np.asfortranarray(v) for v in
+               rng.integers(-2 ** 11, 2 ** 11, (3, n, n, n)) / 256.0)
+    centers = [tuple(int(v) for v in rng.integers(0, n, 3))
+               for _ in range(n_centers)]
+    listed = [tuple(int(v) for v in rng.integers(0, n, 3))
+              for _ in range(n_listed)]
+    fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
+    a = (_field(g, u), _field(g, s)) if pair else _field(g, u)
+    want = compare_reference(u + s if pair else u, b, centers, listed, g.h)
+    reps = []
+    for W in (1, 2, 3):
+        with slab_workers(W):
+            reps.append(rt.compare(a, fb, exclude_centers=centers))
+    for rep in reps:
+        assert dataclasses.asdict(rep) == dataclasses.asdict(reps[0])
+        for k, v in want.items():
+            assert getattr(rep, k) == pytest.approx(v, rel=1e-15, abs=0.0), k
+
+
+def test_compare_same_bits_at_any_worker_and_blas_thread_count(
+        set_blas_threads):
+    # each block of planes sums its squares on a single-threaded BLAS and
+    # the blocks are combined in order, so neither the slab workers nor
+    # the BLAS thread count moves a bit of the report
+    g = rt.Grid3(65, 2.0)
+    rng = np.random.default_rng(11)
+    u, s, b = (np.asfortranarray(v)
+               for v in rng.standard_normal((3, 65, 65, 65)))
+    fb = rt.GridFunction3(g, b, {"excluded_nodes": [(0, 0, 0), (64, 3, 64)]})
+    centers = [(1, 2, 3), (30, 31, 63), (64, 64, 64)]
+    reps = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        for W in (1, 2, 3):
+            with slab_workers(W):
+                reps.append(rt.compare((_field(g, u), _field(g, s)), fb,
+                                       exclude_centers=centers))
+    assert [r.keyvalues() for r in reps] == [reps[0].keyvalues()] * 6
+    want = compare_reference(u + s, b, centers, fb.meta["excluded_nodes"], g.h)
+    for k, v in want.items():
+        assert getattr(reps[0], k) == pytest.approx(v, rel=1e-13, abs=0.0), k
 
 
 def test_compare_all_nodes_excluded():
