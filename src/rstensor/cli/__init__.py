@@ -20,15 +20,19 @@ n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
 ``solve`` write one n^3 dump, ``total.bin``, and the parts ``ulong.bin``
 and ``short.bin`` only with ``--parts``; without it they remove the
 parts an earlier command left.  ``run`` also writes the RS bundle that
-``assemble`` writes, and ``solve`` copies the bundle it reads into
-another output directory.  Metrics land in a deterministic key=value
-file and the oracle comparison in ``report.txt``, which a run without an
-oracle removes from its output directory; the stage times go to a
-separate file.  Dumps and bundles name their quadrature rank
-(``quad_rank``), which ``validate`` reads with the grid from the dump.  Reruns at one BLAS
-thread count of born, and of ligand18 and a 600-atom cluster at n=65, are
-byte-identical (tested).  Across thread counts the BLAS splits its sums
-differently: the 600-atom cluster at one and at two threads has the same
+``assemble`` writes, with the run's ``bc`` and ``kappa``.  ``solve``
+composes homogeneous-face totals only, so it refuses the bundle of a
+``--bc analytic`` run.  It copies the bundle it reads into another
+output directory, and removes from its output directory the reports an
+earlier command left there, which describe another total.  Metrics land
+in a deterministic key=value file and the oracle comparison in
+``report.txt``, which a run without an oracle removes from its output
+directory; the stage times go to a separate file.  Dumps and bundles
+name their quadrature rank (``quad_rank``), which ``validate`` reads
+with the grid from the dump.  Reruns at one BLAS thread count of born,
+and of ligand18 and a 600-atom cluster at n=65, are byte-identical
+(tested).  Across thread counts the BLAS splits its sums differently:
+the 600-atom cluster at one and at two threads has the same
 ranks and a byte-identical ``short.bin``, but its long part, total and
 metrics differ in the last bits, the total by at most 1e-13 of its max
 (tested).  ``python -m rstensor`` and ``python -m rstensor.cli`` run
@@ -416,7 +420,7 @@ def run_pipeline(cfg, m, parts=False):
     os.makedirs(d, exist_ok=True)
     paths = _write_fields(d, out["total"],
                           (out["u_long"], out["short"]) if parts else None)
-    paths.update(_write_bundle(out["rs"], d))
+    paths.update(_write_bundle(out["rs"], d, cfg.bc, cfg.kappa))
 
     def _p(name):
         paths[name] = os.path.join(d, name)
@@ -457,13 +461,15 @@ def _write_fields(d, total, parts=None):
     return paths
 
 
-def _write_bundle(rs, d):
-    # the RS format of rs as assemble writes it and _load_bundle reads it
+def _write_bundle(rs, d, bc="homogeneous", kappa=0.0):
+    # the RS format of rs as assemble writes it and _load_bundle reads it,
+    # with the faces and screening of the total it stands for
     paths = {name: os.path.join(d, name) for name in
              ("long.ct3", "short_template.ct3", "shortlist.json")}
     save_canonical(rs.long, paths["long.ct3"])
     save_canonical(rs.short_reference, paths["short_template.ct3"])
     side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
+            "bc": bc, "kappa": float(kappa),
             "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
             "rank_post": rs.long.rank,
             "centers": [list(c) for c, _ in rs.short_list],
@@ -624,12 +630,22 @@ def _load_bundle(d):
 
 def _cmd_solve(args):
     rs = _load_bundle(args.indir)
+    with open(os.path.join(args.indir, "shortlist.json")) as fh:
+        side = json.load(fh)
+    if side.get("bc", "homogeneous") != "homogeneous":
+        # the bundle holds no molecule to rebuild the faces from
+        raise ConfigError(
+            "%s is the bundle of a bc=%s, kappa=%s run; solve composes "
+            "homogeneous-face totals only" % (args.indir, side["bc"],
+                                             side.get("kappa")))
     u = _long_stage(rs, {})
     short = _short_stage(rs, {})
     total = compose_total(u, short)
     out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)
     _write_fields(out, total, (u, short) if args.parts else None)
+    # the reports a run or validate left there describe another total
+    _remove(out, "metrics.txt", "timings.txt", "report.txt", "report.txt.kv")
     if not os.path.samefile(out, args.indir):
         _write_bundle(rs, out)
     print("wrote %s in %s" % ("total.bin, ulong.bin and short.bin"

@@ -22,7 +22,8 @@ with that BLAS pinned to one thread, W being its thread count at the
 call: W single-threaded BLAS calls at once are faster on such small
 matrices than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1``
 makes them serial.  The n^3 passes of the other modules run on the same
-threads through ``_on_slabs``, a contiguous slab of planes each.
+threads through ``_on_slabs``, which hands each a contiguous slab of
+planes; ``_on_threads`` is its per-index form.
 """
 
 import ctypes
@@ -168,19 +169,33 @@ def _blas_threads():
     return blas[0]() if blas else 1
 
 
-def _on_threads(fn, n):
-    # fn(0), ..., fn(n - 1) in W contiguous shares on W = min(n, BLAS
-    # threads) threads, the caller taking the first, with the BLAS pinned
-    # to one thread until the last share is done.  Its idle threads spin
-    # for a while after a multi-threaded call, on the cores the shares
-    # need, so they are stopped first; its next such call starts them.
+def _slab_workers():
+    # how many shares _on_slabs cuts its range into: one per BLAS thread
+    # (the tests patch it to try other counts)
+    return _blas_threads()
+
+
+def _on_slabs(fn, n):
+    # fn(i0, i1) for the W contiguous shares [i0, i1) that cut range(n),
+    # W = min(n, _slab_workers()), on W threads, the caller taking the
+    # first, with the BLAS pinned to one thread until the last share is
+    # done.  Its idle threads spin for a while after a multi-threaded call,
+    # on the cores the shares need, so they are stopped first; its next
+    # such call starts them.  A strided ufunc call goes through three
+    # buffers of numpy's bufsize, so each share runs with 1/W of the
+    # caller's (a multiple of 16, as numpy needs): together they hold what
+    # one serial call's buffers hold
     blas, threads = _openblas(), _blas_threads()
-    W = min(n, threads)
+    W = max(1, min(n, _slab_workers()))
     edges = [n * k // W for k in range(W + 1)]
+    size = max(16, np.getbufsize() // W // 16 * 16)
 
     def share(k):
-        for i in range(edges[k], edges[k + 1]):
-            fn(i)
+        old = np.setbufsize(size)
+        try:
+            fn(edges[k], edges[k + 1])
+        finally:
+            np.setbufsize(old)
 
     if blas:
         blas[1](1)
@@ -196,27 +211,13 @@ def _on_threads(fn, n):
             blas[1](threads)
 
 
-def _slab_workers():
-    # how many slabs _on_slabs cuts its range into: one per BLAS thread
-    return _blas_threads()
+def _on_threads(fn, n):
+    # fn(0), ..., fn(n - 1) on the shares of _on_slabs
+    def share(i0, i1):
+        for i in range(i0, i1):
+            fn(i)
 
-
-def _on_slabs(fn, n):
-    # fn(z0, z1) for the W contiguous ranges [z0, z1) that cut range(n),
-    # W = min(n, _slab_workers()), on the threads of _on_threads; the n^3
-    # passes give each worker a slab of planes.  A strided ufunc call goes
-    # through three buffers of numpy's bufsize, 8192 values by default, so
-    # each worker gets 1/W of that (a multiple of 16, as numpy needs):
-    # together they hold what one serial call's buffers hold
-    W = max(1, min(n, _slab_workers()))
-    edges = [n * k // W for k in range(W + 1)]
-
-    def share(k):
-        with np.errstate():  # restores the bufsize of the calling thread
-            np.setbufsize(max(16, 512 // W * 16))
-            fn(edges[k], edges[k + 1])
-
-    _on_threads(share, W)
+    _on_slabs(share, n)
 
 
 def _check_finite(t):

@@ -59,39 +59,20 @@ def _d1(V, h):
 
 
 def apply_stencil_dense(L, v):
-    """Dense action of the screened Laplacian, ``lap v - kappa^2 v``, in the
-    layout of ``v``.  The workers of ``_on_slabs`` each take a slab of the
-    planes that lie apart in memory (mode-3 planes of a Fortran-ordered
-    ``v``, mode-1 planes of any other), with the same operations at every
-    node in the same order at any worker count."""
-    h2, k2 = L.grid.h ** 2, L.kappa ** 2
-    w = np.empty_like(v)
-    ax = 2 if v.flags.f_contiguous else 0
-    n = v.shape[ax]
-
-    def at(a, s):
-        # index of v with s on axis a
-        return (slice(None),) * a + (s,)
-
-    def slab(z0, z1):
-        ws, vs = w[at(ax, slice(z0, z1))], v[at(ax, slice(z0, z1))]
-        np.multiply(vs, -6.0, out=ws)
-        for a in range(3):
-            if a != ax:
-                ws[at(a, np.s_[:-1])] += vs[at(a, np.s_[1:])]
-                ws[at(a, np.s_[1:])] += vs[at(a, np.s_[:-1])]
-                continue
-            # the neighbours across the slab's edges too
-            hi, lo = min(z1, n - 1), max(z0, 1)
-            ws[at(a, np.s_[:hi - z0])] += v[at(a, np.s_[z0 + 1:hi + 1])]
-            ws[at(a, np.s_[lo - z0:])] += v[at(a, np.s_[lo - 1:z1 - 1])]
-        ws /= h2
-        if L.kappa > 0:
-            # one plane at a time: no temporary of the slab's size
-            for i in range(z1 - z0):
-                ws[at(ax, i)] -= k2 * vs[at(ax, i)]
-
-    _on_slabs(slab, n)
+    """Dense action of the screened Laplacian, ``lap v - kappa^2 v``."""
+    h2 = L.grid.h ** 2
+    w = -6.0 * v
+    w[:-1] += v[1:]
+    w[1:] += v[:-1]
+    w[:, :-1] += v[:, 1:]
+    w[:, 1:] += v[:, :-1]
+    w[:, :, :-1] += v[:, :, 1:]
+    w[:, :, 1:] += v[:, :, :-1]
+    w /= h2
+    if L.kappa > 0:
+        # one i3-plane at a time: no temporary of the input's size
+        for i3 in range(w.shape[2]):
+            w[:, :, i3] -= (L.kappa ** 2) * v[:, :, i3]
     return w
 
 

@@ -170,8 +170,8 @@ def compare(a, b, exclude_centers=None, config=None):
         undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
     # blocks of k planes, k set by n alone, shared out by _on_slabs: each
     # block of a and then |a - b| goes through its worker's buffer of 2^15
-    # values (256 KiB), or of one plane when a plane is larger; its
-    # undefined nodes are zeroed first, its core nodes once the block's
+    # values (256 KiB), or of one plane when a plane is larger, so W
+    # workers hold W of them; its undefined nodes are zeroed first, its core nodes once the block's
     # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
     # ss, max_abs, max_excl), combined in block order below, so the
     # report has the same bits at any worker count

@@ -7,7 +7,7 @@ short-range part, the O(n^2)-per-line sine transform, the Poisson solve
 on all nodes with zero ghosts, single shifted kernel windows, a split at a
 fixed long-range count, reading back an exported CSV slice, and serial
 whole-grid counterparts of the passes that run on slabs of planes: the
-short-range scatter, the dense stencil and the error metrics of compare.
+short-range scatter and the error metrics of compare.
 """
 
 import dataclasses
@@ -225,21 +225,6 @@ def scatter_short_serial(t, out, scale=1.0):
             a[0] - lo[0]:b[0] - lo[0], a[1] - lo[1]:b[1] - lo[1],
             a[2] - lo[2]:b[2] - lo[2]]
     return out
-
-
-def stencil_serial(v, h, kappa=0.0):
-    """``apply_stencil_dense`` as whole-array adds in the same order."""
-    w = -6.0 * v
-    w[:-1] += v[1:]
-    w[1:] += v[:-1]
-    w[:, :-1] += v[:, 1:]
-    w[:, 1:] += v[:, :-1]
-    w[:, :, :-1] += v[:, :, 1:]
-    w[:, :, 1:] += v[:, :, :-1]
-    w /= h * h
-    if kappa > 0:
-        w -= (kappa ** 2) * v
-    return w
 
 
 def compare_reference(a, b, centers, listed, h):

@@ -287,6 +287,42 @@ def test_run_directory(tmp_path):
                                            + _BUNDLE)
 
 
+
+@pytest.mark.parametrize("screening", [[], ["--kappa", "0.5"]],
+                         ids=["analytic", "kappa"])
+def test_solve_refuses_analytic_bundle(tmp_path, capsys, screening):
+    # the total of a --bc analytic run is not the homogeneous-face total of
+    # its bundle, which holds no molecule to rebuild the faces from: solve
+    # refuses it before writing anything, in the run directory or not
+    d = tmp_path / "run"
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "--bc",
+                    "analytic", "-o", str(d)] + screening) == 0
+    side = json.loads((d / "shortlist.json").read_text())
+    assert (side["bc"], side["kappa"]) == ("analytic",
+                                           float((screening or [0, 0])[1]))
+    before = {f: (d / f).read_bytes() for f in os.listdir(d)}
+    assert rt.main(["solve", "-i", str(d)]) == 2
+    assert "bc=analytic" in capsys.readouterr().err
+    assert rt.main(["solve", "-i", str(d), "-o", str(tmp_path / "x")]) == 2
+    assert {f: (d / f).read_bytes() for f in os.listdir(d)} == before
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_into_run_directory_drops_its_reports(tmp_path):
+    # solve rewrites total.bin; the run's metrics, times and report would
+    # describe the run's total, so they go
+    d = tmp_path / "run"
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o",
+                    str(d)]) == 0
+    assert json.loads((d / "shortlist.json").read_text())["bc"] \
+        == "homogeneous"
+    bundle = {f: (d / f).read_bytes() for f in _BUNDLE}
+    assert rt.main(["solve", "-i", str(d)]) == 0
+    assert sorted(os.listdir(d)) == sorted(["total.bin", "total.bin.info"]
+                                           + _BUNDLE)
+    assert {f: (d / f).read_bytes() for f in _BUNDLE} == bundle
+
+
 def test_export_zero_field_csv(tmp_path):
     g = rt.Grid3(9, 1.0)
     f = rt.GridFunction3(g, np.zeros((9, 9, 9)))

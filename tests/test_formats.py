@@ -10,12 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
-from conftest import EDGE_FLOATS, rand_canonical, same_bits
+from conftest import EDGE_FLOATS, rand_canonical, same_bits, slab_workers
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
 from rstensor import formats
-from rstensor.formats import (_mode_basis, _on_threads, _openblas, _plane_sum,
-                              c2t_shift_sum, shift_sum, t2c_with_image,
-                              tucker_dense)
+from rstensor.formats import (_mode_basis, _on_slabs, _on_threads, _openblas,
+                              _plane_sum, c2t_shift_sum, shift_sum,
+                              t2c_with_image, tucker_dense)
 
 
 def test_eval_entry_zero_tensor():
@@ -304,6 +304,27 @@ def test_on_threads_without_setter_matches_threaded(set_blas_threads,
     me = threading.get_ident()
     assert len(ran[0]) == 2 and me in ran[0] and ran[1] == {me}
 
+
+
+def test_on_slabs_shares_and_restores_bufsize():
+    # each of the W shares runs with 1/W of the caller's ufunc buffer size,
+    # and the caller has its own back when they are done, after a raise too
+    big = 4 * 8192
+    old = np.setbufsize(big)
+    try:
+        for W in (1, 2, 3):
+            seen = []
+            with slab_workers(W):
+                _on_slabs(lambda i0, i1: seen.append((i0, i1,
+                                                      np.getbufsize())), 7)
+            assert sorted(seen) == [(7 * k // W, 7 * (k + 1) // W,
+                                     big // W // 16 * 16) for k in range(W)]
+            assert np.getbufsize() == big
+            with slab_workers(W), pytest.raises(ZeroDivisionError):
+                _on_slabs(lambda i0, i1: 1 / 0, 7)
+            assert np.getbufsize() == big
+    finally:
+        np.setbufsize(old)
 
 @settings(max_examples=80, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 40), rank=st.integers(0, 12),

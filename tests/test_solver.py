@@ -11,8 +11,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits, slab_workers
-from helpers import (build_delta_split, dst1_direct, negate, stencil_serial,
-                     zero_ghost_solve)
+from helpers import build_delta_split, dst1_direct, negate, zero_ghost_solve
 
 SQRT3 = np.sqrt(3.0)
 
@@ -308,21 +307,6 @@ def test_compose_total_slabs_match_add(data, n, order):
                                    rt.GridFunction3(g, s)).values
         assert same_bits(tot, u + s), W
         assert tot.flags.f_contiguous == (order == "F")
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1),
-       kappa=st.sampled_from([0.0, 0.5]), order=st.sampled_from("FC"))
-def test_stencil_slabs_match_serial(n, seed, kappa, order):
-    # the neighbours across slab edges are read from the input, so 2 and
-    # 3 workers give the bits of whole-array adds in the same order
-    L = rt.DiscreteLaplacian(rt.Grid3(n, 1.3), kappa)
-    v = np.asarray(np.random.default_rng(seed).standard_normal((n, n, n)),
-                   order=order)
-    want = stencil_serial(v, L.grid.h, kappa)
-    for W in (1, 2, 3):
-        with slab_workers(W):
-            assert same_bits(rt.apply_stencil_dense(L, v), want), W
 
 
 def test_dst1_direct_matches_fft_version():
