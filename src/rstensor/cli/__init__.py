@@ -18,16 +18,16 @@ per BLAS thread, with results independent of the thread count.  Every
 n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
 ``.bin`` dumps, so they are written without a copy.  ``run`` and
 ``solve`` write one n^3 dump, ``total.bin``, and the parts ``ulong.bin``
-and ``short.bin`` only with ``--parts``; without it they remove the
-parts an earlier command left.  ``run`` also writes the RS bundle that
-``assemble`` writes, with the run's ``bc`` and ``kappa``.  ``solve``
-composes homogeneous-face totals only, so it refuses the bundle of a
-``--bc analytic`` run.  It copies the bundle it reads into another
-output directory, and removes from its output directory the reports an
-earlier command left there, which describe another total.  Metrics land
-in a deterministic key=value file and the oracle comparison in
-``report.txt``, which a run without an oracle removes from its output
-directory; the stage times go to a separate file.  Dumps and bundles
+and ``short.bin`` only with ``--parts``.  ``run`` also writes the RS
+bundle that ``assemble`` writes, with the run's ``bc`` and ``kappa``.
+``solve`` composes homogeneous-face totals only, so it refuses the
+bundle of a ``--bc analytic`` run, and copies the bundle it reads into
+another output directory.  Metrics land in a deterministic key=value
+file and the oracle comparison in ``report.txt``; the stage times go to
+a separate file.  Each of ``run``, ``solve`` and ``assemble`` removes
+from its output directory the outputs of the three (``_OUTPUTS``) that
+it did not write, which an earlier command left there and which would
+pass for its own.  Dumps and bundles
 name their quadrature rank (``quad_rank``), which ``validate`` reads
 with the grid from the dump.  Reruns at one BLAS thread count of born,
 and of ligand18 and a 600-atom cluster at n=65, are byte-identical
@@ -410,10 +410,9 @@ def run_pipeline(cfg, m, parts=False):
     ``shortlist.json``), a deterministic ``metrics.txt`` (key=value,
     sorted), the stage wall times in ``timings.txt`` and, with an oracle,
     ``report.txt``.  The parts ``ulong.bin`` and ``short.bin`` are written
-    only with ``parts=True``; without it an earlier run's parts are
-    removed from the directory, as an earlier run's report is when this
-    run has none.  Returns the in-memory bundle with a ``paths`` entry
-    added.
+    only with ``parts=True``.  The outputs of an earlier command that this
+    run did not write are removed from the directory (``_drop_stale``).
+    Returns the in-memory bundle with a ``paths`` entry added.
     """
     out = run_case(cfg, m)
     d = cfg.outdir
@@ -434,38 +433,44 @@ def run_pipeline(cfg, m, parts=False):
             fh.write("%s=%.3f\n" % (k, out["timings"][k]))
     if out["report"] is not None:
         write_report(out["report"], _p("report.txt"))
-    else:
-        # an earlier run's report would pass for this run's
-        _remove(d, "report.txt", "report.txt.kv")
+    _drop_stale(d, paths)
     out["paths"] = paths
     return out
 
 
-def _remove(d, *names):
-    for name in names:
-        with suppress(FileNotFoundError):
-            os.remove(os.path.join(d, name))
+# every file run, solve and assemble write, each with its sidecars
+_OUTPUTS = {"total.bin": (".info",), "ulong.bin": (".info",),
+            "short.bin": (".info",), "long.ct3": (), "short_template.ct3": (),
+            "shortlist.json": (), "metrics.txt": (), "timings.txt": (),
+            "report.txt": (".kv",)}
+_BUNDLE = ("long.ct3", "short_template.ct3", "shortlist.json")
+
+
+def _drop_stale(d, written):
+    # removes the outputs in d that this command did not write (`written`):
+    # an earlier command left them, and they would pass for its own
+    for name, sidecars in _OUTPUTS.items():
+        if name not in written:
+            for f in [name] + [name + s for s in sidecars]:
+                with suppress(FileNotFoundError):
+                    os.remove(os.path.join(d, f))
 
 
 def _write_fields(d, total, parts=None):
-    # total.bin, and ulong.bin and short.bin when parts = (u_long, short);
-    # without parts an earlier run's would pass for this run's, so they go
-    paths = {"total.bin": os.path.join(d, "total.bin")}
-    save_field(total, paths["total.bin"])
-    for name, f in zip(("ulong.bin", "short.bin"), parts or (None, None)):
-        if f is None:
-            _remove(d, name, name + ".info")
-        else:
-            paths[name] = os.path.join(d, name)
-            save_field(f, paths[name])
+    # total.bin, and ulong.bin and short.bin when parts = (u_long, short)
+    fields = {"total.bin": total}
+    if parts:
+        fields.update(zip(("ulong.bin", "short.bin"), parts))
+    paths = {name: os.path.join(d, name) for name in fields}
+    for name, f in fields.items():
+        save_field(f, paths[name])
     return paths
 
 
 def _write_bundle(rs, d, bc="homogeneous", kappa=0.0):
     # the RS format of rs as assemble writes it and _load_bundle reads it,
     # with the faces and screening of the total it stands for
-    paths = {name: os.path.join(d, name) for name in
-             ("long.ct3", "short_template.ct3", "shortlist.json")}
+    paths = {name: os.path.join(d, name) for name in _BUNDLE}
     save_canonical(rs.long, paths["long.ct3"])
     save_canonical(rs.short_reference, paths["short_template.ct3"])
     side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
@@ -584,13 +589,15 @@ def _cmd_assemble(args):
     m = _molecule_from_args(args)
     rs = _assemble_stage(cfg, m, {})[0]
     os.makedirs(cfg.outdir, exist_ok=True)
-    _write_bundle(rs, cfg.outdir)
+    _drop_stale(cfg.outdir, _write_bundle(rs, cfg.outdir))
     print("assembled %s: long rank %d -> %d, %d short contributions"
           % (m.name, rs.long_rank_pre, rs.long.rank, len(rs.short_list)))
     return 0
 
 
 def _load_bundle(d):
+    # (RSTensor, bc, kappa) of the bundle in d; bc and kappa are those of
+    # the total it stands for, homogeneous and 0 when not given
     path = os.path.join(d, "shortlist.json")
     try:
         with open(path) as fh:
@@ -611,6 +618,12 @@ def _load_bundle(d):
         if int(quad_rank) != quad_rank or not 1 <= quad_rank <= MAX_QUAD_RANK:
             raise ValueError("quad_rank must be an integer in [1, %d]"
                              % MAX_QUAD_RANK)
+        bc, kappa = side.get("bc", "homogeneous"), side.get("kappa", 0.0)
+        if bc not in ("homogeneous", "analytic"):
+            raise ValueError("bc must be 'homogeneous' or 'analytic', not %r"
+                             % (bc,))
+        if not 0 <= kappa < np.inf:
+            raise ValueError("kappa must be finite and >= 0, not %r" % (kappa,))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
     long = load_canonical(os.path.join(d, "long.ct3"))
@@ -624,30 +637,29 @@ def _load_bundle(d):
                         "with an odd side" % (d, template.shape))
     short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
                           weights.tolist()))
-    return RSTensor(grid, long, template, short_list, int(gamma),
-                    int(quad_rank), long_rank_pre=int(rank_pre))
+    return (RSTensor(grid, long, template, short_list, int(gamma),
+                     int(quad_rank), long_rank_pre=int(rank_pre)),
+            bc, float(kappa))
 
 
 def _cmd_solve(args):
-    rs = _load_bundle(args.indir)
-    with open(os.path.join(args.indir, "shortlist.json")) as fh:
-        side = json.load(fh)
-    if side.get("bc", "homogeneous") != "homogeneous":
+    rs, bc, kappa = _load_bundle(args.indir)
+    if bc != "homogeneous":
         # the bundle holds no molecule to rebuild the faces from
         raise ConfigError(
             "%s is the bundle of a bc=%s, kappa=%s run; solve composes "
-            "homogeneous-face totals only" % (args.indir, side["bc"],
-                                             side.get("kappa")))
+            "homogeneous-face totals only" % (args.indir, bc, kappa))
     u = _long_stage(rs, {})
     short = _short_stage(rs, {})
     total = compose_total(u, short)
     out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)
-    _write_fields(out, total, (u, short) if args.parts else None)
-    # the reports a run or validate left there describe another total
-    _remove(out, "metrics.txt", "timings.txt", "report.txt", "report.txt.kv")
+    paths = _write_fields(out, total, (u, short) if args.parts else None)
     if not os.path.samefile(out, args.indir):
         _write_bundle(rs, out)
+    # the bundle, read there or copied, stays; the reports a run or
+    # validate left there describe another total
+    _drop_stale(out, [*paths, *_BUNDLE])
     print("wrote %s in %s" % ("total.bin, ulong.bin and short.bin"
                               if args.parts else "total.bin", out))
     return 0

@@ -16,14 +16,14 @@ second step also returns the Tucker image of the terms it keeps, a core
 built from their core coordinates over the same factors, so a reduced
 tensor is densified by mode products of that image rather than term by
 term.  Every product here runs on numpy's own BLAS; the module imports no
-scipy.  Two steps made of many small products, the second-level SVDs of
-``t2c_with_image`` and the plane sum, split their work over W threads
-with that BLAS pinned to one thread, W being its thread count at the
-call: W single-threaded BLAS calls at once are faster on such small
-matrices than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1``
-makes them serial.  The n^3 passes of the other modules run on the same
-threads through ``_on_slabs``, which hands each a contiguous slab of
-planes; ``_on_threads`` is its per-index form.
+scipy.  Every threaded step of the package runs through one splitter,
+``_on_slabs``, which cuts a range into W contiguous shares, W being that
+BLAS's thread count at the call, and runs them on W threads with the BLAS
+pinned to one thread: the second-level SVDs of ``t2c_with_image`` and the
+mode-2 rows of the plane sum here, the n^3 passes of the other modules.
+W single-threaded BLAS calls at once are faster on such small matrices
+than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1`` makes
+every step serial.
 """
 
 import ctypes
@@ -181,43 +181,23 @@ def _on_slabs(fn, n):
     # first, with the BLAS pinned to one thread until the last share is
     # done.  Its idle threads spin for a while after a multi-threaded call,
     # on the cores the shares need, so they are stopped first; its next
-    # such call starts them.  A strided ufunc call goes through three
-    # buffers of numpy's bufsize, so each share runs with 1/W of the
-    # caller's (a multiple of 16, as numpy needs): together they hold what
-    # one serial call's buffers hold
+    # such call starts them
     blas, threads = _openblas(), _blas_threads()
     W = max(1, min(n, _slab_workers()))
     edges = [n * k // W for k in range(W + 1)]
-    size = max(16, np.getbufsize() // W // 16 * 16)
-
-    def share(k):
-        old = np.setbufsize(size)
-        try:
-            fn(edges[k], edges[k + 1])
-        finally:
-            np.setbufsize(old)
-
     if blas:
         blas[1](1)
         blas[2]()
     try:
         with ThreadPoolExecutor(max(1, W - 1)) as pool:
-            rest = [pool.submit(share, k) for k in range(1, W)]
-            share(0)
+            rest = [pool.submit(fn, edges[k], edges[k + 1])
+                    for k in range(1, W)]
+            fn(edges[0], edges[1])
             for f in rest:
                 f.result()
     finally:
         if blas:
             blas[1](threads)
-
-
-def _on_threads(fn, n):
-    # fn(0), ..., fn(n - 1) on the shares of _on_slabs
-    def share(i0, i1):
-        for i in range(i0, i1):
-            fn(i)
-
-    _on_slabs(share, n)
 
 
 def _check_finite(t):
@@ -288,10 +268,11 @@ def _plane_sum(table, w, points, q):
     products by one batched GEMM.  The first block of about n1 (plane,
     term) groups meets its mode-3 vectors in one GEMM whose (n3, n1 n2)
     product is the result; each later block adds into it one tile of
-    min(2^20 / n3, n1 n2 / 8) / W columns at a time.  The W workers of
-    ``_on_threads`` each take a contiguous range of mode-2 rows, so their
+    min(2^20 / n3, n1 n2 / 8) / W columns at a time.  The W shares of
+    ``_on_slabs`` each take a contiguous range of mode-2 rows, so their
     two-mode products, GEMMs and tiles touch disjoint columns of the
-    result; the blocks and tile buffers they share are allocated first.
+    result; the block they share and their W tile buffers are allocated
+    before they start, share k taking buffer k.
     """
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
@@ -305,8 +286,8 @@ def _plane_sum(table, w, points, q):
     bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
     i0, i1, q = idx[0][order], idx[1][order], q[order, None]
     Z, step = bounds.size - 1, max(1, n1 // R)
-    W = min(n2, _blas_threads())
-    rows = [n2 * k // W for k in range(W + 1)]
+    # the number of shares _on_slabs(work, n2) makes
+    W = max(1, min(n2, _slab_workers()))
     # allocated first, so a grid too large for memory fails before any work
     out = np.empty((n3, n1 * n2))
     # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
@@ -314,12 +295,13 @@ def _plane_sum(table, w, points, q):
     kab = np.empty((min(step, Z) * R, n2, n1))
     # the tile buffers hold at most 2^20 floats and an eighth of out
     cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8) // W)
-    buf = np.empty((W, n3, cols)) if Z > step else None
+    # share k, rows n2 k / W on, takes tile buffer k
+    bufs = dict(zip((n2 * k // W for k in range(W)),
+                    np.empty((W, n3, cols)) if Z > step else [None] * W))
 
-    def work(k):
+    def work(j0, j1):
         # mode-2 rows j0 .. j1, which are output columns c0 .. c1
-        j0, j1 = rows[k], rows[k + 1]
-        c0, c1 = j0 * n1, j1 * n1
+        c0, c1, buf = j0 * n1, j1 * n1, bufs[j0]
         for p0 in range(0, Z, step):
             P = min(step, Z - p0)
             for p in range(P):
@@ -335,9 +317,9 @@ def _plane_sum(table, w, points, q):
             for c in range(0, c1 - c0, cols):
                 Kt = K[:, c:c + cols]
                 out[:, c0 + c:c0 + c + Kt.shape[1]] += np.matmul(
-                    E3, Kt, out=buf[k, :, :Kt.shape[1]])
+                    E3, Kt, out=buf[:, :Kt.shape[1]])
 
-    _on_threads(work, W)
+    _on_slabs(work, n2)
     return out.T.reshape((n1, n2, n3), order="F")
 
 
@@ -442,7 +424,7 @@ def t2c_with_image(t, eps):
 
     The first-level SVD is taken of the transpose of the core unfolding,
     which is tall, and the second level is one SVD of each of its singular
-    vectors reshaped to a matrix, on the workers of ``_on_threads``.  The
+    vectors reshaped to a matrix, on the shares of ``_on_slabs``.  The
     image has ``t``'s factors and the core ``sum_k w_k c_1k x c_2k x c_3k``
     of the kept terms' core coordinates c_lk.  The terms of first-level
     vector j share their mode-m coordinates, so each j sums its terms' other
@@ -475,11 +457,12 @@ def t2c_with_image(t, eps):
     J, k = V.shape[1], min(r[a], r[b])
     P, s, Q = np.empty((J, r[a], k)), np.empty((J, k)), np.empty((J, k, r[b]))
 
-    def second_level(j):
-        P[j], s[j], Q[j] = np.linalg.svd(V[:, j].reshape(r[a], r[b]),
-                                         full_matrices=False)
+    def second_level(j0, j1):
+        for j in range(j0, j1):
+            P[j], s[j], Q[j] = np.linalg.svd(V[:, j].reshape(r[a], r[b]),
+                                             full_matrices=False)
 
-    _on_threads(second_level, J)
+    _on_slabs(second_level, J)
     del V
     w = (tau[:, None] * s).ravel()
 

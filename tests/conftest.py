@@ -57,7 +57,7 @@ def same_bits(a, b):
 
 @contextmanager
 def slab_workers(W):
-    """The n^3 passes cut their planes into W slabs, whatever the BLAS
+    """Every threaded step cuts its range into W shares, whatever the BLAS
     thread count is."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_slab_workers", lambda: W)

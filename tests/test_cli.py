@@ -308,6 +308,23 @@ def test_solve_refuses_analytic_bundle(tmp_path, capsys, screening):
     assert not (tmp_path / "x").exists()
 
 
+def test_assemble_into_run_directory_leaves_only_its_bundle(tmp_path,
+                                                           capsys):
+    # the born run's total, metrics and report would pass for outputs of
+    # the ligand18 bundle, and validate read the stale total without
+    # complaint
+    d = tmp_path / "run"
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o",
+                    str(d)]) == 0
+    assert rt.main(["assemble", "--pqr", LIGAND, "--n", "41", "-o",
+                    str(d)]) == 0
+    assert sorted(os.listdir(d)) == sorted(_BUNDLE)
+    assert json.loads((d / "shortlist.json").read_text())["n"] == 41
+    assert rt.main(["validate", "--pqr", LIGAND, "--field",
+                    str(d / "total.bin"), "-o", str(tmp_path / "v")]) == 4
+    assert "total.bin" in capsys.readouterr().err
+
+
 def test_solve_into_run_directory_drops_its_reports(tmp_path):
     # solve rewrites total.bin; the run's metrics, times and report would
     # describe the run's total, so they go
@@ -509,7 +526,7 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
 
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
-    rs = rt.cli._load_bundle(str(born_bundle))
+    rs = rt.cli._load_bundle(str(born_bundle))[0]
     u = rt.cli._long_stage(rs, {})
     short = rt.cli._short_stage(rs, {})
     total = rt.compose_total(u, short)
@@ -695,14 +712,25 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     ({"gamma": float("inf")}, "shortlist.json"),
     ({"gamma": 14.7}, "shortlist.json"),
     ({"rank_pre": 3.5}, "shortlist.json"),
-    ({"n": 65}, "long.ct3")],
+    ({"n": 65}, "long.ct3"),
+    ({"bc": "foo"}, "shortlist.json"),
+    ({"bc": None}, "shortlist.json"),
+    ({"bc": 5}, "shortlist.json"),
+    ({"bc": ["homogeneous"]}, "shortlist.json"),
+    ({"kappa": -0.5}, "shortlist.json"),
+    ({"kappa": float("inf")}, "shortlist.json"),
+    ({"kappa": float("nan")}, "shortlist.json"),
+    ({"kappa": "0"}, "shortlist.json")],
     ids=["two_coordinates", "off_grid", "quad_rank_zero", "b_infinity",
-         "gamma_infinity", "gamma_fraction", "rank_pre_fraction", "n"])
+         "gamma_infinity", "gamma_fraction", "rank_pre_fraction", "n",
+         "bc_unknown", "bc_null", "bc_number", "bc_list", "kappa_negative",
+         "kappa_infinity", "kappa_nan", "kappa_string"])
 def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
                                           name):
     # each of these crashed, dropped the atom, exited 2 or was solved
     # without complaint before the bundle reader checked it; a fractional
-    # gamma or rank_pre was truncated to an integer
+    # gamma or rank_pre was truncated to an integer, and a bc other than
+    # "homogeneous" was taken for the config error of an analytic bundle
     d = _bundle_copy(born_bundle, tmp_path)
     side = json.loads((d / "shortlist.json").read_text())
     side.update(edit)
@@ -710,6 +738,19 @@ def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
     assert rt.main(["solve", "-i", str(d)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and name in err
+
+
+@pytest.mark.parametrize("key", ["bc", "kappa"])
+def test_solve_bundle_without_bc_or_kappa(born_bundle, tmp_path, key):
+    # a bundle that names no bc or kappa stands for a homogeneous-face
+    # total, as the bundles written before they were recorded do
+    d = _bundle_copy(born_bundle, tmp_path)
+    side = json.loads((d / "shortlist.json").read_text())
+    del side[key]
+    (d / "shortlist.json").write_text(json.dumps(side))
+    assert rt.main(["solve", "-i", str(d)]) == 0
+    assert sorted(os.listdir(d)) == sorted(["total.bin", "total.bin.info"]
+                                           + _BUNDLE)
 
 
 def _field_dump(tmp_path):
@@ -1056,7 +1097,7 @@ def test_loaded_bundle_answers_entries(tmp_path, densify_cases):
     # an RSTensor read back from assemble's files builds its own cell index
     # and answers as the in-memory tensor of the same run does
     assert rt.main(["assemble", "-o", str(tmp_path)] + CLUSTER60) == 0
-    rs = rt.cli._load_bundle(str(tmp_path))
+    rs = rt.cli._load_bundle(str(tmp_path))[0]
     ref = densify_cases["cluster60"]["rs"]
     r = rs.support_radius
     rng = np.random.default_rng(6)

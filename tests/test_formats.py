@@ -13,9 +13,9 @@ import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits, slab_workers
 from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
 from rstensor import formats
-from rstensor.formats import (_mode_basis, _on_slabs, _on_threads, _openblas,
-                              _plane_sum, c2t_shift_sum, shift_sum,
-                              t2c_with_image, tucker_dense)
+from rstensor.formats import (_mode_basis, _on_slabs, _openblas, _plane_sum,
+                              c2t_shift_sum, shift_sum, t2c_with_image,
+                              tucker_dense)
 
 
 def test_eval_entry_zero_tensor():
@@ -237,24 +237,28 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
 @settings(max_examples=60, deadline=None)
 @given(shape=st.tuples(*[st.integers(1, 6)] * 3), R=st.integers(1, 8),
        m=st.tuples(*[st.integers(1, 12)] * 3), N=st.integers(1, 40),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0)
+       seed=st.integers(0, 2 ** 32 - 1), W=st.integers(1, 3))
+# three shares of one mode-2 row each
+@example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0, W=3)
 # 40 points on 2 x 2 x 9 nodes share some, 9 planes go in blocks of 2,
-# and the 25 columns of the output in tiles of 3
-@example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1)
+# and the 25 columns of the output in tiles of 3, or of 1 in two shares
+@example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1, W=1)
+@example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1, W=2)
 # at most 3 planes against blocks of 6 // 2 = 3: one GEMM, no tiles
-@example(shape=(6, 4, 5), R=2, m=(3, 3, 3), N=20, seed=2)
-# one mode-2 row, fewer than the workers of a multi-threaded BLAS
-@example(shape=(4, 1, 5), R=2, m=(3, 1, 9), N=30, seed=3)
-def test_plane_sum_matches_einsum(shape, R, m, N, seed):
+@example(shape=(6, 4, 5), R=2, m=(3, 3, 3), N=20, seed=2, W=2)
+# one mode-2 row, fewer than the shares asked for
+@example(shape=(4, 1, 5), R=2, m=(3, 1, 9), N=30, seed=3, W=3)
+def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
     # N points on m_l coordinates per mode repeat nodes and crowd planes;
     # up to 12 planes against max(1, n1 // R) per group block cross blocks,
-    # and n1 n2 // 8 columns per tile leave a ragged last tile
+    # n1 n2 // 8 // W columns per tile leave a ragged last tile, and W
+    # shares of mode-2 rows split the columns
     rng = np.random.default_rng(seed)
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
     pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
     w, q = rng.standard_normal(R), rng.standard_normal(N)
-    out = _plane_sum(lambda l, u: T[l][:, u], w, pts, q)
+    with slab_workers(W):
+        out = _plane_sum(lambda l, u: T[l][:, u], w, pts, q)
     G = [t[:, p] for t, p in zip(T, pts.T)]
     ref = np.einsum("k,a,kai,kaj,kal->ijl", w, q, *G)
     scale = np.einsum("k,a,kai,kaj,kal->ijl", np.abs(w), np.abs(q),
@@ -263,68 +267,44 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed):
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
-def _svd_batch(out, M, ran):
-    # fn for _on_threads: the SVD of M[i] into out[i], each i once, with
-    # the thread that ran it added to ran
-    def fn(i):
-        assert np.all(np.isnan(out[i]))
-        ran.add(threading.get_ident())
-        out[i] = np.linalg.svd(M[i], compute_uv=False)
+def _svd_batch(out, M, ran, bad=None):
+    # fn for _on_slabs: the SVD of M[i] into out[i], each i of its share
+    # once, with the thread that ran it added to ran; item bad raises
+    def fn(i0, i1):
+        for i in range(i0, i1):
+            if i == bad:
+                raise ValueError("item %d" % i)
+            assert np.all(np.isnan(out[i]))
+            ran.add(threading.get_ident())
+            out[i] = np.linalg.svd(M[i], compute_uv=False)
     return fn
 
 
 @pytest.mark.parametrize("bad", [0, 6], ids=["caller_share", "worker_share"])
-def test_on_threads_restores_blas_threads_after_raise(set_blas_threads, bad):
+def test_on_slabs_restores_blas_threads_after_raise(set_blas_threads, bad):
     set_blas_threads(2)
     M = np.random.default_rng(0).standard_normal((7, 30, 20))
-    svd = _svd_batch(np.full((7, 20), np.nan), M, set())
-
-    def fn(i):
-        if i == bad:
-            raise ValueError("item %d" % i)
-        svd(i)
-
+    fn = _svd_batch(np.full((7, 20), np.nan), M, set(), bad)
     with pytest.raises(ValueError, match="item %d" % bad):
-        _on_threads(fn, 7)
+        _on_slabs(fn, 7)
     assert _openblas()[0]() == 2
 
 
-def test_on_threads_without_setter_matches_threaded(set_blas_threads,
-                                                    monkeypatch):
+def test_on_slabs_without_setter_matches_threaded(set_blas_threads,
+                                                  monkeypatch):
     # two threads, the caller one of them; without the setter the same
     # items run in the caller alone, with the same results
     M = np.random.default_rng(1).standard_normal((9, 40, 25))
     threaded, serial = np.full((2, 9, 25), np.nan)
     ran = [set(), set()]
     set_blas_threads(2)
-    _on_threads(_svd_batch(threaded, M, ran[0]), 9)
+    _on_slabs(_svd_batch(threaded, M, ran[0]), 9)
     monkeypatch.setattr(formats, "_openblas", lambda: None)
-    _on_threads(_svd_batch(serial, M, ran[1]), 9)
+    _on_slabs(_svd_batch(serial, M, ran[1]), 9)
     assert same_bits(serial, threaded)
     me = threading.get_ident()
     assert len(ran[0]) == 2 and me in ran[0] and ran[1] == {me}
 
-
-
-def test_on_slabs_shares_and_restores_bufsize():
-    # each of the W shares runs with 1/W of the caller's ufunc buffer size,
-    # and the caller has its own back when they are done, after a raise too
-    big = 4 * 8192
-    old = np.setbufsize(big)
-    try:
-        for W in (1, 2, 3):
-            seen = []
-            with slab_workers(W):
-                _on_slabs(lambda i0, i1: seen.append((i0, i1,
-                                                      np.getbufsize())), 7)
-            assert sorted(seen) == [(7 * k // W, 7 * (k + 1) // W,
-                                     big // W // 16 * 16) for k in range(W)]
-            assert np.getbufsize() == big
-            with slab_workers(W), pytest.raises(ZeroDivisionError):
-                _on_slabs(lambda i0, i1: 1 / 0, 7)
-            assert np.getbufsize() == big
-    finally:
-        np.setbufsize(old)
 
 @settings(max_examples=80, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 40), rank=st.integers(0, 12),
