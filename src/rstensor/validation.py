@@ -7,11 +7,13 @@ comparison target, so reported errors isolate compression and solver terms
 from quadrature error.  The Gaussian sum adds the atoms one plane (distinct
 third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
 most n for grid-snapped charges, whatever N is, and its GEMMs run on
-numpy's BLAS: neither oracle loads scipy.  ``compare`` reads the two
-fields a block of planes at a time, the blocks shared out among the
-threads of ``_on_slabs``; given the pair ``(u_long, short)`` in
-place of one field, it adds each block of the pair first, so a run checks
-its total against the oracle before the total exists.
+numpy's BLAS: neither oracle loads scipy.  Its tables zero the Gaussians
+below ``_FLOOR``, which keeps subnormal floats, slow on x86 CPUs, out of
+those GEMMs.  ``compare`` reads the two fields a block of planes at a
+time, the blocks shared out among the threads of ``_on_slabs``; given the
+pair ``(u_long, short)`` in place of one field, it adds each block of the
+pair first, so a run checks its total against the oracle before the total
+exists.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -21,6 +23,12 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .formats import _on_slabs, _plane_sum
 from .solver import GridFunction3
+
+# F: gaussian_field zeroes its table entries below it.  Three kept entries
+# make a product of at least 2^-768, normal times any |w_k z_a| >= 2^-250;
+# a node loses less than F sum|w_k| sum|z_a|, half an ulp of 2^53 F
+# sum|w_k| sum|z_a|: 2e-57 on a 2000-atom cluster, whose |oracle| > 1e-6
+_FLOOR = 2.0 ** -256
 
 
 @dataclass
@@ -75,11 +83,18 @@ def gaussian_field(positions, charges, grid, q):
     distinct coordinate u of each mode; ``_plane_sum`` sums them plane by
     plane (distinct third coordinate) and returns the Fortran-ordered
     (mode-1 fastest) field, so the largest temporary besides it is one
-    block of at most n^3 two-mode products.
+    block of at most n^3 two-mode products.  Entries below ``_FLOOR`` =
+    2^-256 are zeroed, so no subnormal float slows the GEMMs; a node moves
+    by less than 2^-256 sum_k |w_k| sum_a |z_a|.
     """
     x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
-    return _plane_sum(lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
-                      q.weights, positions, charges)
+
+    def table(l, u):
+        t = np.exp(-t2 * (x - u[:, None]) ** 2)
+        t[t < _FLOOR] = 0.0  # a bool mask: no float temporary
+        return t
+
+    return _plane_sum(table, q.weights, positions, charges)
 
 
 def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):

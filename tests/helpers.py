@@ -1,7 +1,8 @@
 """Reference arithmetic that only the tests use.
 
 Each helper is a plain, slow or dense counterpart of something the package
-does in compressed form: the pointwise Gaussian sum of a quadrature, batch
+does in compressed form: the pointwise Gaussian sum of a quadrature, the
+Gaussian-sum oracle on its raw tables, batch
 and slice evaluation of canonical tensors, the explicit delta of the
 short-range part, the O(n^2)-per-line sine transform, the Poisson solve
 on all nodes with zero ghosts, single shifted kernel windows, a split at a
@@ -18,13 +19,21 @@ import numpy as np
 from rstensor import (CanonicalTensor3, ConfigError, DiscreteLaplacian,
                       Grid3, GridFunction3, apply_kron_laplacian,
                       poisson_solve, zero_canonical)
-from rstensor.formats import dense, shift_sum
+from rstensor.formats import _plane_sum, dense, shift_sum
 from rstensor.grid_kernel import _gauss
 
 
 def gaussian_sum(q, rho):
     """Evaluate sum_k c_k exp(-t_k^2 rho^2) at scalar or array rho."""
     return _gauss(q.nodes, q.weights, np.asarray(rho, dtype=float))
+
+
+def raw_gaussian_field(positions, charges, grid, q):
+    """``gaussian_field`` on the raw tables exp(-t_k^2 (x - u)^2), without
+    the floor: entries below 2^-256 and subnormal ones are kept."""
+    x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
+    return _plane_sum(lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
+                      q.weights, positions, charges)
 
 
 def negate(t):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
-from conftest import slab_workers
-from helpers import compare_reference
+from conftest import FIXTURES, same_bits, slab_workers
+from helpers import compare_reference, raw_gaussian_field
+from rstensor import validation
+from rstensor.cli import _resolve_quadrature
 
 SQRT3 = np.sqrt(3.0)
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -377,6 +379,63 @@ def test_gaussian_oracle_memory():
     rows = min(2 ** 20 // n, n * n // 8)
     bound = 8 * (n ** 3 + kab + R * n * (sum(u) + u[0]) + rows * n) + 2 ** 18
     assert peak <= bound, (peak, bound)
+
+
+# the molecule and config of each case, whose run oracle (the snapped
+# charges on the run's grid and quadrature) the two tests below rebuild
+_ORACLE_CASES = {
+    "born-n33": ("born.pqr", dict(n=33, b=8.0)),
+    "ligand18-n65": ("ligand18.pqr", dict(n=65)),
+    "ligand18-n129": ("ligand18.pqr", dict(n=129)),
+    "cluster60-n33": (60, dict(n=33, b=10.0)),
+}
+
+
+def _oracle_case(name):
+    source, kw = _ORACLE_CASES[name]
+    m = (rt.synthetic_cluster(source, 5.0, seed=7) if isinstance(source, int)
+         else rt.parse_pqr(os.path.join(FIXTURES, source)))
+    cfg = rt.RunConfig(**kw)
+    g = rt.Grid3(cfg.n, rt.resolve_box(cfg, m))
+    return rt.snapped_molecule(m, g)[0], g, _resolve_quadrature(cfg, g)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_gaussian_field_floor_keeps_every_bit(name):
+    # zeroing the table entries below the floor moves no bit of the oracle
+    # against its raw tables, which hold subnormal entries in every case,
+    # on one slab worker or two
+    m, g, q = _oracle_case(name)
+    for W in (1, 2):
+        with slab_workers(W):
+            got = rt.gaussian_field(m.positions, m.charges, g, q)
+            want = raw_gaussian_field(m.positions, m.charges, g, q)
+        assert same_bits(got, want), W
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_gaussian_field_tables_have_no_subnormal(name, monkeypatch):
+    # every table entry _plane_sum gets is 0 or at least the floor F, and
+    # F^3 min|w| min|z| is normal, so no operand of the oracle's GEMMs and
+    # no product of one entry of each table, weight and charge is subnormal
+    m, g, q = _oracle_case(name)
+    real, seen = validation._plane_sum, []
+
+    def spy(table, w, points, z):
+        def record(l, u):
+            seen.append(table(l, u))
+            return seen[-1]
+        seen.append((np.min(np.abs(w)), np.min(np.abs(z))))
+        return real(record, w, points, z)
+
+    monkeypatch.setattr(validation, "_plane_sum", spy)
+    rt.gaussian_field(m.positions, m.charges, g, q)
+    (w_min, z_min), tables = seen[0], seen[1:]
+    F = validation._FLOOR
+    assert len(tables) == 3
+    for t in tables:
+        assert np.all((t == 0.0) | (t >= F))
+    assert F ** 3 * w_min * z_min >= np.finfo(float).tiny
 
 
 # each case runs in a fresh interpreter after "import rstensor as rt" and
