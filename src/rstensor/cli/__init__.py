@@ -6,19 +6,20 @@ molecule snap -> collective assembly -> long part densified on the grid
 (``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil
 of the long field with -kappa^2 times the short part scattered into it,
 its face layers set to the exact oracle's screened-Coulomb values, and a
-Poisson solve that keeps them -> oracle field (kappa = 0 only: it is
-unscreened) -> short part scattered once -> (kappa = 0 only) the pair
-(long, short) compared against the oracle a block of planes at a time,
-and the oracle dropped -> total, long plus short in one add.  The total
-is allocated only once the oracle is gone, so a run holds three n^3
-fields at its peak, not four.  With homogeneous faces the solve would
-return its input, so it is not run.  The scatter, the comparison, the
-total and the finiteness check of every field run on a slab of planes
-per BLAS thread, with results independent of the thread count.  Every
-n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
-``.bin`` dumps, so they are written without a copy.  ``run`` and
-``solve`` write one n^3 dump, ``total.bin``, and the parts ``ulong.bin``
-and ``short.bin`` only with ``--parts``.  ``run`` also writes the RS
+Poisson solve that keeps them -> short part scattered once -> total,
+long plus short added into the long field's array, the short field
+dropped -> (kappa = 0 only, it is unscreened) oracle field -> the total
+compared with it a block of planes at a time: two n^3 fields at the
+peak.  ``--parts`` keeps both parts and compares the pair with an
+oracle built before the short part, allocating the total once it is
+gone: three.  With homogeneous faces the solve would return its input,
+so it is not run.  The scatter, the comparison, the total and the
+finiteness check of every field run on a slab of planes per BLAS thread,
+with results independent of the thread count.  Every n^3 field is
+Fortran-ordered (mode-1 fastest), the layout of the ``.bin`` dumps, so
+they are written without a copy.  ``run`` and ``solve`` write one n^3
+dump, ``total.bin``, and the parts ``ulong.bin`` and ``short.bin`` only
+with ``--parts``.  ``run`` also writes the RS
 bundle that ``assemble`` writes, with the run's ``bc`` and ``kappa``.
 ``solve`` composes homogeneous-face totals only, so it refuses the
 bundle of a ``--bc analytic`` run, and copies the bundle it reads into
@@ -40,6 +41,7 @@ metrics differ in the last bits, the total by at most 1e-13 of its max
 """
 
 import argparse
+import ctypes
 import json
 import mmap
 import os
@@ -311,26 +313,38 @@ def _short_stage(rs, timings):
             {"bc": "none", "quad_rank": rs.quad_rank})
 
 
-def run_case(cfg, m):
+def _fix_malloc_thresholds():
+    """Pin glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB,
+    so every freed block of 1 MiB or more goes back to the system.  Left
+    dynamic, the mmap threshold rises to each mapped block freed, and a
+    run's peak RSS followed the heap's layout and the threads' timing
+    (README).  A no-op where the C library has no ``mallopt``."""
+    with suppress(AttributeError, OSError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 2 ** 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2 ** 21)  # M_TRIM_THRESHOLD
+
+
+def run_case(cfg, m, parts=False):
     """Execute the pipeline in memory.
 
-    Returns a dict with the fields ``total`` = ``u_long`` + ``short`` (the
+    Returns a dict with the field ``total`` = ``u_long`` + ``short`` (the
     long-range solve and the run's one short-range scatter), the assembled
     tensor (``rs``), the reference kernel, the snapped molecule, the error
     report, deterministic ``metrics`` and wall-clock ``timings``, one key
     per stage.  Every field's meta names the quadrature rank.  The report
     is None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is
-    no reference; else ``compare`` reads the pair ``(u_long, short)``
-    against the oracle, dropped before ``compose_total`` builds the total.
-    A grid too large for the run's peak of n^3 fields, three or with a
-    solve four, is a ``MemoryError`` at once.
+    no reference.  The parts are None unless ``parts``: the total is then
+    built in the long field's array, and a run holds two n^3 fields at
+    its peak, three with ``parts`` and four with a solve; a grid too large
+    for them is a ``MemoryError`` at once.
     """
     timings = {}
     t_all = time.perf_counter()
     cfg.validate()
-    # mapped unwritten, not malloc'ed: freeing a malloc'ed field would raise
-    # glibc's mmap threshold and keep more of the run's heap resident
-    k, size = (4 if cfg.bc == "analytic" else 3), 8 * cfg.n ** 3
+    _fix_malloc_thresholds()
+    # mapped unwritten: the probe touches no page
+    k, size = (4 if cfg.bc == "analytic" else 2 + bool(parts)), 8 * cfg.n ** 3
     try:
         mmap.mmap(-1, k * size, flags=mmap.MAP_PRIVATE).close()
     except (OSError, OverflowError):
@@ -342,25 +356,35 @@ def run_case(cfg, m):
 
     u_long = _long_stage(rs, timings, cfg.kappa,
                          snapped if cfg.bc == "analytic" else None)
-    # the oracle comes once the long field is final and its densify or
-    # solve temporaries are gone, and before the short field exists: its
-    # plane-sum block then meets two n^3 fields, not three
+
+    def oracle():  # no reference at kappa > 0: it is unscreened
+        if cfg.kappa == 0:
+            with _clock(timings, "oracle"):
+                return direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
+                                         quad=q)
+
+    # with parts, kept for their dumps, the oracle comes before the short
+    # field and goes before the total; else the total takes the long
+    # field's array and the short field goes before the oracle comes
+    if parts:
+        ref = oracle()
+        short = _short_stage(rs, timings)
+    else:
+        short = _short_stage(rs, timings)
+        with _clock(timings, "compose"):
+            total = compose_total(u_long, short, out=u_long.values)
+        u_long = short = None
+        ref = oracle()
     report = None
-    if cfg.kappa == 0:
-        with _clock(timings, "oracle"):
-            oracle = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
-                                       quad=q)
-    short = _short_stage(rs, timings)
-    if cfg.kappa == 0:
+    if ref is not None:
         with _clock(timings, "compare"):
-            # three n^3 fields at the peak: the oracle goes before the
-            # total is allocated
-            report = compare((u_long, short), oracle,
+            report = compare((u_long, short) if parts else total, ref,
                              exclude_centers=[c for c, _ in rs.short_list],
                              config={"oracle": "gaussian_sum"})
-            del oracle
-    with _clock(timings, "compose"):
-        total = compose_total(u_long, short)
+            del ref
+    if parts:
+        with _clock(timings, "compose"):
+            total = compose_total(u_long, short)
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {
@@ -383,8 +407,8 @@ def run_case(cfg, m):
         "max_snap_offset": _fmt(np.max(np.abs(snapped.positions - m.positions))),
         "oracle": "gaussian_sum" if report else "skipped",
     }
-    if "residual" in u_long.meta:
-        metrics["solver_residual"] = _fmt(u_long.meta["residual"])
+    if "residual" in total.meta:
+        metrics["solver_residual"] = _fmt(total.meta["residual"])
     if report is not None:
         metrics.update({
             "l2_weighted": _fmt(report.discrete_l2),
@@ -414,7 +438,7 @@ def run_pipeline(cfg, m, parts=False):
     run did not write are removed from the directory (``_drop_stale``).
     Returns the in-memory bundle with a ``paths`` entry added.
     """
-    out = run_case(cfg, m)
+    out = run_case(cfg, m, parts)
     d = cfg.outdir
     os.makedirs(d, exist_ok=True)
     paths = _write_fields(d, out["total"],
@@ -480,7 +504,8 @@ def _write_bundle(rs, d, bc="homogeneous", kappa=0.0):
             "centers": [list(c) for c, _ in rs.short_list],
             "weights": [w for _, w in rs.short_list]}
     with open(paths["shortlist.json"], "w") as fh:
-        json.dump(side, fh, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump, the same bytes, does not
+        fh.write(json.dumps(side, sort_keys=True))
     return paths
 
 
@@ -651,7 +676,7 @@ def _cmd_solve(args):
             "homogeneous-face totals only" % (args.indir, bc, kappa))
     u = _long_stage(rs, {})
     short = _short_stage(rs, {})
-    total = compose_total(u, short)
+    total = compose_total(u, short, None if args.parts else u.values)
     out = args.outdir or args.indir
     os.makedirs(out, exist_ok=True)
     paths = _write_fields(out, total, (u, short) if args.parts else None)

@@ -271,8 +271,11 @@ def _plane_sum(table, w, points, q):
     min(2^20 / n3, n1 n2 / 8) / W columns at a time.  The W shares of
     ``_on_slabs`` each take a contiguous range of mode-2 rows, so their
     two-mode products, GEMMs and tiles touch disjoint columns of the
-    result; the block they share and their W tile buffers are allocated
-    before they start, share k taking buffer k.
+    result.  Share k builds a block's products a chunk of its rows at a
+    time in its own buffer of at most 2^21 floats (16 MiB), or one row;
+    where the unchunked block fits, as at every n1 = n2 = n3 <= 128, a
+    chunk is the whole share, with that block's GEMMs and bits.  The
+    buffers are allocated before the shares start.
     """
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
@@ -290,34 +293,43 @@ def _plane_sum(table, w, points, q):
     W = max(1, min(n2, _slab_workers()))
     # allocated first, so a grid too large for memory fails before any work
     out = np.empty((n3, n1 * n2))
-    # kab[p*R + k] is indexed [i2, i1], so kab[:G] reshaped to (G, n1 n2)
-    # has the mode-1-fastest flat indices of the output as columns
-    kab = np.empty((min(step, Z) * R, n2, n1))
-    # the tile buffers hold at most 2^20 floats and an eighth of out
+    # share k, rows edges[k] .. edges[k + 1], takes block k, for chunks of
+    # min(rows, its rows) mode-2 rows of G n1 floats, 2^21 floats or one
+    # row, and tile k, of at most 2^20 floats and an eighth of out
+    G, edges = min(step, Z) * R, [n2 * k // W for k in range(W + 1)]
+    rows = max(1, 2 ** 21 // (G * n1))
+    ends = np.cumsum([0] + [G * n1 * min(rows, b - a)
+                            for a, b in zip(edges, edges[1:])])
+    blocks = np.empty(ends[-1])
     cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8) // W)
-    # share k, rows n2 k / W on, takes tile buffer k
-    bufs = dict(zip((n2 * k // W for k in range(W)),
-                    np.empty((W, n3, cols)) if Z > step else [None] * W))
+    bufs = {edges[k]: (blocks[ends[k]:ends[k + 1]], tile) for k, tile in
+            enumerate(np.empty((W, n3, cols)) if Z > step else [None] * W)}
 
     def work(j0, j1):
-        # mode-2 rows j0 .. j1, which are output columns c0 .. c1
-        c0, c1, buf = j0 * n1, j1 * n1, bufs[j0]
+        block, buf = bufs[j0]
         for p0 in range(0, Z, step):
             P = min(step, Z - p0)
-            for p in range(P):
-                a = slice(bounds[p0 + p], bounds[p0 + p + 1])
-                np.matmul((T[1][:, i1[a], j0:j1] * q[a]).transpose(0, 2, 1),
-                          T[0][:, i0[a]], out=kab[p * R:(p + 1) * R, j0:j1])
             # (E3, K) of the planes p0 .. p0 + P: E3 @ K is their sum
             E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
-            K = kab[:P * R, j0:j1].reshape(P * R, c1 - c0)
-            if p0 == 0:
-                np.matmul(E3, K, out=out[:, c0:c1])
-                continue
-            for c in range(0, c1 - c0, cols):
-                Kt = K[:, c:c + cols]
-                out[:, c0 + c:c0 + c + Kt.shape[1]] += np.matmul(
-                    E3, Kt, out=buf[:, :Kt.shape[1]])
+            for r0 in range(j0, j1, rows):
+                # rows r0 .. r1 are output columns c0 .. c1: kab[p*R + k] is
+                # indexed [i2, i1], so K's columns are mode-1-fastest
+                r1 = min(r0 + rows, j1)
+                c0, c1 = r0 * n1, r1 * n1
+                kab = block[:P * R * (c1 - c0)].reshape(P * R, r1 - r0, n1)
+                for p in range(P):
+                    a = slice(bounds[p0 + p], bounds[p0 + p + 1])
+                    np.matmul(
+                        (T[1][:, i1[a], r0:r1] * q[a]).transpose(0, 2, 1),
+                        T[0][:, i0[a]], out=kab[p * R:(p + 1) * R])
+                K = kab.reshape(P * R, c1 - c0)
+                if p0 == 0:
+                    np.matmul(E3, K, out=out[:, c0:c1])
+                    continue
+                for c in range(0, c1 - c0, cols):
+                    Kt = K[:, c:c + cols]
+                    out[:, c0 + c:c0 + c + Kt.shape[1]] += np.matmul(
+                        E3, Kt, out=buf[:, :Kt.shape[1]])
 
     _on_slabs(work, n2)
     return out.T.reshape((n1, n2, n3), order="F")

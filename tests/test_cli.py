@@ -413,10 +413,11 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
-    # a grid whose peak of k n^3 fields (three, four with a solve) cannot
-    # be mapped is reported as a one-line configuration error, before any
-    # output is written and before the quadrature, as k unwritten fields
-    # are mapped first.  100001^3 floats cannot be mapped at all; at
+    # a grid whose peak of k n^3 fields (two, three with --parts, four
+    # with a solve) cannot be mapped is reported as a one-line
+    # configuration error, before any output is written and before the
+    # quadrature, as k unwritten fields are mapped first.  100001^3 floats
+    # cannot be mapped at all; at
     # n = 33 every mapping above one field's bytes is made to fail, which
     # a probe of one field would pass
     monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
@@ -430,16 +431,59 @@ def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
     for n in (100001, 33):
         if n == 33:
             monkeypatch.setattr(rt.cli.mmap, "mmap", small_mmap)
-        for bc, k in (("homogeneous", 3), ("analytic", 4)):
-            out = tmp_path / ("%s-%d" % (bc, n))
+        for flags, k in (([], 2), (["--parts"], 3),
+                         (["--bc", "analytic"], 4)):
+            out = tmp_path / ("%s-%d" % ("".join(flags), n))
             rc = rt.main(["run", "--pqr", BORN, "--n", str(n), "--b", "8",
-                          "--bc", bc, "-o", str(out)])
+                          "-o", str(out)] + flags)
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") \
                 and err.count("\n") == 1, err
             assert "the %d %d^3 float64 fields" % (k, n) in err, err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("bc, parts, k", [
+    ("homogeneous", False, 2), ("homogeneous", True, 3),
+    ("analytic", False, 4), ("analytic", True, 4)])
+def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, bc, parts, k):
+    # the one mapping run_case makes before any work is its peak of n^3
+    # fields: the total and the oracle; with parts both parts, then the
+    # total; with a solve its four arrays
+    lengths = []
+
+    def record(fileno, length, **kwargs):
+        lengths.append(length)
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(rt.cli.mmap, "mmap", record)
+    with pytest.raises(MemoryError):
+        rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc), born_mol, parts=parts)
+    assert lengths == [k * 8 * 33 ** 3]
+
+
+def test_run_case_fixes_malloc_thresholds(born_mol, monkeypatch):
+    # before its first block run_case pins glibc's mmap threshold at 1 MiB
+    # and its trim threshold at 2 MiB, so freed n^3 blocks are unmapped,
+    # not kept in the heap; a C library without mallopt is passed over
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def refuse(fileno, length, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(rt.cli.ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(rt.cli.mmap, "mmap", refuse)
+    with pytest.raises(MemoryError):
+        rt.run_case(rt.RunConfig(n=33, b=8.0), born_mol)
+    assert calls == [(-3, 2 ** 20), (-1, 2 ** 21)]
+    monkeypatch.setattr(rt.cli.ctypes, "CDLL", lambda name: object())
+    rt.cli._fix_malloc_thresholds()
 
 
 @pytest.mark.parametrize("flags, keys", [
@@ -518,7 +562,9 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
     # fields share the dumps' layout, so save_field writes them without a
     # copy; the short template has it too, so each window add walks memory
     # in order
-    out = rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa), born_mol)
+    cfg = rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa)
+    assert rt.run_case(cfg, born_mol)["total"].values.flags.f_contiguous
+    out = rt.run_case(cfg, born_mol, parts=True)
     assert out["total"].values.flags.f_contiguous
     assert out["u_long"].values.flags.f_contiguous
     assert out["short"].values.flags.f_contiguous
@@ -550,13 +596,15 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 @pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
 @pytest.mark.parametrize("case", ["born97", "cluster60"])
 def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
-    # run_case compares the pair (u_long, short) with the oracle, summed
-    # over compare's blocks of i3 planes, before compose_total builds the
-    # total; born at n=97 has 27 planes per block, three full blocks and a
-    # ragged one of 16
+    # with parts, run_case compares the pair (u_long, short) with the
+    # oracle, summed over compare's blocks of i3 planes, before
+    # compose_total builds the total; born at n=97 has 27 planes per
+    # block, three full blocks and a ragged one of 16.  A default run adds
+    # the short field into the long field's array and compares that total:
+    # the same total and report, bit for bit
     m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
               "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
-    out = rt.run_case(cfg, m)
+    out = rt.run_case(cfg, m, parts=True)
     u, short = out["u_long"], out["short"]
     oracle = rt.direct_sum_oracle(out["molecule"], u.grid,
                                   kernel="gaussian_sum", quad=out["quadrature"])
@@ -565,51 +613,129 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
                      config={"oracle": "gaussian_sum"})
     assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
     assert np.array_equal(out["total"].values, u.values + short.values)
+    plain = rt.run_case(cfg, m)
+    assert plain["u_long"] is None and plain["short"] is None
+    assert same_bits(plain["total"].values, out["total"].values)
+    assert dataclasses.asdict(plain["report"]) == dataclasses.asdict(ref)
+    assert plain["metrics"] == out["metrics"]
 
 
-@pytest.mark.parametrize("case", ["ligand18", "cluster100"])
-def test_run_case_peak_holds_three_fields(ligand_mol, case):
-    # The peak of a run with the oracle is its compare pass: three n^3
-    # float fields (u_long, short and the oracle, which goes before the
-    # total is allocated), compare's n^3 bool core mask and its one buffer
-    # of k = 2^18 // n^2 planes, and what the result keeps besides the
-    # fields (the long factors, the long and short reference columns, the
-    # short template, the kernel), plus 256 KiB of slack.  The oracle is
-    # built before the short field exists: two fields and its (planes x R,
-    # n, n) plane-sum block, under one field here (2 x 29 x 65^2 floats),
-    # stay below that.  A total allocated while the oracle lives, or an n^3
-    # sum inside compare, is a fourth field, 2.1 MiB here, and breaks the
-    # bound.  cluster100's long part is reduced (2100 -> 2028): the core of
-    # its Tucker image, not counted, is dropped once densified (kept, it
-    # broke the bound by 1.7 MB)
-    m = ligand_mol if case == "ligand18" else rt.synthetic_cluster(100, 8.0,
-                                                                   seed=1)
-    cfg = rt.RunConfig(n=65)
-    rt.run_case(cfg, m)  # caches filled outside the trace
+def _traced_run_case(cfg, m, parts, monkeypatch):
+    # (result, traced peak up to the oracle's return, traced peak after
+    # it) of a run_case whose caches are filled
+    peaks, oracle = [], rt.cli.direct_sum_oracle
+
+    def traced_oracle(*args, **kwargs):
+        ref = oracle(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return ref
+
+    rt.run_case(cfg, m, parts=parts)
+    monkeypatch.setattr(rt.cli, "direct_sum_oracle", traced_oracle)
     tracemalloc.start()
     try:
-        out = rt.run_case(cfg, m)
+        out = rt.run_case(cfg, m, parts=parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rs, n = out["rs"], out["total"].grid.n
-    assert (rs.long_reference is None) == (case == "cluster100")
+    assert len(peaks) == 1
+    return out, peaks[0], peak
+
+
+def _check_peaks(out, oracle_peak, compare_peak, oracle_fields,
+                 compare_fields):
+    # Bounds on the traced peaks of run_case up to the oracle's return and
+    # after it (compare, and compose with parts), each with the n^3 float
+    # fields it holds, plus what the result keeps besides the fields (the
+    # long factors, the long and short reference columns, the short
+    # template, the kernel) and 256 KiB of slack.  The oracle's
+    # temporaries: its plane-sum blocks, the W shares' chunks of at most
+    # 2^21 floats each and of no more than the unchunked block of G =
+    # min(n // R, Z) R two-mode products of n x n floats, its three (R,
+    # distinct, n) tables with the weighted copy of the first, its tile
+    # buffers of at most min(2^20, n^3 / 8) floats, its W (n, G) mode-3
+    # blocks and each share's gathers of a plane's points, R x (points in
+    # the plane) x n floats of mode-1 rows and twice as many of the
+    # mode-2 rows in a chunk.  compare's: its n^3 bool core mask and its W
+    # buffers of max(1, 2^15 // n^2) planes.  Every run also keeps the
+    # three-field bound of a run that composed its total in a new array:
+    # three fields, the core mask, 2^18 // n^2 planes and the kept arrays
+    rs, q, snapped = out["rs"], out["quadrature"], out["molecule"]
+    n, R = rs.grid.n, q.rank
+    W = min(n, rt.formats._slab_workers())
+    u, inv = zip(*(np.unique(snapped.positions[:, l], return_inverse=True)
+                   for l in range(3)))
+    u = [v.size for v in u]
+    G = min(n // R, u[2]) * R
+    rows = min(max(1, 2 ** 21 // (G * n)), -(-n // W))
+    oracle = 8 * (min(G * n * n, W * 2 ** 21) + R * n * (sum(u) + u[0])
+                  + min(2 ** 20 // n, n * n // 8) * n + W * n * G
+                  + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
+    compare = n ** 3 + W * 8 * n * n * max(1, 2 ** 15 // n ** 2)
     kept = rs.template_dense().nbytes + sum(
         f.nbytes for t in (rs.long, rs.long_reference, rs.short_reference,
                            out["kernel"].wide_tensor) if t is not None
-        for f in t.factors)
-    k = 2 ** 18 // n ** 2
-    bound = 3 * 8 * n ** 3 + n ** 3 + 8 * n * n * k + kept + 2 ** 18
-    assert peak <= bound, (peak, bound)
+        for f in t.factors) + 2 ** 18
+    field = 8 * n ** 3
+    bound = oracle_fields * field + oracle + kept
+    assert oracle_peak <= bound, (oracle_peak, bound)
+    bound = compare_fields * field + compare + kept
+    assert compare_peak <= bound, (compare_peak, bound)
+    bound = 3 * field + n ** 3 + 8 * n * n * (2 ** 18 // n ** 2) + kept
+    assert max(oracle_peak, compare_peak) <= bound, (oracle_peak,
+                                                     compare_peak, bound)
+
+
+_PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193}
+
+
+def _peak_molecule(ligand_mol, case):
+    return (rt.synthetic_cluster(100, 8.0, seed=1) if case == "cluster100"
+            else ligand_mol)
+
+
+@pytest.mark.parametrize("case", sorted(_PEAK_CASES))
+def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, case):
+    # A default run adds the short field into the long field's array and
+    # drops it before the oracle is built, so its oracle and compare passes
+    # hold two n^3 float fields, the total and the oracle.  A third field,
+    # the short part or a copy of the total, breaks the compare bound if
+    # held at compare and the oracle bound if held while the oracle is
+    # built, in every case (0.2 to 0.8 MB of room at n = 65, against a
+    # 2.2 MB field).  An unchunked plane-sum block breaks the oracle bound
+    # at n = 193, where the 2^21-float cap binds (0.9 of a field)
+    m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
+    out, oracle_peak, compare_peak = _traced_run_case(
+        rt.RunConfig(n=n), m, False, monkeypatch)
+    assert out["u_long"] is None and out["short"] is None
+    _check_peaks(out, oracle_peak, compare_peak, 2, 2)
+
+
+@pytest.mark.parametrize("case", ["ligand18", "cluster100"])
+def test_run_case_peak_holds_three_fields(ligand_mol, monkeypatch, case):
+    # With parts the run keeps both parts for their dumps: the oracle is
+    # built beside the long field alone, and the compare pass holds three
+    # n^3 float fields (u_long, short and the oracle, which goes before the
+    # total is allocated).  A total allocated while the oracle lives, or
+    # an n^3 sum inside compare, is a fourth field, 2.1 MiB here, and
+    # breaks the compare bound.  cluster100's long part is reduced (2100
+    # -> 2028): the core of its Tucker image, not counted, is dropped once
+    # densified (kept, it broke the bound by 1.7 MB)
+    m = _peak_molecule(ligand_mol, case)
+    out, oracle_peak, compare_peak = _traced_run_case(
+        rt.RunConfig(n=65), m, True, monkeypatch)
+    assert (out["rs"].long_reference is None) == (case == "cluster100")
+    _check_peaks(out, oracle_peak, compare_peak, 2, 3)
 
 
 def test_analytic_run_without_sched_getaffinity(born_mol, monkeypatch):
     # the solve's transforms take the BLAS thread count, so a platform
     # without os.sched_getaffinity runs it too, to the same bits
     cfg = rt.RunConfig(n=33, b=8.0, bc="analytic")
-    ref = rt.run_case(cfg, born_mol)["u_long"]
+    ref = rt.run_case(cfg, born_mol, parts=True)["u_long"]
     monkeypatch.delattr(os, "sched_getaffinity")
-    u = rt.run_case(cfg, born_mol)["u_long"]
+    u = rt.run_case(cfg, born_mol, parts=True)["u_long"]
     assert u.meta["bc"] == "trace"
     assert same_bits(u.values, ref.values)
 
@@ -643,7 +769,7 @@ def test_analytic_faces_are_exact_oracle_faces(born_mol, cluster60, case):
     m, cfg = {"born": (born_mol, rt.RunConfig(n=33, b=8.0, bc="analytic")),
               "cluster60": (cluster60, rt.RunConfig(n=33, b=10.0,
                                                     bc="analytic"))}[case]
-    out = rt.run_case(cfg, m)
+    out = rt.run_case(cfg, m, parts=True)
     u = out["u_long"].values
     ref = rt.direct_sum_oracle(out["molecule"], out["u_long"].grid,
                                kernel="exact_newton").values
@@ -992,7 +1118,8 @@ def test_u_long_matches_kronecker_route(cluster60, kappa):
     # the pipeline's long-range potential against the zero-ghost solve
     # of the dense image of the Kronecker form; kappa > 0 needs analytic
     # faces, whose u_long is not this solve
-    out = rt.run_case(rt.RunConfig(n=33, b=10.0, kappa=kappa), cluster60)
+    out = rt.run_case(rt.RunConfig(n=33, b=10.0, kappa=kappa), cluster60,
+                      parts=True)
     rs = out["rs"]
     assert 0 < rs.long.rank < rs.long_rank_pre
     L = rt.DiscreteLaplacian(rs.grid, kappa)
@@ -1055,8 +1182,10 @@ def densify_cases(cluster60, ligand_mol):
     # cluster60 keeps its reduction (1080 -> about 795) and densifies the
     # Tucker image; ligand18 falls back to the explicit sum (324 -> 324)
     # and densifies the canonical terms
-    return {"cluster60": rt.run_case(rt.RunConfig(n=33, b=10.0), cluster60),
-            "ligand18": rt.run_case(rt.RunConfig(n=33), ligand_mol)}
+    return {"cluster60": rt.run_case(rt.RunConfig(n=33, b=10.0), cluster60,
+                                     parts=True),
+            "ligand18": rt.run_case(rt.RunConfig(n=33), ligand_mol,
+                                    parts=True)}
 
 
 @pytest.mark.parametrize("case", ["cluster60", "ligand18"])

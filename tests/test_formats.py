@@ -267,6 +267,43 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("W", [1, 2, 3])
+def test_plane_sum_chunks_rows_past_the_cap(W):
+    # R = 256 terms, 2 planes a block: a mode-2 row of the block is
+    # 512 x 512 floats, so a share builds its products 2^21 / 2^18 = 8 rows
+    # at a time, and the third plane's block adds its 4096 columns a chunk
+    # in ragged tiles of 2560 // W.  The sum is that of the terms, point by
+    # point, and no buffer holds the unchunked 512 x 40 x 512 floats (84 MB):
+    # the peak is the output, the tables (the mode-1 one twice, weighted),
+    # W blocks of 2^21 floats, and each share's gathers of a plane's mode-1
+    # rows and of its mode-2 rows in a chunk, twice
+    rng = np.random.default_rng(4)
+    R, shape, m, N = 256, (512, 40, 3), (4, 4, 3), 12
+    T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
+    pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
+    pts[:3, 2] = range(3)
+    w, q = rng.standard_normal(R), rng.standard_normal(N)
+    tracemalloc.start()
+    try:
+        with slab_workers(W):
+            out = _plane_sum(lambda l, u: T[l][:, u], w, pts, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ref, scale = np.zeros(shape), np.zeros(shape)
+    for a, (i, j, k) in enumerate(pts):
+        for acc, f in ((ref, lambda x: x), (scale, np.abs)):
+            KR = (f(T[1][:, j, :, None]) * f(T[2][:, k, None, :]))
+            acc += ((f(T[0][:, i]) * f(w * q[a])[:, None]).T
+                    @ KR.reshape(R, -1)).reshape(shape)
+    assert out.shape == shape and out.flags.f_contiguous
+    assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+    tables = R * (2 * m[0] * shape[0] + m[1] * shape[1] + m[2] * shape[2])
+    gathers = W * R * np.bincount(pts[:, 2]).max() * (shape[0] + 2 * 8)
+    bound = 8 * (W * 2 ** 21 + tables + gathers + np.prod(shape)) + 2 ** 20
+    assert peak <= bound, (peak, bound)
+
+
 def _svd_batch(out, M, ran, bad=None):
     # fn for _on_slabs: the SVD of M[i] into out[i], each i of its share
     # once, with the thread that ran it added to ran; item bad raises

@@ -356,11 +356,13 @@ def test_gaussian_field_matches_pointwise_sum(case):
 def test_gaussian_oracle_memory():
     # on clusters the oracle, not the compose pass, sets the peak of
     # run_case, so it is bounded on its own: the output, _plane_sum's kab
-    # block of min(n // R, Z) planes of R n x n slices, the three
-    # (R, distinct, n) tables, the weighted copy of the first and the tile
-    # buffer of min(2^20 // n, n^2 // 8) rows.  The unweighted first table
-    # is gone before kab exists, which leaves room for the per-plane
-    # gathers; 2^18 bytes cover the index arrays and the mode-3 block.  A
+    # blocks, no more than the unchunked one of min(n // R, Z) planes of R
+    # n x n slices and at most 2^21 floats for each of the W shares (a
+    # mode-2 row is G n = 8439 floats here), the three (R, distinct, n)
+    # tables, the weighted copy of the first and the tile buffer of
+    # min(2^20 // n, n^2 // 8) rows.  The unweighted first table is gone
+    # before kab exists, which leaves room for the per-plane gathers;
+    # 2^18 bytes cover the index arrays and the mode-3 block.  A
     # second n^3 array (7.3 MB here) breaks the bound.
     m = rt.synthetic_cluster(400, 12.0, seed=1)
     g = rt.Grid3(97, rt.resolve_box(rt.RunConfig(n=97), m))
@@ -375,7 +377,8 @@ def test_gaussian_oracle_memory():
         tracemalloc.stop()
     n, R = g.n, q.rank
     u = [np.unique(snapped.positions[:, l]).size for l in range(3)]
-    kab = min(n // R, u[2]) * R * n * n
+    W = min(n, rt.formats._slab_workers())
+    kab = min(min(n // R, u[2]) * R * n * n, W * 2 ** 21)
     rows = min(2 ** 20 // n, n * n // 8)
     bound = 8 * (n ** 3 + kab + R * n * (sum(u) + u[0]) + rows * n) + 2 ** 18
     assert peak <= bound, (peak, bound)
@@ -463,7 +466,8 @@ _SCIPY_CASES = {
     # the DST solve of --bc analytic is the one user of scipy.fft
     "analytic": (
         "m = rt.parse_pqr(%r)\n"
-        "out = rt.run_case(RunConfig(n=33, b=8.0, bc='analytic'), m)\n"
+        "out = rt.run_case(RunConfig(n=33, b=8.0, bc='analytic'), m,\n"
+        "                  parts=True)\n"
         "assert out['u_long'].meta['bc'] == 'trace'\n"
         % os.path.join(_ROOT, "fixtures", "born.pqr")),
 }
