@@ -1,25 +1,25 @@
 """Run configuration, molecule ingestion, pipeline orchestration, export.
 
-The pipeline stages run in this order at every kappa, each timed under
-its own key: quadrature -> reference kernel -> long/short split ->
-molecule snap -> collective assembly -> long part densified on the grid
-(``RSTensor.long_field``) -> (``--bc analytic`` only) delta, the stencil
-of the long field with -kappa^2 times the short part scattered into it,
-its face layers set to the exact oracle's screened-Coulomb values, and a
-Poisson solve that keeps them -> short part scattered once -> total,
-long plus short added into the long field's array, the short field
-dropped -> (kappa = 0 only, it is unscreened) oracle field -> the total
-compared with it a block of planes at a time: two n^3 fields at the
-peak.  ``--parts`` keeps both parts and compares the pair with an
-oracle built before the short part, allocating the total once it is
-gone: three.  With homogeneous faces the solve would return its input,
-so it is not run.  The scatter, the comparison, the total and the
+The pipeline stages run in one order at every kappa, with or without
+``--parts``, each timed under its own key: quadrature -> reference
+kernel -> long/short split -> molecule snap -> collective assembly ->
+long part densified on the grid (``RSTensor.long_field``) -> (``--bc
+analytic`` only) delta, the stencil of the long field with -kappa^2
+times the short part scattered into it, its face layers set to the
+exact oracle's screened-Coulomb values, and a Poisson solve that keeps
+them -> short part scattered once -> (``--parts`` only) both parts
+dumped -> total, long plus short added into the long field's array, the
+short field dropped -> (kappa = 0 only, it is unscreened) oracle field
+-> the total compared with it a block of planes at a time: two n^3
+fields at the peak.  With homogeneous faces the solve would return its
+input, so it is not run.  The scatter, the comparison, the total and the
 finiteness check of every field run on a slab of planes per BLAS thread,
 with results independent of the thread count.  Every n^3 field is
 Fortran-ordered (mode-1 fastest), the layout of the ``.bin`` dumps, so
 they are written without a copy.  ``run`` and ``solve`` write one n^3
 dump, ``total.bin``, and the parts ``ulong.bin`` and ``short.bin`` only
-with ``--parts``.  ``run`` also writes the RS
+with ``--parts``, which a command that raises once it began them
+removes (``_part_dumps``).  ``run`` also writes the RS
 bundle that ``assemble`` writes, with the run's ``bc`` and ``kappa``.
 ``solve`` composes homogeneous-face totals only, so it refuses the
 bundle of a ``--bc analytic`` run, and copies the bundle it reads into
@@ -304,13 +304,19 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
     return u
 
 
-def _short_stage(rs, timings):
-    """The short-range field (``bc=none``): the run's one scatter of the
-    short part, into a Fortran-ordered zero array."""
+def _total_stage(rs, u_long, timings, on_parts=None):
+    """The total of ``run`` and ``solve``: the one scatter of the short
+    part (``bc=none``) into a Fortran-ordered zero array, shown with
+    ``u_long`` to ``on_parts`` if given, then added into the long field's
+    array and dropped, so two n^3 fields are held at most."""
     with _clock(timings, "scatter"):
-        return GridFunction3(rs.grid, scatter_short(
+        short = GridFunction3(rs.grid, scatter_short(
             rs, np.zeros((rs.grid.n,) * 3, order="F")),
             {"bc": "none", "quad_rank": rs.quad_rank})
+    if on_parts is not None:
+        on_parts(u_long, short)
+    with _clock(timings, "compose"):
+        return compose_total(u_long, short)
 
 
 def _fix_malloc_thresholds():
@@ -325,26 +331,27 @@ def _fix_malloc_thresholds():
         mallopt(-1, 2 ** 21)  # M_TRIM_THRESHOLD
 
 
-def run_case(cfg, m, parts=False):
+def run_case(cfg, m, on_parts=None):
     """Execute the pipeline in memory.
 
-    Returns a dict with the field ``total`` = ``u_long`` + ``short`` (the
-    long-range solve and the run's one short-range scatter), the assembled
-    tensor (``rs``), the reference kernel, the snapped molecule, the error
-    report, deterministic ``metrics`` and wall-clock ``timings``, one key
-    per stage.  Every field's meta names the quadrature rank.  The report
-    is None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is
-    no reference.  The parts are None unless ``parts``: the total is then
-    built in the long field's array, and a run holds two n^3 fields at
-    its peak, three with ``parts`` and four with a solve; a grid too large
-    for them is a ``MemoryError`` at once.
+    Returns a dict with the field ``total`` (the long-range solve plus the
+    run's one short-range scatter), the assembled tensor (``rs``), the
+    reference kernel, the snapped molecule, the error report,
+    deterministic ``metrics`` and wall-clock ``timings``, one key per
+    stage.  Every field's meta names the quadrature rank.  The report is
+    None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is no
+    reference.  ``on_parts(u_long, short)``, if given, is called once
+    before the total takes the long field's array (``_total_stage``), so
+    a hook that keeps the parts copies ``u_long.values``.  A run holds two
+    n^3 fields at its peak, four with a solve; a grid too large for them
+    is a ``MemoryError`` at once.
     """
     timings = {}
     t_all = time.perf_counter()
     cfg.validate()
     _fix_malloc_thresholds()
     # mapped unwritten: the probe touches no page
-    k, size = (4 if cfg.bc == "analytic" else 2 + bool(parts)), 8 * cfg.n ** 3
+    k, size = (4 if cfg.bc == "analytic" else 2), 8 * cfg.n ** 3
     try:
         mmap.mmap(-1, k * size, flags=mmap.MAP_PRIVATE).close()
     except (OSError, OverflowError):
@@ -356,35 +363,17 @@ def run_case(cfg, m, parts=False):
 
     u_long = _long_stage(rs, timings, cfg.kappa,
                          snapped if cfg.bc == "analytic" else None)
-
-    def oracle():  # no reference at kappa > 0: it is unscreened
-        if cfg.kappa == 0:
-            with _clock(timings, "oracle"):
-                return direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
-                                         quad=q)
-
-    # with parts, kept for their dumps, the oracle comes before the short
-    # field and goes before the total; else the total takes the long
-    # field's array and the short field goes before the oracle comes
-    if parts:
-        ref = oracle()
-        short = _short_stage(rs, timings)
-    else:
-        short = _short_stage(rs, timings)
-        with _clock(timings, "compose"):
-            total = compose_total(u_long, short, out=u_long.values)
-        u_long = short = None
-        ref = oracle()
+    total = _total_stage(rs, u_long, timings, on_parts)
     report = None
-    if ref is not None:
+    if cfg.kappa == 0:  # no reference at kappa > 0: it is unscreened
+        with _clock(timings, "oracle"):
+            ref = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
+                                    quad=q)
         with _clock(timings, "compare"):
-            report = compare((u_long, short) if parts else total, ref,
+            report = compare(total, ref,
                              exclude_centers=[c for c, _ in rs.short_list],
                              config={"oracle": "gaussian_sum"})
             del ref
-    if parts:
-        with _clock(timings, "compose"):
-            total = compose_total(u_long, short)
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {
@@ -417,9 +406,9 @@ def run_case(cfg, m, parts=False):
             "max_abs": _fmt(report.max_abs),
             "max_abs_excl": _fmt(report.max_abs_excluding_cores),
         })
-    return {"total": total, "u_long": u_long, "short": short, "rs": rs,
-            "kernel": kernel, "molecule": snapped, "report": report,
-            "metrics": metrics, "timings": timings, "quadrature": q}
+    return {"total": total, "rs": rs, "kernel": kernel, "molecule": snapped,
+            "report": report, "metrics": metrics, "timings": timings,
+            "quadrature": q}
 
 
 def _fmt(v):
@@ -433,31 +422,31 @@ def run_pipeline(cfg, m, parts=False):
     ``assemble`` writes (``long.ct3``, ``short_template.ct3``,
     ``shortlist.json``), a deterministic ``metrics.txt`` (key=value,
     sorted), the stage wall times in ``timings.txt`` and, with an oracle,
-    ``report.txt``.  The parts ``ulong.bin`` and ``short.bin`` are written
-    only with ``parts=True``.  The outputs of an earlier command that this
-    run did not write are removed from the directory (``_drop_stale``).
-    Returns the in-memory bundle with a ``paths`` entry added.
+    ``report.txt``.  With ``parts=True`` the parts ``ulong.bin`` and
+    ``short.bin`` are written too, by the ``run_case`` hook, before the
+    total takes the long part's array (``_part_dumps``).  The outputs of
+    an earlier command that this run did not write are removed from the
+    directory (``_drop_stale``).  Returns the in-memory bundle with a
+    ``paths`` entry added.
     """
-    out = run_case(cfg, m, parts)
     d = cfg.outdir
-    os.makedirs(d, exist_ok=True)
-    paths = _write_fields(d, out["total"],
-                          (out["u_long"], out["short"]) if parts else None)
-    paths.update(_write_bundle(out["rs"], d, cfg.bc, cfg.kappa))
+    with _part_dumps(d, parts) as (on_parts, paths):
+        out = run_case(cfg, m, on_parts)
+        os.makedirs(d, exist_ok=True)
 
-    def _p(name):
-        paths[name] = os.path.join(d, name)
-        return paths[name]
+        def _p(name):
+            paths[name] = os.path.join(d, name)
+            return paths[name]
 
-    with open(_p("metrics.txt"), "w") as fh:
-        for k in sorted(out["metrics"]):
-            fh.write("%s=%s\n" % (k, out["metrics"][k]))
-    with open(_p("timings.txt"), "w") as fh:
-        for k in sorted(out["timings"]):
-            fh.write("%s=%.3f\n" % (k, out["timings"][k]))
-    if out["report"] is not None:
-        write_report(out["report"], _p("report.txt"))
-    _drop_stale(d, paths)
+        save_field(out["total"], _p("total.bin"))
+        paths.update(_write_bundle(out["rs"], d, cfg.bc, cfg.kappa))
+        for name, kv, line in (("metrics.txt", out["metrics"], "%s=%s\n"),
+                               ("timings.txt", out["timings"], "%s=%.3f\n")):
+            with open(_p(name), "w") as fh:
+                fh.writelines(line % (k, kv[k]) for k in sorted(kv))
+        if out["report"] is not None:
+            write_report(out["report"], _p("report.txt"))
+        _drop_stale(d, paths)
     out["paths"] = paths
     return out
 
@@ -468,27 +457,42 @@ _OUTPUTS = {"total.bin": (".info",), "ulong.bin": (".info",),
             "shortlist.json": (), "metrics.txt": (), "timings.txt": (),
             "report.txt": (".kv",)}
 _BUNDLE = ("long.ct3", "short_template.ct3", "shortlist.json")
+_PARTS = ("ulong.bin", "short.bin")
+
+
+def _remove(d, names):
+    # removes the outputs `names` from d, with their sidecars
+    for name in names:
+        for f in [name] + [name + s for s in _OUTPUTS[name]]:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(d, f))
 
 
 def _drop_stale(d, written):
     # removes the outputs in d that this command did not write (`written`):
     # an earlier command left them, and they would pass for its own
-    for name, sidecars in _OUTPUTS.items():
-        if name not in written:
-            for f in [name] + [name + s for s in sidecars]:
-                with suppress(FileNotFoundError):
-                    os.remove(os.path.join(d, f))
+    _remove(d, [name for name in _OUTPUTS if name not in written])
 
 
-def _write_fields(d, total, parts=None):
-    # total.bin, and ulong.bin and short.bin when parts = (u_long, short)
-    fields = {"total.bin": total}
-    if parts:
-        fields.update(zip(("ulong.bin", "short.bin"), parts))
-    paths = {name: os.path.join(d, name) for name in fields}
-    for name, f in fields.items():
-        save_field(f, paths[name])
-    return paths
+@contextmanager
+def _part_dumps(d, parts):
+    # (hook, paths): the on_parts hook (None without parts) writes the part
+    # dumps into d and enters them in paths, the command's outputs; if the
+    # command raises once they are begun, they go, lest they pass for the
+    # parts of an earlier command's total.bin
+    paths = {}
+
+    def dump(u_long, short):
+        os.makedirs(d, exist_ok=True)
+        for name, f in zip(_PARTS, (u_long, short)):
+            paths[name] = os.path.join(d, name)
+            save_field(f, paths[name])
+    try:
+        yield (dump if parts else None), paths
+    except BaseException:
+        if any(name in paths for name in _PARTS):
+            _remove(d, _PARTS)
+        raise
 
 
 def _write_bundle(rs, d, bc="homogeneous", kappa=0.0):
@@ -649,6 +653,9 @@ def _load_bundle(d):
                              % (bc,))
         if not 0 <= kappa < np.inf:
             raise ValueError("kappa must be finite and >= 0, not %r" % (kappa,))
+        if kappa > 0 and bc != "analytic":  # RunConfig refuses the pair
+            raise ValueError("kappa %r needs bc 'analytic', not %r"
+                             % (kappa, bc))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError("malformed %s: %s %s" % (path, type(e).__name__, e))
     long = load_canonical(os.path.join(d, "long.ct3"))
@@ -674,17 +681,17 @@ def _cmd_solve(args):
         raise ConfigError(
             "%s is the bundle of a bc=%s, kappa=%s run; solve composes "
             "homogeneous-face totals only" % (args.indir, bc, kappa))
-    u = _long_stage(rs, {})
-    short = _short_stage(rs, {})
-    total = compose_total(u, short, None if args.parts else u.values)
     out = args.outdir or args.indir
-    os.makedirs(out, exist_ok=True)
-    paths = _write_fields(out, total, (u, short) if args.parts else None)
-    if not os.path.samefile(out, args.indir):
-        _write_bundle(rs, out)
-    # the bundle, read there or copied, stays; the reports a run or
-    # validate left there describe another total
-    _drop_stale(out, [*paths, *_BUNDLE])
+    with _part_dumps(out, args.parts) as (on_parts, paths):
+        total = _total_stage(rs, _long_stage(rs, {}), {}, on_parts)
+        os.makedirs(out, exist_ok=True)
+        paths["total.bin"] = os.path.join(out, "total.bin")
+        save_field(total, paths["total.bin"])
+        if not os.path.samefile(out, args.indir):
+            _write_bundle(rs, out)
+        # the bundle, read there or copied, stays; the reports a run or
+        # validate left there describe another total
+        _drop_stale(out, [*paths, *_BUNDLE])
     print("wrote %s in %s" % ("total.bin, ulong.bin and short.bin"
                               if args.parts else "total.bin", out))
     return 0

@@ -196,17 +196,16 @@ def _solve_spectral(f, h, kappa):
     return dstn(F, type=1, norm="ortho", workers=workers)
 
 
-def compose_total(u_long, short, out=None):
-    """Total potential ``u_long + short``: one add, in the layout of
-    ``u_long``, a slab of mode-3 planes per worker of ``_on_slabs``, into
-    ``out`` if given (``u_long.values`` adds in place, to the same bits)."""
+def compose_total(u_long, short):
+    """Total potential ``u_long + short``: one add into the array of
+    ``u_long``, which so becomes the total's, a slab of mode-3 planes per
+    worker of ``_on_slabs``."""
     if u_long.grid != short.grid:
         raise ConfigError("long and short field grids differ")
     a, b = u_long.values, short.values
-    total = np.empty_like(a) if out is None else out
     _on_slabs(lambda z0, z1: np.add(a[:, :, z0:z1], b[:, :, z0:z1],
-                                    out=total[:, :, z0:z1]), a.shape[2])
-    return GridFunction3(u_long.grid, total, dict(u_long.meta, composed=True))
+                                    out=a[:, :, z0:z1]), a.shape[2])
+    return GridFunction3(u_long.grid, a, dict(u_long.meta, composed=True))
 
 
 def save_field(f, path):

@@ -10,10 +10,8 @@ most n for grid-snapped charges, whatever N is, and its GEMMs run on
 numpy's BLAS: neither oracle loads scipy.  Its tables zero the Gaussians
 below ``_FLOOR``, which keeps subnormal floats, slow on x86 CPUs, out of
 those GEMMs.  ``compare`` reads the two fields a block of planes at a
-time, the blocks shared out among the threads of ``_on_slabs``; given the
-pair ``(u_long, short)`` in place of one field, it adds each block of the
-pair first, so a run checks its total against the oracle before the total
-exists.
+time, the blocks shared out among the threads of ``_on_slabs``, so it
+allocates no n^3 float field.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -160,18 +158,15 @@ def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
 def compare(a, b, exclude_centers=None, config=None):
     """Error metrics of field ``a`` against reference ``b``.
 
-    ``a`` may also be the pair ``(u_long, short)``, compared as their sum,
-    which is bit for bit ``compose_total(u_long, short)``: each block of i3
-    planes of it is added in its worker's buffer, so no n^3 total is
-    allocated.  Nodes the reference lists as undefined in
+    Both are read a block of i3 planes at a time, each block's difference
+    formed in its worker's buffer.  Nodes the reference lists as undefined in
     ``b.meta["excluded_nodes"]`` (the exact oracle's atom nodes, stored as
     0) drop out of every metric.  ``exclude_centers`` lists node index
     triples (atom centers); the nodes within one grid unit (Chebyshev) of
     any of them, the singular cores, drop out of
     ``max_abs_excluding_cores`` only.
     """
-    parts = a if isinstance(a, tuple) else (a,)
-    if any(p.grid != b.grid for p in parts):
+    if a.grid != b.grid:
         raise ConfigError("fields live on different grids")
     g = b.grid
     mask = np.zeros((g.n,) * 3, dtype=bool, order="F")
@@ -184,7 +179,7 @@ def compare(a, b, exclude_centers=None, config=None):
         undefined = np.zeros((g.n,) * 3, dtype=bool, order="F")
         undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
     # blocks of k planes, k set by n alone, shared out by _on_slabs: each
-    # block of a and then |a - b| goes through its worker's buffer of 2^15
+    # block of |a - b| goes through its worker's buffer of 2^15
     # values (256 KiB), or of one plane when a plane is larger, so W
     # workers hold W of them; its undefined nodes are zeroed first, its core nodes once the block's
     # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
@@ -199,12 +194,9 @@ def compare(a, b, exclude_centers=None, config=None):
             sl = np.s_[:, :, j * k:(j + 1) * k]
             ref = b.values[sl]
             d = buf[:, :, :ref.shape[2]]
-            x = parts[0].values[sl]
-            for p in parts[1:]:
-                x = np.add(x, p.values[sl], out=d)
             part[j, 0] = _sumsq(ref if undefined is None
                                 else ref[~undefined[sl]])
-            np.abs(np.subtract(x, ref, out=d), out=d)
+            np.abs(np.subtract(a.values[sl], ref, out=d), out=d)
             if undefined is not None:
                 d[undefined[sl]] = 0.0
             part[j, 2] = d.max()

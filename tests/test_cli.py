@@ -177,8 +177,8 @@ def test_short_dump_is_short_field(tmp_path, born_mol):
     short = rt.load_field(tmp_path / "short.bin")
     ref = rt.scatter_short(out["rs"], np.zeros((33, 33, 33)))
     assert np.array_equal(short.values, ref)
-    tot = rt.load_field(tmp_path / "total.bin")
-    assert np.allclose(tot.values, out["u_long"].values + ref, atol=1e-15)
+    tot, u_long = _dumps(tmp_path, "total.bin", "ulong.bin")
+    assert np.allclose(tot, u_long + ref, atol=1e-15)
 
 
 def _count_scatters(monkeypatch):
@@ -199,6 +199,20 @@ def _count_scatters(monkeypatch):
 
 def _dumps(d, *names):
     return [rt.load_field(d / name).values for name in names]
+
+
+def _run_parts(cfg, m):
+    # run_case with an on_parts hook that keeps the parts, the long one
+    # copied, as the total then takes its array; returns (result, u_long,
+    # short) and checks that the hook ran once
+    kept = []
+
+    def keep(u_long, short):
+        kept.append((rt.GridFunction3(u_long.grid, u_long.values.copy(
+            order="K"), dict(u_long.meta)), short))
+    out = rt.run_case(cfg, m, on_parts=keep)
+    (u, short), = kept
+    return out, u, short
 
 
 @pytest.mark.parametrize("flags", [
@@ -259,7 +273,8 @@ def test_run_directory(tmp_path):
     out = rt.run_pipeline(cfg, rt.parse_pqr(LIGAND), parts=True)
     parts = {name: (d / name).read_bytes() for name in ("ulong.bin",
                                                         "short.bin")}
-    assert parts["ulong.bin"] == out["u_long"].values.tobytes(order="F")
+    u_long = _run_parts(cfg, rt.parse_pqr(LIGAND))[1]
+    assert parts["ulong.bin"] == u_long.values.tobytes(order="F")
     assert parts["short.bin"] == scatter_short_serial(
         out["rs"], np.zeros((33,) * 3, order="F")).tobytes(order="F")
     assert sorted(out["paths"]) == sorted(
@@ -286,6 +301,68 @@ def test_run_directory(tmp_path):
     assert sorted(os.listdir(x)) == sorted(["total.bin", "total.bin.info"]
                                            + _BUNDLE)
 
+
+
+_CASE_CONFIGS = {"homogeneous": {}, "analytic": {"bc": "analytic"},
+                 "kappa": {"bc": "analytic", "kappa": 0.5}}
+
+
+@pytest.mark.parametrize("case", sorted(_CASE_CONFIGS))
+def test_on_parts_runs_once_before_the_total(born_mol, monkeypatch, case):
+    # the hook sees both parts after the scatter and before compose_total,
+    # the oracle and compare; the total then takes the long part's array,
+    # and it is the hook's two parts added, bit for bit
+    cfg = rt.RunConfig(n=33, b=8.0, **_CASE_CONFIGS[case])
+    stages = []
+    for name in ("compose_total", "direct_sum_oracle", "compare"):
+        def traced(*args, _f=getattr(rt.cli, name), _name=name, **kwargs):
+            stages.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(rt.cli, name, traced)
+    seen = []
+
+    def hook(u_long, short):
+        stages.append("on_parts")
+        seen.append((u_long.values, u_long.values.copy(order="K"),
+                     short.values))
+    out = rt.run_case(cfg, born_mol, on_parts=hook)
+    oracle = ["direct_sum_oracle", "compare"] if case != "kappa" else []
+    assert stages == ["on_parts", "compose_total"] + oracle
+    (array, u_long, short), = seen
+    assert out["total"].values is array
+    assert same_bits(out["total"].values, u_long + short)
+    assert np.any(short != 0) and np.any(u_long != 0)
+
+
+@pytest.mark.parametrize("cmd", ["run", "solve"])
+def test_failed_command_leaves_no_part_dumps(tmp_path, capsys, monkeypatch,
+                                            cmd):
+    # a run whose compare raises, or a solve whose compose_total does,
+    # after the part dumps are written removes them: beside the earlier
+    # run's total.bin they would pass for its parts.  The earlier run's
+    # outputs stay as they were
+    d = tmp_path / "run"
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o",
+                    str(d)]) == 0
+    before = {f: (d / f).read_bytes() for f in os.listdir(d)}
+    written = []
+
+    def fail(*args, **kwargs):
+        written.extend(f for f in os.listdir(d) if f.startswith(("ulong",
+                                                                 "short.")))
+        raise rt.NumericError("injected")
+    if cmd == "run":
+        monkeypatch.setattr(rt.cli, "compare", fail)
+        args = ["run", "--pqr", BORN, "--n", "33", "--b", "8", "--parts",
+                "-o", str(d)]
+    else:
+        monkeypatch.setattr(rt.cli, "compose_total", fail)
+        args = ["solve", "-i", str(d), "--parts"]
+    assert rt.main(args) == 3
+    assert "injected" in capsys.readouterr().err
+    assert sorted(written) == ["short.bin", "short.bin.info", "ulong.bin",
+                               "ulong.bin.info"]
+    assert {f: (d / f).read_bytes() for f in os.listdir(d)} == before
 
 
 @pytest.mark.parametrize("screening", [[], ["--kappa", "0.5"]],
@@ -413,7 +490,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
-    # a grid whose peak of k n^3 fields (two, three with --parts, four
+    # a grid whose peak of k n^3 fields (two, with --parts too, four
     # with a solve) cannot be mapped is reported as a one-line
     # configuration error, before any output is written and before the
     # quadrature, as k unwritten fields are mapped first.  100001^3 floats
@@ -431,7 +508,7 @@ def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
     for n in (100001, 33):
         if n == 33:
             monkeypatch.setattr(rt.cli.mmap, "mmap", small_mmap)
-        for flags, k in (([], 2), (["--parts"], 3),
+        for flags, k in (([], 2), (["--parts"], 2),
                          (["--bc", "analytic"], 4)):
             out = tmp_path / ("%s-%d" % ("".join(flags), n))
             rc = rt.main(["run", "--pqr", BORN, "--n", str(n), "--b", "8",
@@ -445,12 +522,12 @@ def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("bc, parts, k", [
-    ("homogeneous", False, 2), ("homogeneous", True, 3),
+    ("homogeneous", False, 2), ("homogeneous", True, 2),
     ("analytic", False, 4), ("analytic", True, 4)])
 def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, bc, parts, k):
     # the one mapping run_case makes before any work is its peak of n^3
-    # fields: the total and the oracle; with parts both parts, then the
-    # total; with a solve its four arrays
+    # fields: the total and the oracle, or the two parts before them, with
+    # an on_parts hook or without; with a solve its four arrays
     lengths = []
 
     def record(fileno, length, **kwargs):
@@ -459,7 +536,8 @@ def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, bc, parts, k):
 
     monkeypatch.setattr(rt.cli.mmap, "mmap", record)
     with pytest.raises(MemoryError):
-        rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc), born_mol, parts=parts)
+        rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc), born_mol,
+                    on_parts=(lambda u_long, short: None) if parts else None)
     assert lengths == [k * 8 * 33 ** 3]
 
 
@@ -564,18 +642,26 @@ def test_run_case_fields_are_mode1_fastest(born_mol, bc, kappa):
     # in order
     cfg = rt.RunConfig(n=33, b=8.0, bc=bc, kappa=kappa)
     assert rt.run_case(cfg, born_mol)["total"].values.flags.f_contiguous
-    out = rt.run_case(cfg, born_mol, parts=True)
+    flags = []
+
+    def layouts(u_long, short):
+        flags.append((u_long.values.flags.f_contiguous,
+                      short.values.flags.f_contiguous))
+    out = rt.run_case(cfg, born_mol, on_parts=layouts)
     assert out["total"].values.flags.f_contiguous
-    assert out["u_long"].values.flags.f_contiguous
-    assert out["short"].values.flags.f_contiguous
+    (u_long, short), = flags
+    assert u_long
+    assert short
     assert out["rs"].template_dense().flags.f_contiguous
 
 
 def test_solved_and_loaded_fields_are_mode1_fastest(born_bundle, tmp_path):
     rs = rt.cli._load_bundle(str(born_bundle))[0]
     u = rt.cli._long_stage(rs, {})
-    short = rt.cli._short_stage(rs, {})
-    total = rt.compose_total(u, short)
+    parts = []
+    total = rt.cli._total_stage(rs, u, {},
+                                lambda u_long, short: parts.append(short))
+    (short,) = parts
     assert u.values.flags.f_contiguous and total.values.flags.f_contiguous
     assert short.values.flags.f_contiguous
     assert rs.template_dense().flags.f_contiguous
@@ -596,31 +682,30 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 @pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
 @pytest.mark.parametrize("case", ["born97", "cluster60"])
 def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
-    # with parts, run_case compares the pair (u_long, short) with the
-    # oracle, summed over compare's blocks of i3 planes, before
-    # compose_total builds the total; born at n=97 has 27 planes per
-    # block, three full blocks and a ragged one of 16.  A default run adds
-    # the short field into the long field's array and compares that total:
-    # the same total and report, bit for bit
+    # the report is compare's of the total against the oracle, read a
+    # block of i3 planes at a time: born at n=97 has 27 planes per block,
+    # three full blocks and a ragged one of 16.  A run with an on_parts
+    # hook runs the stages of a plain run in the same order, so the hook
+    # changes no bit of the total, the report or the metrics; the result
+    # keeps no parts
     m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
               "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
-    out = rt.run_case(cfg, m, parts=True)
-    u, short = out["u_long"], out["short"]
+    out, u, short = _run_parts(cfg, m)
     oracle = rt.direct_sum_oracle(out["molecule"], u.grid,
                                   kernel="gaussian_sum", quad=out["quadrature"])
+    assert np.array_equal(out["total"].values, u.values + short.values)
     ref = rt.compare(rt.compose_total(u, short), oracle,
                      exclude_centers=[c for c, _ in out["rs"].short_list],
                      config={"oracle": "gaussian_sum"})
     assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
-    assert np.array_equal(out["total"].values, u.values + short.values)
     plain = rt.run_case(cfg, m)
-    assert plain["u_long"] is None and plain["short"] is None
+    assert "u_long" not in plain and "short" not in plain
     assert same_bits(plain["total"].values, out["total"].values)
     assert dataclasses.asdict(plain["report"]) == dataclasses.asdict(ref)
     assert plain["metrics"] == out["metrics"]
 
 
-def _traced_run_case(cfg, m, parts, monkeypatch):
+def _traced_run_case(cfg, m, on_parts, monkeypatch):
     # (result, traced peak up to the oracle's return, traced peak after
     # it) of a run_case whose caches are filled
     peaks, oracle = [], rt.cli.direct_sum_oracle
@@ -631,11 +716,11 @@ def _traced_run_case(cfg, m, parts, monkeypatch):
         tracemalloc.reset_peak()
         return ref
 
-    rt.run_case(cfg, m, parts=parts)
+    rt.run_case(cfg, m, on_parts)
     monkeypatch.setattr(rt.cli, "direct_sum_oracle", traced_oracle)
     tracemalloc.start()
     try:
-        out = rt.run_case(cfg, m, parts=parts)
+        out = rt.run_case(cfg, m, on_parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -646,7 +731,7 @@ def _traced_run_case(cfg, m, parts, monkeypatch):
 def _check_peaks(out, oracle_peak, compare_peak, oracle_fields,
                  compare_fields):
     # Bounds on the traced peaks of run_case up to the oracle's return and
-    # after it (compare, and compose with parts), each with the n^3 float
+    # after it (compare), each with the n^3 float
     # fields it holds, plus what the result keeps besides the fields (the
     # long factors, the long and short reference columns, the short
     # template, the kernel) and 256 KiB of slack.  The oracle's
@@ -695,47 +780,41 @@ def _peak_molecule(ligand_mol, case):
             else ligand_mol)
 
 
-@pytest.mark.parametrize("case", sorted(_PEAK_CASES))
-def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, case):
-    # A default run adds the short field into the long field's array and
-    # drops it before the oracle is built, so its oracle and compare passes
-    # hold two n^3 float fields, the total and the oracle.  A third field,
-    # the short part or a copy of the total, breaks the compare bound if
-    # held at compare and the oracle bound if held while the oracle is
-    # built, in every case (0.2 to 0.8 MB of room at n = 65, against a
-    # 2.2 MB field).  An unchunked plane-sum block breaks the oracle bound
-    # at n = 193, where the 2^21-float cap binds (0.9 of a field)
+@pytest.mark.parametrize("case", sorted(_PEAK_CASES)
+                         + ["cluster100-parts", "ligand18-parts"])
+def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
+                                        case):
+    # A run adds the short field into the long field's array and drops it
+    # before the oracle is built, so its oracle and compare passes hold two
+    # n^3 float fields, the total and the oracle.  A third field, the
+    # short part or a copy of the total, breaks the compare bound if held
+    # at compare and the oracle bound if held while the oracle is built,
+    # in every case (0.2 to 0.8 MB of room at n = 65, against a 2.2 MB
+    # field).  An unchunked plane-sum block breaks the oracle bound at
+    # n = 193, where the 2^21-float cap binds (0.9 of a field).  With
+    # parts the hook of run --parts dumps both parts before the total
+    # takes the long field's array, and keeps neither: the same two
+    # fields.  cluster100's long part is reduced (2100 -> 2028): the core
+    # of its Tucker image, not counted, is dropped once densified (kept,
+    # it broke the bound by 1.7 MB)
+    case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
-    out, oracle_peak, compare_peak = _traced_run_case(
-        rt.RunConfig(n=n), m, False, monkeypatch)
-    assert out["u_long"] is None and out["short"] is None
-    _check_peaks(out, oracle_peak, compare_peak, 2, 2)
-
-
-@pytest.mark.parametrize("case", ["ligand18", "cluster100"])
-def test_run_case_peak_holds_three_fields(ligand_mol, monkeypatch, case):
-    # With parts the run keeps both parts for their dumps: the oracle is
-    # built beside the long field alone, and the compare pass holds three
-    # n^3 float fields (u_long, short and the oracle, which goes before the
-    # total is allocated).  A total allocated while the oracle lives, or
-    # an n^3 sum inside compare, is a fourth field, 2.1 MiB here, and
-    # breaks the compare bound.  cluster100's long part is reduced (2100
-    # -> 2028): the core of its Tucker image, not counted, is dropped once
-    # densified (kept, it broke the bound by 1.7 MB)
-    m = _peak_molecule(ligand_mol, case)
-    out, oracle_peak, compare_peak = _traced_run_case(
-        rt.RunConfig(n=65), m, True, monkeypatch)
+    with rt.cli._part_dumps(str(tmp_path), parts) as (on_parts, paths):
+        out, oracle_peak, compare_peak = _traced_run_case(
+            rt.RunConfig(n=n), m, on_parts, monkeypatch)
+    assert sorted(paths) == (["short.bin", "ulong.bin"] if parts else [])
+    assert "u_long" not in out and "short" not in out
     assert (out["rs"].long_reference is None) == (case == "cluster100")
-    _check_peaks(out, oracle_peak, compare_peak, 2, 3)
+    _check_peaks(out, oracle_peak, compare_peak, 2, 2)
 
 
 def test_analytic_run_without_sched_getaffinity(born_mol, monkeypatch):
     # the solve's transforms take the BLAS thread count, so a platform
     # without os.sched_getaffinity runs it too, to the same bits
     cfg = rt.RunConfig(n=33, b=8.0, bc="analytic")
-    ref = rt.run_case(cfg, born_mol, parts=True)["u_long"]
+    ref = _run_parts(cfg, born_mol)[1]
     monkeypatch.delattr(os, "sched_getaffinity")
-    u = rt.run_case(cfg, born_mol, parts=True)["u_long"]
+    u = _run_parts(cfg, born_mol)[1]
     assert u.meta["bc"] == "trace"
     assert same_bits(u.values, ref.values)
 
@@ -769,9 +848,9 @@ def test_analytic_faces_are_exact_oracle_faces(born_mol, cluster60, case):
     m, cfg = {"born": (born_mol, rt.RunConfig(n=33, b=8.0, bc="analytic")),
               "cluster60": (cluster60, rt.RunConfig(n=33, b=10.0,
                                                     bc="analytic"))}[case]
-    out = rt.run_case(cfg, m, parts=True)
-    u = out["u_long"].values
-    ref = rt.direct_sum_oracle(out["molecule"], out["u_long"].grid,
+    out, u_long, _ = _run_parts(cfg, m)
+    u = u_long.values
+    ref = rt.direct_sum_oracle(out["molecule"], u_long.grid,
                                kernel="exact_newton").values
     for ax in range(3):
         for end in (0, -1):
@@ -864,6 +943,25 @@ def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
     assert rt.main(["solve", "-i", str(d)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and name in err
+
+
+@pytest.mark.parametrize("drop_bc", [False, True], ids=["homogeneous", "no_bc"])
+def test_solve_refuses_screened_homogeneous_bundle(born_bundle, tmp_path,
+                                                   capsys, drop_bc):
+    # RunConfig refuses kappa > 0 without bc='analytic' (exit 2), so no run
+    # writes that pair; a bundle naming it, or kappa > 0 and no bc, was
+    # solved into an unscreened total without a word
+    d = _bundle_copy(born_bundle, tmp_path)
+    side = json.loads((d / "shortlist.json").read_text())
+    side["kappa"] = 0.5
+    if drop_bc:
+        del side["bc"]
+    (d / "shortlist.json").write_text(json.dumps(side))
+    assert rt.main(["solve", "-i", str(d)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "shortlist.json" in err
+    assert "kappa 0.5 needs bc 'analytic'" in err
+    assert sorted(os.listdir(d)) == sorted(_BUNDLE)
 
 
 @pytest.mark.parametrize("key", ["bc", "kappa"])
@@ -1118,14 +1216,14 @@ def test_u_long_matches_kronecker_route(cluster60, kappa):
     # the pipeline's long-range potential against the zero-ghost solve
     # of the dense image of the Kronecker form; kappa > 0 needs analytic
     # faces, whose u_long is not this solve
-    out = rt.run_case(rt.RunConfig(n=33, b=10.0, kappa=kappa), cluster60,
-                      parts=True)
+    out, u_long, _ = _run_parts(rt.RunConfig(n=33, b=10.0, kappa=kappa),
+                                cluster60)
     rs = out["rs"]
     assert 0 < rs.long.rank < rs.long_rank_pre
     L = rt.DiscreteLaplacian(rs.grid, kappa)
     rhs = rt.dense(negate(rt.apply_kron_laplacian(rs.long, L)))
     ref = zero_ghost_solve(rhs, L).values
-    u = out["u_long"].values
+    u = u_long.values
     assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -1182,10 +1280,8 @@ def densify_cases(cluster60, ligand_mol):
     # cluster60 keeps its reduction (1080 -> about 795) and densifies the
     # Tucker image; ligand18 falls back to the explicit sum (324 -> 324)
     # and densifies the canonical terms
-    return {"cluster60": rt.run_case(rt.RunConfig(n=33, b=10.0), cluster60,
-                                     parts=True),
-            "ligand18": rt.run_case(rt.RunConfig(n=33), ligand_mol,
-                                    parts=True)}
+    return {"cluster60": _run_parts(rt.RunConfig(n=33, b=10.0), cluster60),
+            "ligand18": _run_parts(rt.RunConfig(n=33), ligand_mol)}
 
 
 @pytest.mark.parametrize("case", ["cluster60", "ligand18"])
@@ -1199,12 +1295,12 @@ def test_u_long_is_dense_long(densify_cases, cluster60, ligand_mol, case):
     assert reduced == (case == "cluster60")
     assert (assembled.long_image is not None) == reduced
     assert (assembled.long_reference is None) == reduced
-    out = densify_cases[case]
+    out, u_long, _ = densify_cases[case]
     rs = out["rs"]
     assert rs.long_image is None
     assert rs.long.rank == assembled.long.rank
     ref = rt.dense(rs.long)
-    u = out["u_long"].values
+    u = u_long.values
     assert u.flags.f_contiguous
     assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -1212,7 +1308,7 @@ def test_u_long_is_dense_long(densify_cases, cluster60, ligand_mol, case):
 @pytest.mark.parametrize("case", ["cluster60", "ligand18"])
 def test_entries_match_total(densify_cases, case):
     # rs_eval_entry reads the canonical terms, total the densified field
-    out = densify_cases[case]
+    out = densify_cases[case][0]
     rs, total = out["rs"], out["total"].values
     rng = np.random.default_rng(5)
     nodes = [c for c, _ in rs.short_list] \
@@ -1227,7 +1323,7 @@ def test_loaded_bundle_answers_entries(tmp_path, densify_cases):
     # and answers as the in-memory tensor of the same run does
     assert rt.main(["assemble", "-o", str(tmp_path)] + CLUSTER60) == 0
     rs = rt.cli._load_bundle(str(tmp_path))[0]
-    ref = densify_cases["cluster60"]["rs"]
+    ref = densify_cases["cluster60"][0]["rs"]
     r = rs.support_radius
     rng = np.random.default_rng(6)
     nodes = [c for c, _ in rs.short_list] \

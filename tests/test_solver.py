@@ -296,15 +296,16 @@ _HALF_FLOATS = EDGE_FLOATS.filter(lambda x: abs(x) < 2.0 ** 1022)
 @given(data=st.data(), n=st.integers(3, 6), order=st.sampled_from("FC"))
 def test_compose_total_slabs_match_add(data, n, order):
     # one add per node at any worker count: the bits of u + s, signed
-    # zeros and subnormals included, in the layout of u
+    # zeros and subnormals included, in u's own array
     g = rt.Grid3(n, 1.0)
     u, s = (np.asarray(data.draw(arrays(np.float64, (n, n, n),
                                         elements=_HALF_FLOATS)), order=order)
             for _ in range(2))
     for W in (1, 2, 3):
+        long = rt.GridFunction3(g, u.copy(order="K"))
         with slab_workers(W):
-            tot = rt.compose_total(rt.GridFunction3(g, u),
-                                   rt.GridFunction3(g, s)).values
+            tot = rt.compose_total(long, rt.GridFunction3(g, s)).values
+        assert tot is long.values
         assert same_bits(tot, u + s), W
         assert tot.flags.f_contiguous == (order == "F")
 

@@ -54,8 +54,6 @@ def test_compare_rejects_grid_mismatch():
 _ONE_ULP = {
     "compare": rt.compare,
     "compose_total": rt.compose_total,
-    "compare-pair-short": lambda a, b: rt.compare((a, b), a),
-    "compare-pair-reference": lambda a, b: rt.compare((a, a), b),
 }
 
 
@@ -202,38 +200,10 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
     assert np.array_equal(fb.values, b)
 
 
-@pytest.mark.parametrize("order", ["F", "C"])
-def test_compare_pair_is_compare_of_total(order):
-    # the pair is added a block of planes at a time: at n=65 compare reads
-    # blocks of 7 planes, so the last is a ragged one of 2, which holds
-    # the third atom's node; the exact oracle leaves the atom nodes
-    # undefined, and their cores leave the core-excluding max
-    g = rt.Grid3(65, 4.0)
-    m = rt.Molecule([(0.0, 0.0, 0.0), (1.0, -0.5, 2.0), (0.5, 0.5, 3.875)],
-                    [1.0, -1.0, 0.5])
-    sm, (nodes, _) = rt.snapped_molecule(m, g)
-    oracle = rt.direct_sum_oracle(sm, g, kernel="exact_newton")
-    assert len(oracle.meta["excluded_nodes"]) == 3
-    assert max(c[2] for c in oracle.meta["excluded_nodes"]) >= 62
-    rng = np.random.default_rng(7)
-    u, s = (rt.GridFunction3(g, np.asarray(
-        w * oracle.values + 1e-3 * rng.standard_normal(oracle.values.shape),
-        order=order)) for w in (0.7, 0.3))
-    kw = {"exclude_centers": nodes.tolist(), "config": {"case": "pair"}}
-    pair = rt.compare((u, s), oracle, **kw)
-    assert dataclasses.asdict(pair) == dataclasses.asdict(
-        rt.compare(rt.compose_total(u, s), oracle, **kw))
-    ref = compare_reference(u.values + s.values, oracle.values,
-                            nodes.tolist(), oracle.meta["excluded_nodes"], g.h)
-    for k, v in ref.items():
-        assert getattr(pair, k) == pytest.approx(v, rel=1e-12, abs=0.0), k
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(40, 64), seed=st.integers(0, 2 ** 32 - 1),
-       pair=st.booleans(), n_centers=st.integers(0, 4),
-       n_listed=st.integers(0, 3))
-def test_compare_slabs_match_reference(n, seed, pair, n_centers, n_listed):
+       n_centers=st.integers(0, 4), n_listed=st.integers(0, 3))
+def test_compare_slabs_match_reference(n, seed, n_centers, n_listed):
     # 2 to 7 blocks of planes on 1, 2 and 3 workers.  The values are
     # multiples of 2^-8 below 8 in magnitude, so every sum, difference and
     # sum of squares here is exact in any order: each worker count gives
@@ -241,15 +211,15 @@ def test_compare_slabs_match_reference(n, seed, pair, n_centers, n_listed):
     # show in full
     rng = np.random.default_rng(seed)
     g = rt.Grid3(n, rng.uniform(0.5, 5.0))
-    u, s, b = (np.asfortranarray(v) for v in
-               rng.integers(-2 ** 11, 2 ** 11, (3, n, n, n)) / 256.0)
+    u, b = (np.asfortranarray(v) for v in
+            rng.integers(-2 ** 11, 2 ** 11, (2, n, n, n)) / 256.0)
     centers = [tuple(int(v) for v in rng.integers(0, n, 3))
                for _ in range(n_centers)]
     listed = [tuple(int(v) for v in rng.integers(0, n, 3))
               for _ in range(n_listed)]
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
-    a = (_field(g, u), _field(g, s)) if pair else _field(g, u)
-    want = compare_reference(u + s if pair else u, b, centers, listed, g.h)
+    a = _field(g, u)
+    want = compare_reference(u, b, centers, listed, g.h)
     reps = []
     for W in (1, 2, 3):
         with slab_workers(W):
@@ -276,7 +246,7 @@ def test_compare_same_bits_at_any_worker_and_blas_thread_count(
         set_blas_threads(threads)
         for W in (1, 2, 3):
             with slab_workers(W):
-                reps.append(rt.compare((_field(g, u), _field(g, s)), fb,
+                reps.append(rt.compare(_field(g, u + s), fb,
                                        exclude_centers=centers))
     assert [r.keyvalues() for r in reps] == [reps[0].keyvalues()] * 6
     want = compare_reference(u + s, b, centers, fb.meta["excluded_nodes"], g.h)
@@ -466,9 +436,10 @@ _SCIPY_CASES = {
     # the DST solve of --bc analytic is the one user of scipy.fft
     "analytic": (
         "m = rt.parse_pqr(%r)\n"
-        "out = rt.run_case(RunConfig(n=33, b=8.0, bc='analytic'), m,\n"
-        "                  parts=True)\n"
-        "assert out['u_long'].meta['bc'] == 'trace'\n"
+        "bcs = []\n"
+        "rt.run_case(RunConfig(n=33, b=8.0, bc='analytic'), m,\n"
+        "            on_parts=lambda u_long, short: bcs.append(u_long.meta['bc']))\n"
+        "assert bcs == ['trace']\n"
         % os.path.join(_ROOT, "fixtures", "born.pqr")),
 }
 
