@@ -18,17 +18,18 @@ with results independent of the thread count.  Every n^3 field is
 Fortran-ordered (mode-1 fastest), the layout of the ``.bin`` dumps, so
 they are written without a copy.  ``run`` and ``solve`` write one n^3
 dump, ``total.bin``, and the parts ``ulong.bin`` and ``short.bin`` only
-with ``--parts``, which a command that raises once it began them
-removes (``_part_dumps``).  ``run`` also writes the RS
-bundle that ``assemble`` writes, with the run's ``bc`` and ``kappa``.
-``solve`` composes homogeneous-face totals only, so it refuses the
-bundle of a ``--bc analytic`` run, and copies the bundle it reads into
-another output directory.  Metrics land in a deterministic key=value
-file and the oracle comparison in ``report.txt``; the stage times go to
-a separate file.  Each of ``run``, ``solve`` and ``assemble`` removes
-from its output directory the outputs of the three (``_OUTPUTS``) that
-it did not write, which an earlier command left there and which would
-pass for its own.  Dumps and bundles
+with ``--parts``.  ``run`` also writes the RS bundle that ``assemble``
+writes, with the run's ``bc`` and ``kappa``.  ``solve`` composes
+homogeneous-face totals only, so it refuses the bundle of a ``--bc
+analytic`` run, and writes the bundle it reads beside its total (in
+place, the same bytes).  Metrics land in a deterministic key=value file
+and the oracle comparison in ``report.txt``; the stage times go to a
+separate file.  ``run``, ``solve`` and ``assemble`` share one output
+rule (``_outputs``): a command changes its output directory only when
+it succeeds, and then holds only its own outputs.  Each writes into a
+staging directory inside it and, on success, removes the outputs of the
+three (``_OUTPUTS``) that it did not write and moves its own in; old
+and new outputs so share the disk until then.  Dumps and bundles
 name their quadrature rank (``quad_rank``), which ``validate`` reads
 with the grid from the dump.  Reruns at one BLAS thread count of born,
 and of ligand18 and a 600-atom cluster at n=65, are byte-identical
@@ -45,7 +46,9 @@ import ctypes
 import json
 import mmap
 import os
+import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
@@ -63,7 +66,6 @@ from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
 from ..validation import _coulomb_sum, compare, direct_sum_oracle, write_report
 
-_SQRT3 = np.sqrt(3.0)
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
 
 
@@ -215,7 +217,7 @@ def resolve_box(cfg, m):
 
 
 def _resolve_quadrature(cfg, grid):
-    rho_min, rho_max = grid.h, 2.0 * _SQRT3 * grid.b
+    rho_min, rho_max = grid.h, 2.0 * np.sqrt(3.0) * grid.b
     if cfg.rank != "auto":
         if cfg.rank > MAX_QUAD_RANK:
             raise ConfigError("config: rank %d exceeds the cap of %d"
@@ -424,29 +426,21 @@ def run_pipeline(cfg, m, parts=False):
     sorted), the stage wall times in ``timings.txt`` and, with an oracle,
     ``report.txt``.  With ``parts=True`` the parts ``ulong.bin`` and
     ``short.bin`` are written too, by the ``run_case`` hook, before the
-    total takes the long part's array (``_part_dumps``).  The outputs of
-    an earlier command that this run did not write are removed from the
-    directory (``_drop_stale``).  Returns the in-memory bundle with a
-    ``paths`` entry added.
+    total takes the long part's array (``_dump_parts``).  The directory
+    changes only if the run succeeds, and then holds only its outputs
+    (``_outputs``).  Returns the in-memory bundle with a ``paths`` entry
+    added: each output's final path.
     """
-    d = cfg.outdir
-    with _part_dumps(d, parts) as (on_parts, paths):
-        out = run_case(cfg, m, on_parts)
-        os.makedirs(d, exist_ok=True)
-
-        def _p(name):
-            paths[name] = os.path.join(d, name)
-            return paths[name]
-
-        save_field(out["total"], _p("total.bin"))
-        paths.update(_write_bundle(out["rs"], d, cfg.bc, cfg.kappa))
+    with _outputs(cfg.outdir) as (path, paths):
+        out = run_case(cfg, m, _dump_parts(path) if parts else None)
+        save_field(out["total"], path("total.bin"))
+        _write_bundle(out["rs"], path, cfg.bc, cfg.kappa)
         for name, kv, line in (("metrics.txt", out["metrics"], "%s=%s\n"),
                                ("timings.txt", out["timings"], "%s=%.3f\n")):
-            with open(_p(name), "w") as fh:
+            with open(path(name), "w") as fh:
                 fh.writelines(line % (k, kv[k]) for k in sorted(kv))
         if out["report"] is not None:
-            write_report(out["report"], _p("report.txt"))
-        _drop_stale(d, paths)
+            write_report(out["report"], path("report.txt"))
     out["paths"] = paths
     return out
 
@@ -456,61 +450,68 @@ _OUTPUTS = {"total.bin": (".info",), "ulong.bin": (".info",),
             "short.bin": (".info",), "long.ct3": (), "short_template.ct3": (),
             "shortlist.json": (), "metrics.txt": (), "timings.txt": (),
             "report.txt": (".kv",)}
-_BUNDLE = ("long.ct3", "short_template.ct3", "shortlist.json")
-_PARTS = ("ulong.bin", "short.bin")
-
-
-def _remove(d, names):
-    # removes the outputs `names` from d, with their sidecars
-    for name in names:
-        for f in [name] + [name + s for s in _OUTPUTS[name]]:
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(d, f))
-
-
-def _drop_stale(d, written):
-    # removes the outputs in d that this command did not write (`written`):
-    # an earlier command left them, and they would pass for its own
-    _remove(d, [name for name in _OUTPUTS if name not in written])
 
 
 @contextmanager
-def _part_dumps(d, parts):
-    # (hook, paths): the on_parts hook (None without parts) writes the part
-    # dumps into d and enters them in paths, the command's outputs; if the
-    # command raises once they are begun, they go, lest they pass for the
-    # parts of an earlier command's total.bin
-    paths = {}
+def _outputs(d):
+    # (path, paths): path(name) is where a command writes its output name,
+    # in a staging directory made in d at the first call, and paths maps
+    # each name written to its place in d.  If the command returns, the
+    # outputs (_OUTPUTS) it did not write leave d, an earlier command's
+    # that would pass for its own, and its own move in with their
+    # sidecars.  If it raises, the staging directory goes, and d too if
+    # the command made it: d is left as it was
+    paths, stage, made = {}, None, False
 
-    def dump(u_long, short):
-        os.makedirs(d, exist_ok=True)
-        for name, f in zip(_PARTS, (u_long, short)):
-            paths[name] = os.path.join(d, name)
-            save_field(f, paths[name])
+    def path(name):
+        nonlocal stage, made
+        if stage is None:
+            made = not os.path.isdir(d)
+            os.makedirs(d, exist_ok=True)
+            stage = tempfile.mkdtemp(prefix=".rstensor-", dir=d)
+        paths[name] = os.path.join(d, name)
+        return os.path.join(stage, name)
     try:
-        yield (dump if parts else None), paths
+        yield path, paths
+        for name, sidecars in _OUTPUTS.items():
+            for f in (name, *(name + s for s in sidecars)):
+                if name in paths:
+                    os.replace(os.path.join(stage, f), os.path.join(d, f))
+                else:
+                    with suppress(FileNotFoundError):
+                        os.remove(os.path.join(d, f))
     except BaseException:
-        if any(name in paths for name in _PARTS):
-            _remove(d, _PARTS)
+        if made:
+            shutil.rmtree(d, ignore_errors=True)
         raise
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
-def _write_bundle(rs, d, bc="homogeneous", kappa=0.0):
+def _dump_parts(path):
+    # the on_parts hook of --parts: both parts dumped where path puts them
+    def dump(u_long, short):
+        save_field(u_long, path("ulong.bin"))
+        save_field(short, path("short.bin"))
+    return dump
+
+
+def _write_bundle(rs, path, bc="homogeneous", kappa=0.0):
     # the RS format of rs as assemble writes it and _load_bundle reads it,
-    # with the faces and screening of the total it stands for
-    paths = {name: os.path.join(d, name) for name in _BUNDLE}
-    save_canonical(rs.long, paths["long.ct3"])
-    save_canonical(rs.short_reference, paths["short_template.ct3"])
+    # with the faces and screening of the total it stands for, each file
+    # where path puts it
+    save_canonical(rs.long, path("long.ct3"))
+    save_canonical(rs.short_reference, path("short_template.ct3"))
     side = {"n": rs.grid.n, "b": rs.grid.b, "gamma": rs.gamma,
             "bc": bc, "kappa": float(kappa),
             "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
             "rank_post": rs.long.rank,
             "centers": [list(c) for c, _ in rs.short_list],
             "weights": [w for _, w in rs.short_list]}
-    with open(paths["shortlist.json"], "w") as fh:
+    with open(path("shortlist.json"), "w") as fh:
         # json.dumps runs the C encoder; json.dump, the same bytes, does not
         fh.write(json.dumps(side, sort_keys=True))
-    return paths
 
 
 def export_slice(f, axis=None, index=None, fmt="csv", path="slice.csv"):
@@ -617,8 +618,8 @@ def _cmd_assemble(args):
     cfg = _config_from_args(args)
     m = _molecule_from_args(args)
     rs = _assemble_stage(cfg, m, {})[0]
-    os.makedirs(cfg.outdir, exist_ok=True)
-    _drop_stale(cfg.outdir, _write_bundle(rs, cfg.outdir))
+    with _outputs(cfg.outdir) as (path, _):
+        _write_bundle(rs, path)
     print("assembled %s: long rank %d -> %d, %d short contributions"
           % (m.name, rs.long_rank_pre, rs.long.rank, len(rs.short_list)))
     return 0
@@ -641,9 +642,10 @@ def _load_bundle(d):
                              "finite weights" % grid.n)
         gamma, rank_pre, quad_rank = (side[k] for k in
                                       ("gamma", "rank_pre", "quad_rank"))
-        for key, v in (("gamma", gamma), ("rank_pre", rank_pre)):
-            if int(v) != v:
-                raise ValueError("%s must be an integer, not %r" % (key, v))
+        for key, v, low in (("gamma", gamma, 1), ("rank_pre", rank_pre, 0)):
+            if int(v) != v or v < low:
+                raise ValueError("%s must be an integer >= %d, not %r"
+                                 % (key, low, v))
         if int(quad_rank) != quad_rank or not 1 <= quad_rank <= MAX_QUAD_RANK:
             raise ValueError("quad_rank must be an integer in [1, %d]"
                              % MAX_QUAD_RANK)
@@ -682,16 +684,12 @@ def _cmd_solve(args):
             "%s is the bundle of a bc=%s, kappa=%s run; solve composes "
             "homogeneous-face totals only" % (args.indir, bc, kappa))
     out = args.outdir or args.indir
-    with _part_dumps(out, args.parts) as (on_parts, paths):
-        total = _total_stage(rs, _long_stage(rs, {}), {}, on_parts)
-        os.makedirs(out, exist_ok=True)
-        paths["total.bin"] = os.path.join(out, "total.bin")
-        save_field(total, paths["total.bin"])
-        if not os.path.samefile(out, args.indir):
-            _write_bundle(rs, out)
-        # the bundle, read there or copied, stays; the reports a run or
-        # validate left there describe another total
-        _drop_stale(out, [*paths, *_BUNDLE])
+    # the bundle read is written too: in place, the same bytes
+    with _outputs(out) as (path, _):
+        total = _total_stage(rs, _long_stage(rs, {}), {},
+                             _dump_parts(path) if args.parts else None)
+        save_field(total, path("total.bin"))
+        _write_bundle(rs, path)
     print("wrote %s in %s" % ("total.bin, ulong.bin and short.bin"
                               if args.parts else "total.bin", out))
     return 0
@@ -716,7 +714,7 @@ def _cmd_validate(args):
         if "quad_rank" not in f.meta:
             raise DataError("%s.info names no quad_rank, the rank the "
                             "gaussian_sum oracle needs" % args.field)
-        q = build_quadrature(f.meta["quad_rank"], grid.h, 2 * _SQRT3 * grid.b)
+        q = _resolve_quadrature(RunConfig(rank=f.meta["quad_rank"]), grid)
     snapped, (nodes, _) = snapped_molecule(m, grid)
     oracle = direct_sum_oracle(snapped, grid, args.oracle_kernel, q)
     rep = compare(f, oracle, exclude_centers=nodes.tolist(),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -338,9 +339,9 @@ def test_on_parts_runs_once_before_the_total(born_mol, monkeypatch, case):
 def test_failed_command_leaves_no_part_dumps(tmp_path, capsys, monkeypatch,
                                             cmd):
     # a run whose compare raises, or a solve whose compose_total does,
-    # after the part dumps are written removes them: beside the earlier
-    # run's total.bin they would pass for its parts.  The earlier run's
-    # outputs stay as they were
+    # after the part dumps are staged leaves them out of d: beside the
+    # earlier run's total.bin they would pass for its parts.  The earlier
+    # run's outputs stay as they were
     d = tmp_path / "run"
     assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o",
                     str(d)]) == 0
@@ -348,8 +349,10 @@ def test_failed_command_leaves_no_part_dumps(tmp_path, capsys, monkeypatch,
     written = []
 
     def fail(*args, **kwargs):
-        written.extend(f for f in os.listdir(d) if f.startswith(("ulong",
-                                                                 "short.")))
+        # the part dumps are staged, not yet in d
+        stage, = (d / s for s in os.listdir(d) if s.startswith(".rstensor-"))
+        written.extend(f for f in os.listdir(stage)
+                       if f.startswith(("ulong", "short.")))
         raise rt.NumericError("injected")
     if cmd == "run":
         monkeypatch.setattr(rt.cli, "compare", fail)
@@ -415,6 +418,87 @@ def test_solve_into_run_directory_drops_its_reports(tmp_path):
     assert sorted(os.listdir(d)) == sorted(["total.bin", "total.bin.info"]
                                            + _BUNDLE)
     assert {f: (d / f).read_bytes() for f in _BUNDLE} == bundle
+
+
+@pytest.fixture(scope="module")
+def born_run(tmp_path_factory):
+    d = tmp_path_factory.mktemp("born-run")
+    assert rt.main(["run", "--pqr", BORN, "--n", "33", "--b", "8", "-o",
+                    str(d)]) == 0
+    return d
+
+
+_RUN_WRITES = ["total.bin", "long.ct3", "short_template.ct3",
+               "shortlist.json", "metrics.txt", "timings.txt", "report.txt"]
+# each command with the outputs it writes, in order; {d} is the output
+# directory, {src} a bundle of another quadrature rank
+_INJECT = {
+    "run": (["run", "--pqr", LIGAND, "--n", "33", "-o", "{d}"], _RUN_WRITES),
+    "run-parts": (["run", "--pqr", LIGAND, "--n", "33", "--parts", "-o",
+                   "{d}"], ["ulong.bin", "short.bin"] + _RUN_WRITES),
+    "solve": (["solve", "-i", "{d}"], ["total.bin"] + _BUNDLE),
+    "solve-o": (["solve", "-i", "{src}", "--parts", "-o", "{d}"],
+                ["ulong.bin", "short.bin", "total.bin"] + _BUNDLE),
+    "assemble": (["assemble", "--pqr", LIGAND, "--n", "33", "-o", "{d}"],
+                 _BUNDLE),
+}
+# solve in place reads the directory it writes, so it has one that exists
+_INJECT_CASES = [(case, target, name) for case, (_, writes) in _INJECT.items()
+                 for target in ("existing", "new") for name in writes
+                 if not (case == "solve" and target == "new")]
+
+
+def _fail_at(monkeypatch, name):
+    # every write of the cli module, a dump, a bundle file, a report or a
+    # text file, raises OSError (a full disk) at the output `name`: a
+    # dump or report once written, a text file at its open.  Returns the
+    # outputs written, in order
+    seen = []
+
+    def check(path):
+        seen.append(os.path.basename(path))
+        if seen[-1] == name:
+            raise OSError(28, "No space left on device", name)
+
+    for f in ("save_field", "save_canonical", "write_report"):
+        def failing(obj, path, _f=getattr(rt.cli, f)):
+            _f(obj, path)
+            check(path)
+        monkeypatch.setattr(rt.cli, f, failing)
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            check(path)
+        return open(path, mode, *args, **kwargs)
+    monkeypatch.setattr(rt.cli, "open", failing_open, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("case, target, name", _INJECT_CASES,
+                         ids=["-".join(c) for c in _INJECT_CASES])
+def test_failed_write_leaves_directory_as_it_was(tmp_path, capsys,
+                                                 monkeypatch, born_run,
+                                                 born_bundle, case, target,
+                                                 name):
+    # a command that fails at any write leaves an existing output
+    # directory byte for byte as it was, and makes none where none was.
+    # A ligand18 run whose report could not be written into a born run's
+    # directory left its total, metrics and bundle beside born's report,
+    # which then passed for theirs
+    d = tmp_path / "out"
+    if target == "existing":
+        shutil.copytree(born_run, d)
+    before = {f: (d / f).read_bytes() for f in os.listdir(d)} \
+        if d.exists() else None
+    args, writes = _INJECT[case]
+    seen = _fail_at(monkeypatch, name)
+    assert rt.main([a.format(d=d, src=born_bundle) for a in args]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert seen == writes[:writes.index(name) + 1]
+    if before is None:
+        assert not d.exists()
+    else:
+        assert {f: (d / f).read_bytes() for f in os.listdir(d)} == before
 
 
 def test_export_zero_field_csv(tmp_path):
@@ -799,9 +883,10 @@ def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
     # it broke the bound by 1.7 MB)
     case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
-    with rt.cli._part_dumps(str(tmp_path), parts) as (on_parts, paths):
+    with rt.cli._outputs(str(tmp_path)) as (path, paths):
         out, oracle_peak, compare_peak = _traced_run_case(
-            rt.RunConfig(n=n), m, on_parts, monkeypatch)
+            rt.RunConfig(n=n), m, rt.cli._dump_parts(path) if parts else None,
+            monkeypatch)
     assert sorted(paths) == (["short.bin", "ulong.bin"] if parts else [])
     assert "u_long" not in out and "short" not in out
     assert (out["rs"].long_reference is None) == (case == "cluster100")
@@ -916,7 +1001,10 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     ({"b": float("inf")}, "shortlist.json"),
     ({"gamma": float("inf")}, "shortlist.json"),
     ({"gamma": 14.7}, "shortlist.json"),
+    ({"gamma": 0}, "shortlist.json"),
+    ({"gamma": -3}, "shortlist.json"),
     ({"rank_pre": 3.5}, "shortlist.json"),
+    ({"rank_pre": -5}, "shortlist.json"),
     ({"n": 65}, "long.ct3"),
     ({"bc": "foo"}, "shortlist.json"),
     ({"bc": None}, "shortlist.json"),
@@ -927,15 +1015,18 @@ def test_solve_incomplete_shortlist_exit_code(born_bundle, tmp_path, capsys,
     ({"kappa": float("nan")}, "shortlist.json"),
     ({"kappa": "0"}, "shortlist.json")],
     ids=["two_coordinates", "off_grid", "quad_rank_zero", "b_infinity",
-         "gamma_infinity", "gamma_fraction", "rank_pre_fraction", "n",
+         "gamma_infinity", "gamma_fraction", "gamma_zero", "gamma_negative",
+         "rank_pre_fraction", "rank_pre_negative", "n",
          "bc_unknown", "bc_null", "bc_number", "bc_list", "kappa_negative",
          "kappa_infinity", "kappa_nan", "kappa_string"])
 def test_solve_malformed_bundle_exit_code(born_bundle, tmp_path, capsys, edit,
                                           name):
     # each of these crashed, dropped the atom, exited 2 or was solved
     # without complaint before the bundle reader checked it; a fractional
-    # gamma or rank_pre was truncated to an integer, and a bc other than
-    # "homogeneous" was taken for the config error of an analytic bundle
+    # gamma or rank_pre was truncated to an integer, a gamma <= 0 or a
+    # negative rank_pre was solved (a zero gamma divides by zero in
+    # cell_index), and a bc other than "homogeneous" was taken for the
+    # config error of an analytic bundle
     d = _bundle_copy(born_bundle, tmp_path)
     side = json.loads((d / "shortlist.json").read_text())
     side.update(edit)
