@@ -6,9 +6,9 @@ It is rank-compressed without stacking the N*R_L shifted columns: binning
 the atoms by node in each mode gives the mode SVDs an n x (occupied nodes *
 R_L) matrix, and the Tucker core comes from the sparse charge grid and the
 projected shift tables, so the cost no longer grows with N*R_L*n.  The
-short-range columns are kept as a single compact reference template plus a
-list of (center, charge) pairs, evaluated locally through a CSR index from
-uniform grid cells to the atoms whose windows reach them.
+short-range columns are kept as a single compact reference template plus
+the atoms' (N, 3) centre nodes and (N,) charges, evaluated locally through
+a CSR index from uniform grid cells to the atoms whose windows reach them.
 """
 
 from dataclasses import dataclass, field
@@ -125,10 +125,11 @@ class RSTensor:
     ``long`` is a rank-R_L canonical tensor on the full grid, the form that
     entry evaluation and ``long.ct3`` use; ``short_reference`` is the
     compact short-range template (canonical, side length
-    2*support_radius + 1) shared by all atoms; ``short_list`` holds (center
-    node, weight) per atom.  Storage is 3*R_L*n + 4*N numbers plus the
-    template's 3*R0*(2*support_radius+1) <= 3*R0*2*gamma.  ``quad_rank``
-    is the rank of the kernel's quadrature, which its oracle rebuilds.
+    2*support_radius + 1) shared by all atoms; ``nodes`` (N, 3) int and
+    ``weights`` (N,) hold each atom's centre node and charge.  Storage is
+    3*R_L*n + 4*N numbers plus the template's 3*R0*(2*support_radius+1)
+    <= 3*R0*2*gamma.  ``quad_rank`` is the rank of the kernel's
+    quadrature, which its oracle rebuilds.
 
     ``long_image`` is the Tucker tensor, over the binned RHOSVD factors,
     that equals ``long``'s reduced terms, and ``long_reference`` holds the
@@ -146,7 +147,8 @@ class RSTensor:
     grid: object
     long: CanonicalTensor3
     short_reference: CanonicalTensor3
-    short_list: list
+    nodes: np.ndarray
+    weights: np.ndarray
     gamma: int
     quad_rank: int
     long_rank_pre: int = 0
@@ -154,6 +156,12 @@ class RSTensor:
     long_reference: CanonicalTensor3 = field(default=None, repr=False)
     _template: np.ndarray = field(default=None, repr=False)
     _cells: tuple = field(default=None, repr=False)
+
+    @property
+    def short_list(self):
+        # (centre tuple, weight) pairs for perfbench/worker.py, O(N) a read,
+        # so the package reads nodes and weights; goes with ROADMAP item 2
+        return list(zip(map(tuple, self.nodes.tolist()), self.weights.tolist()))
 
     @property
     def support_radius(self):
@@ -173,7 +181,7 @@ class RSTensor:
             image, self.long_image = self.long_image, None
             return tucker_dense(image)
         if self.long_reference is not None:
-            return shift_sum_dense(self.long_reference, *zip(*self.short_list))
+            return shift_sum_dense(self.long_reference, self.nodes, self.weights)
         return dense(self.long)
 
     def cell_index(self):
@@ -182,28 +190,24 @@ class RSTensor:
         Cells have side gamma nodes, ``nc = (n - 1) // gamma + 1`` per
         axis, and node i lies in cell ``(i0//gamma*nc + i1//gamma)*nc +
         i2//gamma``.  Built once and cached, as the tuple ``(rows, ids,
-        row_centres, corners, weights)``:
+        row_centres, corners)``:
 
-        - ``ids`` lists short_list indices row by row, each row in
-          short_list order, and ``row_centres`` (3, M) holds their centre
-          nodes column by column in the same order; an atom appears once
-          in each cell its window ``[c - r, c + r]`` reaches into (at most
-          27: the windows assembly builds are at most 2*gamma + 1 wide).
+        - ``ids`` lists atom indices row by row, each row in atom order,
+          and ``row_centres`` (3, M) holds their centre nodes column by
+          column in the same order; an atom appears once in each cell its
+          window ``[c - r, c + r]`` reaches into (at most 27: the windows
+          assembly builds are at most 2*gamma + 1 wide).
         - ``rows`` maps a cell to the slice of ``ids`` that is its row;
           a cell no window reaches has no entry, so the index holds O(N)
           numbers whatever the number of cells.
-        - ``corners`` (N,) and ``weights`` (N,) are indexed by short_list
-          index: ``corners[a] = (c - r) . (1, L, L*L)`` with L = 2r + 1,
-          so node i of atom a's window is entry ``i . (1, L, L*L) -
-          corners[a]`` of the template flattened in its Fortran order.
+        - ``corners[a] = (c - r) . (1, L, L*L)``, L = 2r + 1, so node i of
+          atom a's window is entry ``i . (1, L, L*L) - corners[a]`` of the
+          template flattened in its Fortran order.
         """
         if self._cells is None:
             n, g, r = self.grid.n, self.gamma, self.support_radius
             L = 2 * r + 1
-            centres = np.array([c for c, _ in self.short_list],
-                               dtype=int).reshape(-1, 3)
-            weights = np.array([w for _, w in self.short_list], dtype=float)
-            nc = (n - 1) // g + 1
+            centres, nc = self.nodes, (n - 1) // g + 1
             # cells each window covers along each axis: lo + d for d < span
             lo = np.maximum(centres - r, 0) // g
             hi = np.minimum(centres + r, n - 1) // g
@@ -225,17 +229,17 @@ class RSTensor:
                     in zip(cells.tolist(), beg.tolist(), end.tolist())}
             corners = (centres - r) @ np.array([1, L, L * L])
             self._cells = (rows, ids, np.ascontiguousarray(centres[ids].T),
-                           corners, weights)
+                           corners)
         return self._cells
 
     def nearby_atoms(self, i):
-        """Indices of short_list entries whose template window covers node i.
+        """Indices of the atoms whose template window covers node i.
 
         Reads the row of node i's cell in ``cell_index`` and keeps the
         atoms within Chebyshev distance support_radius of i, as an int
-        array in short_list order.
+        array in atom order.
         """
-        rows, ids, row_centres, _, _ = self.cell_index()
+        rows, ids, row_centres, _ = self.cell_index()
         g = self.gamma
         nc = (self.grid.n - 1) // g + 1
         row = rows.get((i[0] // g * nc + i[1] // g) * nc + i[2] // g, _EMPTY)
@@ -254,7 +258,7 @@ def assemble_collective(m, kernel, eps_reduce):
     that does not lower the rank below N * R_l the explicit per-atom
     tensor is returned instead, with the long reference columns
     (``long_reference``) in place of an image.  The short-range part is
-    stored as the shared template plus the snapped (center, charge) list.
+    the shared template plus the snapped centre nodes and the charges.
 
     Parameters
     ----------
@@ -300,8 +304,7 @@ def assemble_collective(m, kernel, eps_reduce):
         Wc = [kernel.wide_tensor.factors[l][n - r_t:n + r_t + 1, R_l:]
               for l in range(3)]
         short_ref = CanonicalTensor3(kernel.wide_tensor.weights[R_l:], tuple(Wc))
-    short_list = [(tuple(c), w) for c, w in zip(nodes.tolist(), z.tolist())]
-    return RSTensor(grid, long, short_ref, short_list, gamma, kernel.rank,
+    return RSTensor(grid, long, short_ref, nodes, z.copy(), gamma, kernel.rank,
                     long_rank_pre=long_pre, long_image=image,
                     long_reference=ref if image is None else None)
 
@@ -322,9 +325,8 @@ def rs_eval_entry(t, i):
     T = t.template_dense()
     L = 2 * t.support_radius + 1
     hits = t.nearby_atoms(i)
-    _, _, _, corners, weights = t.cell_index()
-    flat = (i[2] * L + i[1]) * L + i[0] - corners[hits]
-    return float(val + np.dot(weights[hits], T.ravel(order="F")[flat]))
+    flat = (i[2] * L + i[1]) * L + i[0] - t.cell_index()[3][hits]
+    return float(val + np.dot(t.weights[hits], T.ravel(order="F")[flat]))
 
 
 def scatter_short(t, out, scale=1.0):
@@ -335,7 +337,7 @@ def scatter_short(t, out, scale=1.0):
     both operands in memory order.
 
     The workers of ``_on_slabs`` each take a slab of mode-3 planes and add
-    the windows that reach into it, clipped to it, in short_list order, so
+    the windows that reach into it, clipped to it, in atom order, so
     every node gets its adds in that order and the result has the same
     bits at any worker count.
     """
@@ -344,12 +346,12 @@ def scatter_short(t, out, scale=1.0):
         raise ConfigError("output array does not match the grid")
     T = t.template_dense()  # once, before the workers start
     r = t.support_radius
-    lo = np.array([c for c, _ in t.short_list], dtype=int).reshape(-1, 3) - r
+    lo = t.nodes - r
     # window [lo, lo + 2r] clipped to the grid: out[a:b] += w T[a-lo:b-lo]
     a, b = np.maximum(lo, 0), np.minimum(lo + 2 * r + 1, n)
     za, zb = a[:, 2], b[:, 2]
     win = list(zip(a.tolist(), b.tolist(), lo.tolist(),
-                   [scale * w for _, w in t.short_list]))
+                   (scale * t.weights).tolist()))
 
     def slab(z0, z1):
         for i in np.flatnonzero((zb > z0) & (za < z1)).tolist():

@@ -372,8 +372,7 @@ def run_case(cfg, m, on_parts=None):
             ref = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
                                     quad=q)
         with _clock(timings, "compare"):
-            report = compare(total, ref,
-                             exclude_centers=[c for c, _ in rs.short_list],
+            report = compare(total, ref, exclude_centers=rs.nodes,
                              config={"oracle": "gaussian_sum"})
             del ref
     timings["total"] = time.perf_counter() - t_all
@@ -507,8 +506,7 @@ def _write_bundle(rs, path, bc="homogeneous", kappa=0.0):
             "bc": bc, "kappa": float(kappa),
             "quad_rank": rs.quad_rank, "rank_pre": rs.long_rank_pre,
             "rank_post": rs.long.rank,
-            "centers": [list(c) for c, _ in rs.short_list],
-            "weights": [w for _, w in rs.short_list]}
+            "centers": rs.nodes.tolist(), "weights": rs.weights.tolist()}
     with open(path("shortlist.json"), "w") as fh:
         # json.dumps runs the C encoder; json.dump, the same bytes, does not
         fh.write(json.dumps(side, sort_keys=True))
@@ -621,7 +619,7 @@ def _cmd_assemble(args):
     with _outputs(cfg.outdir) as (path, _):
         _write_bundle(rs, path)
     print("assembled %s: long rank %d -> %d, %d short contributions"
-          % (m.name, rs.long_rank_pre, rs.long.rank, len(rs.short_list)))
+          % (m.name, rs.long_rank_pre, rs.long.rank, len(rs.weights)))
     return 0
 
 
@@ -669,10 +667,8 @@ def _load_bundle(d):
     if template.shape != (w,) * 3 or w % 2 == 0:
         raise DataError("short_template.ct3 in %s has shape %s, not a cube "
                         "with an odd side" % (d, template.shape))
-    short_list = list(zip(map(tuple, nodes.astype(int).tolist()),
-                          weights.tolist()))
-    return (RSTensor(grid, long, template, short_list, int(gamma),
-                     int(quad_rank), long_rank_pre=int(rank_pre)),
+    return (RSTensor(grid, long, template, nodes.astype(np.int64), weights,
+                     int(gamma), int(quad_rank), long_rank_pre=int(rank_pre)),
             bc, float(kappa))
 
 
@@ -717,7 +713,7 @@ def _cmd_validate(args):
         q = _resolve_quadrature(RunConfig(rank=f.meta["quad_rank"]), grid)
     snapped, (nodes, _) = snapped_molecule(m, grid)
     oracle = direct_sum_oracle(snapped, grid, args.oracle_kernel, q)
-    rep = compare(f, oracle, exclude_centers=nodes.tolist(),
+    rep = compare(f, oracle, exclude_centers=nodes,
                   config={"oracle": args.oracle_kernel, "field": args.field})
     out = args.outdir or "."
     os.makedirs(out, exist_ok=True)

@@ -11,7 +11,7 @@ numpy's BLAS: neither oracle loads scipy.  Its tables zero the Gaussians
 below ``_FLOOR``, which keeps subnormal floats, slow on x86 CPUs, out of
 those GEMMs.  ``compare`` reads the two fields a block of planes at a
 time, the blocks shared out among the threads of ``_on_slabs``, so it
-allocates no n^3 float field.
+allocates no n^3 array: each block masks only the nodes that reach it.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -113,7 +113,7 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     -------
     GridFunction3; in exact mode, nodes coinciding with an atom, where 1/r
     is undefined, are set to 0 and listed in ``meta["excluded_nodes"]``,
-    which ``compare`` leaves out of every metric.
+    an (M, 3) node array, which ``compare`` leaves out of every metric.
     """
     if kernel == "gaussian_sum":
         if quad is None:
@@ -124,9 +124,8 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
         raise ConfigError("unknown oracle kernel %r" % kernel)
     x = grid.coords()
     out, singular = _coulomb_sum(m, x, x, x, tol=1e-9 * grid.h)
-    excluded = [tuple(int(v) for v in idx) for idx in np.argwhere(singular)]
     return GridFunction3(grid, out, {"kernel": kernel,
-                                     "excluded_nodes": excluded})
+                                     "excluded_nodes": np.argwhere(singular)})
 
 
 def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
@@ -164,44 +163,41 @@ def compare(a, b, exclude_centers=None, config=None):
     0) drop out of every metric.  ``exclude_centers`` lists node index
     triples (atom centers); the nodes within one grid unit (Chebyshev) of
     any of them, the singular cores, drop out of
-    ``max_abs_excluding_cores`` only.
+    ``max_abs_excluding_cores`` only.  Both lists are (M, 3) node arrays or
+    sequences of triples in [0, n)^3 (else ``ConfigError``), and each
+    block masks only those of their nodes that reach it.
     """
     if a.grid != b.grid:
         raise ConfigError("fields live on different grids")
     g = b.grid
-    mask = np.zeros((g.n,) * 3, dtype=bool, order="F")
-    for c in exclude_centers or []:
-        lo = [max(ci - 1, 0) for ci in c]
-        hi = [min(ci + 2, g.n) for ci in c]
-        mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-    undefined = None
-    if b.meta.get("excluded_nodes"):
-        undefined = np.zeros((g.n,) * 3, dtype=bool, order="F")
-        undefined[tuple(np.reshape(b.meta["excluded_nodes"], (-1, 3)).T)] = True
+    cores = _by_plane(exclude_centers, g.n, "exclude_centers")
+    undefined = _by_plane(b.meta.get("excluded_nodes"), g.n, "excluded_nodes")
     # blocks of k planes, k set by n alone, shared out by _on_slabs: each
     # block of |a - b| goes through its worker's buffer of 2^15
     # values (256 KiB), or of one plane when a plane is larger, so W
-    # workers hold W of them; its undefined nodes are zeroed first, its core nodes once the block's
-    # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
-    # ss, max_abs, max_excl), combined in block order below, so the
-    # report has the same bits at any worker count
+    # workers hold W of them; its undefined nodes are zeroed first, its
+    # core nodes once the block's sums and full-grid max are taken.
+    # part[j] holds block j's (ref_ss, ss, max_abs, max_excl), combined in
+    # block order below, so the report has the same bits at any worker count
     k = max(1, 2 ** 15 // g.n ** 2)
     part = np.empty((-(-g.n // k), 4))
 
     def blocks(j0, j1):
         buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
         for j in range(j0, j1):
-            sl = np.s_[:, :, j * k:(j + 1) * k]
-            ref = b.values[sl]
-            d = buf[:, :, :ref.shape[2]]
-            part[j, 0] = _sumsq(ref if undefined is None
-                                else ref[~undefined[sl]])
-            np.abs(np.subtract(a.values[sl], ref, out=d), out=d)
-            if undefined is not None:
-                d[undefined[sl]] = 0.0
+            z0, z1 = j * k, min((j + 1) * k, g.n)
+            sl, d = np.s_[:, :, z0:z1], buf[:, :, :z1 - z0]
+            ref, listed = b.values[sl], _in_block(undefined, 0, g.n, z0, z1)
+            if len(undefined):  # every block compacted: one summation order
+                keep = np.ones(ref.shape, dtype=bool)
+                keep[listed] = False
+                ref = ref[keep]
+            part[j, 0] = _sumsq(ref)
+            np.abs(np.subtract(a.values[sl], b.values[sl], out=d), out=d)
+            d[listed] = 0.0
             part[j, 2] = d.max()
             part[j, 1] = _sumsq(d)
-            d[mask[sl]] = 0.0
+            d[_in_block(cores, 1, g.n, z0, z1)] = 0.0
             part[j, 3] = d.max()
 
     _on_slabs(blocks, len(part))
@@ -218,6 +214,28 @@ def compare(a, b, exclude_centers=None, config=None):
                        max_abs_excluding_cores=max_excl,
                        relative_l2=float(rel), rss=float(np.sqrt(ss)),
                        n=g.n, b=g.b, config=dict(config or {}))
+
+
+_CUBE = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # a radius-1 core
+
+
+def _by_plane(nodes, n, name):
+    # (M, 3) int nodes sorted by i3, each in [0, n)^3, i3 contiguous
+    p = np.reshape(np.asarray(() if nodes is None else nodes, int), (-1, 3))
+    if np.any((p < 0) | (p >= n)):
+        raise ConfigError("%s holds a node outside [0, %d)^3" % (name, n))
+    return np.asfortranarray(p[np.argsort(p[:, 2])])
+
+
+def _in_block(p, r, n, z0, z1):
+    # block index (i1, i2, i3 - z0) of the nodes within Chebyshev distance
+    # r (0 or 1) of the nodes p, sorted by i3 (_by_plane), that lie in the
+    # planes z0 <= i3 < z1 of the n-grid.  An offset node off the block or
+    # the grid is clipped onto a node of the block in the same core
+    p = p[np.searchsorted(p[:, 2], z0 - r):np.searchsorted(p[:, 2], z1 + r)]
+    q = p[:, None] + (_CUBE if r else 0) - (0, 0, z0)
+    np.clip(q, 0, (n - 1, n - 1, z1 - z0 - 1), out=q)
+    return q[..., 0], q[..., 1], q[..., 2]
 
 
 def _sumsq(x):

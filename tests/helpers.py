@@ -109,13 +109,13 @@ def _short_collective(rs):
     # per-atom template columns embedded into full-grid side vectors
     n = rs.grid.n
     R0 = rs.short_reference.rank
-    if R0 == 0 or not rs.short_list:
+    if R0 == 0 or not len(rs.weights):
         return zero_canonical((n, n, n))
     r = rs.support_radius
-    N = len(rs.short_list)
+    N = len(rs.weights)
     w = np.empty(N * R0)
     A = [np.zeros((n, N * R0)) for _ in range(3)]
-    for a, (c, z) in enumerate(rs.short_list):
+    for a, (c, z) in enumerate(zip(rs.nodes.tolist(), rs.weights.tolist())):
         sl = slice(a * R0, (a + 1) * R0)
         w[sl] = z * rs.short_reference.weights
         for l in range(3):
@@ -226,7 +226,7 @@ def scatter_short_serial(t, out, scale=1.0):
     grid only."""
     n, r = t.grid.n, t.support_radius
     T = dense(t.short_reference)
-    for c, w in t.short_list:
+    for c, w in zip(t.nodes.tolist(), t.weights.tolist()):
         lo = [ci - r for ci in c]
         a = [max(l, 0) for l in lo]
         b = [min(l + 2 * r + 1, n) for l in lo]
@@ -240,13 +240,13 @@ def compare_reference(a, b, centers, listed, h):
     """The metrics of ``compare(a, b)`` on a grid of spacing h, keyed like
     ``ErrorReport``, in plain whole-grid numpy: the ``listed`` nodes leave
     every metric, the radius-1 cores of the ``centers`` only the
-    core-excluding max."""
+    core-excluding max.  Nodes are triples or rows of a node array."""
     core = np.zeros(a.shape, dtype=bool)
     for c in centers:
         core[tuple(slice(max(ci - 1, 0), ci + 2) for ci in c)] = True
     keep = np.ones(a.shape, dtype=bool)
     for c in listed:
-        keep[c] = False
+        keep[tuple(c)] = False
     diff = a - b
     ss = np.sum(diff[keep] ** 2)
     ref_ss = np.sum(b[keep] ** 2)

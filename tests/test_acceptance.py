@@ -43,8 +43,7 @@ def _trend(m, b, ns):
         qref = rt.build_quadrature(REFERENCE_RANK, g.h, 2 * SQRT3 * g.b)
         oracle = rt.direct_sum_oracle(res["molecule"], g,
                                       kernel="gaussian_sum", quad=qref)
-        centers = np.array([c for c, _ in res["rs"].short_list])
-        cores = (centers[:, None, :] + cube).reshape(-1, 3)
+        cores = (res["rs"].nodes[:, None, :] + cube).reshape(-1, 3)
         oracle.meta["excluded_nodes"] = \
             cores[np.all((cores >= 0) & (cores < g.n), axis=1)].tolist()
         out.append(rt.compare(res["total"], oracle).discrete_l2)
@@ -180,7 +179,7 @@ def test_criterion_07_short_long_contrast(cloud782):
     plane = dense_slice(rs.long, 2, mid).copy()
     T = rs.template_dense()
     r_t = rs.support_radius
-    for c, w in rs.short_list:
+    for c, w in zip(rs.nodes.tolist(), rs.weights.tolist()):
         dz = mid - c[2]
         if abs(dz) > r_t:
             continue

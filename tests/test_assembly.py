@@ -228,13 +228,12 @@ def test_rs_additivity_dense():
 def test_scatter_short_slabs_match_serial(n, r, n_atoms, seed, scale, order):
     # windows up to 9 nodes wide on grids of 3 to 12, centred anywhere, so
     # the faces clip them, and so do the slab edges of 2 and 3 workers:
-    # each node gets its adds in short_list order at any worker count
+    # each node gets its adds in atom order at any worker count
     rng = np.random.default_rng(seed)
-    short_list = [(tuple(c), w) for c, w in zip(
-        rng.integers(0, n, (n_atoms, 3)).tolist(),
-        rng.standard_normal(n_atoms).tolist())]
+    nodes = rng.integers(0, n, (n_atoms, 3))
+    weights = rng.standard_normal(n_atoms)
     rs = rt.RSTensor(rt.Grid3(n, 1.0), rt.zero_canonical((n,) * 3),
-                     rand_canonical(rng, 2 * r + 1, 3), short_list,
+                     rand_canonical(rng, 2 * r + 1, 3), nodes, weights,
                      gamma=2 * r + 2, quad_rank=1)
     base = np.asarray(rng.standard_normal((n, n, n)), order=order)
     want = scatter_short_serial(rs, base.copy(order=order), scale)
@@ -268,7 +267,7 @@ def test_rs_eval_entry_matches_dense_plus_short(kernel33, n_atoms, seed,
                                 1e-8 * g.h ** 2 if reduce else None)
     ref = rt.dense(rs.long)
     rt.scatter_short(rs, ref)
-    nodes = [c for c, _ in rs.short_list]
+    nodes = [tuple(c) for c in rs.nodes.tolist()]
     nodes += [tuple(int(v) for v in i) for i in rng.integers(0, 33, (20, 3))]
     vals = np.array([rt.rs_eval_entry(rs, i) for i in nodes])
     assert np.max(np.abs(vals - np.array([ref[i] for i in nodes]))) \
@@ -294,24 +293,25 @@ def _index_case(n, gamma, centres, weights):
     ref = rt.CanonicalTensor3(rng.uniform(0.5, 1.5, 2),
                               tuple(rng.standard_normal((L, 2))
                                     for _ in range(3)))
-    short_list = [(tuple(c), float(w)) for c, w in zip(centres, weights)]
     return rt.RSTensor(rt.Grid3(n, 4.0), zero_canonical((n, n, n)), ref,
-                       short_list, gamma, 2)
+                       np.array(centres, dtype=int).reshape(-1, 3),
+                       np.array(weights, dtype=float), gamma, 2)
 
 
 def _scan_nearby(rs, i):
-    # brute-force Chebyshev scan of short_list
+    # brute-force Chebyshev scan of the atoms' centre nodes
     r = rs.support_radius
-    return [a for a, (c, _) in enumerate(rs.short_list)
+    return [a for a, c in enumerate(rs.nodes.tolist())
             if max(abs(i[0] - c[0]), abs(i[1] - c[1]), abs(i[2] - c[2])) <= r]
 
 
 def _scan_entry(rs, i):
     T = rs.template_dense()
     r = rs.support_radius
-    near = [rs.short_list[a] for a in _scan_nearby(rs, i)]
+    near = _scan_nearby(rs, i)
     return sum(w * T[i[0] - c[0] + r, i[1] - c[1] + r, i[2] - c[2] + r]
-               for c, w in near)
+               for c, w in zip(rs.nodes[near].tolist(),
+                               rs.weights[near].tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,7 +376,7 @@ def test_charge_change_is_local_in_short_part():
     rt.scatter_short(rs2, s2)
     diff = np.abs(s1 - s2)
     r = rs1.support_radius
-    c = rs1.short_list[1][0]
+    c = rs1.nodes[1].tolist()
     mask = np.ones_like(diff, dtype=bool)
     mask[max(c[0] - r, 0):c[0] + r + 1,
          max(c[1] - r, 0):c[1] + r + 1,
@@ -411,7 +411,7 @@ def test_short_centers_away_from_boundary():
     m = rt.Molecule(pts, np.ones(len(pts)))
     sm, _ = rt.snapped_molecule(m, g)
     rs = rt.assemble_collective(sm, k, None)
-    for c, _ in rs.short_list:
+    for c in rs.nodes.tolist():
         assert min(min(c), g.n - 1 - max(c)) >= rs.gamma // 2
 
 

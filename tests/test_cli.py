@@ -779,7 +779,7 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
                                   kernel="gaussian_sum", quad=out["quadrature"])
     assert np.array_equal(out["total"].values, u.values + short.values)
     ref = rt.compare(rt.compose_total(u, short), oracle,
-                     exclude_centers=[c for c, _ in out["rs"].short_list],
+                     exclude_centers=out["rs"].nodes,
                      config={"oracle": "gaussian_sum"})
     assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
     plain = rt.run_case(cfg, m)
@@ -1402,7 +1402,7 @@ def test_entries_match_total(densify_cases, case):
     out = densify_cases[case][0]
     rs, total = out["rs"], out["total"].values
     rng = np.random.default_rng(5)
-    nodes = [c for c, _ in rs.short_list] \
+    nodes = [tuple(c) for c in rs.nodes.tolist()] \
         + [tuple(v) for v in rng.integers(0, rs.grid.n, (500, 3)).tolist()]
     vals = np.array([rt.rs_eval_entry(rs, i) for i in nodes])
     ref = total[tuple(np.array(nodes).T)]
@@ -1417,10 +1417,10 @@ def test_loaded_bundle_answers_entries(tmp_path, densify_cases):
     ref = densify_cases["cluster60"][0]["rs"]
     r = rs.support_radius
     rng = np.random.default_rng(6)
-    nodes = [c for c, _ in rs.short_list] \
+    nodes = [tuple(c) for c in rs.nodes.tolist()] \
         + [tuple(v) for v in rng.integers(0, rs.grid.n, (300, 3)).tolist()]
     for i in nodes:
-        scan = [a for a, (c, _) in enumerate(rs.short_list)
+        scan = [a for a, c in enumerate(rs.nodes.tolist())
                 if max(abs(i[0] - c[0]), abs(i[1] - c[1]),
                        abs(i[2] - c[2])) <= r]
         assert sorted(rs.nearby_atoms(i).tolist()) == scan

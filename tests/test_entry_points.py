@@ -101,6 +101,24 @@ def test_benchmark_names_resolve():
         assert hasattr(cfg, name)
 
 
+def test_short_list_is_the_pairs_the_benchmark_reads(tmp_path):
+    # perfbench/worker.py reads rs.short_list as (centre tuple, weight)
+    # pairs, of an assembled tensor and of a bundle read back alike; the
+    # bundle keeps the int64 nodes and float64 weights it was written from
+    m = rt.synthetic_cluster(60, 5.0, seed=7)
+    rs = cli._assemble_stage(rt.RunConfig(n=33, b=10.0), m, {})[0]
+    cli._write_bundle(rs, lambda name: str(tmp_path / name))
+    back = cli._load_bundle(str(tmp_path))[0]
+    for t in (rs, back):
+        assert t.nodes.dtype == np.int64 and t.nodes.shape == (60, 3)
+        assert t.weights.dtype == np.float64 and t.weights.shape == (60,)
+        assert t.short_list == list(zip(map(tuple, t.nodes.tolist()),
+                                        t.weights.tolist()))
+    assert np.array_equal(back.nodes, rs.nodes)
+    assert np.array_equal(back.weights.view(np.uint64),
+                          rs.weights.view(np.uint64))
+
+
 def test_tool_names_resolve():
     assert cli._RANK_LADDER[0] == 8 and cli._RANK_LADDER[-1] == 60
     for name in ("_tune", "canonical_ratio", "build_quadrature",

@@ -224,8 +224,8 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
     tk = rt.TuckerTensor3(rng.standard_normal(ranks), tuple(
         np.linalg.qr(rng.standard_normal((n, r)))[0]
         for n, r in zip(shape, ranks)))
-    rs = rt.RSTensor(rt.Grid3(9, 1.0), rt.zero_canonical((9, 9, 9)), t, [], 2,
-                     R)
+    rs = rt.RSTensor(rt.Grid3(9, 1.0), rt.zero_canonical((9, 9, 9)), t,
+                     np.empty((0, 3), dtype=int), np.empty(0), 2, R)
     ref = np.einsum("k,ak,bk,ck->abc", t.weights, *t.factors)
     tref = np.einsum("abc,ia,jb,kc->ijk", tk.core, *tk.factors)
     for D, E in ((rt.dense(t), ref), (rs.template_dense(), ref),

@@ -101,7 +101,7 @@ def test_exact_newton_flags_singular_nodes():
     c = (g.n - 1) // 2
     m = rt.Molecule([(0.0, 0.0, 0.0)], [1.0])
     f = rt.direct_sum_oracle(m, g, kernel="exact_newton")
-    assert (c, c, c) in f.meta["excluded_nodes"]
+    assert [c, c, c] in f.meta["excluded_nodes"].tolist()
     assert f.values[c, c, c] == 0.0
     other = rt.GridFunction3(g, f.values + 1e-3)
     rep = rt.compare(other, f)
@@ -173,12 +173,25 @@ def test_core_exclusion_mask():
     assert rep2.max_abs == rep2.max_abs_excluding_cores == 0.0
 
 
+def _drawn_nodes(rng, n, count, as_array):
+    # count nodes, each coordinate anywhere on the grid or on one of its
+    # faces, i3 also on the first or last plane of one of compare's blocks
+    # of k planes, where a mask built per block could miss a core; as an
+    # (count, 3) array or a list of triples
+    k = max(1, 2 ** 15 // n ** 2)
+    edges = [z for j in range(0, n, k) for z in (j, min(j + k, n) - 1)]
+    pools = (range(n), (0, n - 1), edges)
+    nodes = [tuple(int(rng.choice(pools[rng.integers(2 + (l == 2))]))
+                   for l in range(3)) for _ in range(count)]
+    return np.array(nodes, dtype=int).reshape(-1, 3) if as_array else nodes
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 10), seed=st.integers(0, 2 ** 32 - 1),
        n_centers=st.integers(0, 4), n_listed=st.integers(0, 3),
-       fortran=st.booleans())
+       fortran=st.booleans(), as_array=st.booleans())
 def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
-                                         fortran):
+                                         fortran, as_array):
     # all five metrics, cores given as centers and undefined nodes as the
     # reference's own list; a core at the middle of a 3-node grid covers
     # every node
@@ -188,10 +201,8 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
     b = rng.standard_normal((n, n, n))
     if fortran:
         a, b = np.asfortranarray(a), np.asfortranarray(b)
-    centers = [tuple(int(v) for v in rng.integers(0, n, 3))
-               for _ in range(n_centers)]
-    listed = [tuple(int(v) for v in rng.integers(0, n, 3))
-              for _ in range(n_listed)]
+    centers = _drawn_nodes(rng, n, n_centers, as_array)
+    listed = _drawn_nodes(rng, n, n_listed, as_array)
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
     rep = rt.compare(_field(g, a), fb, exclude_centers=centers)
     ref = compare_reference(a, b, centers, listed, g.h)
@@ -202,8 +213,10 @@ def test_compare_matches_numpy_reference(n, seed, n_centers, n_listed,
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(40, 64), seed=st.integers(0, 2 ** 32 - 1),
-       n_centers=st.integers(0, 4), n_listed=st.integers(0, 3))
-def test_compare_slabs_match_reference(n, seed, n_centers, n_listed):
+       n_centers=st.integers(0, 6), n_listed=st.integers(0, 3),
+       as_array=st.booleans())
+def test_compare_slabs_match_reference(n, seed, n_centers, n_listed,
+                                       as_array):
     # 2 to 7 blocks of planes on 1, 2 and 3 workers.  The values are
     # multiples of 2^-8 below 8 in magnitude, so every sum, difference and
     # sum of squares here is exact in any order: each worker count gives
@@ -213,10 +226,8 @@ def test_compare_slabs_match_reference(n, seed, n_centers, n_listed):
     g = rt.Grid3(n, rng.uniform(0.5, 5.0))
     u, b = (np.asfortranarray(v) for v in
             rng.integers(-2 ** 11, 2 ** 11, (2, n, n, n)) / 256.0)
-    centers = [tuple(int(v) for v in rng.integers(0, n, 3))
-               for _ in range(n_centers)]
-    listed = [tuple(int(v) for v in rng.integers(0, n, 3))
-              for _ in range(n_listed)]
+    centers = _drawn_nodes(rng, n, n_centers, as_array)
+    listed = _drawn_nodes(rng, n, n_listed, as_array)
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
     a = _field(g, u)
     want = compare_reference(u, b, centers, listed, g.h)
@@ -265,6 +276,66 @@ def test_compare_all_nodes_excluded():
                      exclude_centers=[(2, 2, 2)])
     assert rep.max_abs == rep.max_abs_excluding_cores == 0.0
     assert rep.discrete_l2 == rep.rss == rep.relative_l2 == 0.0
+
+
+@pytest.mark.parametrize("centers, listed", [
+    ([(-5, -5, -5)], []), ([], [(-1, 0, 0)]), ([], [(9, 0, 0)])],
+    ids=["center-below", "listed-below", "listed-above"])
+def test_compare_refuses_nodes_off_the_grid(centers, listed):
+    # a node off [0, 9)^3 is refused.  Taken as an index, a center at -5
+    # slices 0:-3, marks nodes 0-5 of each axis as core and hides the bump
+    # from the core-excluding max, a listed -1 drops node 8, and a listed
+    # 9 is a bare IndexError.  The grid's corners are nodes like any other
+    g = rt.Grid3(9, 1.0)
+    base = np.ones((9, 9, 9))
+    bumped = base.copy()
+    bumped[4, 4, 4] += 1.0
+    a = _field(g, bumped)
+    with pytest.raises(rt.ConfigError):
+        rt.compare(a, rt.GridFunction3(g, base, {"excluded_nodes": listed}),
+                   exclude_centers=centers)
+    corners = [(0, 0, 0), (8, 8, 8)]
+    rep = rt.compare(a, rt.GridFunction3(g, base, {"excluded_nodes": corners}),
+                     exclude_centers=corners)
+    assert rep.max_abs == rep.max_abs_excluding_cores == 1.0
+
+
+def test_compare_allocates_no_grid_array():
+    # 2,000 centers and 100 listed nodes at n=129: compare holds each
+    # worker's block buffers, the sorted node lists and, per block, the
+    # cores of the centers that reach it, far below one n^3 bool mask
+    n, N, M = 129, 2000, 100
+    g = rt.Grid3(n, 4.0)
+    rng = np.random.default_rng(12)
+    a, b = (np.asfortranarray(v) for v in rng.standard_normal((2, n, n, n)))
+    nodes = rng.integers(0, n, (N, 3))
+    centers = nodes.tolist()
+    fb = rt.GridFunction3(g, b, {"excluded_nodes": centers[:M]})
+    W = 2
+    with slab_workers(W):
+        rt.compare(_field(g, a), fb, exclude_centers=centers)  # warm
+        tracemalloc.start()
+        try:
+            rt.compare(_field(g, a), fb, exclude_centers=centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    k = max(1, 2 ** 15 // n ** 2)
+    blocks = -(-n // k)
+    # the most centers whose cores reach one block: i3 within one plane
+    per_plane = np.bincount(nodes[:, 2], minlength=n)
+    m = max(per_plane[max(j * k - 1, 0):(j + 1) * k + 1].sum()
+            for j in range(blocks))
+    # a worker: its float buffer, keep mask and compacted reference block
+    # (17 bytes a node), and a block's 27 m core nodes as int64 triples,
+    # three times over while they are shifted and clipped into the block
+    worker = 17 * n * n * k + 27 * m * 3 * 24
+    # a node list: its int64 copy, sorted copy and Fortran copy, its
+    # argsort and three bool range tests
+    lists = (N + M) * (3 * 24 + 8 + 3 * 3)
+    bound = W * worker + lists + 2 ** 16
+    assert bound < n ** 3, bound  # below one n^3 bool
+    assert peak <= bound, (peak, bound)
 
 
 def test_report_text_and_files(tmp_path):
