@@ -168,9 +168,15 @@ class RSTensor:
         return (self.short_reference.factors[0].shape[0] - 1) // 2
 
     def template_dense(self):
-        """Dense short-range template block, cached."""
+        """Dense short-range template block, cached.  It is densified from
+        a copy of the factors with their subnormal entries zeroed, which
+        would put its GEMMs on the CPU's slow path; every fixture and
+        cluster tried keeps every bit of the block."""
         if self._template is None:
-            self._template = dense(self.short_reference)
+            t = self.short_reference
+            self._template = dense(CanonicalTensor3(t.weights, tuple(
+                np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
+                for A in t.factors)))
         return self._template
 
     def long_field(self):

@@ -9,10 +9,16 @@ times the short part scattered into it, its face layers set to the
 exact oracle's screened-Coulomb values, and a Poisson solve that keeps
 them -> short part scattered once -> (``--parts`` only) both parts
 dumped -> total, long plus short added into the long field's array, the
-short field dropped -> (kappa = 0 only, it is unscreened) oracle field
--> the total compared with it a block of planes at a time: two n^3
-fields at the peak.  With homogeneous faces the solve would return its
-input, so it is not run.  The scatter, the comparison, the total and the
+short field dropped -> (kappa = 0 only, it is unscreened) the total
+compared with the Gaussian-sum oracle, which ``compare`` builds and reads
+one chunk of mode-2 rows at a time (``validation._oracle_rows``; about
+2^21 values a chunk), so the oracle is never an n^3 array: two n^3
+fields at the peak, the two parts, and one field and a chunk while
+comparing.  ``oracle`` times the chunks' evaluation, ``compare`` the rest
+of that pass.  ``validate`` reads its dump against either oracle the same
+way, so it holds one n^3 field.  With homogeneous faces the solve would
+return its input, so it is not run.  The scatter, the comparison, the
+total and the
 finiteness check of every field run on a slab of planes per BLAS thread,
 with results independent of the thread count.  Every n^3 field is
 Fortran-ordered (mode-1 fastest), the layout of the ``.bin`` dumps, so
@@ -64,7 +70,7 @@ from ..assembly import (Molecule, RSTensor, assemble_collective, scatter_short,
 from ..formats import load_canonical, save_canonical
 from ..solver import (DiscreteLaplacian, GridFunction3, apply_stencil_dense,
                       compose_total, load_field, poisson_solve, save_field)
-from ..validation import _coulomb_sum, compare, direct_sum_oracle, write_report
+from ..validation import _coulomb_sum, _oracle_rows, compare, write_report
 
 _RANK_LADDER = (8, 10, 12, 14, 17, 20, 24, 29, 34, 40, 46, 52, 60)
 
@@ -345,8 +351,9 @@ def run_case(cfg, m, on_parts=None):
     reference.  ``on_parts(u_long, short)``, if given, is called once
     before the total takes the long field's array (``_total_stage``), so
     a hook that keeps the parts copies ``u_long.values``.  A run holds two
-    n^3 fields at its peak, four with a solve; a grid too large for them
-    is a ``MemoryError`` at once.
+    n^3 fields at its peak, the two parts, four with a solve; a grid too
+    large for them is a ``MemoryError`` at once.  The comparison holds the
+    total and one chunk of the oracle (``compare``).
     """
     timings = {}
     t_all = time.perf_counter()
@@ -368,13 +375,16 @@ def run_case(cfg, m, on_parts=None):
     total = _total_stage(rs, u_long, timings, on_parts)
     report = None
     if cfg.kappa == 0:  # no reference at kappa > 0: it is unscreened
-        with _clock(timings, "oracle"):
-            ref = direct_sum_oracle(snapped, grid, kernel="gaussian_sum",
-                                    quad=q)
+        oracle = _oracle_rows(snapped, grid, "gaussian_sum", q)
+
+        def chunk(r0, r1):  # compare reads the oracle a chunk at a time
+            with _clock(timings, "oracle"):
+                return oracle(r0, r1)
+
         with _clock(timings, "compare"):
-            report = compare(total, ref, exclude_centers=rs.nodes,
+            report = compare(total, chunk, exclude_centers=rs.nodes,
                              config={"oracle": "gaussian_sum"})
-            del ref
+        timings["compare"] -= timings["oracle"]
     timings["total"] = time.perf_counter() - t_all
 
     metrics = {
@@ -712,8 +722,8 @@ def _cmd_validate(args):
                             "gaussian_sum oracle needs" % args.field)
         q = _resolve_quadrature(RunConfig(rank=f.meta["quad_rank"]), grid)
     snapped, (nodes, _) = snapped_molecule(m, grid)
-    oracle = direct_sum_oracle(snapped, grid, args.oracle_kernel, q)
-    rep = compare(f, oracle, exclude_centers=nodes,
+    rep = compare(f, _oracle_rows(snapped, grid, args.oracle_kernel, q),
+                  exclude_centers=nodes,
                   config={"oracle": args.oracle_kernel, "field": args.field})
     out = args.outdir or "."
     os.makedirs(out, exist_ok=True)

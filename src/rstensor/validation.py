@@ -9,9 +9,14 @@ third coordinate) at a time, O(N R n^2 + R Z n^3) for Z planes; Z is at
 most n for grid-snapped charges, whatever N is, and its GEMMs run on
 numpy's BLAS: neither oracle loads scipy.  Its tables zero the Gaussians
 below ``_FLOOR``, which keeps subnormal floats, slow on x86 CPUs, out of
-those GEMMs.  ``compare`` reads the two fields a block of planes at a
-time, the blocks shared out among the threads of ``_on_slabs``, so it
+those GEMMs.  ``compare`` reads the two fields one chunk of mode-2 rows
+at a time, about 2^21 values a chunk, and each chunk a block of planes at
+a time, the blocks shared out among the threads of ``_on_slabs``, so it
 allocates no n^3 array: each block masks only the nodes that reach it.
+``_oracle_rows`` serves either oracle chunk by chunk, the Gaussian sum
+tabulating its mode-2 factors at the chunk's rows only, so ``run`` and
+``validate`` compare against an oracle that never exists as an n^3 array
+or mask; ``direct_sum_oracle`` puts its chunks into one field.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -74,7 +79,7 @@ class ErrorReport:
         return "\n".join("%s=%s" % kv for kv in pairs) + "\n"
 
 
-def gaussian_field(positions, charges, grid, q):
+def gaussian_field(positions, charges, grid, q, rows=None):
     """Dense Gaussian-sum potential of point charges at arbitrary positions.
 
     The factors ``exp(-t_k^2 (x - u)^2)`` are tabulated once per term k and
@@ -83,12 +88,15 @@ def gaussian_field(positions, charges, grid, q):
     (mode-1 fastest) field, so the largest temporary besides it is one
     block of at most n^3 two-mode products.  Entries below ``_FLOOR`` =
     2^-256 are zeroed, so no subnormal float slows the GEMMs; a node moves
-    by less than 2^-256 sum_k |w_k| sum_a |z_a|.
+    by less than 2^-256 sum_k |w_k| sum_a |z_a|.  ``rows``, a range of
+    mode-2 nodes, gives the field over those rows only, shape (n,
+    len(rows), n): the mode-2 factors are tabulated at them alone.
     """
     x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
+    xs = (x, x if rows is None else x[rows], x)
 
     def table(l, u):
-        t = np.exp(-t2 * (x - u[:, None]) ** 2)
+        t = np.exp(-t2 * (xs[l] - u[:, None]) ** 2)
         t[t < _FLOOR] = 0.0  # a bool mask: no float temporary
         return t
 
@@ -114,18 +122,48 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     GridFunction3; in exact mode, nodes coinciding with an atom, where 1/r
     is undefined, are set to 0 and listed in ``meta["excluded_nodes"]``,
     an (M, 3) node array, which ``compare`` leaves out of every metric.
+    This is the oracle that ``compare`` streams (``_oracle_rows``), all
+    of its chunks of mode-2 rows in one array, so the two read the same
+    bits.
+    """
+    rows, n = _oracle_rows(m, grid, kernel, quad), grid.n
+    chunks = _chunks(n)
+    if len(chunks) == 1:
+        vals, undefined = rows(0, n)
+    else:  # built from compare's chunks, so both read the same bits
+        vals, undefined = np.empty((n, n, n), order="F"), []
+        for r0, r1 in chunks:
+            vals[:, r0:r1], u = rows(r0, r1)
+            undefined.append(u)
+        undefined = np.concatenate(undefined)
+    meta = {"kernel": kernel}
+    if kernel == "exact_newton":
+        meta["excluded_nodes"] = undefined
+    return GridFunction3(grid, vals, meta)
+
+
+def _oracle_rows(m, grid, kernel="gaussian_sum", quad=None):
+    """The oracle of ``direct_sum_oracle`` as a function ``rows(r0, r1)``
+    that ``compare`` reads one chunk of mode-2 rows at a time: it returns
+    the oracle's values over the rows r0 <= i2 < r1, Fortran-ordered with
+    shape (n, r1 - r0, n), and the (M, 3) grid nodes among them where the
+    oracle is undefined (the exact kernel's atom nodes), so no n^3 array
+    or mask of the oracle exists.
     """
     if kernel == "gaussian_sum":
         if quad is None:
             raise ConfigError("gaussian_sum oracle needs a quadrature")
-        vals = gaussian_field(m.positions, m.charges, grid, quad)
-        return GridFunction3(grid, vals, {"kernel": kernel})
+        return lambda r0, r1: (gaussian_field(m.positions, m.charges, grid,
+                                              quad, rows=range(r0, r1)), ())
     if kernel != "exact_newton":
         raise ConfigError("unknown oracle kernel %r" % kernel)
     x = grid.coords()
-    out, singular = _coulomb_sum(m, x, x, x, tol=1e-9 * grid.h)
-    return GridFunction3(grid, out, {"kernel": kernel,
-                                     "excluded_nodes": np.argwhere(singular)})
+
+    def rows(r0, r1):
+        out, singular = _coulomb_sum(m, x, x[r0:r1], x, tol=1e-9 * grid.h)
+        return out, np.argwhere(singular) + (0, r0, 0)
+
+    return rows
 
 
 def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
@@ -150,57 +188,101 @@ def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
         np.sqrt(r, out=r)
         w = z * np.exp(-kappa * r) if kappa > 0 else z
         out += np.divide(w, r, out=r)
+        del r, hit, w  # freed before the next atom's are made
     out[singular] = 0.0
     return out, singular
+
+
+def _chunks(n):
+    # the chunks (r0, r1) of mode-2 rows that compare reads, set by n
+    # alone: the rows shared out evenly among the whole number of chunks
+    # nearest n^3 / 2^21, at least one and at most n, so a chunk holds
+    # about 2^21 values (16 MiB), under 1.5 times that plus a row, and
+    # n <= 146 makes one chunk
+    k = max(1, min(n, round(n ** 3 / 2 ** 21)))
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
 def compare(a, b, exclude_centers=None, config=None):
     """Error metrics of field ``a`` against reference ``b``.
 
-    Both are read a block of i3 planes at a time, each block's difference
-    formed in its worker's buffer.  Nodes the reference lists as undefined in
-    ``b.meta["excluded_nodes"]`` (the exact oracle's atom nodes, stored as
-    0) drop out of every metric.  ``exclude_centers`` lists node index
-    triples (atom centers); the nodes within one grid unit (Chebyshev) of
-    any of them, the singular cores, drop out of
-    ``max_abs_excluding_cores`` only.  Both lists are (M, 3) node arrays or
-    sequences of triples in [0, n)^3 (else ``ConfigError``), and each
-    block masks only those of their nodes that reach it.
+    ``b`` is a GridFunction3 or a function ``b(r0, r1)``, as
+    ``_oracle_rows`` makes, that returns the reference over the mode-2 rows
+    r0 <= i2 < r1, an (n, r1 - r0, n) array, and the (M, 3) nodes among
+    them where it is undefined.  Both are read one chunk of rows at a time,
+    so a reference given as a function is never held whole; a GridFunction3
+    is sliced, its undefined nodes listed in ``b.meta["excluded_nodes"]``
+    (the exact oracle's atom nodes, stored as 0).  Each chunk is read a
+    block of i3 planes at a time, each block's difference formed in its
+    worker's buffer.  Undefined nodes drop out of every metric.
+    ``exclude_centers`` lists node index triples (atom centers); the nodes
+    within one grid unit (Chebyshev) of any of them, the singular cores,
+    drop out of ``max_abs_excluding_cores`` only.  Both lists are (M, 3)
+    node arrays or sequences of triples in [0, n)^3 (else
+    ``ConfigError``), and each block masks only those of their nodes that
+    reach it.
     """
-    if a.grid != b.grid:
+    if callable(b):
+        g, rows = a.grid, b
+    elif a.grid != b.grid:
         raise ConfigError("fields live on different grids")
-    g = b.grid
-    cores = _by_plane(exclude_centers, g.n, "exclude_centers")
-    undefined = _by_plane(b.meta.get("excluded_nodes"), g.n, "excluded_nodes")
-    # blocks of k planes, k set by n alone, shared out by _on_slabs: each
-    # block of |a - b| goes through its worker's buffer of 2^15
-    # values (256 KiB), or of one plane when a plane is larger, so W
-    # workers hold W of them; its undefined nodes are zeroed first, its
-    # core nodes once the block's sums and full-grid max are taken.
-    # part[j] holds block j's (ref_ss, ss, max_abs, max_excl), combined in
-    # block order below, so the report has the same bits at any worker count
-    k = max(1, 2 ** 15 // g.n ** 2)
-    part = np.empty((-(-g.n // k), 4))
+    else:
+        g, rows = b.grid, _sliced(b)
+    n = g.n
+    cores = _by_plane(exclude_centers, n, "exclude_centers")
+    # each chunk in blocks of k planes, shared out by _on_slabs: a block
+    # holds at most max(1, 2^15 // n^2) planes' worth of nodes (256 KiB of
+    # floats, or one plane when a plane is larger), set by n alone, and
+    # goes through its worker's buffer, so W workers hold W of them; its
+    # undefined nodes are zeroed first, its core nodes once the block's
+    # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
+    # ss, max_abs, max_excl), combined in block order below, so the report
+    # has the same bits at any worker count
+    size, part = max(1, 2 ** 15 // n ** 2) * n * n, []
+    for r0, r1 in _chunks(n):
+        ref, undefined = rows(r0, r1)
+        undefined = _by_plane(undefined, n, "excluded_nodes")
+        near = cores[(cores[:, 1] >= r0 - 1) & (cores[:, 1] <= r1)]
+        k = min(n, max(1, size // (n * (r1 - r0))))
+        z = np.arange(0, n + k, k).clip(max=n)
+        nb = len(z) - 1
+        # the nodes of block j: undefined[u[j]:u[j + 1]] and, of the
+        # centers, near[c[j]:c[nb + j]], from one search each
+        u = np.searchsorted(undefined[:, 2], z)
+        c = np.searchsorted(near[:, 2], np.r_[z[:-1] - 1, z[1:] + 1])
+        p = np.empty((nb, 4))
 
-    def blocks(j0, j1):
-        buf = np.empty((g.n, g.n, min(k, g.n)), order="F")
-        for j in range(j0, j1):
-            z0, z1 = j * k, min((j + 1) * k, g.n)
-            sl, d = np.s_[:, :, z0:z1], buf[:, :, :z1 - z0]
-            ref, listed = b.values[sl], _in_block(undefined, 0, g.n, z0, z1)
-            if len(undefined):  # every block compacted: one summation order
-                keep = np.ones(ref.shape, dtype=bool)
-                keep[listed] = False
-                ref = ref[keep]
-            part[j, 0] = _sumsq(ref)
-            np.abs(np.subtract(a.values[sl], b.values[sl], out=d), out=d)
-            d[listed] = 0.0
-            part[j, 2] = d.max()
-            part[j, 1] = _sumsq(d)
-            d[_in_block(cores, 1, g.n, z0, z1)] = 0.0
-            part[j, 3] = d.max()
+        def blocks(j0, j1):
+            buf = np.empty(n * (r1 - r0) * k)
+            for j in range(j0, j1):
+                z0, z1 = z[j], z[j + 1]
+                shape, lo = (n, r1 - r0, z1 - z0), (0, r0, z0)
+                d = buf[:np.prod(shape)].reshape(shape, order="F")
+                ref_j = ref[:, :, z0:z1]
+                if len(undefined):  # a chunk's blocks all compacted
+                    listed = _in_block(undefined[u[j]:u[j + 1]], 0, lo, shape)
+                    keep = np.ones(shape, dtype=bool)
+                    keep[listed] = False
+                    p[j, 0] = _sumsq(ref_j[keep])
+                else:
+                    p[j, 0] = _sumsq(ref_j)
+                np.abs(np.subtract(a.values[:, r0:r1, z0:z1], ref_j, out=d),
+                       out=d)
+                if len(undefined):
+                    d[listed] = 0.0
+                p[j, 2] = d.max()
+                p[j, 1] = _sumsq(d)
+                centers = near[c[j]:c[nb + j]]
+                if len(centers):
+                    d[_in_block(centers, 1, lo, shape)] = 0.0
+                p[j, 3] = d.max()
 
-    _on_slabs(blocks, len(part))
+        _on_slabs(blocks, len(p))
+        part.append(p)
+        del ref  # freed before the next chunk is made
+    part = np.concatenate(part)
+    if not np.isfinite(part).all():
+        raise NumericError("field or reference is not finite, or overflows")
     ref_ss = ss = 0.0
     for r_j, s_j in part[:, :2].tolist():
         ref_ss += r_j
@@ -216,6 +298,15 @@ def compare(a, b, exclude_centers=None, config=None):
                        n=g.n, b=g.b, config=dict(config or {}))
 
 
+def _sliced(f):
+    # compare's reader of a dense reference: its rows r0 .. r1 and the
+    # nodes of meta["excluded_nodes"] among them
+    listed = _by_plane(f.meta.get("excluded_nodes"), f.grid.n,
+                       "excluded_nodes")
+    return lambda r0, r1: (f.values[:, r0:r1],
+                           listed[(listed[:, 1] >= r0) & (listed[:, 1] < r1)])
+
+
 _CUBE = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # a radius-1 core
 
 
@@ -227,14 +318,14 @@ def _by_plane(nodes, n, name):
     return np.asfortranarray(p[np.argsort(p[:, 2])])
 
 
-def _in_block(p, r, n, z0, z1):
-    # block index (i1, i2, i3 - z0) of the nodes within Chebyshev distance
-    # r (0 or 1) of the nodes p, sorted by i3 (_by_plane), that lie in the
-    # planes z0 <= i3 < z1 of the n-grid.  An offset node off the block or
+def _in_block(p, r, lo, shape):
+    # index, in the block of the given shape whose first node is lo, of the
+    # nodes within Chebyshev distance r (0 or 1) of the nodes p, each of
+    # which lies within r of the block.  An offset node off the block or
     # the grid is clipped onto a node of the block in the same core
-    p = p[np.searchsorted(p[:, 2], z0 - r):np.searchsorted(p[:, 2], z1 + r)]
-    q = p[:, None] + (_CUBE if r else 0) - (0, 0, z0)
-    np.clip(q, 0, (n - 1, n - 1, z1 - z0 - 1), out=q)
+    q = p[:, None] + ((_CUBE if r else 0) - np.asarray(lo))
+    if r:
+        np.clip(q, 0, np.subtract(shape, 1), out=q)
     return q[..., 0], q[..., 1], q[..., 2]
 
 

@@ -199,6 +199,35 @@ def test_collective_matches_gaussian_oracle(ligand_mol):
     assert np.max(np.abs(vals - ref)) <= 1e-11
 
 
+@pytest.mark.parametrize("case", ["born-n33", "ligand18-n129"])
+def test_template_dense_drops_subnormal_factors(born_mol, ligand_mol,
+                                                monkeypatch, case):
+    # the short template's factors hold subnormal entries (6 on born, 12
+    # on ligand18 at n = 129); the cached dense template is densified with
+    # them zeroed in a copy, so no GEMM operand is subnormal, keeps every
+    # bit of dense(short_reference) and leaves the factors as they were
+    m, cfg = {"born-n33": (born_mol, rt.RunConfig(n=33, b=8.0)),
+              "ligand18-n129": (ligand_mol, rt.RunConfig(n=129))}[case]
+    rs = rt.cli._assemble_stage(cfg, m, {})[0]
+    tiny = np.finfo(float).tiny
+    subnormal = lambda A: np.sum((A != 0) & (np.abs(A) < tiny))
+    before = [A.copy() for A in rs.short_reference.factors]
+    assert sum(subnormal(A) for A in before) > 0
+    seen = []
+
+    def spy(t):
+        seen.append(sum(subnormal(A) for A in t.factors))
+        return formats.dense(t)
+
+    monkeypatch.setattr(rt.assembly, "dense", spy)
+    T = rs.template_dense()
+    assert seen == [0]
+    assert same_bits(T, formats.dense(rs.short_reference))
+    assert all(same_bits(A, B) for A, B in zip(rs.short_reference.factors,
+                                               before))
+    assert rs.template_dense() is T
+
+
 def test_rs_additivity_dense():
     g = rt.Grid3(17, 2.0)
     k = _kernel(g, R=8, gamma=4)

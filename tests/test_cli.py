@@ -311,11 +311,12 @@ _CASE_CONFIGS = {"homogeneous": {}, "analytic": {"bc": "analytic"},
 @pytest.mark.parametrize("case", sorted(_CASE_CONFIGS))
 def test_on_parts_runs_once_before_the_total(born_mol, monkeypatch, case):
     # the hook sees both parts after the scatter and before compose_total,
-    # the oracle and compare; the total then takes the long part's array,
-    # and it is the hook's two parts added, bit for bit
+    # the oracle and compare, which reads the oracle; the total then takes
+    # the long part's array, and it is the hook's two parts added, bit for
+    # bit
     cfg = rt.RunConfig(n=33, b=8.0, **_CASE_CONFIGS[case])
     stages = []
-    for name in ("compose_total", "direct_sum_oracle", "compare"):
+    for name in ("compose_total", "_oracle_rows", "compare"):
         def traced(*args, _f=getattr(rt.cli, name), _name=name, **kwargs):
             stages.append(_name)
             return _f(*args, **kwargs)
@@ -327,7 +328,7 @@ def test_on_parts_runs_once_before_the_total(born_mol, monkeypatch, case):
         seen.append((u_long.values, u_long.values.copy(order="K"),
                      short.values))
     out = rt.run_case(cfg, born_mol, on_parts=hook)
-    oracle = ["direct_sum_oracle", "compare"] if case != "kappa" else []
+    oracle = ["_oracle_rows", "compare"] if case != "kappa" else []
     assert stages == ["on_parts", "compose_total"] + oracle
     (array, u_long, short), = seen
     assert out["total"].values is array
@@ -610,8 +611,9 @@ def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
     ("analytic", False, 4), ("analytic", True, 4)])
 def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, bc, parts, k):
     # the one mapping run_case makes before any work is its peak of n^3
-    # fields: the total and the oracle, or the two parts before them, with
-    # an on_parts hook or without; with a solve its four arrays
+    # fields: the two parts (the comparison after them holds the total and
+    # a chunk of the oracle), with an on_parts hook or without; with a
+    # solve its four arrays
     lengths = []
 
     def record(fileno, length, **kwargs):
@@ -764,15 +766,18 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 
 
 @pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
-@pytest.mark.parametrize("case", ["born97", "cluster60"])
+@pytest.mark.parametrize("case", ["born97", "born161", "cluster60"])
 def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
     # the report is compare's of the total against the oracle, read a
     # block of i3 planes at a time: born at n=97 has 27 planes per block,
-    # three full blocks and a ragged one of 16.  A run with an on_parts
+    # three full blocks and a ragged one of 16; at n=161 the run streams
+    # the oracle in two chunks of rows, with the bits of the dense one,
+    # whose chunks compare reads the same way.  A run with an on_parts
     # hook runs the stages of a plain run in the same order, so the hook
     # changes no bit of the total, the report or the metrics; the result
     # keeps no parts
     m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
+              "born161": (born_mol, rt.RunConfig(n=161, b=8.0, bc=bc)),
               "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
     out, u, short = _run_parts(cfg, m)
     oracle = rt.direct_sum_oracle(out["molecule"], u.grid,
@@ -790,70 +795,96 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
 
 
 def _traced_run_case(cfg, m, on_parts, monkeypatch):
-    # (result, traced peak up to the oracle's return, traced peak after
-    # it) of a run_case whose caches are filled
-    peaks, oracle = [], rt.cli.direct_sum_oracle
+    # (result, traced peak from _total_stage's call to compare's, traced
+    # peak after it) of a run_case whose caches are filled
+    peaks = []
 
-    def traced_oracle(*args, **kwargs):
-        ref = oracle(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        return ref
+    def reset_at(name):
+        def traced(*args, _f=getattr(rt.cli, name), **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(rt.cli, name, traced)
 
     rt.run_case(cfg, m, on_parts)
-    monkeypatch.setattr(rt.cli, "direct_sum_oracle", traced_oracle)
+    reset_at("_total_stage")
+    reset_at("compare")
     tracemalloc.start()
     try:
         out = rt.run_case(cfg, m, on_parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1
-    return out, peaks[0], peak
+    assert len(peaks) == 2
+    return out, peaks[1], peak
 
 
-def _check_peaks(out, oracle_peak, compare_peak, oracle_fields,
-                 compare_fields):
-    # Bounds on the traced peaks of run_case up to the oracle's return and
-    # after it (compare), each with the n^3 float
-    # fields it holds, plus what the result keeps besides the fields (the
-    # long factors, the long and short reference columns, the short
-    # template, the kernel) and 256 KiB of slack.  The oracle's
-    # temporaries: its plane-sum blocks, the W shares' chunks of at most
-    # 2^21 floats each and of no more than the unchunked block of G =
-    # min(n // R, Z) R two-mode products of n x n floats, its three (R,
-    # distinct, n) tables with the weighted copy of the first, its tile
-    # buffers of at most min(2^20, n^3 / 8) floats, its W (n, G) mode-3
-    # blocks and each share's gathers of a plane's points, R x (points in
-    # the plane) x n floats of mode-1 rows and twice as many of the
-    # mode-2 rows in a chunk.  compare's: its n^3 bool core mask and its W
-    # buffers of max(1, 2^15 // n^2) planes.  Every run also keeps the
-    # three-field bound of a run that composed its total in a new array:
-    # three fields, the core mask, 2^18 // n^2 planes and the kept arrays
-    rs, q, snapped = out["rs"], out["quadrature"], out["molecule"]
-    n, R = rs.grid.n, q.rank
+def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
+    # What a compare pass holds besides the field it reads: one chunk of
+    # the oracle with its temporaries, and compare's own buffers.  The
+    # largest chunk, of c mode-2 rows (validation._chunks), sets it.
+    # The exact oracle's chunk: its values, its singular mask, one atom's
+    # distances and their hit mask, 18 bytes a node.  The Gaussian sum's:
+    # _plane_sum's output, its blocks of two-mode products, the W shares'
+    # parts of at most 2^21 floats each and no more than the unchunked
+    # block of G = min(n // R, Z) R products of n x c floats; its three
+    # (R, distinct, rows) tables (the mode-2 one at the chunk's rows), the
+    # weighted copy of the first or the exp temporary of the last, and
+    # their floor's bool mask; its tile buffers of at most min(2^20, n^2 c
+    # / 8) floats, its W (n, G) mode-3 blocks and each share's gathers of a
+    # plane's points, R x (points in the plane) x n floats of mode-1 rows
+    # and twice as many of the mode-2 rows in a part.  compare's: its W
+    # buffers of max(1, 2^15 // n^2) n^2 floats, a block's compacted
+    # reference or non-contiguous copy of it, and, per centre, the sorted
+    # node copies and the 27 core nodes a worker clips into a block
     W = min(n, rt.formats._slab_workers())
+    c = max(r1 - r0 for r0, r1 in rt.validation._chunks(n))
+    N = snapped.n_atoms
+    compare = (2 * W * 8 * max(1, 2 ** 15 // n ** 2) * n * n
+               + N * (4 * 24 + W * 27 * 3 * 24))
+    if kernel == "exact_newton":
+        return 18 * n * n * c + compare
+    R = q.rank
     u, inv = zip(*(np.unique(snapped.positions[:, l], return_inverse=True)
                    for l in range(3)))
     u = [v.size for v in u]
     G = min(n // R, u[2]) * R
-    rows = min(max(1, 2 ** 21 // (G * n)), -(-n // W))
-    oracle = 8 * (min(G * n * n, W * 2 ** 21) + R * n * (sum(u) + u[0])
-                  + min(2 ** 20 // n, n * n // 8) * n + W * n * G
-                  + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
-    compare = n ** 3 + W * 8 * n * n * max(1, 2 ** 15 // n ** 2)
-    kept = rs.template_dense().nbytes + sum(
+    rows = min(max(1, 2 ** 21 // (G * n)), -(-c // W))
+    oracle = (8 * (n * n * c + min(G * n * c, W * 2 ** 21)
+                   + R * (n * (u[0] + u[2] + max(u[0], u[2])) + c * u[1])
+                   + min(2 ** 20 // n, n * c // 8) * n + W * n * G
+                   + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
+              + R * max(u) * n)
+    return oracle + compare
+
+
+def _kept_bytes(out):
+    # what a run keeps besides its fields: the long factors, the long and
+    # short reference columns, the short template, the kernel, and 256 KiB
+    # of slack
+    rs = out["rs"]
+    return rs.template_dense().nbytes + sum(
         f.nbytes for t in (rs.long, rs.long_reference, rs.short_reference,
                            out["kernel"].wide_tensor) if t is not None
         for f in t.factors) + 2 ** 18
-    field = 8 * n ** 3
-    bound = oracle_fields * field + oracle + kept
-    assert oracle_peak <= bound, (oracle_peak, bound)
-    bound = compare_fields * field + compare + kept
+
+
+def _check_peaks(out, stage_peak, compare_peak):
+    # From the scatter to the total, a run holds two n^3 float fields, the
+    # long and short parts, beside what it keeps, the W workers' products
+    # of a template window (one template each) and the scatter's window
+    # list, under 1 KiB an atom.  The compare pass
+    # holds one field, the total, plus one chunk of the oracle and the
+    # buffers of _pass_bytes: a second field, the oracle built whole,
+    # breaks that bound wherever a chunk is less than a field (n > 146)
+    rs = out["rs"]
+    n, kept = rs.grid.n, _kept_bytes(out)
+    field, W = 8 * n ** 3, min(n, rt.formats._slab_workers())
+    bound = (2 * field + W * rs.template_dense().nbytes
+             + 2 ** 10 * len(rs.nodes) + kept)
+    assert stage_peak <= bound, (stage_peak, bound)
+    bound = field + _pass_bytes(n, out["quadrature"], out["molecule"]) + kept
     assert compare_peak <= bound, (compare_peak, bound)
-    bound = 3 * field + n ** 3 + 8 * n * n * (2 ** 18 // n ** 2) + kept
-    assert max(oracle_peak, compare_peak) <= bound, (oracle_peak,
-                                                     compare_peak, bound)
 
 
 _PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193}
@@ -869,28 +900,53 @@ def _peak_molecule(ligand_mol, case):
 def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
                                         case):
     # A run adds the short field into the long field's array and drops it
-    # before the oracle is built, so its oracle and compare passes hold two
-    # n^3 float fields, the total and the oracle.  A third field, the
-    # short part or a copy of the total, breaks the compare bound if held
-    # at compare and the oracle bound if held while the oracle is built,
-    # in every case (0.2 to 0.8 MB of room at n = 65, against a 2.2 MB
-    # field).  An unchunked plane-sum block breaks the oracle bound at
-    # n = 193, where the 2^21-float cap binds (0.9 of a field).  With
-    # parts the hook of run --parts dumps both parts before the total
-    # takes the long field's array, and keeps neither: the same two
-    # fields.  cluster100's long part is reduced (2100 -> 2028): the core
-    # of its Tucker image, not counted, is dropped once densified (kept,
-    # it broke the bound by 1.7 MB)
+    # before the compare pass, which reads the oracle one chunk of mode-2
+    # rows at a time: its stages hold two n^3 float fields at most, and the
+    # compare pass one field and a chunk.  A third field, the short part
+    # or a copy of the total, breaks the stage bound if held at compose
+    # and the pass bound if held at compare, in every case; the oracle
+    # built whole breaks the pass bound at n = 193, where a chunk is 65 of
+    # 193 rows.  With parts the hook of run --parts dumps both parts
+    # before the total takes the long field's array, and keeps neither:
+    # the same two fields.  cluster100's long part is reduced (2100 ->
+    # 2028): the core of its Tucker image, not counted, is dropped once
+    # densified (kept, it broke the bound by 1.7 MB)
     case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
     with rt.cli._outputs(str(tmp_path)) as (path, paths):
-        out, oracle_peak, compare_peak = _traced_run_case(
+        out, stage_peak, compare_peak = _traced_run_case(
             rt.RunConfig(n=n), m, rt.cli._dump_parts(path) if parts else None,
             monkeypatch)
     assert sorted(paths) == (["short.bin", "ulong.bin"] if parts else [])
     assert "u_long" not in out and "short" not in out
     assert (out["rs"].long_reference is None) == (case == "cluster100")
-    _check_peaks(out, oracle_peak, compare_peak, 2, 2)
+    _check_peaks(out, stage_peak, compare_peak)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
+def test_validate_peak_holds_one_field(ligand_mol, tmp_path, kernel):
+    # validate holds the field it reads, one chunk of the oracle and the
+    # buffers of _pass_bytes, and no second n^3 field or mask: at n = 193
+    # the oracle built whole broke the bound by one field (exact kernel: by
+    # 2.5, with its n^3 singular mask and distance temporaries)
+    n = 193
+    rs, q, _, snapped, _ = rt.cli._assemble_stage(rt.RunConfig(n=n),
+                                                  ligand_mol, {})
+    field = rt.GridFunction3(rs.grid, np.zeros((n, n, n), order="F"),
+                             {"quad_rank": rs.quad_rank})
+    rt.save_field(field, str(tmp_path / "f.bin"))
+    del field
+    argv = ["validate", "--pqr", LIGAND, "--field", str(tmp_path / "f.bin"),
+            "--oracle-kernel", kernel, "-o", str(tmp_path)]
+    assert rt.main(argv) == 0  # caches filled outside
+    tracemalloc.start()
+    try:
+        assert rt.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 8 * n ** 3 + _pass_bytes(n, q, snapped, kernel) + 2 ** 18
+    assert peak <= bound, (peak, bound)
 
 
 def test_analytic_run_without_sched_getaffinity(born_mol, monkeypatch):

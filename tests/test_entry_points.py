@@ -70,6 +70,41 @@ def test_traced_run_compares_and_composes_once(monkeypatch):
         out["metrics"]["l2_relative"])
 
 
+def test_traced_run_reaches_gaussian_field_by_chunks(monkeypatch):
+    # the tracer's gaussian_field hook reads args[1] (the charges), args[3]
+    # (the quadrature) and the size of the array returned: a traced run
+    # reaches validation.gaussian_field once per chunk of mode-2 rows
+    # (two at n = 161), each call returns an ndarray, and the sizes sum to
+    # n^3, so the hook's flop count is that of one full-grid oracle
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    calls, real = [], rt.validation.gaussian_field
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(rt.validation, "gaussian_field", spy)
+    m, n = rt.parse_pqr(BORN), 161
+    tracer = tracing.Tracer()
+    tracer.install(tracing.targets(rt))
+    try:
+        out = rt.run_case(rt.RunConfig(n=n, b=8.0), m)
+    finally:
+        tracer.restore()
+    spans = tracer.take()
+    assert len(calls) == len(rt.validation._chunks(n)) == 2
+    assert len([s for s in spans if s[0] == "validation.gaussian_field"]) == 2
+    assert all(isinstance(o, np.ndarray) for _, o in calls)
+    assert sum(o.size for _, o in calls) == n ** 3
+    for args, _ in calls:
+        assert np.array_equal(args[1], out["molecule"].charges)
+        assert args[3].rank == out["quadrature"].rank
+    assert tracer.counts["validation.gaussian_field.gflop"] == pytest.approx(
+        2.0 * n ** 3 * m.n_atoms * out["quadrature"].rank / 1e9)
+
+
 def test_solver_dstn_takes_the_solve_transforms(monkeypatch):
     # the tracer wraps solver.dstn by name, so poisson_solve must reach
     # both of its sine transforms through that module attribute

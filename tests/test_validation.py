@@ -265,6 +265,75 @@ def test_compare_same_bits_at_any_worker_and_blas_thread_count(
         assert getattr(reps[0], k) == pytest.approx(v, rel=1e-13, abs=0.0), k
 
 
+def test_compare_chunks_match_reference():
+    # n = 147 makes two chunks of mode-2 rows (0-72, 73-146): centres and
+    # listed nodes on the rows either side of the chunk edge and on the
+    # grid's faces, whose cores a per-chunk mask could miss or clip wrong.
+    # The values are multiples of 2^-8, so every sum is exact in any
+    # order: each worker count gives the reference's metrics, and a
+    # reference given as a function of rows, returning contiguous copies of
+    # the chunks as the oracle does, gives the GridFunction3's bits
+    n = 147
+    assert validation._chunks(n) == [(0, 73), (73, 147)]
+    g = rt.Grid3(n, 3.0)
+    rng = np.random.default_rng(21)
+    u, b = (np.asfortranarray(v) for v in
+            rng.integers(-2 ** 11, 2 ** 11, (2, n, n, n)) / 256.0)
+    centers = np.array([(5, 72, 9), (7, 73, 0), (146, 0, 146), (0, 146, 3),
+                        (70, 74, 80), (3, 71, 81)])
+    listed = np.array([(1, 72, 2), (2, 73, 2), (146, 146, 146), (0, 0, 0)])
+    for c in centers[:2]:  # bumps on the cores across the edge
+        u[tuple(c + (0, 1 - 2 * (c[1] == 73), 1))] += 64.0
+    fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
+
+    def rows(r0, r1):
+        inside = (listed[:, 1] >= r0) & (listed[:, 1] < r1)
+        return np.asfortranarray(b[:, r0:r1]), listed[inside]
+
+    want = compare_reference(u, b, centers, listed, g.h)
+    reps = []
+    for W in (1, 2, 3):
+        with slab_workers(W):
+            reps += [rt.compare(_field(g, u), ref, exclude_centers=centers)
+                     for ref in (fb, rows)]
+    for rep in reps:
+        assert dataclasses.asdict(rep) == dataclasses.asdict(reps[0])
+    for k, v in want.items():
+        assert getattr(reps[0], k) == pytest.approx(v, rel=1e-15, abs=0.0), k
+
+
+@pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
+def test_compare_streams_the_oracle(born_mol, kernel):
+    # at n = 161 the oracle comes in two chunks of rows: compare reads
+    # them with the bits of the dense oracle, which is built from them; a
+    # chunk of the Gaussian sum tabulates its mode-2 factors at its own
+    # rows, within roundoff of the all-rows field, and the exact oracle
+    # lists the atom's node as undefined in the chunk that holds it
+    n = 161
+    g = rt.Grid3(n, 8.0)
+    q = rt.build_quadrature(12, g.h, 2 * SQRT3 * g.b)
+    m = rt.snapped_molecule(born_mol, g)[0]
+    rows = validation._oracle_rows(m, g, kernel, q)
+    dense = rt.direct_sum_oracle(m, g, kernel, q)
+    chunks = validation._chunks(n)
+    assert len(chunks) == 2
+    got = [rows(r0, r1) for r0, r1 in chunks]
+    for (r0, r1), (vals, undefined) in zip(chunks, got):
+        assert vals.shape == (n, r1 - r0, n) and vals.flags.f_contiguous
+        assert same_bits(vals, dense.values[:, r0:r1])
+    centre = [(n - 1) // 2] * 3
+    if kernel == "exact_newton":
+        assert [u.tolist() for _, u in got] == [[], [centre]]
+        assert dense.meta["excluded_nodes"].tolist() == [centre]
+    else:
+        full = rt.gaussian_field(m.positions, m.charges, g, q)
+        assert np.max(np.abs(dense.values - full)) <= 1e-15 * np.max(full)
+    f = _field(g, dense.values + 1e-3 * np.cos(np.arange(n ** 3)).reshape(
+        (n, n, n)))
+    assert dataclasses.asdict(rt.compare(f, rows, exclude_centers=[centre])) \
+        == dataclasses.asdict(rt.compare(f, dense, exclude_centers=[centre]))
+
+
 def test_compare_all_nodes_excluded():
     # a reference undefined at every node leaves nothing to measure
     g = rt.Grid3(5, 1.0)
