@@ -130,7 +130,7 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     chunks = _chunks(n)
     if len(chunks) == 1:
         vals, undefined = rows(0, n)
-    else:  # built from compare's chunks, so both read the same bits
+    else:
         vals, undefined = np.empty((n, n, n), order="F"), []
         for r0, r1 in chunks:
             vals[:, r0:r1], u = rows(r0, r1)
