@@ -16,7 +16,7 @@ allocates no n^3 array: each block masks only the nodes that reach it.
 ``_oracle_rows`` serves either oracle chunk by chunk, the Gaussian sum
 tabulating its mode-2 factors at the chunk's rows only, so ``run`` and
 ``validate`` compare against an oracle that never exists as an n^3 array
-or mask; ``direct_sum_oracle`` puts its chunks into one field.
+or mask; ``direct_sum_oracle`` evaluates it over all rows at once.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -122,20 +122,12 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     GridFunction3; in exact mode, nodes coinciding with an atom, where 1/r
     is undefined, are set to 0 and listed in ``meta["excluded_nodes"]``,
     an (M, 3) node array, which ``compare`` leaves out of every metric.
-    This is the oracle that ``compare`` streams (``_oracle_rows``), all
-    of its chunks of mode-2 rows in one array, so the two read the same
-    bits.
+    This is the oracle that ``compare`` streams (``_oracle_rows``) built
+    over all rows in one call: where ``compare`` reads it in one chunk
+    (n <= 146) the two have the same bits, elsewhere the Gaussian sum's
+    agree to roundoff.
     """
-    rows, n = _oracle_rows(m, grid, kernel, quad), grid.n
-    chunks = _chunks(n)
-    if len(chunks) == 1:
-        vals, undefined = rows(0, n)
-    else:
-        vals, undefined = np.empty((n, n, n), order="F"), []
-        for r0, r1 in chunks:
-            vals[:, r0:r1], u = rows(r0, r1)
-            undefined.append(u)
-        undefined = np.concatenate(undefined)
+    vals, undefined = _oracle_rows(m, grid, kernel, quad)(0, grid.n)
     meta = {"kernel": kernel}
     if kernel == "exact_newton":
         meta["excluded_nodes"] = undefined

@@ -770,23 +770,30 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
     # the report is compare's of the total against the oracle, read a
     # block of i3 planes at a time: born at n=97 has 27 planes per block,
-    # three full blocks and a ragged one of 16; at n=161 the run streams
-    # the oracle in two chunks of rows, with the bits of the dense one,
-    # whose chunks compare reads the same way.  A run with an on_parts
-    # hook runs the stages of a plain run in the same order, so the hook
-    # changes no bit of the total, the report or the metrics; the result
-    # keeps no parts
+    # three full blocks and a ragged one of 16.  At n=161 the run streams
+    # the oracle in two chunks of rows: its report is compare's of the
+    # streamed oracle bit for bit, and within roundoff of the oracle built
+    # over all rows in one call, whose GEMMs round differently.  A run
+    # with an on_parts hook runs the stages of a plain run in the same
+    # order, so the hook changes no bit of the total, the report or the
+    # metrics; the result keeps no parts
     m, cfg = {"born97": (born_mol, rt.RunConfig(n=97, b=8.0, bc=bc)),
               "born161": (born_mol, rt.RunConfig(n=161, b=8.0, bc=bc)),
               "cluster60": (cluster60, rt.RunConfig(n=129, b=10.0, bc=bc))}[case]
     out, u, short = _run_parts(cfg, m)
-    oracle = rt.direct_sum_oracle(out["molecule"], u.grid,
-                                  kernel="gaussian_sum", quad=out["quadrature"])
+    args = (out["molecule"], u.grid, "gaussian_sum", out["quadrature"])
     assert np.array_equal(out["total"].values, u.values + short.values)
-    ref = rt.compare(rt.compose_total(u, short), oracle,
-                     exclude_centers=out["rs"].nodes,
-                     config={"oracle": "gaussian_sum"})
+    total = rt.compose_total(u, short)
+    ref, dense = (rt.compare(total, oracle, exclude_centers=out["rs"].nodes,
+                             config={"oracle": "gaussian_sum"})
+                  for oracle in (rt.validation._oracle_rows(*args),
+                                 rt.direct_sum_oracle(*args)))
     assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
+    got, want = dataclasses.asdict(ref), dataclasses.asdict(dense)
+    if case == "born161":
+        assert got.pop("config") == want.pop("config")
+        want = pytest.approx(want, rel=1e-9, abs=0.0)
+    assert got == want
     plain = rt.run_case(cfg, m)
     assert "u_long" not in plain and "short" not in plain
     assert same_bits(plain["total"].values, out["total"].values)
@@ -795,28 +802,60 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
 
 
 def _traced_run_case(cfg, m, on_parts, monkeypatch):
-    # (result, traced peak from _total_stage's call to compare's, traced
-    # peak after it) of a run_case whose caches are filled
-    peaks = []
+    # (result, (bytes, ranks) of the Tucker image the long stage densifies
+    # or None, traced peaks) of a run_case whose caches are filled.  The
+    # peaks are those of four windows: the assembly, up to _long_stage's
+    # call; the long field, up to _total_stage's; the parts and the total,
+    # up to compare's; and the compare pass, after it
+    peaks, images = [], []
 
     def reset_at(name):
         def traced(*args, _f=getattr(rt.cli, name), **kwargs):
             peaks.append(tracemalloc.get_traced_memory()[1])
+            if name == "_long_stage":  # its size, not a reference to it
+                t = args[0].long_image
+                images.append(None if t is None else (t.core.nbytes + sum(
+                    f.nbytes for f in t.factors), t.ranks))
             tracemalloc.reset_peak()
             return _f(*args, **kwargs)
         monkeypatch.setattr(rt.cli, name, traced)
 
     rt.run_case(cfg, m, on_parts)
-    reset_at("_total_stage")
-    reset_at("compare")
+    for name in ("_long_stage", "_total_stage", "compare"):
+        reset_at(name)
     tracemalloc.start()
     try:
         out = rt.run_case(cfg, m, on_parts)
-        _, peak = tracemalloc.get_traced_memory()
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 2
-    return out, peaks[1], peak
+    assert len(peaks) == 4
+    return out, images[0], peaks
+
+
+def _plane_sum_bytes(n, c, R, points):
+    # What _plane_sum holds summing R terms over the (N, 3) points into c
+    # of the n mode-2 rows: its (n, c, n) output, its blocks of two-mode
+    # products, the W shares' parts of at most 2^21 floats each and no
+    # more than the unchunked block of G = min(n // R, Z) R products of
+    # n x c floats; its three (R, distinct, rows) tables (the mode-2 one at
+    # the c rows), the weighted copy of the first or the second copy that
+    # makes the last contiguous, and a byte a table entry for the floor's
+    # bool mask or the shift's node index; its tile buffers of at most
+    # min(2^20, n^2 c / 8) floats, its W (n, G) mode-3 blocks and each
+    # share's gathers of a plane's points, R x (points in the plane) x n
+    # floats of mode-1 rows and twice as many of the mode-2 rows in a part
+    W = min(n, rt.formats._slab_workers())
+    u, inv = zip(*(np.unique(np.reshape(points, (-1, 3))[:, l],
+                             return_inverse=True) for l in range(3)))
+    u = [v.size for v in u]
+    G = min(n // R, u[2]) * R
+    rows = min(max(1, 2 ** 21 // (G * n)), -(-c // W))
+    return (8 * (n * n * c + min(G * n * c, W * 2 ** 21)
+                 + R * (n * (u[0] + u[2] + max(u[0], u[2])) + c * u[1])
+                 + min(2 ** 20 // n, n * c // 8) * n + W * n * G
+                 + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
+            + R * max(u) * n)
 
 
 def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
@@ -825,18 +864,11 @@ def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
     # largest chunk, of c mode-2 rows (validation._chunks), sets it.
     # The exact oracle's chunk: its values, its singular mask, one atom's
     # distances and their hit mask, 18 bytes a node.  The Gaussian sum's:
-    # _plane_sum's output, its blocks of two-mode products, the W shares'
-    # parts of at most 2^21 floats each and no more than the unchunked
-    # block of G = min(n // R, Z) R products of n x c floats; its three
-    # (R, distinct, rows) tables (the mode-2 one at the chunk's rows), the
-    # weighted copy of the first or the exp temporary of the last, and
-    # their floor's bool mask; its tile buffers of at most min(2^20, n^2 c
-    # / 8) floats, its W (n, G) mode-3 blocks and each share's gathers of a
-    # plane's points, R x (points in the plane) x n floats of mode-1 rows
-    # and twice as many of the mode-2 rows in a part.  compare's: its W
-    # buffers of max(1, 2^15 // n^2) n^2 floats, a block's compacted
-    # reference or non-contiguous copy of it, and, per centre, the sorted
-    # node copies and the 27 core nodes a worker clips into a block
+    # the plane sum of its q.rank terms over the atoms into the c rows.
+    # compare's: its W buffers of max(1, 2^15 // n^2) n^2 floats, a
+    # block's compacted reference or non-contiguous copy of it, and, per
+    # centre, the sorted node copies and the 27 core nodes a worker clips
+    # into a block
     W = min(n, rt.formats._slab_workers())
     c = max(r1 - r0 for r0, r1 in rt.validation._chunks(n))
     N = snapped.n_atoms
@@ -844,18 +876,23 @@ def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
                + N * (4 * 24 + W * 27 * 3 * 24))
     if kernel == "exact_newton":
         return 18 * n * n * c + compare
-    R = q.rank
-    u, inv = zip(*(np.unique(snapped.positions[:, l], return_inverse=True)
-                   for l in range(3)))
-    u = [v.size for v in u]
-    G = min(n // R, u[2]) * R
-    rows = min(max(1, 2 ** 21 // (G * n)), -(-c // W))
-    oracle = (8 * (n * n * c + min(G * n * c, W * 2 ** 21)
-                   + R * (n * (u[0] + u[2] + max(u[0], u[2])) + c * u[1])
-                   + min(2 ** 20 // n, n * c // 8) * n + W * n * G
-                   + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
-              + R * max(u) * n)
-    return oracle + compare
+    return _plane_sum_bytes(n, c, q.rank, snapped.positions) + compare
+
+
+def _long_bytes(rs, image):
+    # What the long stage holds besides what the run keeps: the long
+    # field and the temporaries that densify it.  The explicit per-atom
+    # sum is a plane sum over all n rows whose tables are the shifted
+    # reference columns.  A Tucker image of ranks (r1, r2, r3) is held
+    # until densified, by three mode products: each holds its operand and
+    # its result, a copy of the core and the (n, r2, r1) product, that
+    # product and the (n, r2, n) one, and that one and the field
+    n = rs.grid.n
+    if image is None:
+        return _plane_sum_bytes(n, n, rs.long_reference.rank, rs.nodes)
+    nbytes, (r1, r2, r3) = image
+    return 8 * max(r1 * r2 * r3 + n * r2 * r1, n * r2 * (r1 + n),
+                   n * r2 * n + n ** 3) + nbytes
 
 
 def _kept_bytes(out):
@@ -869,22 +906,33 @@ def _kept_bytes(out):
         for f in t.factors) + 2 ** 18
 
 
-def _check_peaks(out, stage_peak, compare_peak):
-    # From the scatter to the total, a run holds two n^3 float fields, the
-    # long and short parts, beside what it keeps, the W workers' products
-    # of a template window (one template each) and the scatter's window
-    # list, under 1 KiB an atom.  The compare pass
-    # holds one field, the total, plus one chunk of the oracle and the
-    # buffers of _pass_bytes: a second field, the oracle built whole,
-    # breaks that bound wherever a chunk is less than a field (n > 146)
+def _check_peaks(out, image, peaks):
+    # The traced peaks of _traced_run_case's windows.  The long stage
+    # holds one field, the long part, beside what the run keeps, plus the
+    # temporaries of _long_bytes that densify it.  From the scatter to
+    # the total, a run holds two n^3 float fields, the long and short
+    # parts, beside what it keeps, the W workers' products of a template
+    # window (one template each) and the scatter's window list, under
+    # 1 KiB an atom.  The compare pass holds one field, the total, plus
+    # one chunk of the oracle and the buffers of _pass_bytes: a second
+    # field, the oracle built whole, breaks that bound wherever a chunk is
+    # less than a field (n > 146).  Every window, the assembly's too, also
+    # keeps the bound of a run that composed its total in a new array and
+    # masked the cores in an n^3 bool: three fields, that mask, 2^18 //
+    # n^2 planes and the kept arrays
     rs = out["rs"]
     n, kept = rs.grid.n, _kept_bytes(out)
     field, W = 8 * n ** 3, min(n, rt.formats._slab_workers())
+    _, long_peak, stage_peak, compare_peak = peaks
+    bound = _long_bytes(rs, image) + kept
+    assert long_peak <= bound, (long_peak, bound)
     bound = (2 * field + W * rs.template_dense().nbytes
              + 2 ** 10 * len(rs.nodes) + kept)
     assert stage_peak <= bound, (stage_peak, bound)
     bound = field + _pass_bytes(n, out["quadrature"], out["molecule"]) + kept
     assert compare_peak <= bound, (compare_peak, bound)
+    bound = 3 * field + n ** 3 + 8 * n * n * (2 ** 18 // n ** 2) + kept
+    assert max(peaks) <= bound, (peaks, bound)
 
 
 _PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193}
@@ -899,28 +947,31 @@ def _peak_molecule(ligand_mol, case):
                          + ["cluster100-parts", "ligand18-parts"])
 def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
                                         case):
-    # A run adds the short field into the long field's array and drops it
-    # before the compare pass, which reads the oracle one chunk of mode-2
-    # rows at a time: its stages hold two n^3 float fields at most, and the
-    # compare pass one field and a chunk.  A third field, the short part
+    # The long stage holds one field and the temporaries that densify it;
+    # a second field held there breaks its bound at n = 193.  A run adds
+    # the short field into the long field's array and drops it before the
+    # compare pass, which reads the oracle one chunk of mode-2 rows at a
+    # time: its stages hold two n^3 float fields at most, and the compare
+    # pass one field and a chunk.  A third field, the short part
     # or a copy of the total, breaks the stage bound if held at compose
     # and the pass bound if held at compare, in every case; the oracle
     # built whole breaks the pass bound at n = 193, where a chunk is 65 of
     # 193 rows.  With parts the hook of run --parts dumps both parts
     # before the total takes the long field's array, and keeps neither:
     # the same two fields.  cluster100's long part is reduced (2100 ->
-    # 2028): the core of its Tucker image, not counted, is dropped once
-    # densified (kept, it broke the bound by 1.7 MB)
+    # 2028): its Tucker image, counted in the long stage alone, is dropped
+    # once densified (kept, it broke the stage bound by 1.7 MB)
     case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
     with rt.cli._outputs(str(tmp_path)) as (path, paths):
-        out, stage_peak, compare_peak = _traced_run_case(
+        out, image, peaks = _traced_run_case(
             rt.RunConfig(n=n), m, rt.cli._dump_parts(path) if parts else None,
             monkeypatch)
     assert sorted(paths) == (["short.bin", "ulong.bin"] if parts else [])
     assert "u_long" not in out and "short" not in out
     assert (out["rs"].long_reference is None) == (case == "cluster100")
-    _check_peaks(out, stage_peak, compare_peak)
+    assert (image is None) == (case != "cluster100")
+    _check_peaks(out, image, peaks)
 
 
 @pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
