@@ -350,22 +350,33 @@ def scatter_short(t, out, scale=1.0):
     n = t.grid.n
     if out.shape != (n, n, n):
         raise ConfigError("output array does not match the grid")
-    T = t.template_dense()  # once, before the workers start
+    add = _window_adder(t, scale)
+    _on_slabs(lambda z0, z1: add(out[:, :, z0:z1], z0, z1), n)
+    return out
+
+
+def _window_adder(t, scale=1.0):
+    # add(dst, z0, z1) adds into dst, the (n, n, z1 - z0) array of planes
+    # z0 <= i3 < z1, the windows [c - r, c + r] that reach them, clipped
+    # to the grid and the planes, in atom order: dst[a:b] += (scale w)
+    # T[a-lo:b-lo].  T is densified and each window's mode-1 and mode-2
+    # slices are cut here, once, before any worker starts
+    n = t.grid.n
+    T = t.template_dense()
     r = t.support_radius
     lo = t.nodes - r
-    # window [lo, lo + 2r] clipped to the grid: out[a:b] += w T[a-lo:b-lo]
     a, b = np.maximum(lo, 0), np.minimum(lo + 2 * r + 1, n)
     za, zb = a[:, 2], b[:, 2]
-    win = list(zip(a.tolist(), b.tolist(), lo.tolist(),
-                   (scale * t.weights).tolist()))
+    win = [((slice(a0, b0), slice(a1, b1)),
+            T[a0 - l0:b0 - l0, a1 - l1:b1 - l1], a2, b2, l2, w)
+           for (a0, a1, a2), (b0, b1, b2), (l0, l1, l2), w
+           in zip(a.tolist(), b.tolist(), lo.tolist(),
+                  (scale * t.weights).tolist())]
 
-    def slab(z0, z1):
+    def add(dst, z0, z1):
         for i in np.flatnonzero((zb > z0) & (za < z1)).tolist():
-            (a0, a1, a2), (b0, b1, b2), (l0, l1, l2), w = win[i]
+            s01, T01, a2, b2, l2, w = win[i]
             a2, b2 = max(a2, z0), min(b2, z1)
-            out[a0:b0, a1:b1, a2:b2] += w * T[a0 - l0:b0 - l0,
-                                              a1 - l1:b1 - l1,
-                                              a2 - l2:b2 - l2]
-
-    _on_slabs(slab, n)
-    return out
+            d = dst[s01 + (slice(a2 - z0, b2 - z0),)]
+            np.add(d, w * T01[:, :, a2 - l2:b2 - l2], out=d)
+    return add

@@ -7,22 +7,22 @@ long part densified on the grid (``RSTensor.long_field``) -> (``--bc
 analytic`` only) delta, the stencil of the long field with -kappa^2
 times the short part scattered into it, its face layers set to the
 exact oracle's screened-Coulomb values, and a Poisson solve that keeps
-them -> short part scattered once -> (``--parts`` only) both parts
-dumped -> total, long plus short added into the long field's array, the
-short field dropped -> (kappa = 0 only, it is unscreened) the total
+them -> (``--parts`` only) short part scattered into a field of its own
+and both parts dumped, the short field dropped -> total, the short part
+added into the long field's array a block of planes at a time
+(``compose_total``) -> (kappa = 0 only, it is unscreened) the total
 compared with the Gaussian-sum oracle, which ``compare`` builds and reads
 one chunk of mode-2 rows at a time (``validation._oracle_rows``; about
-2^21 values a chunk), so the oracle is never an n^3 array: two n^3
-fields at the peak, the two parts, and one field and a chunk while
+2^21 values a chunk), so the oracle is never an n^3 array: one n^3
+field at the peak, two with ``--parts``, and one field and a chunk while
 comparing.  ``oracle`` times the chunks' evaluation, ``compare`` the rest
 of that pass.  ``validate`` reads its dump against either oracle the same
 way, so it holds one n^3 field.  With homogeneous faces the solve would
 return its input, so it is not run.  The scatter, the comparison, the
-total and the
-finiteness check of every field run on a slab of planes per BLAS thread,
-with results independent of the thread count.  Every n^3 field is
-Fortran-ordered (mode-1 fastest), the layout of the ``.bin`` dumps, so
-they are written without a copy.  ``run`` and ``solve`` write one n^3
+total and the finiteness check of every field run on a slab of planes
+per BLAS thread, with results independent of the thread count.  Every
+n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
+``.bin`` dumps, so they are written without a copy.  ``run`` and ``solve`` write one n^3
 dump, ``total.bin``, and the parts ``ulong.bin`` and ``short.bin`` only
 with ``--parts``.  ``run`` also writes the RS bundle that ``assemble``
 writes, with the run's ``bc`` and ``kappa``.  ``solve`` composes
@@ -313,18 +313,21 @@ def _long_stage(rs, timings, kappa=0.0, bc_molecule=None):
 
 
 def _total_stage(rs, u_long, timings, on_parts=None):
-    """The total of ``run`` and ``solve``: the one scatter of the short
-    part (``bc=none``) into a Fortran-ordered zero array, shown with
-    ``u_long`` to ``on_parts`` if given, then added into the long field's
-    array and dropped, so two n^3 fields are held at most."""
-    with _clock(timings, "scatter"):
-        short = GridFunction3(rs.grid, scatter_short(
-            rs, np.zeros((rs.grid.n,) * 3, order="F")),
-            {"bc": "none", "quad_rank": rs.quad_rank})
+    """The total of ``run`` and ``solve``, built by ``compose_total`` in
+    the long field's array with no n^3 short field.  With ``on_parts``
+    the short part (``bc=none``) is first scattered into a Fortran-ordered
+    zero array, shown with ``u_long`` to the hook and dropped: two n^3
+    fields.  ``scatter`` times that scatter (0 without a hook)."""
+    timings.setdefault("scatter", 0.0)
     if on_parts is not None:
+        with _clock(timings, "scatter"):
+            short = GridFunction3(rs.grid, scatter_short(
+                rs, np.zeros((rs.grid.n,) * 3, order="F")),
+                {"bc": "none", "quad_rank": rs.quad_rank})
         on_parts(u_long, short)
+        del short
     with _clock(timings, "compose"):
-        return compose_total(u_long, short)
+        return compose_total(u_long, rs)
 
 
 def _fix_malloc_thresholds():
@@ -339,34 +342,55 @@ def _fix_malloc_thresholds():
         mallopt(-1, 2 ** 21)  # M_TRIM_THRESHOLD
 
 
+_MEMINFO = "/proc/meminfo"
+
+
+def _mem_available():
+    # MemAvailable of _MEMINFO in bytes, the kernel's estimate of what can
+    # be allocated without swapping; None where it is not given
+    with suppress(OSError, ValueError), open(_MEMINFO) as fh:
+        for line in fh:
+            if line.startswith("MemAvailable:"):
+                return int(line.split()[1]) * 1024
+    return None
+
+
 def run_case(cfg, m, on_parts=None):
     """Execute the pipeline in memory.
 
     Returns a dict with the field ``total`` (the long-range solve plus the
-    run's one short-range scatter), the assembled tensor (``rs``), the
+    short-range part), the assembled tensor (``rs``), the
     reference kernel, the snapped molecule, the error report,
     deterministic ``metrics`` and wall-clock ``timings``, one key per
     stage.  Every field's meta names the quadrature rank.  The report is
     None for ``kappa > 0``, where the unscreened Gaussian-sum oracle is no
     reference.  ``on_parts(u_long, short)``, if given, is called once
     before the total takes the long field's array (``_total_stage``), so
-    a hook that keeps the parts copies ``u_long.values``.  A run holds two
-    n^3 fields at its peak, the two parts, four with a solve; a grid too
-    large for them is a ``MemoryError`` at once.  The comparison holds the
-    total and one chunk of the oracle (``compare``).
+    a hook that keeps the parts copies ``u_long.values``.  A run holds one
+    n^3 field at its peak, the long part that takes the total, two with a
+    hook, the parts, and four with a solve; a grid too large for them, as
+    mapped address space or, where ``/proc/meminfo`` gives it, against
+    ``MemAvailable``, is a ``MemoryError`` at once.  The comparison holds
+    the total and one chunk of the oracle (``compare``).
     """
     timings = {}
     t_all = time.perf_counter()
     cfg.validate()
     _fix_malloc_thresholds()
-    # mapped unwritten: the probe touches no page
-    k, size = (4 if cfg.bc == "analytic" else 2), 8 * cfg.n ** 3
+    k = 4 if cfg.bc == "analytic" else 2 if on_parts is not None else 1
+    need, avail = k * 8 * cfg.n ** 3, _mem_available()
     try:
-        mmap.mmap(-1, k * size, flags=mmap.MAP_PRIVATE).close()
+        # mapped unwritten: the probe touches no page
+        mmap.mmap(-1, need, flags=mmap.MAP_PRIVATE).close()
+        fits = avail is None or need <= avail
     except (OSError, OverflowError):
-        raise MemoryError("cannot allocate the %d %d^3 float64 fields of the "
-                          "run's peak (%.3g GiB)"
-                          % (k, cfg.n, k * size / 2 ** 30)) from None
+        fits = False
+    if not fits:
+        raise MemoryError(
+            "cannot allocate the %d %d^3 float64 field%s of the run's peak "
+            "(%.3g GiB%s)" % (k, cfg.n, "s" if k > 1 else "", need / 2 ** 30,
+                              "" if avail is None else ", %.3g GiB available"
+                              % (avail / 2 ** 30)))
     rs, q, kernel, snapped, eps_eff = _assemble_stage(cfg, m, timings)
     grid = rs.grid
 

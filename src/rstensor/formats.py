@@ -264,7 +264,8 @@ def _plane_sum(table, w, points, q):
 
     ``table(l, u)`` is the (R, len(u), n_l) array of the terms' mode-l
     vectors at the sorted distinct mode-l coordinates u of the (N, 3)
-    ``points``.  Each plane (distinct mode-3 coordinate) gets its R two-mode
+    ``points``; ``w`` None means that the mode-1 table carries the
+    weights.  Each plane (distinct mode-3 coordinate) gets its R two-mode
     products by one batched GEMM.  The first block of about n1 (plane,
     term) groups meets its mode-3 vectors in one GEMM whose (n3, n1 n2)
     product is the result; each later block adds into it one tile of
@@ -280,7 +281,8 @@ def _plane_sum(table, w, points, q):
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
     T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
-    T[0] = T[0] * np.reshape(w, (-1, 1, 1))
+    if w is not None:
+        T[0] = T[0] * np.reshape(w, (-1, 1, 1))
     R, (n1, n2, n3) = T[0].shape[0], (t.shape[2] for t in T)
     # plane p holds the points bounds[p] .. bounds[p + 1] of the points
     # sorted by their mode-3 coordinate, whose mode-1 and mode-2 table

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import _window_adder
 from .errors import ConfigError, DataError, NumericError
 from .formats import CanonicalTensor3, _blas_threads, _on_slabs
 
 _F64 = "<f8"
+_BLOCK = 2 ** 18  # floats in a block of compose_total's pass (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,31 @@ def _solve_spectral(f, h, kappa):
     return dstn(F, type=1, norm="ortho", workers=workers)
 
 
-def compose_total(u_long, short):
-    """Total potential ``u_long + short``: one add into the array of
-    ``u_long``, which so becomes the total's, a slab of mode-3 planes per
-    worker of ``_on_slabs``."""
-    if u_long.grid != short.grid:
-        raise ConfigError("long and short field grids differ")
-    a, b = u_long.values, short.values
-    _on_slabs(lambda z0, z1: np.add(a[:, :, z0:z1], b[:, :, z0:z1],
-                                    out=a[:, :, z0:z1]), a.shape[2])
+def compose_total(u_long, rs):
+    """Total potential: the short part of ``rs`` added into the array of
+    ``u_long``, which so becomes the total's.  Each ``_on_slabs`` worker
+    takes its slab of mode-3 planes ``max(1, _BLOCK // n^2)`` planes at a
+    time: it zeroes its block buffer, adds the template windows that
+    reach the block into it in atom order (``scatter_short``'s
+    arithmetic) and adds the buffer into the block, so every node gets
+    the bits of ``u_long + scatter_short(rs, zeros)`` at any worker count
+    and no n^3 short field exists."""
+    if u_long.grid != rs.grid:
+        raise ConfigError("long field and RS tensor grids differ")
+    a, add = u_long.values, _window_adder(rs)
+    n = a.shape[2]
+    k = max(1, _BLOCK // n ** 2)
+
+    def slab(z0, z1):
+        buf = np.empty((n, n, min(k, z1 - z0)), order="F")
+        for b0 in range(z0, z1, k):
+            b1 = min(b0 + k, z1)
+            s = buf[:, :, :b1 - b0]
+            s.fill(0.0)
+            add(s, b0, b1)
+            np.add(a[:, :, b0:b1], s, out=a[:, :, b0:b1])
+
+    _on_slabs(slab, n)
     return GridFunction3(u_long.grid, a, dict(u_long.meta, composed=True))
 
 

@@ -79,28 +79,39 @@ class ErrorReport:
         return "\n".join("%s=%s" % kv for kv in pairs) + "\n"
 
 
-def gaussian_field(positions, charges, grid, q, rows=None):
+def gaussian_field(positions, charges, grid, q, rows=None, tables=None):
     """Dense Gaussian-sum potential of point charges at arbitrary positions.
 
     The factors ``exp(-t_k^2 (x - u)^2)`` are tabulated once per term k and
     distinct coordinate u of each mode; ``_plane_sum`` sums them plane by
     plane (distinct third coordinate) and returns the Fortran-ordered
     (mode-1 fastest) field, so the largest temporary besides it is one
-    block of at most n^3 two-mode products.  Entries below ``_FLOOR`` =
-    2^-256 are zeroed, so no subnormal float slows the GEMMs; a node moves
+    block of at most n^3 two-mode products; the mode-1 table carries the
+    weights w_k.  Entries below ``_FLOOR`` = 2^-256 are zeroed before
+    that, so no subnormal float slows the GEMMs; a node moves
     by less than 2^-256 sum_k |w_k| sum_a |z_a|.  ``rows``, a range of
     mode-2 nodes, gives the field over those rows only, shape (n,
     len(rows), n): the mode-2 factors are tabulated at them alone.
+    ``tables`` maps 0 and 2 to the mode-1 and mode-3 tables of the same
+    positions, grid and q (``_gaussian_table``), so that a caller summing
+    chunk after chunk of rows tabulates those two modes once.
     """
-    x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
+    x, tables = grid.coords(), tables or {}
     xs = (x, x if rows is None else x[rows], x)
+    return _plane_sum(lambda l, u: tables[l] if l in tables
+                      else _gaussian_table(q, xs[l], u, l),
+                      None, positions, charges)
 
-    def table(l, u):
-        t = np.exp(-t2 * (xs[l] - u[:, None]) ** 2)
-        t[t < _FLOOR] = 0.0  # a bool mask: no float temporary
-        return t
 
-    return _plane_sum(table, q.weights, positions, charges)
+def _gaussian_table(q, x, u, l):
+    # (R, len(u), len(x)) factors exp(-t_k^2 (x - u)^2) of table l, zeroed
+    # below _FLOOR; table 0's are weighted by w_k in place, as _plane_sum
+    # takes them with no weights of its own
+    t = np.exp(-q.nodes[:, None, None] ** 2 * (x - u[:, None]) ** 2)
+    t[t < _FLOOR] = 0.0  # a bool mask: no float temporary
+    if l == 0:
+        t *= q.weights[:, None, None]
+    return t
 
 
 def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
@@ -145,8 +156,13 @@ def _oracle_rows(m, grid, kernel="gaussian_sum", quad=None):
     if kernel == "gaussian_sum":
         if quad is None:
             raise ConfigError("gaussian_sum oracle needs a quadrature")
+        # the mode-1 and mode-3 tables are those of every chunk
+        x = grid.coords()
+        fixed = {l: _gaussian_table(quad, x, np.unique(m.positions[:, l]), l)
+                 for l in (0, 2)}
         return lambda r0, r1: (gaussian_field(m.positions, m.charges, grid,
-                                              quad, rows=range(r0, r1)), ())
+                                              quad, rows=range(r0, r1),
+                                              tables=fixed), ())
     if kernel != "exact_newton":
         raise ConfigError("unknown oracle kernel %r" % kernel)
     x = grid.coords()

@@ -220,9 +220,10 @@ def _run_parts(cfg, m):
     [], ["--bc", "analytic"], ["--bc", "analytic", "--kappa", "0.5"]],
     ids=["homogeneous", "analytic", "kappa"])
 def test_run_scatters_short_once(tmp_path, monkeypatch, flags):
-    # the dump and the total read the one short field; at kappa > 0 the
-    # right-hand side gets its own scatter, scaled by -kappa^2, and no n^3
-    # short field of its own
+    # a --parts run scatters one short field, for its dump, and its total
+    # is the dumped parts added, bit for bit, though the total's pass adds
+    # the windows itself; at kappa > 0 the right-hand side gets its own
+    # scatter, scaled by -kappa^2, and no n^3 short field of its own
     made = _count_scatters(monkeypatch)
     assert rt.main(["run", "--pqr", LIGAND, "--n", "33", "--parts", "-o",
                     str(tmp_path)] + flags) == 0
@@ -574,57 +575,115 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
-    # a grid whose peak of k n^3 fields (two, with --parts too, four
-    # with a solve) cannot be mapped is reported as a one-line
-    # configuration error, before any output is written and before the
-    # quadrature, as k unwritten fields are mapped first.  100001^3 floats
-    # cannot be mapped at all; at
-    # n = 33 every mapping above one field's bytes is made to fail, which
-    # a probe of one field would pass
-    monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
-    field, mapped = 8 * 33 ** 3, rt.cli.mmap.mmap
+# (bc, whether the run has an on_parts hook, the n^3 fields of its peak
+# that run_case maps first): one for a run, the long field that the total's
+# pass adds into a block of planes at a time (the comparison after it holds
+# the total and a chunk of the oracle); two, the parts, with a hook; four
+# with a solve
+_PEAK_FIELDS = [("homogeneous", False, 1), ("homogeneous", True, 2),
+                ("analytic", False, 4), ("analytic", True, 4)]
+_MMAP = rt.cli.mmap.mmap
 
-    def small_mmap(fileno, length, **kwargs):
-        if length > field:
+
+class _Started(Exception):
+    pass
+
+
+def _start(*args):
+    # stands for the first stage of a run that the memory probe admitted
+    raise _Started
+
+
+def _capped_mmap(monkeypatch, cap):
+    # every mapping above cap bytes fails, as on a host with so little
+    # memory; the others are made
+    def mmap(fileno, length, **kwargs):
+        if length > cap:
             raise OSError(12, "Cannot allocate memory")
-        return mapped(fileno, length, **kwargs)
+        return _MMAP(fileno, length, **kwargs)
 
+    monkeypatch.setattr(rt.cli.mmap, "mmap", mmap)
+
+
+def test_main_grid_too_large_exit_code(tmp_path, capsys, monkeypatch):
+    # a grid whose peak of k n^3 fields cannot be mapped is reported as a
+    # one-line configuration error, before any output is written and
+    # before the quadrature, as k unwritten fields are mapped first.
+    # 100001^3 floats cannot be mapped at all; at n = 33 a host that maps
+    # one byte less than k fields refuses the run, and one that maps k
+    # fields starts it
+    monkeypatch.setattr("rstensor.cli.build_quadrature", _no_quadrature)
+    monkeypatch.setattr(rt.cli, "_MEMINFO", str(tmp_path / "no-meminfo"))
+    field = 8 * 33 ** 3
     for n in (100001, 33):
-        if n == 33:
-            monkeypatch.setattr(rt.cli.mmap, "mmap", small_mmap)
-        for flags, k in (([], 2), (["--parts"], 2),
-                         (["--bc", "analytic"], 4)):
+        for bc, parts, k in _PEAK_FIELDS:
+            flags = ["--bc", bc] + (["--parts"] if parts else [])
+            argv = ["run", "--pqr", BORN, "--n", str(n), "--b", "8"] + flags
+            if n == 33:
+                _capped_mmap(monkeypatch, k * field)
+                with pytest.raises(AssertionError, match="quadrature"):
+                    rt.main(argv + ["-o", str(tmp_path / "started")])
+                _capped_mmap(monkeypatch, k * field - 1)
             out = tmp_path / ("%s-%d" % ("".join(flags), n))
-            rc = rt.main(["run", "--pqr", BORN, "--n", str(n), "--b", "8",
-                          "-o", str(out)] + flags)
-            assert rc == 2
+            assert rt.main(argv + ["-o", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") \
                 and err.count("\n") == 1, err
-            assert "the %d %d^3 float64 fields" % (k, n) in err, err
+            assert "the %d %d^3 float64 field" % (k, n) in err, err
             assert not out.exists()
 
 
-@pytest.mark.parametrize("bc, parts, k", [
-    ("homogeneous", False, 2), ("homogeneous", True, 2),
-    ("analytic", False, 4), ("analytic", True, 4)])
-def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, bc, parts, k):
-    # the one mapping run_case makes before any work is its peak of n^3
-    # fields: the two parts (the comparison after them holds the total and
-    # a chunk of the oracle), with an on_parts hook or without; with a
-    # solve its four arrays
-    lengths = []
+@pytest.mark.parametrize("bc, parts, k", _PEAK_FIELDS)
+def test_run_case_maps_its_peak_fields(born_mol, monkeypatch, tmp_path, bc,
+                                       parts, k):
+    # the one mapping run_case makes before any work is its peak of k n^3
+    # fields: it starts where k fields can be mapped, and is refused where
+    # one byte less can
+    cfg = rt.RunConfig(n=33, b=8.0, bc=bc)
+    hook = (lambda u_long, short: None) if parts else None
+    need, lengths = k * 8 * 33 ** 3, []
 
     def record(fileno, length, **kwargs):
         lengths.append(length)
-        raise OSError(12, "Cannot allocate memory")
+        return _MMAP(fileno, length, **kwargs)
 
+    monkeypatch.setattr(rt.cli, "_MEMINFO", str(tmp_path / "no-meminfo"))
+    monkeypatch.setattr(rt.cli, "_assemble_stage", _start)
+    for cap, started in ((need, True), (need - 1, False)):
+        _capped_mmap(monkeypatch, cap)
+        with pytest.raises(_Started if started else MemoryError):
+            rt.run_case(cfg, born_mol, on_parts=hook)
     monkeypatch.setattr(rt.cli.mmap, "mmap", record)
-    with pytest.raises(MemoryError):
-        rt.run_case(rt.RunConfig(n=33, b=8.0, bc=bc), born_mol,
-                    on_parts=(lambda u_long, short: None) if parts else None)
-    assert lengths == [k * 8 * 33 ** 3]
+    with pytest.raises(_Started):
+        rt.run_case(cfg, born_mol, on_parts=hook)
+    assert lengths == [need]
+
+
+@pytest.mark.parametrize("bc, parts, k", _PEAK_FIELDS)
+def test_run_case_checks_mem_available(born_mol, monkeypatch, tmp_path, bc,
+                                       parts, k):
+    # where meminfo gives MemAvailable, a run whose k fields exceed it is
+    # refused with the MemoryError of an unmappable grid, before any work.
+    # At n = 40 the k fields are a whole number of KiB, the unit of
+    # MemAvailable, so a run starts at k fields and is refused one KiB
+    # below; a meminfo without the line leaves the mapping to judge
+    n = 40
+    cfg = rt.RunConfig(n=n, b=8.0, bc=bc)
+    hook = (lambda u_long, short: None) if parts else None
+    kib = k * 8 * n ** 3 // 1024
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(rt.cli, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(rt.cli, "_assemble_stage", _start)
+    for avail, started in ((kib, True), (kib - 1, False), (None, True)):
+        meminfo.write_text("MemTotal:       8000000 kB\n" + (
+            "" if avail is None else "MemAvailable:   %d kB\n" % avail)
+            + "Buffers:          1000 kB\n")
+        with pytest.raises(_Started if started else MemoryError) as e:
+            rt.run_case(cfg, born_mol, on_parts=hook)
+        if not started:
+            assert "the %d %d^3 float64 field" % (k, n) in str(e.value)
+            assert "GiB available" in str(e.value)
+    assert rt.cli._mem_available() is None
 
 
 def test_run_case_fixes_malloc_thresholds(born_mol, monkeypatch):
@@ -783,7 +842,7 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
     out, u, short = _run_parts(cfg, m)
     args = (out["molecule"], u.grid, "gaussian_sum", out["quadrature"])
     assert np.array_equal(out["total"].values, u.values + short.values)
-    total = rt.compose_total(u, short)
+    total = out["total"]
     ref, dense = (rt.compare(total, oracle, exclude_centers=out["rs"].nodes,
                              config={"oracle": "gaussian_sum"})
                   for oracle in (rt.validation._oracle_rows(*args),
@@ -906,28 +965,43 @@ def _kept_bytes(out):
         for f in t.factors) + 2 ** 18
 
 
-def _check_peaks(out, image, peaks):
+def _block_bytes(n):
+    # compose_total's W block buffers: each worker's holds the smaller of a
+    # block, max(1, _BLOCK // n^2) planes, and its slab of the n planes
+    W = min(n, rt.formats._slab_workers())
+    k = max(1, rt.solver._BLOCK // n ** 2)
+    return 8 * n * n * sum(min(k, n * (j + 1) // W - n * j // W)
+                           for j in range(W))
+
+
+def _check_peaks(out, image, peaks, parts):
     # The traced peaks of _traced_run_case's windows.  The long stage
     # holds one field, the long part, beside what the run keeps, plus the
-    # temporaries of _long_bytes that densify it.  From the scatter to
-    # the total, a run holds two n^3 float fields, the long and short
-    # parts, beside what it keeps, the W workers' products of a template
-    # window (one template each) and the scatter's window list, under
-    # 1 KiB an atom.  The compare pass holds one field, the total, plus
-    # one chunk of the oracle and the buffers of _pass_bytes: a second
-    # field, the oracle built whole, breaks that bound wherever a chunk is
-    # less than a field (n > 146).  Every window, the assembly's too, also
-    # keeps the bound of a run that composed its total in a new array and
-    # masked the cores in an n^3 bool: three fields, that mask, 2^18 //
-    # n^2 planes and the kept arrays
+    # temporaries of _long_bytes that densify it.  From the total stage to
+    # compare, a default run holds one n^3 float field, the long part that
+    # takes the total, beside what it keeps, the W block buffers of the
+    # compose pass (together at most one field, at n = 65 on two workers
+    # a whole one), the W workers' products of a template window (one
+    # template each) and the window list, under 1 KiB an atom: the short
+    # field, allocated beside them, breaks the bound by a field less the
+    # slack.  With parts the hook is shown both parts, two fields, with
+    # the same products and window list.  The compare pass holds one
+    # field, the total, plus one chunk of the oracle and the buffers of
+    # _pass_bytes: a second field, the oracle built whole, breaks that
+    # bound wherever a chunk is less than a field (n > 146).  Every
+    # window, the assembly's too, also keeps the bound of a run that
+    # composed its total in a new array and masked the cores in an n^3
+    # bool: three fields, that mask, 2^18 // n^2 planes and the kept
+    # arrays
     rs = out["rs"]
     n, kept = rs.grid.n, _kept_bytes(out)
     field, W = 8 * n ** 3, min(n, rt.formats._slab_workers())
     _, long_peak, stage_peak, compare_peak = peaks
     bound = _long_bytes(rs, image) + kept
     assert long_peak <= bound, (long_peak, bound)
-    bound = (2 * field + W * rs.template_dense().nbytes
-             + 2 ** 10 * len(rs.nodes) + kept)
+    bound = ((2 * field if parts else field + _block_bytes(n))
+             + W * rs.template_dense().nbytes + 2 ** 10 * len(rs.nodes)
+             + kept)
     assert stage_peak <= bound, (stage_peak, bound)
     bound = field + _pass_bytes(n, out["quadrature"], out["molecule"]) + kept
     assert compare_peak <= bound, (compare_peak, bound)
@@ -935,7 +1009,8 @@ def _check_peaks(out, image, peaks):
     assert max(peaks) <= bound, (peaks, bound)
 
 
-_PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193}
+_PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193,
+               "ligand18-3planes": 65}
 
 
 def _peak_molecule(ligand_mol, case):
@@ -948,21 +1023,28 @@ def _peak_molecule(ligand_mol, case):
 def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
                                         case):
     # The long stage holds one field and the temporaries that densify it;
-    # a second field held there breaks its bound at n = 193.  A run adds
-    # the short field into the long field's array and drops it before the
-    # compare pass, which reads the oracle one chunk of mode-2 rows at a
-    # time: its stages hold two n^3 float fields at most, and the compare
-    # pass one field and a chunk.  A third field, the short part
-    # or a copy of the total, breaks the stage bound if held at compose
-    # and the pass bound if held at compare, in every case; the oracle
-    # built whole breaks the pass bound at n = 193, where a chunk is 65 of
-    # 193 rows.  With parts the hook of run --parts dumps both parts
-    # before the total takes the long field's array, and keeps neither:
-    # the same two fields.  cluster100's long part is reduced (2100 ->
-    # 2028): its Tucker image, counted in the long stage alone, is dropped
-    # once densified (kept, it broke the stage bound by 1.7 MB)
+    # a second field held there breaks its bound at n = 193.  A default
+    # run adds the short part into the long field's array a block of
+    # planes at a time, with no n^3 short field, before the compare pass,
+    # which reads the oracle one chunk of mode-2 rows at a time: its total
+    # stage holds one n^3 float field and the block buffers, and the
+    # compare pass one field and a chunk.  A short field held beside the
+    # pass breaks the stage bound, and a copy of the total held at compare
+    # the pass bound, in every case.  At n = 65 two workers' blocks are
+    # their whole slabs, a field together, so the stage bound is two
+    # fields there; with blocks of 3 planes, as at n = 257, the buffers
+    # are 6 of 65 planes, and a short field scattered whole and added in
+    # one pass, with no block buffers, breaks it as it does at n = 193.
+    # The oracle built whole breaks the pass bound at n = 193, where a
+    # chunk is 65 of 193 rows.  With parts the hook of run --parts dumps
+    # both parts, two fields, before the pass and keeps neither.
+    # cluster100's long part is reduced (2100 -> 2028): its Tucker image,
+    # counted in the long stage alone, is dropped once densified (kept, it
+    # broke the stage bound by 1.7 MB)
     case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
+    if case.endswith("-3planes"):
+        monkeypatch.setattr(rt.solver, "_BLOCK", 3 * n * n)
     with rt.cli._outputs(str(tmp_path)) as (path, paths):
         out, image, peaks = _traced_run_case(
             rt.RunConfig(n=n), m, rt.cli._dump_parts(path) if parts else None,
@@ -971,7 +1053,7 @@ def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
     assert "u_long" not in out and "short" not in out
     assert (out["rs"].long_reference is None) == (case == "cluster100")
     assert (image is None) == (case != "cluster100")
-    _check_peaks(out, image, peaks)
+    _check_peaks(out, image, peaks, parts)
 
 
 @pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])

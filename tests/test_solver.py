@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 import tracemalloc
@@ -281,32 +282,45 @@ def test_compose_total_adds_short_field():
     rs = rt.assemble_collective(sm, k, None)
     zero = rt.GridFunction3(g, np.zeros((17, 17, 17)))
     ref = rt.scatter_short(rs, np.zeros((17, 17, 17)))
-    tot = rt.compose_total(zero, rt.GridFunction3(g, ref, {"bc": "none"}))
+    tot = rt.compose_total(zero, rs)
     assert np.array_equal(tot.values, ref)
     assert tot.meta["composed"] is True
     with pytest.raises(rt.ConfigError):
-        rt.compose_total(zero, rt.GridFunction3(rt.Grid3(17, 3.0), ref))
+        rt.compose_total(zero, dataclasses.replace(rs, grid=rt.Grid3(17, 3.0)))
 
 
 # finite sums: the values stay below 2^1022 in magnitude
 _HALF_FLOATS = EDGE_FLOATS.filter(lambda x: abs(x) < 2.0 ** 1022)
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), n=st.integers(3, 6), order=st.sampled_from("FC"))
-def test_compose_total_slabs_match_add(data, n, order):
-    # one add per node at any worker count: the bits of u + s, signed
-    # zeros and subnormals included, in u's own array
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12), r=st.integers(0, 4),
+       n_atoms=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       planes=st.integers(1, 3), order=st.sampled_from("FC"))
+def test_compose_total_slabs_match_add(data, n, r, n_atoms, seed, planes,
+                                       order):
+    # the one pass of compose_total, a block of 1 to 3 planes at a time,
+    # has the bits of u + (the short part scattered into zeros), signed
+    # zeros and subnormals of u included, in u's own array, on 1 to 3
+    # workers: windows up to 9 nodes wide, centred anywhere on grids of 3
+    # to 12, so the faces clip them, and so do the block and slab edges
+    rng = np.random.default_rng(seed)
     g = rt.Grid3(n, 1.0)
-    u, s = (np.asarray(data.draw(arrays(np.float64, (n, n, n),
-                                        elements=_HALF_FLOATS)), order=order)
-            for _ in range(2))
+    rs = rt.RSTensor(g, rt.zero_canonical((n,) * 3),
+                     rand_canonical(rng, 2 * r + 1, 3),
+                     rng.integers(0, n, (n_atoms, 3)),
+                     rng.standard_normal(n_atoms), gamma=2 * r + 2,
+                     quad_rank=1)
+    u = np.asarray(data.draw(arrays(np.float64, (n, n, n),
+                                    elements=_HALF_FLOATS)), order=order)
+    want = np.add(u, rt.scatter_short(rs, np.zeros((n, n, n), order="F")))
     for W in (1, 2, 3):
         long = rt.GridFunction3(g, u.copy(order="K"))
-        with slab_workers(W):
-            tot = rt.compose_total(long, rt.GridFunction3(g, s)).values
+        with slab_workers(W), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rt.solver, "_BLOCK", planes * n * n)
+            tot = rt.compose_total(long, rs).values
         assert tot is long.values
-        assert same_bits(tot, u + s), W
+        assert same_bits(tot, want), W
         assert tot.flags.f_contiguous == (order == "F")
 
 

@@ -53,7 +53,11 @@ def test_compare_rejects_grid_mismatch():
 
 _ONE_ULP = {
     "compare": rt.compare,
-    "compose_total": rt.compose_total,
+    # with the RS tensor of one atom on the other field's grid
+    "compose_total": lambda a, other: rt.compose_total(a, rt.RSTensor(
+        other.grid, rt.zero_canonical((9, 9, 9)),
+        rt.zero_canonical((3, 3, 3)), np.array([[4, 4, 4]]), np.ones(1),
+        gamma=2, quad_rank=1)),
 }
 
 
@@ -303,22 +307,35 @@ def test_compare_chunks_match_reference():
 
 
 @pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
-def test_compare_streams_the_oracle(born_mol, kernel):
+def test_compare_streams_the_oracle(born_mol, monkeypatch, kernel):
     # at n = 161 the oracle comes in two chunks of rows.  A chunk of the
     # Gaussian sum tabulates its mode-2 factors at its own rows, within
-    # roundoff of the dense oracle, built over all rows in one call; the
-    # exact oracle's chunks have its bits and list the atom's node as
-    # undefined in the chunk that holds it.  compare's reports of the two
-    # agree to the same roundoff
+    # roundoff of the dense oracle, built over all rows in one call; its
+    # mode-1 and mode-3 tables are built once for every chunk, with the
+    # bits of a chunk that builds its own.  The exact oracle's chunks have
+    # its bits and list the atom's node as undefined in the chunk that
+    # holds it.  compare's reports of the two agree to the same roundoff
     n = 161
     g = rt.Grid3(n, 8.0)
     q = rt.build_quadrature(12, g.h, 2 * SQRT3 * g.b)
     m = rt.snapped_molecule(born_mol, g)[0]
+    modes, real = [], validation._gaussian_table
+
+    def spy(q, x, u, l):
+        modes.append(l)
+        return real(q, x, u, l)
+
+    monkeypatch.setattr(validation, "_gaussian_table", spy)
     rows = validation._oracle_rows(m, g, kernel, q)
-    dense = rt.direct_sum_oracle(m, g, kernel, q)
     chunks = validation._chunks(n)
     assert len(chunks) == 2
     got = [rows(r0, r1) for r0, r1 in chunks]
+    if kernel == "gaussian_sum":
+        assert modes == [0, 2, 1, 1]
+        for (r0, r1), (vals, _) in zip(chunks, got):
+            assert same_bits(vals, rt.gaussian_field(
+                m.positions, m.charges, g, q, rows=range(r0, r1)))
+    dense = rt.direct_sum_oracle(m, g, kernel, q)
     top = np.max(np.abs(dense.values))
     for (r0, r1), (vals, undefined) in zip(chunks, got):
         assert vals.shape == (n, r1 - r0, n) and vals.flags.f_contiguous
@@ -474,11 +491,11 @@ def test_gaussian_oracle_memory():
     # blocks, no more than the unchunked one of min(n // R, Z) planes of R
     # n x n slices and at most 2^21 floats for each of the W shares (a
     # mode-2 row is G n = 8439 floats here), the three (R, distinct, n)
-    # tables, the weighted copy of the first and the tile buffer of
-    # min(2^20 // n, n^2 // 8) rows.  The unweighted first table is gone
-    # before kab exists, which leaves room for the per-plane gathers;
-    # 2^18 bytes cover the index arrays and the mode-3 block.  A
-    # second n^3 array (7.3 MB here) breaks the bound.
+    # tables, one more of the first's size for the per-plane gathers (the
+    # first table is weighted in place, with no copy) and the tile buffer
+    # of min(2^20 // n, n^2 // 8) rows; 2^18 bytes cover the index arrays
+    # and the mode-3 block.  A second n^3 array (7.3 MB here) breaks the
+    # bound.
     m = rt.synthetic_cluster(400, 12.0, seed=1)
     g = rt.Grid3(97, rt.resolve_box(rt.RunConfig(n=97), m))
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
@@ -533,9 +550,11 @@ def test_gaussian_field_floor_keeps_every_bit(name):
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
 def test_gaussian_field_tables_have_no_subnormal(name, monkeypatch):
-    # every table entry _plane_sum gets is 0 or at least the floor F, and
-    # F^3 min|w| min|z| is normal, so no operand of the oracle's GEMMs and
-    # no product of one entry of each table, weight and charge is subnormal
+    # every table entry _plane_sum gets is 0 or at least the floor F, the
+    # mode-1 table's times its term's weight w_k (that table carries the
+    # weights), and F^3 min|w| min|z| is normal, so no operand of the
+    # oracle's GEMMs and no product of one entry of each table and a
+    # charge is subnormal
     m, g, q = _oracle_case(name)
     real, seen = validation._plane_sum, []
 
@@ -543,17 +562,19 @@ def test_gaussian_field_tables_have_no_subnormal(name, monkeypatch):
         def record(l, u):
             seen.append(table(l, u))
             return seen[-1]
-        seen.append((np.min(np.abs(w)), np.min(np.abs(z))))
+        assert w is None
+        seen.append(np.min(np.abs(z)))
         return real(record, w, points, z)
 
     monkeypatch.setattr(validation, "_plane_sum", spy)
     rt.gaussian_field(m.positions, m.charges, g, q)
-    (w_min, z_min), tables = seen[0], seen[1:]
-    F = validation._FLOOR
+    z_min, tables = seen[0], seen[1:]
+    F, w = validation._FLOOR, np.abs(q.weights)[:, None, None]
     assert len(tables) == 3
-    for t in tables:
+    assert np.all((tables[0] == 0.0) | (np.abs(tables[0]) >= F * w))
+    for t in tables[1:]:
         assert np.all((t == 0.0) | (t >= F))
-    assert F ** 3 * w_min * z_min >= np.finfo(float).tiny
+    assert F ** 3 * np.min(w) * z_min >= np.finfo(float).tiny
 
 
 # each case runs in a fresh interpreter after "import rstensor as rt" and
