@@ -348,7 +348,7 @@ _MEMINFO = "/proc/meminfo"
 def _mem_available():
     # MemAvailable of _MEMINFO in bytes, the kernel's estimate of what can
     # be allocated without swapping; None where it is not given
-    with suppress(OSError, ValueError), open(_MEMINFO) as fh:
+    with suppress(OSError, ValueError, IndexError), open(_MEMINFO) as fh:
         for line in fh:
             if line.startswith("MemAvailable:"):
                 return int(line.split()[1]) * 1024

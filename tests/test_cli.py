@@ -666,7 +666,8 @@ def test_run_case_checks_mem_available(born_mol, monkeypatch, tmp_path, bc,
     # refused with the MemoryError of an unmappable grid, before any work.
     # At n = 40 the k fields are a whole number of KiB, the unit of
     # MemAvailable, so a run starts at k fields and is refused one KiB
-    # below; a meminfo without the line leaves the mapping to judge
+    # below; a meminfo without the line, or with a line that gives no
+    # number, leaves the mapping to judge
     n = 40
     cfg = rt.RunConfig(n=n, b=8.0, bc=bc)
     hook = (lambda u_long, short: None) if parts else None
@@ -674,16 +675,19 @@ def test_run_case_checks_mem_available(born_mol, monkeypatch, tmp_path, bc,
     meminfo = tmp_path / "meminfo"
     monkeypatch.setattr(rt.cli, "_MEMINFO", str(meminfo))
     monkeypatch.setattr(rt.cli, "_assemble_stage", _start)
-    for avail, started in ((kib, True), (kib - 1, False), (None, True)):
-        meminfo.write_text("MemTotal:       8000000 kB\n" + (
-            "" if avail is None else "MemAvailable:   %d kB\n" % avail)
-            + "Buffers:          1000 kB\n")
+    for line, started in (("MemAvailable:   %d kB\n" % kib, True),
+                          ("MemAvailable:   %d kB\n" % (kib - 1), False),
+                          ("", True), ("MemAvailable:\n", True),
+                          ("MemAvailable:   many kB\n", True)):
+        meminfo.write_text("MemTotal:       8000000 kB\n" + line
+                           + "Buffers:          1000 kB\n")
+        assert (rt.cli._mem_available() is None) == ("kB" not in line
+                                                     or "many" in line)
         with pytest.raises(_Started if started else MemoryError) as e:
             rt.run_case(cfg, born_mol, on_parts=hook)
         if not started:
             assert "the %d %d^3 float64 field" % (k, n) in str(e.value)
             assert "GiB available" in str(e.value)
-    assert rt.cli._mem_available() is None
 
 
 def test_run_case_fixes_malloc_thresholds(born_mol, monkeypatch):
