@@ -112,6 +112,13 @@ def _columns(t, cols):
     return CanonicalTensor3(t.weights[cols], tuple(A[:, cols] for A in t.factors))
 
 
+def _dense_template(t):
+    # RSTensor.template_dense's block of the short reference t
+    return dense(CanonicalTensor3(t.weights, tuple(
+        np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
+        for A in t.factors)))
+
+
 def _template_radius(gamma):
     # template length 2r+1 stays below 2*gamma while covering the support
     # radius gamma/2 nodes plus the threshold tail
@@ -168,15 +175,15 @@ class RSTensor:
         return (self.short_reference.factors[0].shape[0] - 1) // 2
 
     def template_dense(self):
-        """Dense short-range template block, cached.  It is densified from
-        a copy of the factors with their subnormal entries zeroed, which
-        would put its GEMMs on the CPU's slow path; every fixture and
-        cluster tried keeps every bit of the block."""
+        """Dense short-range template block, cached for entry queries
+        (``rs_eval_entry``); the n^3 passes densify it without caching
+        (``_window_adder``), so a run keeps no template after it composes
+        its total.  It is densified from a copy of the factors with their
+        subnormal entries zeroed, which would put its GEMMs on the CPU's
+        slow path; every fixture and cluster tried keeps every bit of the
+        block."""
         if self._template is None:
-            t = self.short_reference
-            self._template = dense(CanonicalTensor3(t.weights, tuple(
-                np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
-                for A in t.factors)))
+            self._template = _dense_template(self.short_reference)
         return self._template
 
     def long_field(self):
@@ -359,10 +366,12 @@ def _window_adder(t, scale=1.0):
     # add(dst, z0, z1) adds into dst, the (n, n, z1 - z0) array of planes
     # z0 <= i3 < z1, the windows [c - r, c + r] that reach them, clipped
     # to the grid and the planes, in atom order: dst[a:b] += (scale w)
-    # T[a-lo:b-lo].  T is densified and each window's mode-1 and mode-2
+    # T[a-lo:b-lo].  T is the cached template or, with none cached, one
+    # densified here and dropped with add; each window's mode-1 and mode-2
     # slices are cut here, once, before any worker starts
     n = t.grid.n
-    T = t.template_dense()
+    T = t._template if t._template is not None else _dense_template(
+        t.short_reference)
     r = t.support_radius
     lo = t.nodes - r
     a, b = np.maximum(lo, 0), np.minimum(lo + 2 * r + 1, n)

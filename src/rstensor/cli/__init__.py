@@ -11,16 +11,18 @@ them -> (``--parts`` only) short part scattered into a field of its own
 and both parts dumped, the short field dropped -> total, the short part
 added into the long field's array a block of planes at a time
 (``compose_total``) -> (kappa = 0 only, it is unscreened) the total
-compared with the Gaussian-sum oracle, which ``compare`` builds and reads
-one chunk of mode-2 rows at a time (``validation._oracle_rows``; about
-2^21 values a chunk), so the oracle is never an n^3 array: one n^3
-field at the peak, two with ``--parts``, and one field and a chunk while
-comparing.  ``oracle`` times the chunks' evaluation, ``compare`` the rest
-of that pass.  ``validate`` reads its dump against either oracle the same
-way, so it holds one n^3 field.  With homogeneous faces the solve would
-return its input, so it is not run.  The scatter, the comparison, the
-total and the finiteness check of every field run on a slab of planes
-per BLAS thread, with results independent of the thread count.  Every
+compared with the Gaussian-sum oracle, which each ``compare`` thread
+builds and reads one chunk of mode-2 rows at a time
+(``validation._oracle_rows``; 2^18 to 2^19 values a chunk), so the
+oracle is never an n^3 array: one n^3 field at the peak, two with
+``--parts``, and beside it a few MiB a thread that depend on n alone.
+``oracle`` times the chunks' evaluation (the busiest thread's),
+``compare`` the rest of that pass.  ``validate`` reads its dump against
+either oracle the same way, so it holds one n^3 field.  With homogeneous
+faces the solve would return its input, so it is not run.  The scatter,
+the comparison, the total and the finiteness check of every field run
+on a slab of planes or a run of chunks per BLAS thread, with results
+independent of the thread count.  Every
 n^3 field is Fortran-ordered (mode-1 fastest), the layout of the
 ``.bin`` dumps, so they are written without a copy.  ``run`` and ``solve`` write one n^3
 dump, ``total.bin``, and the parts ``ulong.bin`` and ``short.bin`` only
@@ -39,10 +41,13 @@ and new outputs so share the disk until then.  Dumps and bundles
 name their quadrature rank (``quad_rank``), which ``validate`` reads
 with the grid from the dump.  Reruns at one BLAS thread count of born,
 and of ligand18 and a 600-atom cluster at n=65, are byte-identical
-(tested).  Across thread counts the BLAS splits its sums differently:
-the 600-atom cluster at one and at two threads has the same
-ranks and a byte-identical ``short.bin``, but its long part, total and
-metrics differ in the last bits, the total by at most 1e-13 of its max
+(tested).  The plane sums and the n^3 passes have the same bits at
+any thread count, so a run whose long part keeps its explicit sum, as
+ligand18's does, writes the same bytes at one and at two threads (CI).
+The rank reduction's LAPACK calls split their sums by thread count:
+the 600-atom cluster at one and at two threads has the same ranks and
+a byte-identical ``short.bin``, but its long part, total and metrics
+differ in the last bits, the total by at most 1e-13 of its max
 (tested).  ``python -m rstensor`` and ``python -m rstensor.cli`` run
 ``main`` and exit with its code.
 """
@@ -55,6 +60,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
@@ -371,7 +377,8 @@ def run_case(cfg, m, on_parts=None):
     hook, the parts, and four with a solve; a grid too large for them, as
     mapped address space or, where ``/proc/meminfo`` gives it, against
     ``MemAvailable``, is a ``MemoryError`` at once.  The comparison holds
-    the total and one chunk of the oracle (``compare``).
+    the total and, per thread, a chunk of the oracle with the plane sum's
+    buffers (``compare``); no dense template is kept.
     """
     timings = {}
     t_all = time.perf_counter()
@@ -399,15 +406,19 @@ def run_case(cfg, m, on_parts=None):
     total = _total_stage(rs, u_long, timings, on_parts)
     report = None
     if cfg.kappa == 0:  # no reference at kappa > 0: it is unscreened
-        oracle = _oracle_rows(snapped, grid, "gaussian_sum", q)
+        # compare's threads read the oracle a chunk at a time, each adding
+        # up its own evaluation time: the slowest thread's is "oracle"
+        oracle, spent = _oracle_rows(snapped, grid, "gaussian_sum", q), {}
 
-        def chunk(r0, r1):  # compare reads the oracle a chunk at a time
-            with _clock(timings, "oracle"):
-                return oracle(r0, r1)
+        def chunk(r0, r1, out):
+            with _clock(spent, threading.get_ident()):
+                return oracle(r0, r1, out)
 
         with _clock(timings, "compare"):
             report = compare(total, chunk, exclude_centers=rs.nodes,
                              config={"oracle": "gaussian_sum"})
+        del oracle, chunk  # the oracle's tables and buffers
+        timings["oracle"] = max(spent.values())
         timings["compare"] -= timings["oracle"]
     timings["total"] = time.perf_counter() - t_all
 

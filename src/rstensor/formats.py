@@ -20,7 +20,9 @@ scipy.  Every threaded step of the package runs through one splitter,
 ``_on_slabs``, which cuts a range into W contiguous shares, W being that
 BLAS's thread count at the call, and runs them on W threads with the BLAS
 pinned to one thread: the second-level SVDs of ``t2c_with_image`` and the
-mode-2 rows of the plane sum here, the n^3 passes of the other modules.
+chunks of mode-2 rows of the plane sum here, the n^3 passes of the other
+modules.  A splitter called inside a share (the plane sum of an oracle
+chunk that a ``compare`` worker evaluates) runs its range in that share.
 W single-threaded BLAS calls at once are faster on such small matrices
 than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1`` makes
 every step serial.
@@ -31,6 +33,7 @@ import functools
 import glob
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -181,23 +184,38 @@ def _on_slabs(fn, n):
     # first, with the BLAS pinned to one thread until the last share is
     # done.  Its idle threads spin for a while after a multi-threaded call,
     # on the cores the shares need, so they are stopped first; its next
-    # such call starts them
+    # such call starts them.  Called inside a share, it runs fn(0, n) in
+    # that share's thread: no pool, and the BLAS stays at one thread
+    if getattr(_in_share, "on", False):
+        fn(0, n)
+        return
     blas, threads = _openblas(), _blas_threads()
     W = max(1, min(n, _slab_workers()))
     edges = [n * k // W for k in range(W + 1)]
+
+    def share(k):
+        _in_share.on = True
+        try:
+            fn(edges[k], edges[k + 1])
+        finally:
+            _in_share.on = False
+
     if blas:
         blas[1](1)
         blas[2]()
     try:
         with ThreadPoolExecutor(max(1, W - 1)) as pool:
-            rest = [pool.submit(fn, edges[k], edges[k + 1])
-                    for k in range(1, W)]
-            fn(edges[0], edges[1])
+            rest = [pool.submit(share, k) for k in range(1, W)]
+            share(0)
             for f in rest:
                 f.result()
     finally:
         if blas:
             blas[1](threads)
+
+
+_in_share = threading.local()  # its "on" is set while a share runs
+_CAP = 2 ** 18  # floats in a chunk of _row_chunks (2 MiB)
 
 
 def _check_finite(t):
@@ -258,6 +276,89 @@ def _shift_columns(W, nodes):
     return W[n + np.arange(n)[:, None] - np.asarray(nodes)[None, :]]
 
 
+def _row_chunks(n, per, least=1):
+    # the chunks (r0, r1) that cut range(n) into runs of c rows, the last
+    # one shorter if need be, with c the fewest rows that make at most
+    # n * per // _CAP chunks, at least `least` (or n): with per floats a
+    # row, a chunk holds at least about _CAP floats and under twice that
+    # plus a row, or one row, or less, whatever the worker count, so no
+    # work smaller than _CAP is cut up.  No chunk is longer than the
+    # first, so a buffer sized for the first fits them all
+    c = -(-n // min(n, max(least, n * per // _CAP)))
+    return [(r, min(r + c, n)) for r in range(0, n, c)]
+
+
+def _plane_plan(table, w, points, q):
+    """The set-up of ``_plane_sum``, for a caller that sums chunk after
+    chunk of mode-2 rows: it tabulates modes 1 and 3 and sorts the points
+    by plane once, and returns ``sums(T1, out=None)``, the plane sum with
+    the (R, len(sums.u1), n2) mode-2 table T1 at the sorted distinct
+    mode-2 coordinates ``sums.u1``, written into ``out`` (a Fortran-ordered
+    (n1, n2, n3) array) when given.  Each thread that runs its shares
+    allocates its block and tile buffers once, on its first call.
+    """
+    points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
+    u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
+    T0 = np.ascontiguousarray(table(0, u[0]))
+    if w is not None:
+        T0 = T0 * np.reshape(w, (-1, 1, 1))
+    # (n3, Z, R): the mode-3 vectors of the planes p0 .. p0 + P are the
+    # columns of the (n3, P R) view E3[:, p0:p0 + P], with no copy
+    E3 = np.ascontiguousarray(np.transpose(table(2, u[2]), (2, 1, 0)))
+    (n3, Z, R), n1 = E3.shape, T0.shape[2]
+    # plane p holds the points bounds[p] .. bounds[p + 1] of the points
+    # sorted by their mode-3 coordinate, whose mode-1 and mode-2 table
+    # rows are i0 and i1 and whose weights are q
+    order = np.argsort(idx[2], kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
+    i0, i1, q = idx[0][order], idx[1][order], q[order, None]
+    step = max(1, n1 // R)
+    G, scratch = min(step, Z) * R, threading.local()
+
+    def sums(T1, out=None):
+        T1 = np.ascontiguousarray(T1)
+        n2 = T1.shape[2]
+        # out^T, the (n3, n1 n2) product that the GEMMs write
+        res = (np.empty((n3, n1 * n2)) if out is None
+               else out.reshape((n1 * n2, n3), order="F").T)
+        # a chunk's output columns: the tile, the product of a later
+        # block of planes, is added into them from a buffer of that width
+        chunks = _row_chunks(n2, G * n1)
+        width = n1 * max(r1 - r0 for r0, r1 in chunks)
+        tile = n3 * width if Z > step else 0
+
+        def work(c0, c1):
+            bufs = getattr(scratch, "bufs", (np.empty(0), np.empty(0)))
+            if bufs[0].size < G * width or bufs[1].size < tile:
+                bufs = scratch.bufs = np.empty(G * width), np.empty(tile)
+            block, buf = bufs
+            for p0 in range(0, Z, step):
+                P = min(step, Z - p0)
+                E = E3[:, p0:p0 + P].reshape(n3, P * R)
+                for r0, r1 in chunks[c0:c1]:
+                    # rows r0 .. r1 are output columns m0 .. m1: kab[p*R + k]
+                    # is indexed [i2, i1], so K's columns are mode-1-fastest
+                    m0, m1 = r0 * n1, r1 * n1
+                    kab = block[:P * R * (m1 - m0)].reshape(P * R, r1 - r0, n1)
+                    for p in range(P):
+                        a = slice(bounds[p0 + p], bounds[p0 + p + 1])
+                        np.matmul(
+                            (T1[:, i1[a], r0:r1] * q[a]).transpose(0, 2, 1),
+                            T0[:, i0[a]], out=kab[p * R:(p + 1) * R])
+                    K = kab.reshape(P * R, m1 - m0)
+                    if p0 == 0:
+                        np.matmul(E, K, out=res[:, m0:m1])
+                    else:
+                        res[:, m0:m1] += np.matmul(
+                            E, K, out=buf[:n3 * (m1 - m0)].reshape(n3, -1))
+
+        _on_slabs(work, len(chunks))
+        return res.T.reshape((n1, n2, n3), order="F")
+
+    sums.u1 = u[1]
+    return sums
+
+
 def _plane_sum(table, w, points, q):
     """``sum_a q[a] sum_k w[k] T1_k(x_a) x T2_k(y_a) x T3_k(z_a)`` as a
     Fortran-ordered (n1, n2, n3) array.
@@ -266,75 +367,20 @@ def _plane_sum(table, w, points, q):
     vectors at the sorted distinct mode-l coordinates u of the (N, 3)
     ``points``; ``w`` None means that the mode-1 table carries the
     weights.  Each plane (distinct mode-3 coordinate) gets its R two-mode
-    products by one batched GEMM.  The first block of about n1 (plane,
-    term) groups meets its mode-3 vectors in one GEMM whose (n3, n1 n2)
-    product is the result; each later block adds into it one tile of
-    min(2^20 / n3, n1 n2 / 8) / W columns at a time.  The W shares of
-    ``_on_slabs`` each take a contiguous range of mode-2 rows, so their
-    two-mode products, GEMMs and tiles touch disjoint columns of the
-    result.  Share k builds a block's products a chunk of its rows at a
-    time in its own buffer of at most 2^21 floats (16 MiB), or one row;
-    where the unchunked block fits, as at every n1 = n2 = n3 <= 128, a
-    chunk is the whole share, with that block's GEMMs and bits.  The
-    buffers are allocated before the shares start.
+    products by one batched GEMM.  The planes go in blocks of G = min(n1
+    // R, Z) R (plane, term) products, and the mode-2 rows in the chunks
+    of ``_row_chunks``, from about 2^18 floats (2 MiB) of a block's
+    products to twice that, or one row; the shares of ``_on_slabs`` take runs of whole
+    chunks, so their products and GEMMs touch disjoint columns of the
+    result, and each share allocates its buffers once.  The first block of
+    a chunk meets its mode-3 vectors in one GEMM whose (n3, chunk) product
+    is the chunk's part of the result; each later block's product goes
+    into a tile buffer of the chunk's size and is added into it.  Chunks
+    and tiles depend on the sizes alone, so every GEMM has the same
+    operands, and the result the same bits, at any worker count.
     """
-    points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
-    u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
-    T = [np.ascontiguousarray(table(l, u[l])) for l in range(3)]
-    if w is not None:
-        T[0] = T[0] * np.reshape(w, (-1, 1, 1))
-    R, (n1, n2, n3) = T[0].shape[0], (t.shape[2] for t in T)
-    # plane p holds the points bounds[p] .. bounds[p + 1] of the points
-    # sorted by their mode-3 coordinate, whose mode-1 and mode-2 table
-    # rows are i0 and i1 and whose weights are q
-    order = np.argsort(idx[2], kind="stable")
-    bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
-    i0, i1, q = idx[0][order], idx[1][order], q[order, None]
-    Z, step = bounds.size - 1, max(1, n1 // R)
-    # the number of shares _on_slabs(work, n2) makes
-    W = max(1, min(n2, _slab_workers()))
-    # allocated first, so a grid too large for memory fails before any work
-    out = np.empty((n3, n1 * n2))
-    # share k, rows edges[k] .. edges[k + 1], takes block k, for chunks of
-    # min(rows, its rows) mode-2 rows of G n1 floats, 2^21 floats or one
-    # row, and tile k, of at most 2^20 floats and an eighth of out
-    G, edges = min(step, Z) * R, [n2 * k // W for k in range(W + 1)]
-    rows = max(1, 2 ** 21 // (G * n1))
-    ends = np.cumsum([0] + [G * n1 * min(rows, b - a)
-                            for a, b in zip(edges, edges[1:])])
-    blocks = np.empty(ends[-1])
-    cols = max(1, min(2 ** 20 // n3, n1 * n2 // 8) // W)
-    bufs = {edges[k]: (blocks[ends[k]:ends[k + 1]], tile) for k, tile in
-            enumerate(np.empty((W, n3, cols)) if Z > step else [None] * W)}
-
-    def work(j0, j1):
-        block, buf = bufs[j0]
-        for p0 in range(0, Z, step):
-            P = min(step, Z - p0)
-            # (E3, K) of the planes p0 .. p0 + P: E3 @ K is their sum
-            E3 = T[2][:, p0:p0 + P].transpose(2, 1, 0).reshape(n3, P * R)
-            for r0 in range(j0, j1, rows):
-                # rows r0 .. r1 are output columns c0 .. c1: kab[p*R + k] is
-                # indexed [i2, i1], so K's columns are mode-1-fastest
-                r1 = min(r0 + rows, j1)
-                c0, c1 = r0 * n1, r1 * n1
-                kab = block[:P * R * (c1 - c0)].reshape(P * R, r1 - r0, n1)
-                for p in range(P):
-                    a = slice(bounds[p0 + p], bounds[p0 + p + 1])
-                    np.matmul(
-                        (T[1][:, i1[a], r0:r1] * q[a]).transpose(0, 2, 1),
-                        T[0][:, i0[a]], out=kab[p * R:(p + 1) * R])
-                K = kab.reshape(P * R, c1 - c0)
-                if p0 == 0:
-                    np.matmul(E3, K, out=out[:, c0:c1])
-                    continue
-                for c in range(0, c1 - c0, cols):
-                    Kt = K[:, c:c + cols]
-                    out[:, c0 + c:c0 + c + Kt.shape[1]] += np.matmul(
-                        E3, Kt, out=buf[:, :Kt.shape[1]])
-
-    _on_slabs(work, n2)
-    return out.T.reshape((n1, n2, n3), order="F")
+    sums = _plane_plan(table, w, points, q)
+    return sums(table(1, sums.u1))
 
 
 def shift_sum(ref, centers, charges):

@@ -10,13 +10,16 @@ most n for grid-snapped charges, whatever N is, and its GEMMs run on
 numpy's BLAS: neither oracle loads scipy.  Its tables zero the Gaussians
 below ``_FLOOR``, which keeps subnormal floats, slow on x86 CPUs, out of
 those GEMMs.  ``compare`` reads the two fields one chunk of mode-2 rows
-at a time, about 2^21 values a chunk, and each chunk a block of planes at
-a time, the blocks shared out among the threads of ``_on_slabs``, so it
-allocates no n^3 array: each block masks only the nodes that reach it.
-``_oracle_rows`` serves either oracle chunk by chunk, the Gaussian sum
-tabulating its mode-2 factors at the chunk's rows only, so ``run`` and
-``validate`` compare against an oracle that never exists as an n^3 array
-or mask; ``direct_sum_oracle`` evaluates it over all rows at once.
+at a time, about 2^18 values (2 MiB) a chunk, the chunks shared out
+among the threads of ``_on_slabs``: each thread evaluates a chunk of
+the reference into its one buffer and compares it there at once, so
+``compare`` allocates no n^3 array, and each chunk masks only the nodes
+that reach it.  ``_oracle_rows`` serves either oracle chunk by chunk,
+the Gaussian sum tabulating its mode-2 factors at the chunk's rows only
+and everything else once, so ``run`` and ``validate`` compare against
+an oracle that never exists as an n^3 array or mask, with a few MiB a
+thread beside the field; ``direct_sum_oracle`` evaluates it over all
+rows at once.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .formats import _on_slabs, _plane_sum
+from .formats import _on_slabs, _plane_plan, _row_chunks
 from .solver import GridFunction3
 
 # F: gaussian_field zeroes its table entries below it.  Three kept entries
@@ -79,35 +82,44 @@ class ErrorReport:
         return "\n".join("%s=%s" % kv for kv in pairs) + "\n"
 
 
-def gaussian_field(positions, charges, grid, q, rows=None, tables=None):
+def gaussian_field(positions, charges, grid, q, rows=None, plan=None,
+                   out=None):
     """Dense Gaussian-sum potential of point charges at arbitrary positions.
 
     The factors ``exp(-t_k^2 (x - u)^2)`` are tabulated once per term k and
     distinct coordinate u of each mode; ``_plane_sum`` sums them plane by
     plane (distinct third coordinate) and returns the Fortran-ordered
-    (mode-1 fastest) field, so the largest temporary besides it is one
-    block of at most n^3 two-mode products; the mode-1 table carries the
-    weights w_k.  Entries below ``_FLOOR`` = 2^-256 are zeroed before
-    that, so no subnormal float slows the GEMMs; a node moves
-    by less than 2^-256 sum_k |w_k| sum_a |z_a|.  ``rows``, a range of
-    mode-2 nodes, gives the field over those rows only, shape (n,
-    len(rows), n): the mode-2 factors are tabulated at them alone.
-    ``tables`` maps 0 and 2 to the mode-1 and mode-3 tables of the same
-    positions, grid and q (``_gaussian_table``), so that a caller summing
-    chunk after chunk of rows tabulates those two modes once.
+    (mode-1 fastest) field, so the largest temporaries besides it are
+    each worker's block of about 2^18 two-mode products and its tile; the
+    mode-1 table carries the weights w_k.  Entries below ``_FLOOR`` =
+    2^-256 are zeroed before that, so no subnormal float slows the GEMMs;
+    a node moves by less than 2^-256 sum_k |w_k| sum_a |z_a|.  ``rows``, a
+    range of mode-2 nodes, gives the field over those rows only, shape
+    (n, len(rows), n): the mode-2 factors are tabulated at them alone.
+    ``plan`` is the ``_gaussian_plan`` of the same positions, charges,
+    grid and q, so that a caller summing chunk after chunk of rows
+    tabulates the other two modes and sorts the points once; ``out``, a
+    Fortran-ordered array of the result's shape, takes the result.
     """
-    x, tables = grid.coords(), tables or {}
-    xs = (x, x if rows is None else x[rows], x)
-    return _plane_sum(lambda l, u: tables[l] if l in tables
-                      else _gaussian_table(q, xs[l], u, l),
-                      None, positions, charges)
+    x = grid.coords()
+    if plan is None:
+        plan = _gaussian_plan(positions, charges, x, q)
+    return plan(_gaussian_table(q, x if rows is None else x[rows], plan.u1, 1),
+                out)
+
+
+def _gaussian_plan(positions, charges, x, q):
+    # the plane sum's set-up of the Gaussian sum on the node coordinates x
+    return _plane_plan(lambda l, u: _gaussian_table(q, x, u, l), None,
+                       positions, charges)
 
 
 def _gaussian_table(q, x, u, l):
     # (R, len(u), len(x)) factors exp(-t_k^2 (x - u)^2) of table l, zeroed
     # below _FLOOR; table 0's are weighted by w_k in place, as _plane_sum
     # takes them with no weights of its own
-    t = np.exp(-q.nodes[:, None, None] ** 2 * (x - u[:, None]) ** 2)
+    t = -q.nodes[:, None, None] ** 2 * (x - u[:, None]) ** 2
+    np.exp(t, out=t)
     t[t < _FLOOR] = 0.0  # a bool mask: no float temporary
     if l == 0:
         t *= q.weights[:, None, None]
@@ -134,11 +146,12 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
     is undefined, are set to 0 and listed in ``meta["excluded_nodes"]``,
     an (M, 3) node array, which ``compare`` leaves out of every metric.
     This is the oracle that ``compare`` streams (``_oracle_rows``) built
-    over all rows in one call: where ``compare`` reads it in one chunk
-    (n <= 146) the two have the same bits, elsewhere the Gaussian sum's
-    agree to roundoff.
+    over all rows in one call: the exact oracle's have the same bits, the
+    Gaussian sum's agree to roundoff, as its chunks' GEMMs round
+    differently.
     """
-    vals, undefined = _oracle_rows(m, grid, kernel, quad)(0, grid.n)
+    vals = np.empty((grid.n,) * 3, order="F")
+    undefined = _oracle_rows(m, grid, kernel, quad)(0, grid.n, vals)
     meta = {"kernel": kernel}
     if kernel == "exact_newton":
         meta["excluded_nodes"] = undefined
@@ -146,43 +159,51 @@ def direct_sum_oracle(m, grid, kernel="gaussian_sum", quad=None):
 
 
 def _oracle_rows(m, grid, kernel="gaussian_sum", quad=None):
-    """The oracle of ``direct_sum_oracle`` as a function ``rows(r0, r1)``
-    that ``compare`` reads one chunk of mode-2 rows at a time: it returns
-    the oracle's values over the rows r0 <= i2 < r1, Fortran-ordered with
-    shape (n, r1 - r0, n), and the (M, 3) grid nodes among them where the
-    oracle is undefined (the exact kernel's atom nodes), so no n^3 array
-    or mask of the oracle exists.
+    """The oracle of ``direct_sum_oracle`` as a function ``rows(r0, r1,
+    out)`` that ``compare`` reads one chunk of mode-2 rows at a time: it
+    writes the oracle's values over the rows r0 <= i2 < r1 into ``out``,
+    a Fortran-ordered (n, r1 - r0, n) array, and returns the (M, 3) grid
+    nodes among them where the oracle is undefined (the exact kernel's
+    atom nodes), so no n^3 array or mask of the oracle exists.  The
+    Gaussian sum's set-up (``_gaussian_plan``: the mode-1 and mode-3
+    tables and the points sorted by plane) is made here, once for every
+    chunk.
     """
+    x = grid.coords()
     if kernel == "gaussian_sum":
         if quad is None:
             raise ConfigError("gaussian_sum oracle needs a quadrature")
-        # the mode-1 and mode-3 tables are those of every chunk
-        x = grid.coords()
-        fixed = {l: _gaussian_table(quad, x, np.unique(m.positions[:, l]), l)
-                 for l in (0, 2)}
-        return lambda r0, r1: (gaussian_field(m.positions, m.charges, grid,
-                                              quad, rows=range(r0, r1),
-                                              tables=fixed), ())
+        plan = _gaussian_plan(m.positions, m.charges, x, quad)
+
+        def rows(r0, r1, out):
+            gaussian_field(m.positions, m.charges, grid, quad,
+                           rows=range(r0, r1), plan=plan, out=out)
+            return np.empty((0, 3), dtype=int)
+
+        return rows
     if kernel != "exact_newton":
         raise ConfigError("unknown oracle kernel %r" % kernel)
-    x = grid.coords()
 
-    def rows(r0, r1):
-        out, singular = _coulomb_sum(m, x, x[r0:r1], x, tol=1e-9 * grid.h)
-        return out, np.argwhere(singular) + (0, r0, 0)
+    def rows(r0, r1, out):
+        singular = _coulomb_sum(m, x, x[r0:r1], x, tol=1e-9 * grid.h,
+                                out=out)[1]
+        return np.argwhere(singular) + (0, r0, 0)
 
     return rows
 
 
-def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
+def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0, out=None):
     """sum_a z_a exp(-kappa r_a) / r_a at the nodes (x1[i], x2[j], x3[k]),
     for the exact oracle and the ``--bc analytic`` faces alike.
 
     Returns ``(values, mask)``, Fortran-ordered: nodes within ``tol`` of an
     atom, where 1/r is undefined, are 0 in ``values`` and True in ``mask``.
+    ``out``, a Fortran-ordered array of that shape, takes the values.
     """
     shape = (len(x1), len(x2), len(x3))
-    out = np.zeros(shape, order="F")
+    if out is None:
+        out = np.empty(shape, order="F")
+    out.fill(0.0)
     singular = np.zeros(shape, dtype=bool, order="F")
     for pos, z in zip(m.positions, m.charges):
         d1 = (x1 - pos[0]) ** 2
@@ -203,31 +224,31 @@ def _coulomb_sum(m, x1, x2, x3, kappa=0.0, tol=0.0):
 
 def _chunks(n):
     # the chunks (r0, r1) of mode-2 rows that compare reads, set by n
-    # alone: the rows shared out evenly among the whole number of chunks
-    # nearest n^3 / 2^21, at least one and at most n, so a chunk holds
-    # about 2^21 values (16 MiB), under 1.5 times that plus a row, and
-    # n <= 146 makes one chunk
-    k = max(1, min(n, round(n ** 3 / 2 ** 21)))
-    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    # alone: about 2^18 values (2 MiB) each, under twice that plus a row,
+    # and at least four, so that where one chunk would be the whole grid
+    # (n <= 80) a worker's buffers hold at most about a quarter of a field
+    return _row_chunks(n, n * n, least=4)
 
 
 def compare(a, b, exclude_centers=None, config=None):
     """Error metrics of field ``a`` against reference ``b``.
 
-    ``b`` is a GridFunction3 or a function ``b(r0, r1)``, as
-    ``_oracle_rows`` makes, that returns the reference over the mode-2 rows
-    r0 <= i2 < r1, an (n, r1 - r0, n) array, and the (M, 3) nodes among
-    them where it is undefined.  Both are read one chunk of rows at a time,
-    so a reference given as a function is never held whole; a GridFunction3
-    is sliced, its undefined nodes listed in ``b.meta["excluded_nodes"]``
-    (the exact oracle's atom nodes, stored as 0).  Each chunk is read a
-    block of i3 planes at a time, each block's difference formed in its
-    worker's buffer.  Undefined nodes drop out of every metric.
+    ``b`` is a GridFunction3 or a function ``b(r0, r1, out)``, as
+    ``_oracle_rows`` makes, that writes the reference over the mode-2 rows
+    r0 <= i2 < r1 into ``out``, a Fortran-ordered (n, r1 - r0, n) array,
+    and returns the (M, 3) nodes among them where it is undefined.  Both
+    are read one chunk of rows (``_chunks``) at a time, the chunks shared
+    out among the threads of ``_on_slabs``: each thread reads its chunks
+    into one buffer, so a reference given as a function is never held
+    whole, and forms each chunk's difference in place there.  A
+    GridFunction3 is copied into it chunk by chunk, its undefined nodes
+    listed in ``b.meta["excluded_nodes"]`` (the exact oracle's atom nodes,
+    stored as 0).  Undefined nodes drop out of every metric.
     ``exclude_centers`` lists node index triples (atom centers); the nodes
     within one grid unit (Chebyshev) of any of them, the singular cores,
     drop out of ``max_abs_excluding_cores`` only.  Both lists are (M, 3)
     node arrays or sequences of triples in [0, n)^3 (else
-    ``ConfigError``), and each block masks only those of their nodes that
+    ``ConfigError``), and each chunk masks only those of their nodes that
     reach it.
     """
     if callable(b):
@@ -236,59 +257,37 @@ def compare(a, b, exclude_centers=None, config=None):
         raise ConfigError("fields live on different grids")
     else:
         g, rows = b.grid, _sliced(b)
-    n = g.n
-    cores = _by_plane(exclude_centers, n, "exclude_centers")
-    # each chunk in blocks of k planes, shared out by _on_slabs: a block
-    # holds at most max(1, 2^15 // n^2) planes' worth of nodes (256 KiB of
-    # floats, or one plane when a plane is larger), set by n alone, and
-    # goes through its worker's buffer, so W workers hold W of them; its
-    # undefined nodes are zeroed first, its core nodes once the block's
-    # sums and full-grid max are taken.  part[j] holds block j's (ref_ss,
-    # ss, max_abs, max_excl), combined in block order below, so the report
-    # has the same bits at any worker count
-    size, part = max(1, 2 ** 15 // n ** 2) * n * n, []
-    for r0, r1 in _chunks(n):
-        ref, undefined = rows(r0, r1)
-        undefined = _by_plane(undefined, n, "excluded_nodes")
-        near = cores[(cores[:, 1] >= r0 - 1) & (cores[:, 1] <= r1)]
-        k = min(n, max(1, size // (n * (r1 - r0))))
-        z = np.arange(0, n + k, k).clip(max=n)
-        nb = len(z) - 1
-        # the nodes of block j: undefined[u[j]:u[j + 1]] and, of the
-        # centers, near[c[j]:c[nb + j]], from one search each
-        u = np.searchsorted(undefined[:, 2], z)
-        c = np.searchsorted(near[:, 2], np.r_[z[:-1] - 1, z[1:] + 1])
-        p = np.empty((nb, 4))
+    n, chunks = g.n, _chunks(g.n)
+    cores = _by_row(exclude_centers, n, "exclude_centers")
+    # the centers within a row of chunk j: cores[c0[j]:c1[j]]
+    c0 = np.searchsorted(cores[:, 1], [r0 - 1 for r0, _ in chunks])
+    c1 = np.searchsorted(cores[:, 1], [r1 for _, r1 in chunks], "right")
+    # part[j] holds chunk j's (ref_ss, ss, max_abs, max_excl), combined in
+    # chunk order below, so the report has the same bits at any worker
+    # count.  A chunk's undefined nodes are zeroed in the reference and the
+    # difference, its core nodes once its sums and full-grid max are taken
+    part, c_max = np.empty((len(chunks), 4)), max(r1 - r0 for r0, r1 in chunks)
 
-        def blocks(j0, j1):
-            buf = np.empty(n * (r1 - r0) * k)
-            for j in range(j0, j1):
-                z0, z1 = z[j], z[j + 1]
-                shape, lo = (n, r1 - r0, z1 - z0), (0, r0, z0)
-                d = buf[:np.prod(shape)].reshape(shape, order="F")
-                ref_j = ref[:, :, z0:z1]
-                if len(undefined):  # a chunk's blocks all compacted
-                    listed = _in_block(undefined[u[j]:u[j + 1]], 0, lo, shape)
-                    keep = np.ones(shape, dtype=bool)
-                    keep[listed] = False
-                    p[j, 0] = _sumsq(ref_j[keep])
-                else:
-                    p[j, 0] = _sumsq(ref_j)
-                np.abs(np.subtract(a.values[:, r0:r1, z0:z1], ref_j, out=d),
-                       out=d)
-                if len(undefined):
-                    d[listed] = 0.0
-                p[j, 2] = d.max()
-                p[j, 1] = _sumsq(d)
-                centers = near[c[j]:c[nb + j]]
-                if len(centers):
-                    d[_in_block(centers, 1, lo, shape)] = 0.0
-                p[j, 3] = d.max()
+    def work(j0, j1):
+        buf = np.empty(n * c_max * n)
+        for j in range(j0, j1):
+            r0, r1 = chunks[j]
+            shape, lo = (n, r1 - r0, n), (0, r0, 0)
+            d = buf[:n * (r1 - r0) * n].reshape(shape, order="F")
+            listed = _in_block(_by_row(rows(r0, r1, d), n, "excluded_nodes"),
+                               0, lo, shape)
+            d[listed] = 0.0
+            part[j, 0] = _sumsq(d)
+            np.abs(np.subtract(a.values[:, r0:r1], d, out=d), out=d)
+            d[listed] = 0.0
+            part[j, 2] = d.max()
+            part[j, 1] = _sumsq(d)
+            centers = cores[c0[j]:c1[j]]
+            if len(centers):
+                d[_in_block(centers, 1, lo, shape)] = 0.0
+            part[j, 3] = d.max()
 
-        _on_slabs(blocks, len(p))
-        part.append(p)
-        del ref  # freed before the next chunk is made
-    part = np.concatenate(part)
+    _on_slabs(work, len(chunks))
     if not np.isfinite(part).all():
         raise NumericError("field or reference is not finite, or overflows")
     ref_ss = ss = 0.0
@@ -307,23 +306,27 @@ def compare(a, b, exclude_centers=None, config=None):
 
 
 def _sliced(f):
-    # compare's reader of a dense reference: its rows r0 .. r1 and the
-    # nodes of meta["excluded_nodes"] among them
-    listed = _by_plane(f.meta.get("excluded_nodes"), f.grid.n,
-                       "excluded_nodes")
-    return lambda r0, r1: (f.values[:, r0:r1],
-                           listed[(listed[:, 1] >= r0) & (listed[:, 1] < r1)])
+    # compare's reader of a dense reference: it copies rows r0 .. r1 into
+    # out and returns the nodes of meta["excluded_nodes"] among them
+    listed = _by_row(f.meta.get("excluded_nodes"), f.grid.n, "excluded_nodes")
+
+    def rows(r0, r1, out):
+        out[...] = f.values[:, r0:r1]
+        return listed[np.searchsorted(listed[:, 1], r0):
+                      np.searchsorted(listed[:, 1], r1)]
+
+    return rows
 
 
 _CUBE = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # a radius-1 core
 
 
-def _by_plane(nodes, n, name):
-    # (M, 3) int nodes sorted by i3, each in [0, n)^3, i3 contiguous
+def _by_row(nodes, n, name):
+    # (M, 3) int nodes sorted by i2, each in [0, n)^3
     p = np.reshape(np.asarray(() if nodes is None else nodes, int), (-1, 3))
     if np.any((p < 0) | (p >= n)):
         raise ConfigError("%s holds a node outside [0, %d)^3" % (name, n))
-    return np.asfortranarray(p[np.argsort(p[:, 2])])
+    return p[np.argsort(p[:, 1], kind="stable")]
 
 
 def _in_block(p, r, lo, shape):

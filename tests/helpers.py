@@ -8,7 +8,9 @@ short-range part, the O(n^2)-per-line sine transform, the Poisson solve
 on all nodes with zero ghosts, single shifted kernel windows, a split at a
 fixed long-range count, reading back an exported CSV slice, and serial
 whole-grid counterparts of the passes that run on slabs of planes: the
-short-range scatter and the error metrics of compare.
+short-range scatter and the error metrics of compare, and the whole
+oracle that compare streams chunk by chunk, with the check that two
+references' reports differ by no more than the references do.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import numpy as np
 from rstensor import (CanonicalTensor3, ConfigError, DiscreteLaplacian,
                       Grid3, GridFunction3, apply_kron_laplacian,
                       poisson_solve, zero_canonical)
+from rstensor import validation
 from rstensor.formats import _plane_sum, dense, shift_sum
 from rstensor.grid_kernel import _gauss
 
@@ -255,3 +258,37 @@ def compare_reference(a, b, centers, listed, h):
             "max_abs": np.max(np.abs(diff[keep]), initial=0.0),
             "max_abs_excluding_cores": np.max(np.abs(diff[keep & ~core]),
                                               initial=0.0)}
+
+
+def streamed_oracle(rows, n):
+    """The (n, n, n) field that ``rows`` (``validation._oracle_rows``)
+    serves chunk by chunk, in the chunks that ``compare`` reads."""
+    out = np.empty((n, n, n), order="F")
+    for r0, r1 in validation._chunks(n):
+        chunk = np.empty((n, r1 - r0, n), order="F")
+        rows(r0, r1, chunk)
+        out[:, r0:r1] = chunk
+    return out
+
+
+def assert_reports_agree(got, want, a, b):
+    """``compare``'s reports ``got`` and ``want`` of one field against the
+    references ``a`` and ``b``, with no undefined nodes, differ by no more
+    than the references do (the triangle inequality): the root-sum-squares
+    by at most ||a - b||, the maxima by at most max|a - b|, and the
+    relative L2 as those and ||a|| - ||b|| allow.  A relative 1e-12
+    covers the rounding of the sums themselves."""
+    gap, top = np.sqrt(np.sum((a - b) ** 2)), np.max(np.abs(a - b))
+    na, nb = np.sqrt(np.sum(a ** 2)), np.sqrt(np.sum(b ** 2))
+    slack = lambda v: 1e-12 * abs(v)
+    assert got.n == want.n and got.b == want.b and got.config == want.config
+    assert abs(got.rss - want.rss) <= gap + slack(want.rss)
+    scale = np.sqrt((2 * want.b / (want.n - 1)) ** 3)  # h^(3/2)
+    assert abs(got.discrete_l2 - want.discrete_l2) \
+        <= scale * gap + slack(want.discrete_l2)
+    for k in ("max_abs", "max_abs_excluding_cores"):
+        assert abs(getattr(got, k) - getattr(want, k)) \
+            <= top + slack(getattr(want, k)), k
+    assert abs(got.relative_l2 - want.relative_l2) \
+        <= (gap + want.relative_l2 * abs(na - nb)) / na \
+        + slack(want.relative_l2)

@@ -199,6 +199,26 @@ def test_collective_matches_gaussian_oracle(ligand_mol):
     assert np.max(np.abs(vals - ref)) <= 1e-11
 
 
+def test_passes_keep_no_template(ligand_mol):
+    # compose_total and scatter_short densify the template for their pass
+    # and keep none on the tensor; the first entry query builds and keeps
+    # it, and a pass then reads the kept one, with the same bits
+    g = rt.Grid3(33, rt.resolve_box(rt.RunConfig(n=33), ligand_mol))
+    q = rt.build_quadrature(12, g.h, 2 * SQRT3 * g.b)
+    k = rt.split_reference(rt.assemble_reference_tensor(q, g), 6, 1e-8)
+    rs = rt.assemble_collective(rt.snapped_molecule(ligand_mol, g)[0], k,
+                                None)
+    zero = np.zeros((33, 33, 33), order="F")
+    first = (rt.compose_total(rt.GridFunction3(g, zero.copy()), rs).values,
+             rt.scatter_short(rs, zero.copy()))
+    assert rs._template is None
+    rt.rs_eval_entry(rs, (16, 16, 16))
+    assert rs._template is rs.template_dense()
+    again = (rt.compose_total(rt.GridFunction3(g, zero.copy()), rs).values,
+             rt.scatter_short(rs, zero.copy()))
+    assert all(same_bits(x, y) for x, y in zip(first, again))
+
+
 @pytest.mark.parametrize("case", ["born-n33", "ligand18-n129"])
 def test_template_dense_drops_subnormal_factors(born_mol, ligand_mol,
                                                 monkeypatch, case):

@@ -12,8 +12,8 @@ import pytest
 
 import rstensor as rt
 from conftest import FIXTURES, same_bits
-from helpers import (import_slice, negate, scatter_short_serial,
-                     zero_ghost_solve)
+from helpers import (assert_reports_agree, import_slice, negate,
+                     scatter_short_serial, streamed_oracle, zero_ghost_solve)
 from rstensor.cli import _resolve_quadrature
 
 BORN = os.path.join(FIXTURES, "born.pqr")
@@ -831,11 +831,10 @@ def test_oracle_fields_are_mode1_fastest(born_mol, kernel):
 @pytest.mark.parametrize("bc", ["homogeneous", "analytic"])
 @pytest.mark.parametrize("case", ["born97", "born161", "cluster60"])
 def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
-    # the report is compare's of the total against the oracle, read a
-    # block of i3 planes at a time: born at n=97 has 27 planes per block,
-    # three full blocks and a ragged one of 16.  At n=161 the run streams
-    # the oracle in two chunks of rows: its report is compare's of the
-    # streamed oracle bit for bit, and within roundoff of the oracle built
+    # the report is compare's of the total against the oracle, which the
+    # run streams in chunks of rows (4 at n = 97, 8 at n = 129, 15 at n =
+    # 161): its report is compare's of the streamed oracle bit for bit, and
+    # within the references' difference of compare's of the oracle built
     # over all rows in one call, whose GEMMs round differently.  A run
     # with an on_parts hook runs the stages of a plain run in the same
     # order, so the hook changes no bit of the total, the report or the
@@ -846,17 +845,14 @@ def test_run_report_is_compare_of_total(born_mol, cluster60, case, bc):
     out, u, short = _run_parts(cfg, m)
     args = (out["molecule"], u.grid, "gaussian_sum", out["quadrature"])
     assert np.array_equal(out["total"].values, u.values + short.values)
-    total = out["total"]
-    ref, dense = (rt.compare(total, oracle, exclude_centers=out["rs"].nodes,
+    total, rows = out["total"], rt.validation._oracle_rows(*args)
+    dense = rt.direct_sum_oracle(*args)
+    ref, whole = (rt.compare(total, oracle, exclude_centers=out["rs"].nodes,
                              config={"oracle": "gaussian_sum"})
-                  for oracle in (rt.validation._oracle_rows(*args),
-                                 rt.direct_sum_oracle(*args)))
+                  for oracle in (rows, dense))
     assert dataclasses.asdict(out["report"]) == dataclasses.asdict(ref)
-    got, want = dataclasses.asdict(ref), dataclasses.asdict(dense)
-    if case == "born161":
-        assert got.pop("config") == want.pop("config")
-        want = pytest.approx(want, rel=1e-9, abs=0.0)
-    assert got == want
+    assert_reports_agree(ref, whole, streamed_oracle(rows, cfg.n),
+                         dense.values)
     plain = rt.run_case(cfg, m)
     assert "u_long" not in plain and "short" not in plain
     assert same_bits(plain["total"].values, out["total"].values)
@@ -896,50 +892,64 @@ def _traced_run_case(cfg, m, on_parts, monkeypatch):
     return out, images[0], peaks
 
 
-def _plane_sum_bytes(n, c, R, points):
-    # What _plane_sum holds summing R terms over the (N, 3) points into c
-    # of the n mode-2 rows: its (n, c, n) output, its blocks of two-mode
-    # products, the W shares' parts of at most 2^21 floats each and no
-    # more than the unchunked block of G = min(n // R, Z) R products of
-    # n x c floats; its three (R, distinct, rows) tables (the mode-2 one at
-    # the c rows), the weighted copy of the first or the second copy that
-    # makes the last contiguous, and a byte a table entry for the floor's
-    # bool mask or the shift's node index; its tile buffers of at most
-    # min(2^20, n^2 c / 8) floats, its W (n, G) mode-3 blocks and each
-    # share's gathers of a plane's points, R x (points in the plane) x n
-    # floats of mode-1 rows and twice as many of the mode-2 rows in a part
-    W = min(n, rt.formats._slab_workers())
-    u, inv = zip(*(np.unique(np.reshape(points, (-1, 3))[:, l],
-                             return_inverse=True) for l in range(3)))
-    u = [v.size for v in u]
-    G = min(n // R, u[2]) * R
-    rows = min(max(1, 2 ** 21 // (G * n)), -(-c // W))
-    return (8 * (n * n * c + min(G * n * c, W * 2 ** 21)
-                 + R * (n * (u[0] + u[2] + max(u[0], u[2])) + c * u[1])
-                 + min(2 ** 20 // n, n * c // 8) * n + W * n * G
-                 + W * R * np.bincount(inv[2]).max() * (n + 2 * rows))
+def _plane_share_bytes(n, c, R, points):
+    # (W, bytes a share holds) of _plane_sum summing R terms over the (N,
+    # 3) points into c of the n mode-2 rows.  A share holds its block of
+    # the two-mode products of G = min(max(1, n // R), Z) R (plane, term)
+    # pairs over the rows of its largest chunk (formats._row_chunks), its
+    # tile of that chunk's columns, when the Z planes take more than one
+    # block, and its gathers of a plane's points, R x (points in the
+    # plane) x n floats of mode-1 rows and twice as many of the mode-2
+    # rows in a chunk.  The W shares are those of its chunks
+    u, inv = np.unique(np.reshape(points, (-1, 3))[:, 2], return_inverse=True)
+    step, Z = max(1, n // R), u.size
+    G = min(step, Z) * R
+    chunks = rt.formats._row_chunks(c, G * n)
+    rows = max(r1 - r0 for r0, r1 in chunks)
+    tile = n * n * rows if Z > step else 0
+    return (min(len(chunks), rt.formats._slab_workers()),
+            8 * (G * n * rows + tile
+                 + R * np.bincount(inv).max() * (n + 2 * rows)))
+
+
+def _table_bytes(n, c, R, points):
+    # _plane_sum's three (R, distinct, rows) tables, the mode-2 one at c
+    # rows, the weighted or transposed copy of the first or the last, and
+    # a byte a table entry for the floor's bool mask or the shift's node
+    # index
+    u = [np.unique(np.reshape(points, (-1, 3))[:, l]).size for l in range(3)]
+    return (8 * R * (n * (u[0] + u[2] + max(u[0], u[2])) + c * u[1])
             + R * max(u) * n)
 
 
+def _plane_sum_bytes(n, c, R, points):
+    # What _plane_sum holds summing into c of the n mode-2 rows: its (n,
+    # c, n) output, its tables and the buffers of each of its W shares
+    W, share = _plane_share_bytes(n, c, R, points)
+    return 8 * n * n * c + _table_bytes(n, c, R, points) + W * share
+
+
 def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
-    # What a compare pass holds besides the field it reads: one chunk of
-    # the oracle with its temporaries, and compare's own buffers.  The
-    # largest chunk, of c mode-2 rows (validation._chunks), sets it.
-    # The exact oracle's chunk: its values, its singular mask, one atom's
-    # distances and their hit mask, 18 bytes a node.  The Gaussian sum's:
-    # the plane sum of its q.rank terms over the atoms into the c rows.
-    # compare's: its W buffers of max(1, 2^15 // n^2) n^2 floats, a
-    # block's compacted reference or non-contiguous copy of it, and, per
-    # centre, the sorted node copies and the 27 core nodes a worker clips
-    # into a block
-    W = min(n, rt.formats._slab_workers())
-    c = max(r1 - r0 for r0, r1 in rt.validation._chunks(n))
-    N = snapped.n_atoms
-    compare = (2 * W * 8 * max(1, 2 ** 15 // n ** 2) * n * n
-               + N * (4 * 24 + W * 27 * 3 * 24))
+    # What a compare pass holds besides the field it reads.  Each of its W
+    # workers reads its chunks of at most c mode-2 rows (validation._chunks)
+    # into one buffer, and evaluates the oracle there.  The exact oracle's
+    # chunk: its singular mask and one atom's distances and their hit
+    # mask, 18 bytes a node with the buffer.  The Gaussian sum's: the
+    # worker's mode-2 table at the chunk's rows with its exponent and mask,
+    # and the buffers of a plane-sum share, beside the mode-1 and mode-3
+    # tables set up once.  compare's own: per centre, the sorted node
+    # copies and the 27 core nodes a worker clips into a chunk
+    chunks = rt.validation._chunks(n)
+    W = min(len(chunks), rt.formats._slab_workers())
+    c = max(r1 - r0 for r0, r1 in chunks)
+    N, R, pts = snapped.n_atoms, q.rank, snapped.positions
+    lists = N * (4 * 24 + W * 27 * 3 * 24)
     if kernel == "exact_newton":
-        return 18 * n * n * c + compare
-    return _plane_sum_bytes(n, c, q.rank, snapped.positions) + compare
+        return W * 18 * n * n * c + lists
+    u1 = np.unique(pts[:, 1]).size
+    return (_table_bytes(n, 0, R, pts) + lists
+            + W * (8 * n * n * c + 17 * R * u1 * c
+                   + _plane_share_bytes(n, c, R, pts)[1]))
 
 
 def _long_bytes(rs, image):
@@ -960,10 +970,11 @@ def _long_bytes(rs, image):
 
 def _kept_bytes(out):
     # what a run keeps besides its fields: the long factors, the long and
-    # short reference columns, the short template, the kernel, and 256 KiB
-    # of slack
+    # short reference columns, the kernel, and 256 KiB of slack.  No dense
+    # template: the compose pass densifies its own and drops it
     rs = out["rs"]
-    return rs.template_dense().nbytes + sum(
+    assert rs._template is None
+    return sum(
         f.nbytes for t in (rs.long, rs.long_reference, rs.short_reference,
                            out["kernel"].wide_tensor) if t is not None
         for f in t.factors) + 2 ** 18
@@ -985,14 +996,14 @@ def _check_peaks(out, image, peaks, parts):
     # compare, a default run holds one n^3 float field, the long part that
     # takes the total, beside what it keeps, the W block buffers of the
     # compose pass (together at most one field, at n = 65 on two workers
-    # a whole one), the W workers' products of a template window (one
-    # template each) and the window list, under 1 KiB an atom: the short
-    # field, allocated beside them, breaks the bound by a field less the
-    # slack.  With parts the hook is shown both parts, two fields, with
-    # the same products and window list.  The compare pass holds one
-    # field, the total, plus one chunk of the oracle and the buffers of
+    # a whole one), the template it densifies, the W workers' products of
+    # a template window (one template each) and the window list, under 1
+    # KiB an atom: the short field, allocated beside them, breaks the
+    # bound by a field less the slack.  With parts the hook is shown both
+    # parts, two fields, with the same template, products and window list.
+    # The compare pass holds one field, the total, plus the buffers of
     # _pass_bytes: a second field, the oracle built whole, breaks that
-    # bound wherever a chunk is less than a field (n > 146).  Every
+    # bound wherever a field outweighs those buffers (n > 73).  Every
     # window, the assembly's too, also keeps the bound of a run that
     # composed its total in a new array and masked the cores in an n^3
     # bool: three fields, that mask, 2^18 // n^2 planes and the kept
@@ -1000,26 +1011,29 @@ def _check_peaks(out, image, peaks, parts):
     rs = out["rs"]
     n, kept = rs.grid.n, _kept_bytes(out)
     field, W = 8 * n ** 3, min(n, rt.formats._slab_workers())
+    template = 8 * rs.short_reference.shape[0] ** 3
     _, long_peak, stage_peak, compare_peak = peaks
     bound = _long_bytes(rs, image) + kept
     assert long_peak <= bound, (long_peak, bound)
     bound = ((2 * field if parts else field + _block_bytes(n))
-             + W * rs.template_dense().nbytes + 2 ** 10 * len(rs.nodes)
-             + kept)
+             + (W + 1) * template + 2 ** 10 * len(rs.nodes) + kept)
     assert stage_peak <= bound, (stage_peak, bound)
     bound = field + _pass_bytes(n, out["quadrature"], out["molecule"]) + kept
     assert compare_peak <= bound, (compare_peak, bound)
+    if n > 73:
+        assert bound < 2 * field, bound
     bound = 3 * field + n ** 3 + 8 * n * n * (2 ** 18 // n ** 2) + kept
     assert max(peaks) <= bound, (peaks, bound)
 
 
-_PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n193": 193,
+_PEAK_CASES = {"ligand18": 65, "cluster100": 65, "ligand18-n129": 129,
+               "cluster100-n161": 161, "ligand18-n193": 193,
                "ligand18-3planes": 65}
 
 
 def _peak_molecule(ligand_mol, case):
-    return (rt.synthetic_cluster(100, 8.0, seed=1) if case == "cluster100"
-            else ligand_mol)
+    return (rt.synthetic_cluster(100, 8.0, seed=1)
+            if case.startswith("cluster100") else ligand_mol)
 
 
 @pytest.mark.parametrize("case", sorted(_PEAK_CASES)
@@ -1039,12 +1053,12 @@ def test_run_case_peak_holds_two_fields(ligand_mol, monkeypatch, tmp_path,
     # fields there; with blocks of 3 planes, as at n = 257, the buffers
     # are 6 of 65 planes, and a short field scattered whole and added in
     # one pass, with no block buffers, breaks it as it does at n = 193.
-    # The oracle built whole breaks the pass bound at n = 193, where a
-    # chunk is 65 of 193 rows.  With parts the hook of run --parts dumps
+    # The oracle built whole breaks the pass bound from n = 129: a
+    # worker's chunk is 17 of 129 rows, 11 of 161 or 8 of 193.  With parts the hook of run --parts dumps
     # both parts, two fields, before the pass and keeps neither.
-    # cluster100's long part is reduced (2100 -> 2028): its Tucker image,
-    # counted in the long stage alone, is dropped once densified (kept, it
-    # broke the stage bound by 1.7 MB)
+    # cluster100's long part is reduced at n = 65 (2100 -> 2028): its
+    # Tucker image, counted in the long stage alone, is dropped once
+    # densified (kept, it broke the stage bound by 1.7 MB)
     case, parts = case.removesuffix("-parts"), case.endswith("-parts")
     m, n = _peak_molecule(ligand_mol, case), _PEAK_CASES[case]
     if case.endswith("-3planes"):

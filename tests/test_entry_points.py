@@ -74,8 +74,9 @@ def test_traced_run_reaches_gaussian_field_by_chunks(monkeypatch):
     # the tracer's gaussian_field hook reads args[1] (the charges), args[3]
     # (the quadrature) and the size of the array returned: a traced run
     # reaches validation.gaussian_field once per chunk of mode-2 rows
-    # (two at n = 161), each call returns an ndarray, and the sizes sum to
-    # n^3, so the hook's flop count is that of one full-grid oracle
+    # (15 at n = 161), from compare's threads, each call returns an
+    # ndarray, and the sizes sum to n^3, so the hook's flop count is that
+    # of one full-grid oracle
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     calls, real = [], rt.validation.gaussian_field
@@ -94,8 +95,10 @@ def test_traced_run_reaches_gaussian_field_by_chunks(monkeypatch):
     finally:
         tracer.restore()
     spans = tracer.take()
-    assert len(calls) == len(rt.validation._chunks(n)) == 2
-    assert len([s for s in spans if s[0] == "validation.gaussian_field"]) == 2
+    chunks = len(rt.validation._chunks(n))
+    assert len(calls) == chunks == 15
+    assert len([s for s in spans
+                if s[0] == "validation.gaussian_field"]) == chunks
     assert all(isinstance(o, np.ndarray) for _, o in calls)
     assert sum(o.size for _, o in calls) == n ** 3
     for args, _ in calls:

@@ -270,13 +270,13 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
 @pytest.mark.parametrize("W", [1, 2, 3])
 def test_plane_sum_chunks_rows_past_the_cap(W):
     # R = 256 terms, 2 planes a block: a mode-2 row of the block is
-    # 512 x 512 floats, so a share builds its products 2^21 / 2^18 = 8 rows
-    # at a time, and the third plane's block adds its 4096 columns a chunk
-    # in ragged tiles of 2560 // W.  The sum is that of the terms, point by
-    # point, and no buffer holds the unchunked 512 x 40 x 512 floats (84 MB):
-    # the peak is the output, the tables (the mode-1 one twice, weighted),
-    # W blocks of 2^21 floats, and each share's gathers of a plane's mode-1
-    # rows and of its mode-2 rows in a chunk, twice
+    # 512 x 512 = 2^18 floats, so each of the 40 chunks is one row, and the
+    # third plane's block adds its 512 columns a chunk from one tile of 3 x
+    # 512 floats.  The sum is that of the terms, point by point, and no
+    # buffer holds the unchunked 512 x 40 x 512 floats (84 MB): the peak
+    # is the output, the tables (the mode-1 one twice, weighted), W blocks
+    # of 2^18 floats and tiles, and each share's gathers of a plane's
+    # mode-1 rows and of its mode-2 rows in a chunk, twice
     rng = np.random.default_rng(4)
     R, shape, m, N = 256, (512, 40, 3), (4, 4, 3), 12
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
@@ -299,8 +299,11 @@ def test_plane_sum_chunks_rows_past_the_cap(W):
     assert out.shape == shape and out.flags.f_contiguous
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
     tables = R * (2 * m[0] * shape[0] + m[1] * shape[1] + m[2] * shape[2])
-    gathers = W * R * np.bincount(pts[:, 2]).max() * (shape[0] + 2 * 8)
-    bound = 8 * (W * 2 ** 21 + tables + gathers + np.prod(shape)) + 2 ** 20
+    assert rt.formats._row_chunks(40, 2 * R * 512) == [
+        (r, r + 1) for r in range(40)]
+    gathers = W * R * np.bincount(pts[:, 2]).max() * (shape[0] + 2)
+    bound = (8 * (W * (2 ** 18 + 3 * 512) + tables + gathers
+                  + np.prod(shape)) + 2 ** 20)
     assert peak <= bound, (peak, bound)
 
 
@@ -341,6 +344,26 @@ def test_on_slabs_without_setter_matches_threaded(set_blas_threads,
     assert same_bits(serial, threaded)
     me = threading.get_ident()
     assert len(ran[0]) == 2 and me in ran[0] and ran[1] == {me}
+
+
+def test_on_slabs_nested_runs_inline(set_blas_threads):
+    # a call inside a share runs its whole range in that share's thread,
+    # with no pool of its own, and leaves the BLAS at the one thread the
+    # outer call pinned; the outer call still restores two
+    set_blas_threads(2)
+    inner = []
+
+    def outer(j0, j1):
+        for _ in range(j0, j1):
+            me = threading.get_ident()
+            _on_slabs(lambda i0, i1: inner.append(
+                (i0, i1, threading.get_ident() == me, _openblas()[0]())), 5)
+            assert _openblas()[0]() == 1
+
+    with slab_workers(2):
+        _on_slabs(outer, 4)
+    assert inner == [(0, 5, True, 1)] * 4
+    assert _openblas()[0]() == 2
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import rstensor as rt
 from conftest import FIXTURES, same_bits, slab_workers
-from helpers import compare_reference, raw_gaussian_field
+from helpers import (assert_reports_agree, compare_reference,
+                     raw_gaussian_field, streamed_oracle)
 from rstensor import validation
+from rstensor.assembly import _columns
 from rstensor.cli import _resolve_quadrature
 
 SQRT3 = np.sqrt(3.0)
@@ -270,29 +272,33 @@ def test_compare_same_bits_at_any_worker_and_blas_thread_count(
 
 
 def test_compare_chunks_match_reference():
-    # n = 147 makes two chunks of mode-2 rows (0-72, 73-146): centres and
-    # listed nodes on the rows either side of the chunk edge and on the
-    # grid's faces, whose cores a per-chunk mask could miss or clip wrong.
-    # The values are multiples of 2^-8, so every sum is exact in any
-    # order: each worker count gives the reference's metrics, and a
-    # reference given as a function of rows, returning contiguous copies of
-    # the chunks as the oracle does, gives the GridFunction3's bits
+    # n = 147 makes twelve chunks of mode-2 rows, eleven of 13 rows and
+    # one of 4: centres and listed nodes on the rows either side of the
+    # edge at row 78 and on the grid's faces, whose cores a per-chunk mask
+    # could miss or clip wrong.  The values are multiples of 2^-8, so
+    # every sum is exact in any order: each worker count gives the
+    # reference's metrics, and a reference given as a function of rows,
+    # writing the chunks into compare's buffer as the oracle does, gives
+    # the GridFunction3's bits
     n = 147
-    assert validation._chunks(n) == [(0, 73), (73, 147)]
+    chunks = validation._chunks(n)
+    assert len(chunks) == 12 and chunks[5:7] == [(65, 78), (78, 91)]
+    assert chunks[-1] == (143, 147)
     g = rt.Grid3(n, 3.0)
     rng = np.random.default_rng(21)
     u, b = (np.asfortranarray(v) for v in
             rng.integers(-2 ** 11, 2 ** 11, (2, n, n, n)) / 256.0)
-    centers = np.array([(5, 72, 9), (7, 73, 0), (146, 0, 146), (0, 146, 3),
-                        (70, 74, 80), (3, 71, 81)])
-    listed = np.array([(1, 72, 2), (2, 73, 2), (146, 146, 146), (0, 0, 0)])
+    centers = np.array([(5, 77, 9), (7, 78, 0), (146, 0, 146), (0, 146, 3),
+                        (70, 79, 80), (3, 76, 81)])
+    listed = np.array([(1, 77, 2), (2, 78, 2), (146, 146, 146), (0, 0, 0)])
     for c in centers[:2]:  # bumps on the cores across the edge
-        u[tuple(c + (0, 1 - 2 * (c[1] == 73), 1))] += 64.0
+        u[tuple(c + (0, 1 - 2 * (c[1] == 78), 1))] += 64.0
     fb = rt.GridFunction3(g, b, {"excluded_nodes": listed})
 
-    def rows(r0, r1):
+    def rows(r0, r1, out):
         inside = (listed[:, 1] >= r0) & (listed[:, 1] < r1)
-        return np.asfortranarray(b[:, r0:r1]), listed[inside]
+        out[...] = b[:, r0:r1]
+        return listed[inside]
 
     want = compare_reference(u, b, centers, listed, g.h)
     reps = []
@@ -308,7 +314,7 @@ def test_compare_chunks_match_reference():
 
 @pytest.mark.parametrize("kernel", ["gaussian_sum", "exact_newton"])
 def test_compare_streams_the_oracle(born_mol, monkeypatch, kernel):
-    # at n = 161 the oracle comes in two chunks of rows.  A chunk of the
+    # at n = 161 the oracle comes in 15 chunks of rows.  A chunk of the
     # Gaussian sum tabulates its mode-2 factors at its own rows, within
     # roundoff of the dense oracle, built over all rows in one call; its
     # mode-1 and mode-3 tables are built once for every chunk, with the
@@ -328,10 +334,13 @@ def test_compare_streams_the_oracle(born_mol, monkeypatch, kernel):
     monkeypatch.setattr(validation, "_gaussian_table", spy)
     rows = validation._oracle_rows(m, g, kernel, q)
     chunks = validation._chunks(n)
-    assert len(chunks) == 2
-    got = [rows(r0, r1) for r0, r1 in chunks]
+    assert len(chunks) == 15
+    got = []
+    for r0, r1 in chunks:
+        vals = np.empty((n, r1 - r0, n), order="F")
+        got.append((vals, rows(r0, r1, vals)))
     if kernel == "gaussian_sum":
-        assert modes == [0, 2, 1, 1]
+        assert modes == [0, 2] + [1] * 15
         for (r0, r1), (vals, _) in zip(chunks, got):
             assert same_bits(vals, rt.gaussian_field(
                 m.positions, m.charges, g, q, rows=range(r0, r1)))
@@ -346,7 +355,8 @@ def test_compare_streams_the_oracle(born_mol, monkeypatch, kernel):
                 <= 1e-15 * top
     centre = [(n - 1) // 2] * 3
     if kernel == "exact_newton":
-        assert [u.tolist() for _, u in got] == [[], [centre]]
+        assert [u.tolist() for _, u in got] == [
+            [centre] if r0 <= centre[1] < r1 else [] for r0, r1 in chunks]
         assert dense.meta["excluded_nodes"].tolist() == [centre]
     f = _field(g, dense.values + 1e-3 * np.cos(np.arange(n ** 3)).reshape(
         (n, n, n)))
@@ -354,6 +364,71 @@ def test_compare_streams_the_oracle(born_mol, monkeypatch, kernel):
                  for ref in (rows, dense))
     assert got.pop("config") == want.pop("config")
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("cap", [None, 2 ** 12])
+def test_plane_sums_have_the_same_bits_at_any_worker_count(monkeypatch, cap):
+    # the plane sum's row chunks and tiles and compare's chunks are set by
+    # the sizes and the cap, not by the worker count, so the Gaussian-sum
+    # oracle, the densified and the binned (c2t_shift_sum) long sums and
+    # compare's report of a field against the streamed oracle have the
+    # same bits on one worker and on two.  A 60-atom cluster at n = 97: the
+    # full-grid sums come in 3 chunks of rows at the default cap and in
+    # chunks of one row at a cap of 2^12 floats
+    if cap is not None:
+        monkeypatch.setattr(rt.formats, "_CAP", cap)
+    m = rt.synthetic_cluster(60, 5.0, seed=7)
+    rs, q, kernel, snapped, eps = rt.cli._assemble_stage(
+        rt.RunConfig(n=97, b=10.0), m, {})
+    g, nodes, z = rs.grid, rs.nodes, snapped.charges
+    ref = _columns(kernel.wide_tensor, slice(0, kernel.split_index))
+    G = (97 // q.rank) * q.rank * 97
+    assert len(rt.formats._row_chunks(97, G)) == (3 if cap is None else 97)
+    outs = []
+    for W in (1, 2):
+        with slab_workers(W):
+            oracle = rt.gaussian_field(snapped.positions, z, g, q)
+            rows = validation._oracle_rows(snapped, g, "gaussian_sum", q)
+            field = _field(g, oracle * (1 + 1e-9 * np.cos(np.arange(
+                97 ** 3)).reshape(oracle.shape)))
+            outs.append((oracle, rt.formats.shift_sum_dense(ref, nodes, z),
+                         rt.formats.c2t_shift_sum(ref, nodes, z, eps).core,
+                         rt.compare(field, rows, exclude_centers=nodes)))
+    (*one, rep1), (*two, rep2) = outs
+    assert all(same_bits(a, b) for a, b in zip(one, two))
+    assert rep1.keyvalues() == rep2.keyvalues()
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([33, 65]), atoms=st.integers(1, 6),
+       rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_compare_matches_dense_oracle(n, atoms, rows, seed):
+    # compare reads the Gaussian-sum oracle of a random small molecule in
+    # chunks of 1-3 rows, each evaluated by a worker: its report agrees
+    # with compare's against the oracle built over all rows in one call
+    # within the references' difference, and has the same bits on one
+    # worker and on two
+    rng = np.random.default_rng(seed)
+    g = rt.Grid3(n, 6.0)
+    m = rt.snapped_molecule(rt.Molecule(rng.uniform(-4.0, 4.0, (atoms, 3)),
+                                        rng.choice([-1.0, 1.0], atoms)
+                                        * rng.uniform(0.5, 2.0, atoms)), g)[0]
+    q = rt.build_quadrature(10, g.h, 2 * SQRT3 * g.b)
+    nodes = rt.snap_to_grid(m, g)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_chunks", lambda n: [
+            (r, min(r + rows, n)) for r in range(0, n, rows)])
+        dense = rt.direct_sum_oracle(m, g, quad=q)
+        f = _field(g, dense.values + 1e-6 * rng.standard_normal((n, n, n)))
+        reps = []
+        for W in (1, 2):
+            with slab_workers(W):
+                rows_of = validation._oracle_rows(m, g, "gaussian_sum", q)
+                reps.append(rt.compare(f, rows_of, exclude_centers=nodes))
+        streamed = streamed_oracle(rows_of, n)
+    assert reps[0].keyvalues() == reps[1].keyvalues()
+    assert_reports_agree(reps[0], rt.compare(f, dense, exclude_centers=nodes),
+                         streamed, dense.values)
 
 
 def test_compare_all_nodes_excluded():
@@ -393,8 +468,9 @@ def test_compare_refuses_nodes_off_the_grid(centers, listed):
 
 def test_compare_allocates_no_grid_array():
     # 2,000 centers and 100 listed nodes at n=129: compare holds each
-    # worker's block buffers, the sorted node lists and, per block, the
-    # cores of the centers that reach it, far below one n^3 bool mask
+    # worker's chunk buffer, the sorted node lists and, per chunk, the
+    # cores of the centers that reach it: W chunks of about 2^18 values,
+    # below half of one n^3 float field
     n, N, M = 129, 2000, 100
     g = rt.Grid3(n, 4.0)
     rng = np.random.default_rng(12)
@@ -411,21 +487,19 @@ def test_compare_allocates_no_grid_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    k = max(1, 2 ** 15 // n ** 2)
-    blocks = -(-n // k)
-    # the most centers whose cores reach one block: i3 within one plane
-    per_plane = np.bincount(nodes[:, 2], minlength=n)
-    m = max(per_plane[max(j * k - 1, 0):(j + 1) * k + 1].sum()
-            for j in range(blocks))
-    # a worker: its float buffer, keep mask and compacted reference block
-    # (17 bytes a node), and a block's 27 m core nodes as int64 triples,
-    # three times over while they are shifted and clipped into the block
-    worker = 17 * n * n * k + 27 * m * 3 * 24
-    # a node list: its int64 copy, sorted copy and Fortran copy, its
-    # argsort and three bool range tests
-    lists = (N + M) * (3 * 24 + 8 + 3 * 3)
+    chunks = validation._chunks(n)
+    c = max(r1 - r0 for r0, r1 in chunks)
+    # the most centers whose cores reach one chunk: i2 within one row
+    per_row = np.bincount(nodes[:, 1], minlength=n)
+    m = max(per_row[max(r0 - 1, 0):r1 + 1].sum() for r0, r1 in chunks)
+    # a worker: its chunk buffer and a chunk's 27 m core nodes as int64
+    # triples, three times over while they are shifted and clipped into it
+    worker = 8 * n * n * c + 27 * m * 3 * 24
+    # a node list: its int64 copy, sorted copy, argsort and three bool
+    # range tests
+    lists = (N + M) * (2 * 24 + 8 + 3 * 3)
     bound = W * worker + lists + 2 ** 16
-    assert bound < n ** 3, bound  # below one n^3 bool
+    assert bound < 8 * n ** 3 // 2, bound  # below half a field
     assert peak <= bound, (peak, bound)
 
 
@@ -487,15 +561,14 @@ def test_gaussian_field_matches_pointwise_sum(case):
 
 def test_gaussian_oracle_memory():
     # on clusters the oracle, not the compose pass, sets the peak of
-    # run_case, so it is bounded on its own: the output, _plane_sum's kab
-    # blocks, no more than the unchunked one of min(n // R, Z) planes of R
-    # n x n slices and at most 2^21 floats for each of the W shares (a
-    # mode-2 row is G n = 8439 floats here), the three (R, distinct, n)
-    # tables, one more of the first's size for the per-plane gathers (the
-    # first table is weighted in place, with no copy) and the tile buffer
-    # of min(2^20 // n, n^2 // 8) rows; 2^18 bytes cover the index arrays
-    # and the mode-3 block.  A second n^3 array (7.3 MB here) breaks the
-    # bound.
+    # run_case, so it is bounded on its own: the output, each of the W
+    # shares' block of the two-mode products of min(n // R, Z) planes of R
+    # terms over the rows of a chunk (about 2^18 floats; a mode-2 row is G
+    # n = 8439 floats here) and its tile of the chunk's columns, the three
+    # (R, distinct, n) tables and one more of the first's size for the
+    # transposed mode-3 table and the per-plane gathers (the first table is
+    # weighted in place, with no copy); 2^18 bytes cover the index arrays.
+    # A second n^3 array (7.3 MB here) breaks the bound.
     m = rt.synthetic_cluster(400, 12.0, seed=1)
     g = rt.Grid3(97, rt.resolve_box(rt.RunConfig(n=97), m))
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
@@ -509,10 +582,12 @@ def test_gaussian_oracle_memory():
         tracemalloc.stop()
     n, R = g.n, q.rank
     u = [np.unique(snapped.positions[:, l]).size for l in range(3)]
-    W = min(n, rt.formats._slab_workers())
-    kab = min(min(n // R, u[2]) * R * n * n, W * 2 ** 21)
-    rows = min(2 ** 20 // n, n * n // 8)
-    bound = 8 * (n ** 3 + kab + R * n * (sum(u) + u[0]) + rows * n) + 2 ** 18
+    G = min(n // R, u[2]) * R
+    chunks = rt.formats._row_chunks(n, G * n)
+    rows = max(r1 - r0 for r0, r1 in chunks)
+    W = min(len(chunks), rt.formats._slab_workers())
+    share = G * n * rows + n * n * rows
+    bound = 8 * (n ** 3 + W * share + R * n * (sum(u) + u[0])) + 2 ** 18
     assert peak <= bound, (peak, bound)
 
 
@@ -550,31 +625,33 @@ def test_gaussian_field_floor_keeps_every_bit(name):
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
 def test_gaussian_field_tables_have_no_subnormal(name, monkeypatch):
-    # every table entry _plane_sum gets is 0 or at least the floor F, the
-    # mode-1 table's times its term's weight w_k (that table carries the
-    # weights), and F^3 min|w| min|z| is normal, so no operand of the
+    # every table entry the plane sum gets is 0 or at least the floor F,
+    # the mode-1 table's times its term's weight w_k (that table carries
+    # the weights), and F^3 min|w| min|z| is normal, so no operand of the
     # oracle's GEMMs and no product of one entry of each table and a
     # charge is subnormal
     m, g, q = _oracle_case(name)
-    real, seen = validation._plane_sum, []
+    real_table, real_plan, seen = (validation._gaussian_table,
+                                   validation._plane_plan, {})
 
-    def spy(table, w, points, z):
-        def record(l, u):
-            seen.append(table(l, u))
-            return seen[-1]
+    def table(q, x, u, l):
+        seen[l] = real_table(q, x, u, l)
+        return seen[l]
+
+    def plan(table, w, points, z):
         assert w is None
-        seen.append(np.min(np.abs(z)))
-        return real(record, w, points, z)
+        seen["z"] = np.min(np.abs(z))
+        return real_plan(table, w, points, z)
 
-    monkeypatch.setattr(validation, "_plane_sum", spy)
+    monkeypatch.setattr(validation, "_gaussian_table", table)
+    monkeypatch.setattr(validation, "_plane_plan", plan)
     rt.gaussian_field(m.positions, m.charges, g, q)
-    z_min, tables = seen[0], seen[1:]
+    assert sorted(seen, key=str) == [0, 1, 2, "z"]
     F, w = validation._FLOOR, np.abs(q.weights)[:, None, None]
-    assert len(tables) == 3
-    assert np.all((tables[0] == 0.0) | (np.abs(tables[0]) >= F * w))
-    for t in tables[1:]:
+    assert np.all((seen[0] == 0.0) | (np.abs(seen[0]) >= F * w))
+    for t in (seen[1], seen[2]):
         assert np.all((t == 0.0) | (t >= F))
-    assert F ** 3 * np.min(w) * z_min >= np.finfo(float).tiny
+    assert F ** 3 * np.min(w) * seen["z"] >= np.finfo(float).tiny
 
 
 # each case runs in a fresh interpreter after "import rstensor as rt" and
