@@ -366,12 +366,11 @@ def _window_adder(t, scale=1.0):
     # add(dst, z0, z1) adds into dst, the (n, n, z1 - z0) array of planes
     # z0 <= i3 < z1, the windows [c - r, c + r] that reach them, clipped
     # to the grid and the planes, in atom order: dst[a:b] += (scale w)
-    # T[a-lo:b-lo].  T is the cached template or, with none cached, one
-    # densified here and dropped with add; each window's mode-1 and mode-2
-    # slices are cut here, once, before any worker starts
+    # T[a-lo:b-lo].  T is a template densified here, not the query cache,
+    # and dropped with add; each window's mode-1 and mode-2 slices are cut
+    # here, once, before any worker starts
     n = t.grid.n
-    T = t._template if t._template is not None else _dense_template(
-        t.short_reference)
+    T = _dense_template(t.short_reference)
     r = t.support_radius
     lo = t.nodes - r
     a, b = np.maximum(lo, 0), np.minimum(lo + 2 * r + 1, n)

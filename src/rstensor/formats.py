@@ -189,8 +189,7 @@ def _on_slabs(fn, n):
     if getattr(_in_share, "on", False):
         fn(0, n)
         return
-    blas, threads = _openblas(), _blas_threads()
-    W = max(1, min(n, _slab_workers()))
+    blas, threads, W = _openblas(), _blas_threads(), _shares(n)
     edges = [n * k // W for k in range(W + 1)]
 
     def share(k):
@@ -212,6 +211,13 @@ def _on_slabs(fn, n):
     finally:
         if blas:
             blas[1](threads)
+
+
+def _shares(n):
+    # how many shares _on_slabs(fn, n) runs fn on: one inside a share
+    if getattr(_in_share, "on", False):
+        return 1
+    return max(1, min(n, _slab_workers()))
 
 
 _in_share = threading.local()  # its "on" is set while a share runs
@@ -288,20 +294,24 @@ def _row_chunks(n, per, least=1):
     return [(r, min(r + c, n)) for r in range(0, n, c)]
 
 
-def _plane_plan(table, w, points, q):
+def _plane_plan(table, w, points, q, least=1):
     """The set-up of ``_plane_sum``, for a caller that sums chunk after
     chunk of mode-2 rows: it tabulates modes 1 and 3 and sorts the points
     by plane once, and returns ``sums(T1, out=None)``, the plane sum with
     the (R, len(sums.u1), n2) mode-2 table T1 at the sorted distinct
-    mode-2 coordinates ``sums.u1``, written into ``out`` (a Fortran-ordered
-    (n1, n2, n3) array) when given.  Each thread that runs its shares
-    allocates its block and tile buffers once, on its first call.
+    mode-2 coordinates ``sums.u1``, written into ``out`` when given: a
+    Fortran-ordered (n1, n2, n3) array, else ``ConfigError``, as the sum
+    would go into a copy of another.  A sum cuts its rows into at least
+    ``least`` chunks (``_row_chunks``).  The calling thread makes the
+    block and tile buffers that its shares lack in one array, and the plan
+    keeps them for its next sum.
     """
     points, q = np.reshape(points, (-1, 3)), np.asarray(q, dtype=float)
     u, idx = zip(*(np.unique(p, return_inverse=True) for p in points.T))
-    T0 = np.ascontiguousarray(table(0, u[0]))
+    # (distinct, R, n1): a point's mode-1 vectors are one contiguous block
+    T0 = np.ascontiguousarray(np.transpose(table(0, u[0]), (1, 0, 2)))
     if w is not None:
-        T0 = T0 * np.reshape(w, (-1, 1, 1))
+        T0 = T0 * np.reshape(w, (-1, 1))
     # (n3, Z, R): the mode-3 vectors of the planes p0 .. p0 + P are the
     # columns of the (n3, P R) view E3[:, p0:p0 + P], with no copy
     E3 = np.ascontiguousarray(np.transpose(table(2, u[2]), (2, 1, 0)))
@@ -313,25 +323,40 @@ def _plane_plan(table, w, points, q):
     bounds = np.r_[0, np.cumsum(np.bincount(idx[2]))]
     i0, i1, q = idx[0][order], idx[1][order], q[order, None]
     step = max(1, n1 // R)
-    G, scratch = min(step, Z) * R, threading.local()
+    # the (block, tile) buffer pairs, each taken by one share at a time
+    G, pool = min(step, Z) * R, []
 
     def sums(T1, out=None):
         T1 = np.ascontiguousarray(T1)
         n2 = T1.shape[2]
+        if out is not None and not out.flags.f_contiguous:
+            # its reshape below would be a copy, and the sum lost in it
+            raise ConfigError("the plane sum writes a Fortran-ordered out")
         # out^T, the (n3, n1 n2) product that the GEMMs write
         res = (np.empty((n3, n1 * n2)) if out is None
                else out.reshape((n1 * n2, n3), order="F").T)
-        # a chunk's output columns: the tile, the product of a later
-        # block of planes, is added into them from a buffer of that width
-        chunks = _row_chunks(n2, G * n1)
+        # a later block of planes adds its product into a chunk's columns
+        # one tile of cols columns at a time, cols set by the sizes alone:
+        # the tiles of all the chunks together hold at most 2^20 floats
+        # and an eighth of an n1 x n3 x n3 array, the result of a sum over
+        # n3 mode-2 rows.  The few rows of an oracle chunk take one or two
+        # tiles
+        chunks = _row_chunks(n2, G * n1, least)
         width = n1 * max(r1 - r0 for r0, r1 in chunks)
-        tile = n3 * width if Z > step else 0
+        cols = min(width, max(1, min(2 ** 20 // n3, n1 * n3 // 8)
+                              // len(chunks)))
+        tile = n3 * cols if Z > step else 0
 
         def work(c0, c1):
-            bufs = getattr(scratch, "bufs", (np.empty(0), np.empty(0)))
+            bufs = pool.pop() if pool else (np.empty(0), np.empty(0))
             if bufs[0].size < G * width or bufs[1].size < tile:
-                bufs = scratch.bufs = np.empty(G * width), np.empty(tile)
-            block, buf = bufs
+                bufs = np.empty(G * width), np.empty(tile)
+            try:
+                add(c0, c1, *bufs)
+            finally:
+                pool.append(bufs)
+
+        def add(c0, c1, block, buf):
             for p0 in range(0, Z, step):
                 P = min(step, Z - p0)
                 E = E3[:, p0:p0 + P].reshape(n3, P * R)
@@ -344,14 +369,27 @@ def _plane_plan(table, w, points, q):
                         a = slice(bounds[p0 + p], bounds[p0 + p + 1])
                         np.matmul(
                             (T1[:, i1[a], r0:r1] * q[a]).transpose(0, 2, 1),
-                            T0[:, i0[a]], out=kab[p * R:(p + 1) * R])
+                            T0[i0[a]].transpose(1, 0, 2),
+                            out=kab[p * R:(p + 1) * R])
                     K = kab.reshape(P * R, m1 - m0)
                     if p0 == 0:
                         np.matmul(E, K, out=res[:, m0:m1])
-                    else:
-                        res[:, m0:m1] += np.matmul(
-                            E, K, out=buf[:n3 * (m1 - m0)].reshape(n3, -1))
+                        continue
+                    for c in range(0, m1 - m0, cols):
+                        Kt = K[:, c:c + cols]
+                        res[:, m0 + c:m0 + c + Kt.shape[1]] += np.matmul(
+                            E, Kt, out=buf[:n3 * Kt.shape[1]].reshape(n3, -1))
 
+        # the buffers the shares lack, made by the calling thread in one
+        # array, which the C library gives back whole once the plan is
+        # dropped; smaller ones made by the workers stayed in their heaps
+        # (1.3 MiB more peak RSS on a 400-atom reduction at n = 129)
+        k, size = _shares(len(chunks)) - len(pool), G * width + tile
+        if k > 0:
+            one = np.empty(k * size)
+            pool.extend((one[j * size:j * size + G * width],
+                         one[j * size + G * width:(j + 1) * size])
+                        for j in range(k))
         _on_slabs(work, len(chunks))
         return res.T.reshape((n1, n2, n3), order="F")
 
@@ -370,16 +408,20 @@ def _plane_sum(table, w, points, q):
     products by one batched GEMM.  The planes go in blocks of G = min(n1
     // R, Z) R (plane, term) products, and the mode-2 rows in the chunks
     of ``_row_chunks``, from about 2^18 floats (2 MiB) of a block's
-    products to twice that, or one row; the shares of ``_on_slabs`` take runs of whole
-    chunks, so their products and GEMMs touch disjoint columns of the
-    result, and each share allocates its buffers once.  The first block of
-    a chunk meets its mode-3 vectors in one GEMM whose (n3, chunk) product
-    is the chunk's part of the result; each later block's product goes
-    into a tile buffer of the chunk's size and is added into it.  Chunks
-    and tiles depend on the sizes alone, so every GEMM has the same
-    operands, and the result the same bits, at any worker count.
+    products to twice that, or one row, and at least two, so that two
+    workers share a sum of fewer products too; the shares of
+    ``_on_slabs`` take runs of whole chunks, so their products and GEMMs
+    touch disjoint columns of the result, and the calling thread makes
+    their buffers in one array.  The first block of a chunk meets its
+    mode-3 vectors in one GEMM whose (n3, chunk) product is the chunk's
+    part of the result; each later block's product goes into a tile
+    buffer a few columns at a time and is added into it.  The tiles of
+    all the chunks hold together at most 2^20 floats and an eighth of n3
+    planes of n1 x n3.  Chunks and tiles depend on the sizes alone, so
+    every GEMM has the same operands, and the result the same bits, at
+    any worker count.
     """
-    sums = _plane_plan(table, w, points, q)
+    sums = _plane_plan(table, w, points, q, least=2)
     return sums(table(1, sums.u1))
 
 

@@ -22,7 +22,7 @@ from rstensor import (CanonicalTensor3, ConfigError, DiscreteLaplacian,
                       Grid3, GridFunction3, apply_kron_laplacian,
                       poisson_solve, zero_canonical)
 from rstensor import validation
-from rstensor.formats import _plane_sum, dense, shift_sum
+from rstensor.formats import _plane_plan, dense, shift_sum
 from rstensor.grid_kernel import _gauss
 
 
@@ -33,10 +33,15 @@ def gaussian_sum(q, rho):
 
 def raw_gaussian_field(positions, charges, grid, q):
     """``gaussian_field`` on the raw tables exp(-t_k^2 (x - u)^2), without
-    the floor: entries below 2^-256 and subnormal ones are kept."""
+    the floor: entries below 2^-256 and subnormal ones are kept.  Its
+    plane plan is the one gaussian_field makes, chunks and all."""
     x, t2 = grid.coords(), q.nodes[:, None, None] ** 2
-    return _plane_sum(lambda l, u: np.exp(-t2 * (x - u[:, None]) ** 2),
-                      q.weights, positions, charges)
+
+    def table(l, u):
+        return np.exp(-t2 * (x - u[:, None]) ** 2)
+
+    sums = _plane_plan(table, q.weights, positions, charges)
+    return sums(table(1, sums.u1))
 
 
 def negate(t):

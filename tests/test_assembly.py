@@ -202,7 +202,7 @@ def test_collective_matches_gaussian_oracle(ligand_mol):
 def test_passes_keep_no_template(ligand_mol):
     # compose_total and scatter_short densify the template for their pass
     # and keep none on the tensor; the first entry query builds and keeps
-    # it, and a pass then reads the kept one, with the same bits
+    # it, and a pass after it has the same bits
     g = rt.Grid3(33, rt.resolve_box(rt.RunConfig(n=33), ligand_mol))
     q = rt.build_quadrature(12, g.h, 2 * SQRT3 * g.b)
     k = rt.split_reference(rt.assemble_reference_tensor(q, g), 6, 1e-8)

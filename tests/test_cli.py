@@ -892,24 +892,27 @@ def _traced_run_case(cfg, m, on_parts, monkeypatch):
     return out, images[0], peaks
 
 
-def _plane_share_bytes(n, c, R, points):
-    # (W, bytes a share holds) of _plane_sum summing R terms over the (N,
-    # 3) points into c of the n mode-2 rows.  A share holds its block of
-    # the two-mode products of G = min(max(1, n // R), Z) R (plane, term)
-    # pairs over the rows of its largest chunk (formats._row_chunks), its
-    # tile of that chunk's columns, when the Z planes take more than one
-    # block, and its gathers of a plane's points, R x (points in the
-    # plane) x n floats of mode-1 rows and twice as many of the mode-2
-    # rows in a chunk.  The W shares are those of its chunks
+def _plane_share_bytes(n, c, R, points, least):
+    # (W, bytes a share holds, bytes of its tile) of a plane sum of R
+    # terms over the (N, 3) points into c of the n mode-2 rows, cut into
+    # at least `least` chunks (two for _plane_sum).  A share
+    # holds its block of the two-mode products of G = min(max(1, n // R),
+    # Z) R (plane, term) pairs over the rows of its largest chunk
+    # (formats._row_chunks) and its gathers of a plane's points, R x
+    # (points in the plane) x n floats of mode-1 rows and twice as many of
+    # the mode-2 rows in a chunk; and, when the Z planes take more than one
+    # block, its tile of n rows and as many columns as the chunks share out
+    # of min(2^20 // n, n^2 // 8), at most the chunk's.  The W shares are
+    # those of its chunks
     u, inv = np.unique(np.reshape(points, (-1, 3))[:, 2], return_inverse=True)
     step, Z = max(1, n // R), u.size
     G = min(step, Z) * R
-    chunks = rt.formats._row_chunks(c, G * n)
+    chunks = rt.formats._row_chunks(c, G * n, least)
     rows = max(r1 - r0 for r0, r1 in chunks)
-    tile = n * n * rows if Z > step else 0
+    cols = min(n * rows, max(1, min(2 ** 20 // n, n * n // 8) // len(chunks)))
     return (min(len(chunks), rt.formats._slab_workers()),
-            8 * (G * n * rows + tile
-                 + R * np.bincount(inv).max() * (n + 2 * rows)))
+            8 * (G * n * rows + R * np.bincount(inv).max() * (n + 2 * rows)),
+            8 * n * cols if Z > step else 0)
 
 
 def _table_bytes(n, c, R, points):
@@ -924,9 +927,13 @@ def _table_bytes(n, c, R, points):
 
 def _plane_sum_bytes(n, c, R, points):
     # What _plane_sum holds summing into c of the n mode-2 rows: its (n,
-    # c, n) output, its tables and the buffers of each of its W shares
-    W, share = _plane_share_bytes(n, c, R, points)
-    return 8 * n * n * c + _table_bytes(n, c, R, points) + W * share
+    # c, n) output, its tables and the buffers of each of its W shares,
+    # whose tiles hold together at most min(2^20 // n, n c // 8) columns
+    # of n rows
+    W, share, tile = _plane_share_bytes(n, c, R, points, 2)
+    assert W * tile <= 8 * min(2 ** 20 // n, n * c // 8) * n, (W, tile)
+    return (8 * n * n * c + _table_bytes(n, c, R, points)
+            + W * (share + tile))
 
 
 def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
@@ -949,7 +956,7 @@ def _pass_bytes(n, q, snapped, kernel="gaussian_sum"):
     u1 = np.unique(pts[:, 1]).size
     return (_table_bytes(n, 0, R, pts) + lists
             + W * (8 * n * n * c + 17 * R * u1 * c
-                   + _plane_share_bytes(n, c, R, pts)[1]))
+                   + sum(_plane_share_bytes(n, c, R, pts, 1)[1:])))
 
 
 def _long_bytes(rs, image):

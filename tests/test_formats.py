@@ -241,7 +241,8 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
 # three shares of one mode-2 row each
 @example(shape=(5, 3, 4), R=2, m=(2, 2, 9), N=40, seed=0, W=3)
 # 40 points on 2 x 2 x 9 nodes share some, 9 planes go in blocks of 2,
-# and the 25 columns of the output in tiles of 3, or of 1 in two shares
+# and the later blocks add into the 25 columns of the output one at a
+# time, from tiles of 5 x 3 // 8 = 1 column
 @example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1, W=1)
 @example(shape=(5, 5, 3), R=2, m=(2, 2, 9), N=40, seed=1, W=2)
 # at most 3 planes against blocks of 6 // 2 = 3: one GEMM, no tiles
@@ -251,8 +252,9 @@ def test_dense_arrays_are_fortran_ordered(shape, R):
 def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
     # N points on m_l coordinates per mode repeat nodes and crowd planes;
     # up to 12 planes against max(1, n1 // R) per group block cross blocks,
-    # n1 n2 // 8 // W columns per tile leave a ragged last tile, and W
-    # shares of mode-2 rows split the columns
+    # tiles of n1 n3 // 8 columns shared out among the chunks leave a
+    # ragged last tile, and W shares of chunks of mode-2 rows split the
+    # columns
     rng = np.random.default_rng(seed)
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
     pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
@@ -267,16 +269,35 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
+def test_plane_plan_writes_only_a_fortran_out():
+    # sums(T1, out) writes through a Fortran-order view of out: it fills a
+    # Fortran-ordered out with the bits of _plane_sum, the same plan in two
+    # chunks, and refuses a C-ordered one, whose view would be a copy that
+    # takes the sum
+    rng = np.random.default_rng(7)
+    R, shape, m, N = 3, (6, 5, 4), (3, 3, 4), 10
+    T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
+    pts = np.stack([rng.integers(0, ml, N) for ml in m], axis=1)
+    w, q = rng.standard_normal(R), rng.standard_normal(N)
+    sums = formats._plane_plan(lambda l, u: T[l][:, u], w, pts, q, least=2)
+    out = np.empty(shape, order="F")
+    sums(T[1][:, sums.u1], out)
+    assert same_bits(out, _plane_sum(lambda l, u: T[l][:, u], w, pts, q))
+    with pytest.raises(rt.ConfigError):
+        sums(T[1][:, sums.u1], np.empty(shape))
+
+
 @pytest.mark.parametrize("W", [1, 2, 3])
 def test_plane_sum_chunks_rows_past_the_cap(W):
     # R = 256 terms, 2 planes a block: a mode-2 row of the block is
     # 512 x 512 = 2^18 floats, so each of the 40 chunks is one row, and the
-    # third plane's block adds its 512 columns a chunk from one tile of 3 x
-    # 512 floats.  The sum is that of the terms, point by point, and no
-    # buffer holds the unchunked 512 x 40 x 512 floats (84 MB): the peak
-    # is the output, the tables (the mode-1 one twice, weighted), W blocks
-    # of 2^18 floats and tiles, and each share's gathers of a plane's
-    # mode-1 rows and of its mode-2 rows in a chunk, twice
+    # third plane's block adds its 512 columns a chunk from a tile of 3 x
+    # 512 x 3 // 8 // 40 = 3 x 4 floats.  The sum is that of the terms,
+    # point by point, and no buffer holds the unchunked 512 x 40 x 512
+    # floats (84 MB): the peak is the output, the tables (the mode-1 one
+    # twice, weighted), W blocks of 2^18 floats and tiles, and each
+    # share's gathers of a plane's mode-1 rows and of its mode-2 rows in a
+    # chunk, twice
     rng = np.random.default_rng(4)
     R, shape, m, N = 256, (512, 40, 3), (4, 4, 3), 12
     T = [rng.standard_normal((R, ml, nl)) for ml, nl in zip(m, shape)]
@@ -302,7 +323,7 @@ def test_plane_sum_chunks_rows_past_the_cap(W):
     assert rt.formats._row_chunks(40, 2 * R * 512) == [
         (r, r + 1) for r in range(40)]
     gathers = W * R * np.bincount(pts[:, 2]).max() * (shape[0] + 2)
-    bound = (8 * (W * (2 ** 18 + 3 * 512) + tables + gathers
+    bound = (8 * (W * (2 ** 18 + 3 * 4) + tables + gathers
                   + np.prod(shape)) + 2 ** 20)
     assert peak <= bound, (peak, bound)
 

@@ -466,11 +466,14 @@ def test_compare_refuses_nodes_off_the_grid(centers, listed):
     assert rep.max_abs == rep.max_abs_excluding_cores == 1.0
 
 
-def test_compare_allocates_no_grid_array():
+def test_compare_allocates_no_grid_array(monkeypatch):
     # 2,000 centers and 100 listed nodes at n=129: compare holds each
     # worker's chunk buffer, the sorted node lists and, per chunk, the
-    # cores of the centers that reach it: W chunks of about 2^18 values,
-    # below half of one n^3 float field
+    # cores of the centers that reach it, far below one n^3 bool mask.
+    # The chunks are cut to one row here, so that W of them are below
+    # that mask too (the default's 17 rows are a sixth of a field each)
+    monkeypatch.setattr(validation, "_chunks",
+                        lambda n: [(r, r + 1) for r in range(n)])
     n, N, M = 129, 2000, 100
     g = rt.Grid3(n, 4.0)
     rng = np.random.default_rng(12)
@@ -499,7 +502,7 @@ def test_compare_allocates_no_grid_array():
     # range tests
     lists = (N + M) * (2 * 24 + 8 + 3 * 3)
     bound = W * worker + lists + 2 ** 16
-    assert bound < 8 * n ** 3 // 2, bound  # below half a field
+    assert bound < n ** 3, bound  # below one n^3 bool
     assert peak <= bound, (peak, bound)
 
 
@@ -564,11 +567,12 @@ def test_gaussian_oracle_memory():
     # run_case, so it is bounded on its own: the output, each of the W
     # shares' block of the two-mode products of min(n // R, Z) planes of R
     # terms over the rows of a chunk (about 2^18 floats; a mode-2 row is G
-    # n = 8439 floats here) and its tile of the chunk's columns, the three
-    # (R, distinct, n) tables and one more of the first's size for the
-    # transposed mode-3 table and the per-plane gathers (the first table is
-    # weighted in place, with no copy); 2^18 bytes cover the index arrays.
-    # A second n^3 array (7.3 MB here) breaks the bound.
+    # n = 8439 floats here), the tiles of all shares together, at most
+    # min(2^20 // n, n^2 // 8) columns, the three (R, distinct, n) tables
+    # and one more of the first's size for the transposed copies and the
+    # per-plane gathers (the first table is weighted in place, with no
+    # copy); 2^18 bytes cover the index arrays.  A second n^3 array (7.3
+    # MB here) breaks the bound.
     m = rt.synthetic_cluster(400, 12.0, seed=1)
     g = rt.Grid3(97, rt.resolve_box(rt.RunConfig(n=97), m))
     q = rt.build_quadrature(29, g.h, 2 * SQRT3 * g.b)
@@ -586,8 +590,9 @@ def test_gaussian_oracle_memory():
     chunks = rt.formats._row_chunks(n, G * n)
     rows = max(r1 - r0 for r0, r1 in chunks)
     W = min(len(chunks), rt.formats._slab_workers())
-    share = G * n * rows + n * n * rows
-    bound = 8 * (n ** 3 + W * share + R * n * (sum(u) + u[0])) + 2 ** 18
+    tiles = min(2 ** 20 // n, n * n // 8) * n
+    bound = (8 * (n ** 3 + W * G * n * rows + tiles + R * n * (sum(u) + u[0]))
+             + 2 ** 18)
     assert peak <= bound, (peak, bound)
 
 
