@@ -378,7 +378,12 @@ def run_case(cfg, m, on_parts=None):
     mapped address space or, where ``/proc/meminfo`` gives it, against
     ``MemAvailable``, is a ``MemoryError`` at once.  The comparison holds
     the total and, per thread, a chunk of the oracle with the plane sum's
-    buffers (``compare``); no dense template is kept.
+    buffers (``compare``); no dense template is kept.  A reduced long
+    part is densified from its Tucker image a block of planes at a time
+    (``tucker_dense``), so such a run peaks either in its rank reduction,
+    at the SVD of the Tucker core's unfolding beside that core
+    (``t2c_with_image``), or, where a field outweighs that, in the passes
+    over the field.
     """
     timings = {}
     t_all = time.perf_counter()

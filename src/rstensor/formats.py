@@ -14,16 +14,19 @@ bins the copies by node instead of stacking their columns, and builds its
 core with the same plane-by-plane kernel that densifies such a sum.  The
 second step also returns the Tucker image of the terms it keeps, a core
 built from their core coordinates over the same factors, so a reduced
-tensor is densified by mode products of that image rather than term by
-term.  Every product here runs on numpy's own BLAS; the module imports no
-scipy.  Every threaded step of the package runs through one splitter,
+tensor is densified by mode products of that image, a block of mode-3
+planes at a time, rather than term by term; the image is built before
+the kept terms' side matrices, and each scratch array is freed once read.
+Every product here runs on numpy's own BLAS; the module imports no scipy.
+Every threaded step of the package runs through one splitter,
 ``_on_slabs``, which cuts a range into W contiguous shares, W being that
 BLAS's thread count at the call, and runs them on W threads with the BLAS
-pinned to one thread: the second-level SVDs of ``t2c_with_image`` and the
-chunks of mode-2 rows of the plane sum here, the n^3 passes of the other
-modules.  A splitter called inside a share (the plane sum of an oracle
-chunk that a ``compare`` worker evaluates) runs its range in that share.
-W single-threaded BLAS calls at once are faster on such small matrices
+pinned to one thread: the second-level SVDs of ``t2c_with_image``, the
+chunks of mode-2 rows of the plane sum and the blocks of mode-3 planes of
+``tucker_dense`` here, the n^3 passes of the other modules.  A splitter
+called inside a share (the plane sum of an oracle chunk that a
+``compare`` worker evaluates) runs its range in that share.  W
+single-threaded BLAS calls at once are faster on such small matrices
 than one BLAS call with W threads, and ``OPENBLAS_NUM_THREADS=1`` makes
 every step serial.
 """
@@ -145,11 +148,40 @@ def dense(t):
 
 def tucker_dense(t):
     """Materialize a Tucker tensor, Fortran-ordered, by three mode products
-    of the core; the products build its C-ordered transpose."""
+    of the core, a block of mode-3 planes at a time.
+
+    The blocks are the chunks of ``_row_chunks`` with r1 r2 floats a
+    plane, about 2^18 floats (2 MiB) of mode-3 product each, and the
+    shares of ``_on_slabs`` take runs of whole blocks.  A block's mode-3
+    product is one GEMM with the core read as r1 r2 rows of r3 values
+    through a reshape view; each of its planes then meets the mode-1
+    factor in one GEMM and the mode-2 factor in another, which writes the
+    plane straight into the output.  Beside the output a share holds one
+    block and one n1 x r2 plane product.  Blocks depend on the sizes
+    alone, so the result has the same bits at any worker count.
+    """
     (n1, n2, n3), (r1, r2, r3) = t.shape, t.ranks
-    X = (t.factors[2] @ t.core.T.reshape(r3, -1)).reshape(n3 * r2, r1)
-    X = (X @ t.factors[0].T).reshape(n3, r2, n1)
-    return np.matmul(t.factors[1], X).T
+    U1, U2, U3 = t.factors
+    # the image of t2c_with_image is C-ordered with modes 1 and 2 in
+    # either order, so the view copies no core; any other core is copied
+    swap = int(not t.core.flags.c_contiguous
+               and t.core.transpose(1, 0, 2).flags.c_contiguous)
+    C = t.core.transpose(swap, 1 - swap, 2).reshape(r1 * r2, r3)
+    plane = "CF"[swap]  # the order of a row of X as an r1 x r2 matrix
+    out = np.empty(t.shape, order="F")
+    blocks = _row_chunks(n3, r1 * r2)
+
+    def work(b0, b1):
+        # the first block is the longest
+        X, z = np.empty((blocks[0][1], r1 * r2)), np.empty((n1, r2))
+        for k0, k1 in blocks[b0:b1]:
+            np.matmul(U3[k0:k1], C.T, out=X[:k1 - k0])
+            for k in range(k0, k1):
+                np.matmul(U1, X[k - k0].reshape((r1, r2), order=plane), out=z)
+                np.matmul(U2, z.T, out=out[:, :, k].T)
+
+    _on_slabs(work, len(blocks))
+    return out
 
 
 @functools.cache
@@ -532,7 +564,11 @@ def t2c_with_image(t, eps):
     vector j share their mode-m coordinates, so each j sums its terms' other
     two modes into one r_a x r_b matrix Y_j, and one GEMM of the mode-m
     coordinates with the stacked Y_j gives the core: O(r^2 K + r^4) flops
-    for K kept terms.
+    for K kept terms.  The image is built, and the stacked Y_j freed,
+    before the n-row side matrices, which are formed one mode at a time,
+    each mode's coordinates dropped once read: past the SVDs the step
+    holds at most three side matrices, three r x K sets of coordinates
+    and the image core.
 
     Returns
     -------
@@ -577,20 +613,25 @@ def t2c_with_image(t, eps):
     j, i = np.divmod(keep, s.shape[1])
     w = w[keep]
 
-    coords = {m: Ut[j].T, a: P.transpose(1, 0, 2)[:, j, i],
-              b: Q.transpose(2, 0, 1)[:, j, i]}
+    coords = {a: P.transpose(1, 0, 2)[:, j, i], b: Q.transpose(2, 0, 1)[:, j, i]}
     del P, Q
-    # copied to C order: BLAS rounds transposed (F-ordered) operands differently
-    A = tuple(t.factors[l] @ np.ascontiguousarray(coords[l]) for l in range(3))
-
+    # the image first, so that Y is gone before the side matrices are made
     by_j = np.argsort(j, kind="stable")
     rows, beg = np.unique(j[by_j], return_index=True)
     Y = np.empty((rows.size, r[a], r[b]))
-    for y, sel in zip(Y, np.split(by_j, beg[1:])):
-        np.matmul(coords[a][:, sel] * w[sel], coords[b][:, sel].T, out=y)
+    # no view of Y outlives the loop; with no kept term there is no row
+    for y, sel in zip(range(rows.size), np.split(by_j, beg[1:])):
+        np.matmul(coords[a][:, sel] * w[sel], coords[b][:, sel].T, out=Y[y])
     core = Ut[rows].T @ Y.reshape(rows.size, r[a] * r[b])
+    del Y
     image = np.moveaxis(core.reshape(r[m], r[a], r[b]), 0, m)
-    return CanonicalTensor3(w, A), TuckerTensor3(image, t.factors)
+
+    # one mode at a time, each set of coordinates dropped once it is read,
+    # in C order: BLAS rounds transposed (F-ordered) operands differently
+    coords[m] = np.take(np.ascontiguousarray(Ut.T), j, axis=1)
+    A = {l: t.factors[l] @ np.ascontiguousarray(coords.pop(l)) for l in (m, a, b)}
+    return (CanonicalTensor3(w, tuple(A[l] for l in range(3))),
+            TuckerTensor3(image, t.factors))
 
 
 def reduce_rank(t, eps):

@@ -8,7 +8,8 @@ short-range part, the O(n^2)-per-line sine transform, the Poisson solve
 on all nodes with zero ghosts, single shifted kernel windows, a split at a
 fixed long-range count, reading back an exported CSV slice, and serial
 whole-grid counterparts of the passes that run on slabs of planes: the
-short-range scatter and the error metrics of compare, and the whole
+short-range scatter, the Tucker densify, the error metrics of compare,
+and the whole
 oracle that compare streams chunk by chunk, with the check that two
 references' reports differ by no more than the references do.
 """
@@ -42,6 +43,16 @@ def raw_gaussian_field(positions, charges, grid, q):
 
     sums = _plane_plan(table, q.weights, positions, charges)
     return sums(table(1, sums.u1))
+
+
+def tucker_dense_whole(t):
+    """``tucker_dense`` by three whole-grid mode products of the core, the
+    first over a copy of it; the products build the C-ordered transpose of
+    the Fortran-ordered result."""
+    (n1, n2, n3), (r1, r2, r3) = t.shape, t.ranks
+    X = (t.factors[2] @ t.core.T.reshape(r3, -1)).reshape(n3 * r2, r1)
+    X = (X @ t.factors[0].T).reshape(n3, r2, n1)
+    return np.matmul(t.factors[1], X).T
 
 
 def negate(t):

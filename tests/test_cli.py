@@ -964,15 +964,17 @@ def _long_bytes(rs, image):
     # field and the temporaries that densify it.  The explicit per-atom
     # sum is a plane sum over all n rows whose tables are the shifted
     # reference columns.  A Tucker image of ranks (r1, r2, r3) is held
-    # until densified, by three mode products: each holds its operand and
-    # its result, a copy of the core and the (n, r2, r1) product, that
-    # product and the (n, r2, n) one, and that one and the field
+    # until densified a block of mode-3 planes at a time: beside the field
+    # each of the W shares holds a block's mode-3 product, of the planes
+    # of the longest block (formats._row_chunks), and one (n, r2) plane
+    # product
     n = rs.grid.n
     if image is None:
         return _plane_sum_bytes(n, n, rs.long_reference.rank, rs.nodes)
     nbytes, (r1, r2, r3) = image
-    return 8 * max(r1 * r2 * r3 + n * r2 * r1, n * r2 * (r1 + n),
-                   n * r2 * n + n ** 3) + nbytes
+    blocks = rt.formats._row_chunks(n, r1 * r2)
+    W = min(len(blocks), rt.formats._slab_workers())
+    return 8 * (n ** 3 + W * (blocks[0][1] * r1 * r2 + n * r2)) + nbytes
 
 
 def _kept_bytes(out):

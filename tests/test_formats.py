@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 import rstensor as rt
 from conftest import EDGE_FLOATS, rand_canonical, same_bits, slab_workers
-from helpers import canonical_axpy, dense_slice, eval_entries, frobenius_norm
+from helpers import (canonical_axpy, dense_slice, eval_entries, frobenius_norm,
+                     tucker_dense_whole)
 from rstensor import formats
 from rstensor.formats import (_mode_basis, _on_slabs, _openblas, _plane_sum,
                               c2t_shift_sum, shift_sum, t2c_with_image,
@@ -267,6 +268,41 @@ def test_plane_sum_matches_einsum(shape, R, m, N, seed, W):
                       *map(np.abs, G))
     assert out.shape == shape and out.flags.f_contiguous
     assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_tucker_dense_blocks_on_any_worker_count(swap):
+    # ranks 64 x 64 x 10 give 4096 floats of mode-3 product a plane, so
+    # the 200 planes go in blocks of 67, 67 and 66.  On 1, 2 and 3 workers
+    # the result has the same bits and agrees with the three whole-grid
+    # products, and the peak is the output plus, per share, one block and
+    # one n1 x r2 plane product: a copy of the core (328 KB), C-ordered or
+    # with modes 1 and 2 swapped in memory as t2c_with_image leaves it,
+    # breaks the bound
+    rng = np.random.default_rng(9)
+    shape, (r1, r2, r3) = (20, 30, 200), (64, 64, 10)
+    core = rng.standard_normal((r1, r2, r3))
+    if swap:
+        core = np.ascontiguousarray(core.transpose(1, 0, 2)).transpose(1, 0, 2)
+    tk = rt.TuckerTensor3(core, tuple(
+        np.linalg.qr(rng.standard_normal((n, r)))[0][:, :r] if n >= r
+        else rng.standard_normal((n, r)) for n, r in zip(shape, (r1, r2, r3))))
+    assert formats._row_chunks(200, r1 * r2) == [(0, 67), (67, 134), (134, 200)]
+    got = []
+    for W in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            with slab_workers(W):
+                got.append(tucker_dense(tk))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (np.prod(shape) + W * (67 * r1 * r2 + shape[0] * r2)) + 2 ** 15
+        assert peak <= bound, (W, peak, bound)
+    assert got[0].flags.f_contiguous
+    assert all(same_bits(a, got[0]) for a in got[1:])
+    want = tucker_dense_whole(tk)
+    assert np.max(np.abs(got[0] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_plane_plan_writes_only_a_fortran_out():
